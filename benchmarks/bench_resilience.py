@@ -1,20 +1,21 @@
 """No-fault overhead of the resilience layer.
 
-The robust executor, the per-question isolation wiring and the fault
-seams are all opt-in; the contract is that the *default* path pays
-(almost) nothing for their existence.  This bench pins that contract
-with three measurements:
+Every fan-out runs through one policy-governed executor
+(``map_shards``, default policy ``FAIL_FAST``), and the fault seams are
+armed only under injection; the contract is that a healthy run pays
+(almost) nothing for retries and isolation.  This bench pins that
+contract with three measurements:
 
-- **shard fan-out**: legacy ``map_shards`` vs the policy-governed path
-  on an identical serial workload — the ratio is the headline
-  ``overhead_ratio`` and must stay within ``OVERHEAD_CEILING`` (1.05,
-  the ISSUE's <=5%% budget) on full runs;
+- **shard fan-out**: the default fail-fast policy vs a retrying
+  ``RetryPolicy()`` on an identical serial workload — the ratio is the
+  headline ``overhead_ratio`` and must stay within ``OVERHEAD_CEILING``
+  (1.05, a <=5%% budget) on full runs;
 - **fault seams disarmed**: the exact operation count of a disarmed
   ``faults.active_plan()`` seam check — zero tallies, by construction
   one global load each;
-- **scenario runner**: a cached-off envelope scenario under the legacy
-  plan vs ``on_error="partial"`` (robust serial loop), recorded for the
-  trajectory but not gated (single-run scenario noise dwarfs 5%%).
+- **scenario runner**: a cached-off envelope scenario under the default
+  plan vs ``on_error="partial"``, recorded for the trajectory but not
+  gated (single-run scenario noise dwarfs 5%%).
 
 Results land in ``benchmarks/results/BENCH_resilience.json``.
 
@@ -38,7 +39,7 @@ from repro.scenarios import Question, get_scenario, run_scenario
 
 BENCH_PATH = RESULTS_DIR / "BENCH_resilience.json"
 
-#: The ISSUE's no-fault overhead budget for the robust shard path.
+#: No-fault overhead budget of a retrying policy over the default.
 OVERHEAD_CEILING = 1.05
 
 
@@ -51,26 +52,26 @@ def _shard_workload(theta):
 
 
 def bench_shard_overhead(smoke: bool) -> dict:
-    """Legacy vs robust ``map_shards`` on an identical serial workload."""
+    """Default vs retrying ``map_shards`` on an identical serial workload."""
     n_shards = 8 if smoke else 32
     repeats = 3 if smoke else 10
     payloads = [0.5 + 0.1 * i for i in range(n_shards)]
     policy = RetryPolicy()
 
-    legacy_s, legacy_out = best_of(
+    default_s, default_out = best_of(
         lambda: map_shards(_shard_workload, payloads), repeats)
-    robust_s, robust_out = best_of(
+    retrying_s, retrying_out = best_of(
         lambda: map_shards(_shard_workload, payloads, policy=policy),
         repeats)
-    if legacy_out != robust_out:
+    if default_out != retrying_out:
         raise AssertionError(
-            "robust no-fault path diverged from the legacy results"
+            "retrying no-fault run diverged from the default results"
         )
     return {
         "n_shards": n_shards,
-        "legacy_seconds": round(legacy_s, 6),
-        "robust_seconds": round(robust_s, 6),
-        "overhead_ratio": round(robust_s / legacy_s, 4),
+        "default_seconds": round(default_s, 6),
+        "retrying_seconds": round(retrying_s, 6),
+        "overhead_ratio": round(retrying_s / default_s, 4),
         "bit_identical": True,
     }
 
@@ -96,22 +97,22 @@ def bench_disarmed_seams() -> dict:
 
 
 def bench_scenario_overhead(smoke: bool) -> dict:
-    """Legacy plan vs ``on_error="partial"`` on a healthy scenario."""
+    """Default plan vs ``on_error="partial"`` on a healthy scenario."""
     repeats = 2 if smoke else 5
     spec = get_scenario("sir-transient").with_overrides(
         name="bench-resilience-envelope",
         questions=[Question("envelope",
                             options={"n_times": 4 if smoke else 13})],
     )
-    legacy_s, _ = best_of(lambda: run_scenario(spec, use_cache=False),
+    default_s, _ = best_of(lambda: run_scenario(spec, use_cache=False),
                           repeats)
-    robust_s, _ = best_of(
+    partial_s, _ = best_of(
         lambda: run_scenario(spec, use_cache=False, on_error="partial"),
         repeats)
     return {
-        "legacy_seconds": round(legacy_s, 6),
-        "robust_seconds": round(robust_s, 6),
-        "overhead_ratio": round(robust_s / legacy_s, 4),
+        "default_seconds": round(default_s, 6),
+        "partial_seconds": round(partial_s, 6),
+        "overhead_ratio": round(partial_s / default_s, 4),
     }
 
 
@@ -131,8 +132,8 @@ def main(argv=None) -> dict:
         "recorded_unix": int(time.time()),
     }
     shard = summary["shard_fanout"]
-    print(f"shard fan-out: legacy {shard['legacy_seconds']:.4f}s  "
-          f"robust {shard['robust_seconds']:.4f}s  "
+    print(f"shard fan-out: default {shard['default_seconds']:.4f}s  "
+          f"retrying {shard['retrying_seconds']:.4f}s  "
           f"ratio {shard['overhead_ratio']:.3f}")
     print(f"disarmed seams: {summary['disarmed_seams']['disarmed_checks']} "
           f"checks, {summary['disarmed_seams']['tallied_operations']} "
@@ -140,14 +141,14 @@ def main(argv=None) -> dict:
           f"{summary['disarmed_seams']['nanoseconds_per_check']:.0f} ns "
           "each")
     scen = summary["scenario_runner"]
-    print(f"scenario runner: legacy {scen['legacy_seconds']:.4f}s  "
-          f"robust {scen['robust_seconds']:.4f}s  "
+    print(f"scenario runner: default {scen['default_seconds']:.4f}s  "
+          f"partial {scen['partial_seconds']:.4f}s  "
           f"ratio {scen['overhead_ratio']:.3f}")
 
     if not args.smoke and shard["overhead_ratio"] > OVERHEAD_CEILING:
         raise AssertionError(
-            f"no-fault robust shard path costs "
-            f"{shard['overhead_ratio']:.3f}x the legacy path "
+            f"a no-fault retrying policy costs "
+            f"{shard['overhead_ratio']:.3f}x the default "
             f"(ceiling {OVERHEAD_CEILING:.2f}x)"
         )
 
@@ -155,7 +156,7 @@ def main(argv=None) -> dict:
     BENCH_PATH.write_text(json.dumps(summary, indent=1, sort_keys=True)
                           + "\n")
     record_timing("bench_resilience",
-                  shard["legacy_seconds"] + shard["robust_seconds"],
+                  shard["default_seconds"] + shard["retrying_seconds"],
                   overhead_ratio=shard["overhead_ratio"])
     print(f"wrote {BENCH_PATH}")
     return summary

@@ -162,7 +162,6 @@ def hull_vector_field(
     refine: bool = False,
     theta_method: str = "auto",
     batch: bool = True,
-    backend=None,
 ):
     """The autonomous hull pair field ``(t, z) -> dz`` on ``z = (xlo, xhi)``.
 
@@ -173,8 +172,7 @@ def hull_vector_field(
     parameter semantics.
     """
     d = model.dim
-    extremizer = DriftExtremizer(model, method=theta_method, batch=batch,
-                                 backend=backend)
+    extremizer = DriftExtremizer(model, method=theta_method, batch=batch)
 
     use_masks = batch and x_samples_per_axis <= 2
     if use_masks:
@@ -267,7 +265,6 @@ def differential_hull_bounds(
     atol: float = 1e-9,
     blowup_threshold: float = 100.0,
     batch: bool = True,
-    backend=None,
 ) -> HullBounds:
     """Integrate the differential hull of the model's mean-field inclusion.
 
@@ -316,7 +313,6 @@ def differential_hull_bounds(
         refine=refine,
         theta_method=theta_method,
         batch=batch,
-        backend=backend,
     )
 
     z0 = np.concatenate([x0, x0])

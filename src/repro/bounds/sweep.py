@@ -94,7 +94,7 @@ def _resolve_weights(model, observables) -> Dict[str, np.ndarray]:
     return weights
 
 
-def _rk4_sweep_batch(model, x0, rk4_grid, thetas, backend=None) -> np.ndarray:
+def _rk4_sweep_batch(model, x0, rk4_grid, thetas) -> np.ndarray:
     """Advance every constant-theta lane through one shared RK4 grid.
 
     Returns the state stack of shape ``(m, n_grid, d)``.  Each RK4 step
@@ -108,10 +108,9 @@ def _rk4_sweep_batch(model, x0, rk4_grid, thetas, backend=None) -> np.ndarray:
     x = np.broadcast_to(np.asarray(x0, dtype=float), (m, model.dim)).copy()
     states = np.empty((m, rk4_grid.shape[0], model.dim))
     states[:, 0, :] = x
-    kernels = model.backend_kernels(backend)
 
     def field(t, state_stack):
-        return kernels.drift(state_stack, thetas)
+        return model.drift_batch(state_stack, thetas)
 
     for i in range(rk4_grid.shape[0] - 1):
         dt = rk4_grid[i + 1] - rk4_grid[i]
@@ -131,7 +130,6 @@ def uncertain_envelope(
     integrator: str = "adaptive",
     rk4_steps: int = 400,
     batch: bool = True,
-    backend=None,
 ) -> UncertainEnvelope:
     with telemetry.span("envelope.sweep", integrator=integrator,
                         resolution=resolution, batch=batch) as sp:
@@ -139,7 +137,6 @@ def uncertain_envelope(
             model, x0, t_eval, resolution=resolution,
             observables=observables, rtol=rtol, atol=atol,
             integrator=integrator, rk4_steps=rk4_steps, batch=batch,
-            backend=backend,
         )
         sp.set("thetas", env.thetas.shape[0])
     telemetry.inc("envelope.theta_solves", env.thetas.shape[0])
@@ -157,7 +154,6 @@ def _uncertain_envelope_impl(
     integrator: str = "adaptive",
     rk4_steps: int = 400,
     batch: bool = True,
-    backend=None,
 ) -> UncertainEnvelope:
     """Sweep constant parameters and envelope the observables.
 
@@ -231,8 +227,8 @@ def _uncertain_envelope_impl(
         pick = np.searchsorted(ascending, t_eval)
         if descending:
             pick = rk4_grid.shape[0] - 1 - pick
-        states_stack = _rk4_sweep_batch(model, x0, rk4_grid, thetas,
-                                        backend=backend)[:, pick, :]
+        states_stack = _rk4_sweep_batch(model, x0, rk4_grid,
+                                        thetas)[:, pick, :]
         for name, w in weights.items():
             values[name] = states_stack @ w
     elif integrator == "adaptive" and batch and t_span[0] != t_span[1]:
@@ -240,14 +236,11 @@ def _uncertain_envelope_impl(
         x0_stack = np.broadcast_to(np.asarray(x0, dtype=float),
                                    (m, model.dim))
 
-        kernels = model.backend_kernels(backend)
-
         def field(t, state_stack, theta_stack):
-            return kernels.drift(state_stack, theta_stack)
+            return model.drift_batch(state_stack, theta_stack)
 
         sol = dopri_batch(field, x0_stack, t_span, t_eval=t_eval,
-                          rtol=rtol, atol=atol, lane_args=thetas,
-                          backend=backend)
+                          rtol=rtol, atol=atol, lane_args=thetas)
         for name, w in weights.items():
             values[name] = sol.states @ w
     else:

@@ -152,7 +152,6 @@ def template_reachable_bounds(
     max_iter: int = 100,
     extremizer: Optional[DriftExtremizer] = None,
     batch: bool = True,
-    backend=None,
 ) -> TemplatePolytope:
     """Template polytope enclosing the reachable set at ``horizon``.
 
@@ -171,8 +170,7 @@ def template_reachable_bounds(
         raise ValueError(
             f"directions must be (m, {model.dim}); got {directions.shape}"
         )
-    extremizer = extremizer or DriftExtremizer(model, batch=batch,
-                                               backend=backend)
+    extremizer = extremizer or DriftExtremizer(model, batch=batch)
     offsets = np.empty(directions.shape[0])
     for k, c in enumerate(directions):
         result = extremal_trajectory(

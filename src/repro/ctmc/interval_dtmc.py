@@ -46,7 +46,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.backend import resolve_backend
 
 __all__ = ["IntervalDTMC", "random_interval_dtmc"]
 
@@ -69,10 +68,7 @@ def _knapsack_rows(lower, room, slack0, order):
     checks for feasibility.
 
     ``np.subtract.accumulate`` reproduces the legacy scalar loop's
-    sequential slack updates rounding step by rounding step; this is
-    the backend seam's reference kernel (key ``ctmc.knapsack_rows``)
-    and accelerated backends substitute an explicit-loop form with the
-    same subtraction order.
+    sequential slack updates rounding step by rounding step.
     """
     m, n = order.shape[0], lower.shape[0]
     # Rooms permuted into each reward's fill order: (m, n, n).
@@ -175,8 +171,7 @@ class IntervalDTMC:
             p = p / total
         return p
 
-    def extreme_rows_batch(self, rewards, maximize: bool = True,
-                           backend=None) -> np.ndarray:
+    def extreme_rows_batch(self, rewards, maximize: bool = True) -> np.ndarray:
         """All ``n`` extreme rows for a stack of reward vectors at once.
 
         Parameters
@@ -185,10 +180,6 @@ class IntervalDTMC:
             One reward vector of shape ``(n,)`` or a stack ``(m, n)``.
         maximize:
             Extremise upward (the upper-expectation rows) or downward.
-        backend:
-            Optional :mod:`repro.backend` selection for the knapsack
-            kernel (``None`` uses the process default; the numpy
-            backend is the bit-identical reference).
 
         Returns
         -------
@@ -212,13 +203,10 @@ class IntervalDTMC:
         if telemetry.enabled():
             telemetry.inc("ctmc.credal.operator_calls")
             telemetry.inc("ctmc.credal.knapsack_rows", m * n)
-        kernel = resolve_backend(backend).compile_kernel(
-            _knapsack_rows, key="ctmc.knapsack_rows"
-        )
         order = np.argsort(-rewards if maximize else rewards, axis=1)
         room = self.upper - self.lower                       # (n, n), >= 0
         slack0 = 1.0 - self.lower.sum(axis=1)                # (n,)
-        rows, leftover = kernel(self.lower, room, slack0, order)
+        rows, leftover = _knapsack_rows(self.lower, room, slack0, order)
         if np.any(leftover > 1e-9):
             raise RuntimeError("credal set inconsistency: mass left over")
         totals = rows.sum(axis=2)
@@ -227,7 +215,7 @@ class IntervalDTMC:
             rows = np.where(bad[:, :, None], rows / totals[:, :, None], rows)
         return rows[0] if single else rows
 
-    def upper_operator_batch(self, rewards, backend=None) -> np.ndarray:
+    def upper_operator_batch(self, rewards) -> np.ndarray:
         """``T̄`` applied to a stack of rewards: ``(m, n) -> (m, n)``.
 
         Also accepts a single ``(n,)`` vector (returning ``(n,)``).  The
@@ -238,12 +226,11 @@ class IntervalDTMC:
         rewards = np.asarray(rewards, dtype=float)
         single = rewards.ndim == 1
         stack = np.atleast_2d(rewards)
-        rows = self.extreme_rows_batch(stack, maximize=True,
-                                       backend=backend)
+        rows = self.extreme_rows_batch(stack, maximize=True)
         values = np.matmul(rows, stack[:, :, None])[:, :, 0]
         return values[0] if single else values
 
-    def expectation_bounds_batch(self, rewards, steps: int, backend=None):
+    def expectation_bounds_batch(self, rewards, steps: int):
         """``(lower, upper)`` expectations of a reward stack after ``steps``.
 
         Iterates the upper operator on the ``2m``-lane stack
@@ -261,17 +248,16 @@ class IntervalDTMC:
         m = stack.shape[0]
         value = np.concatenate([stack, -stack], axis=0)
         for _ in range(steps):
-            value = self.upper_operator_batch(value, backend=backend)
+            value = self.upper_operator_batch(value)
         upper = value[:m]
         lower = -value[m:]
         return (lower[0], upper[0]) if single else (lower, upper)
 
-    def upper_operator(self, reward, batch: bool = True,
-                       backend=None) -> np.ndarray:
+    def upper_operator(self, reward, batch: bool = True) -> np.ndarray:
         """One application of the upper-expectation operator ``T̄ r``."""
         reward = np.asarray(reward, dtype=float)
         if batch:
-            return self.upper_operator_batch(reward, backend=backend)
+            return self.upper_operator_batch(reward)
         # Legacy per-row knapsack loop; the final contraction is the
         # same matrix-vector product the batched kernel issues.
         rows = np.array(
@@ -280,18 +266,16 @@ class IntervalDTMC:
         )
         return rows @ reward
 
-    def lower_operator(self, reward, batch: bool = True,
-                       backend=None) -> np.ndarray:
+    def lower_operator(self, reward, batch: bool = True) -> np.ndarray:
         """One application of the lower-expectation operator."""
-        return -self.upper_operator(-np.asarray(reward, dtype=float), batch,
-                                    backend=backend)
+        return -self.upper_operator(-np.asarray(reward, dtype=float), batch)
 
     # ------------------------------------------------------------------
     # Finite-horizon expectations
     # ------------------------------------------------------------------
 
-    def upper_expectation(self, reward, steps: int, batch: bool = True,
-                          backend=None) -> np.ndarray:
+    def upper_expectation(self, reward, steps: int,
+                          batch: bool = True) -> np.ndarray:
         """Upper expectation of ``reward`` after ``steps`` transitions.
 
         Returns the per-starting-state vector ``T̄^k r``.
@@ -300,29 +284,29 @@ class IntervalDTMC:
             raise ValueError("steps must be non-negative")
         value = np.asarray(reward, dtype=float).copy()
         for _ in range(steps):
-            value = self.upper_operator(value, batch=batch, backend=backend)
+            value = self.upper_operator(value, batch=batch)
         return value
 
-    def lower_expectation(self, reward, steps: int, batch: bool = True,
-                          backend=None) -> np.ndarray:
+    def lower_expectation(self, reward, steps: int,
+                          batch: bool = True) -> np.ndarray:
         """Lower expectation of ``reward`` after ``steps`` transitions."""
         return -self.upper_expectation(-np.asarray(reward, dtype=float), steps,
-                                       batch=batch, backend=backend)
+                                       batch=batch)
 
     def expectation_bounds(
-        self, reward, steps: int, batch: bool = True, backend=None,
+        self, reward, steps: int, batch: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` expectation vectors after ``steps`` steps."""
         if batch:
             return self.expectation_bounds_batch(
-                np.asarray(reward, dtype=float), steps, backend=backend
+                np.asarray(reward, dtype=float), steps
             )
         return (self.lower_expectation(reward, steps, batch=False),
                 self.upper_expectation(reward, steps, batch=False))
 
     def stationary_expectation_bounds(
         self, reward, tol: float = 1e-10, max_iter: int = 100_000,
-        batch: bool = True, backend=None,
+        batch: bool = True,
     ) -> Tuple[float, float]:
         """Long-run bounds on the expected reward (Škulj's limit regime).
 
@@ -343,11 +327,9 @@ class IntervalDTMC:
             converged = False
             for _ in range(max_iter):
                 if maximize:
-                    new_value = self.upper_operator(value, batch=batch,
-                                                    backend=backend)
+                    new_value = self.upper_operator(value, batch=batch)
                 else:
-                    new_value = self.lower_operator(value, batch=batch,
-                                                    backend=backend)
+                    new_value = self.lower_operator(value, batch=batch)
                 spread = float(new_value.max() - new_value.min())
                 delta = float(np.max(np.abs(new_value - value)))
                 value = new_value
@@ -366,7 +348,7 @@ class IntervalDTMC:
 
     def uniformized_bounds(
         self, rewards, horizon: float, rate: float,
-        tail_tol: float = 1e-12, batch: bool = True, backend=None,
+        tail_tol: float = 1e-12, batch: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Poisson-mixed reward bounds at CTMC time ``horizon``.
 
@@ -405,7 +387,7 @@ class IntervalDTMC:
         mixed = weight * value
         for k in range(1, n_terms + 1):
             if batch:
-                value = self.upper_operator_batch(value, backend=backend)
+                value = self.upper_operator_batch(value)
             else:
                 value = np.stack([
                     self.upper_operator(lane, batch=False) for lane in value

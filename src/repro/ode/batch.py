@@ -39,7 +39,6 @@ import numpy as np
 from scipy.optimize import fsolve
 
 from repro import telemetry
-from repro.backend import resolve_backend
 from repro.ode.integrators import _SETTLE_ACCEPT_RESIDUAL, Trajectory
 from repro.resilience import faults
 
@@ -223,23 +222,8 @@ def _prepare_batch_grid(x0, t_grid, lane_steps):
     return x0, t_grid, shared, lane_steps, n_points
 
 
-def _stage_state(x, c, k):
-    """One RK stage state ``x + c * k`` (``c`` a scalar or per-lane column).
-
-    On the numpy backend this *is* the historical inline expression
-    (``x + 0.5 * dt * k1`` parses as ``x + (0.5 * dt) * k1``), so
-    routing stages through the backend seam stays bit-identical.
-    """
-    return x + c * k
-
-
-def _rk4_combine(x, c, k1, k2, k3, k4):
-    """The RK4 update ``x + c * (k1 + 2 k2 + 2 k3 + k4)``, ``c = dt/6``."""
-    return x + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _rk4_integrate_batch_impl(f: Callable, x0, t_grid,
-                              lane_steps=None, backend=None) -> TrajectoryBatch:
+                              lane_steps=None) -> TrajectoryBatch:
     """Lockstep fixed-grid RK4 over a stack of IVPs.
 
     Parameters
@@ -265,9 +249,6 @@ def _rk4_integrate_batch_impl(f: Callable, x0, t_grid,
     x0, t_grid, shared, lane_steps, n_points = _prepare_batch_grid(
         x0, t_grid, lane_steps
     )
-    be = resolve_backend(backend)
-    stage = be.compile_kernel(_stage_state, key="ode.stage_state")
-    combine = be.compile_kernel(_rk4_combine, key="ode.rk4_combine")
     L, d = x0.shape
     x = x0.copy()
     states = np.empty((L, n_points, d))
@@ -276,21 +257,16 @@ def _rk4_integrate_batch_impl(f: Callable, x0, t_grid,
     for i in range(n_points - 1):
         if shared:
             t = t_grid[i]
-            dt = t_grid[i + 1] - t_grid[i]
-            k1 = f(t, x)
-            k2 = f(t + 0.5 * dt, stage(x, 0.5 * dt, k1))
-            k3 = f(t + 0.5 * dt, stage(x, 0.5 * dt, k2))
-            k4 = f(t + dt, stage(x, dt, k3))
-            stepped = combine(x, dt / 6.0, k1, k2, k3, k4)
+            dt = dtc = t_grid[i + 1] - t_grid[i]
         else:
             t = t_grid[:, i]
             dt = t_grid[:, i + 1] - t
             dtc = dt[:, None]
-            k1 = f(t, x)
-            k2 = f(t + 0.5 * dt, stage(x, 0.5 * dtc, k1))
-            k3 = f(t + 0.5 * dt, stage(x, 0.5 * dtc, k2))
-            k4 = f(t + dt, stage(x, dtc, k3))
-            stepped = combine(x, dtc / 6.0, k1, k2, k3, k4)
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * dt, x + 0.5 * dtc * k1)
+        k3 = f(t + 0.5 * dt, x + 0.5 * dtc * k2)
+        k4 = f(t + dt, x + dtc * k3)
+        stepped = x + (dtc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if all_live:
             x = stepped
         else:
@@ -302,8 +278,7 @@ def _rk4_integrate_batch_impl(f: Callable, x0, t_grid,
 
 
 def _rk4_integrate_controlled_batch_impl(f: Callable, x0, t_grid, controls,
-                                         lane_steps=None,
-                                         backend=None) -> TrajectoryBatch:
+                                         lane_steps=None) -> TrajectoryBatch:
     """Lockstep controlled RK4: ``x' = f(t, x, u)`` per lane.
 
     ``controls`` holds one control row per lane per grid *interval*,
@@ -325,9 +300,6 @@ def _rk4_integrate_controlled_batch_impl(f: Callable, x0, t_grid, controls,
             f"controls must be (n_lanes, {n_points - 1}, p); "
             f"got {ctrl.shape}"
         )
-    be = resolve_backend(backend)
-    stage = be.compile_kernel(_stage_state, key="ode.stage_state")
-    combine = be.compile_kernel(_rk4_combine, key="ode.rk4_combine")
     x = x0.copy()
     states = np.empty((L, n_points, d))
     states[:, 0] = x
@@ -336,21 +308,16 @@ def _rk4_integrate_controlled_batch_impl(f: Callable, x0, t_grid, controls,
         u = ctrl[:, i]
         if shared:
             t = t_grid[i]
-            dt = t_grid[i + 1] - t_grid[i]
-            k1 = f(t, x, u)
-            k2 = f(t + 0.5 * dt, stage(x, 0.5 * dt, k1), u)
-            k3 = f(t + 0.5 * dt, stage(x, 0.5 * dt, k2), u)
-            k4 = f(t + dt, stage(x, dt, k3), u)
-            stepped = combine(x, dt / 6.0, k1, k2, k3, k4)
+            dt = dtc = t_grid[i + 1] - t_grid[i]
         else:
             t = t_grid[:, i]
             dt = t_grid[:, i + 1] - t
             dtc = dt[:, None]
-            k1 = f(t, x, u)
-            k2 = f(t + 0.5 * dt, stage(x, 0.5 * dtc, k1), u)
-            k3 = f(t + 0.5 * dt, stage(x, 0.5 * dtc, k2), u)
-            k4 = f(t + dt, stage(x, dtc, k3), u)
-            stepped = combine(x, dtc / 6.0, k1, k2, k3, k4)
+        k1 = f(t, x, u)
+        k2 = f(t + 0.5 * dt, x + 0.5 * dtc * k1, u)
+        k3 = f(t + 0.5 * dt, x + 0.5 * dtc * k2, u)
+        k4 = f(t + dt, x + dtc * k3, u)
+        stepped = x + (dtc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if all_live:
             x = stepped
         else:
@@ -377,9 +344,9 @@ def _record_lockstep(kind: str, batch: TrajectoryBatch) -> TrajectoryBatch:
 
 
 def rk4_integrate_batch(f: Callable, x0, t_grid,
-                        lane_steps=None, backend=None) -> TrajectoryBatch:
+                        lane_steps=None) -> TrajectoryBatch:
     with telemetry.span("ode.rk4_batch"):
-        batch = _rk4_integrate_batch_impl(f, x0, t_grid, lane_steps, backend)
+        batch = _rk4_integrate_batch_impl(f, x0, t_grid, lane_steps)
     return _record_lockstep("rk4", batch)
 
 
@@ -387,11 +354,10 @@ rk4_integrate_batch.__doc__ = _rk4_integrate_batch_impl.__doc__
 
 
 def rk4_integrate_controlled_batch(f: Callable, x0, t_grid, controls,
-                                   lane_steps=None,
-                                   backend=None) -> TrajectoryBatch:
+                                   lane_steps=None) -> TrajectoryBatch:
     with telemetry.span("ode.rk4_controlled_batch"):
         batch = _rk4_integrate_controlled_batch_impl(
-            f, x0, t_grid, controls, lane_steps, backend
+            f, x0, t_grid, controls, lane_steps
         )
     return _record_lockstep("rk4", batch)
 
@@ -430,12 +396,7 @@ def _rms_norm(v: np.ndarray) -> np.ndarray:
 
 
 def _dp_stage_sum(coeffs: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """Tableau-weighted stage sum ``sum_j coeffs[j] * stages[j]``.
-
-    The backend seam's handle on the Dormand–Prince inner products;
-    accelerated backends substitute a loop form (``np.tensordot`` is
-    numpy-only idiom), the numpy path is this exact expression.
-    """
+    """Tableau-weighted stage sum ``sum_j coeffs[j] * stages[j]``."""
     return np.tensordot(coeffs, stages, axes=(0, 0))
 
 
@@ -510,7 +471,6 @@ def _dopri_batch_impl(
     min_factor: float = 0.2,
     max_factor: float = 10.0,
     lane_args=None,
-    backend=None,
     retire_failed_lanes: bool = False,
 ) -> TrajectoryBatch:
     """Adaptive Dormand–Prince 5(4) integration of a stack of IVPs.
@@ -575,9 +535,6 @@ def _dopri_batch_impl(
     ``{"lane", "reason", "t", "accepted", "rejected"}`` dict per
     retired lane.
     """
-    be = resolve_backend(backend)
-    stage_sum = be.compile_kernel(_dp_stage_sum, key="ode.dp_stage_sum")
-    rms = be.compile_kernel(_rms_norm, key="ode.rms_norm")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = x0[None, :]
@@ -704,16 +661,16 @@ def _dopri_batch_impl(
         K = np.empty((7, act.size, d))
         K[0] = ka
         for i, (a_row, c_i) in enumerate(zip(_DP_A, _DP_C[1:]), start=1):
-            incr = stage_sum(a_row, K[:i])
+            incr = _dp_stage_sum(a_row, K[:i])
             K[i] = fx(ta + c_i * h_signed, ya + h_signed[:, None] * incr, act)
-        y_new = ya + h_signed[:, None] * stage_sum(_DP_B, K[:6])
+        y_new = ya + h_signed[:, None] * _dp_stage_sum(_DP_B, K[:6])
         t_new = np.where(last, t_end[act], ta + h_signed)
         K[6] = fx(t_new, y_new, act)
         nfev += 6 * act.size
 
-        err_vec = h_signed[:, None] * stage_sum(_DP_E, K)
+        err_vec = h_signed[:, None] * _dp_stage_sum(_DP_E, K)
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
-        err = rms(err_vec / scale)
+        err = _rms_norm(err_vec / scale)
         bad = ~np.isfinite(err)
         err = np.where(bad, np.inf, err)
         accept = err <= 1.0
@@ -814,7 +771,6 @@ def dopri_batch(
     min_factor: float = 0.2,
     max_factor: float = 10.0,
     lane_args=None,
-    backend=None,
     retire_failed_lanes: bool = False,
 ) -> TrajectoryBatch:
     with telemetry.span("ode.dopri_batch") as sp:
@@ -822,8 +778,7 @@ def dopri_batch(
             f, x0, t_span, t_eval,
             rtol=rtol, atol=atol, max_step=max_step, max_steps=max_steps,
             safety=safety, min_factor=min_factor, max_factor=max_factor,
-            lane_args=lane_args, backend=backend,
-            retire_failed_lanes=retire_failed_lanes,
+            lane_args=lane_args, retire_failed_lanes=retire_failed_lanes,
         )
         sp.set("lanes", batch.n_lanes)
     if telemetry.enabled():
@@ -864,7 +819,6 @@ def find_fixed_point_batch(
     polish: bool = True,
     jac: Optional[Callable] = None,
     lane_args=None,
-    backend=None,
 ) -> FixedPointBatch:
     """Settle a stack of initial points to stable equilibria at once.
 
@@ -919,7 +873,7 @@ def find_fixed_point_batch(
     for rounds in range(1, max_rounds + 1):
         sol = dopri_batch(
             lambda t, Y, A=None: f_at(Y, A), x[act], (0.0, settle_time),
-            rtol=1e-10, atol=1e-12, lane_args=act, backend=backend,
+            rtol=1e-10, atol=1e-12, lane_args=act,
         )
         x[act] = sol.final_states
         residuals[act] = np.linalg.norm(f_at(x[act], act), axis=1)

@@ -11,6 +11,7 @@ computations of Section IV.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -530,45 +531,18 @@ class PopulationModel:
             out[r] = self.jacobian_x(x[r], theta[r])
         return out
 
-    # ------------------------------------------------------------------
-    # Backend seam
-    # ------------------------------------------------------------------
+    def backend_kernels(self) -> SimpleNamespace:
+        """The batch kernels by role: ``drift``, ``rates``, ``affine``,
+        ``jacobian`` — this model's own ``*_batch`` methods.
 
-    def batch_kernel_declarations(self) -> dict:
-        """The raw batch-kernel declarations of this model, by name.
-
-        This is what an accelerated :mod:`repro.backend` backend
-        compiles: one ``rate:<name>`` entry per transition (the
-        coordinate-major rate function) plus the declared
-        ``affine_drift_batch`` / ``drift_jacobian_batch`` kernels when
-        present (absent keys are simply not declared).  The REG005
-        registry audit holds every entry to the
-        :func:`repro.backend.kernel_compilable` contract so registered
-        models stay compilable.
+        The library calls those methods directly; this view stays for
+        callers written against the former kernel bundle (the catalog
+        benchmark's set-up among them).
         """
-        decls = {}
-        for tr in self.transitions:
-            decls[f"rate:{tr.name}"] = tr.rate
-        if self._affine_drift_batch is not None:
-            decls["affine_drift_batch"] = self._affine_drift_batch
-        if self._drift_jacobian_batch is not None:
-            decls["drift_jacobian_batch"] = self._drift_jacobian_batch
-        return decls
-
-    def backend_kernels(self, backend=None):
-        """This model's batch kernels compiled on an array backend.
-
-        ``backend`` is a name, an
-        :class:`~repro.backend.ArrayBackend` instance, or ``None`` for
-        the process default (see :func:`repro.backend.resolve_backend`).
-        Kernels compile once per ``(model, backend)`` pair and are
-        memoized on the backend; on the numpy backend they *are* the
-        bound batch methods, so dispatching through the seam is
-        bit-identical to calling them directly.
-        """
-        from repro.backend import resolve_backend
-
-        return resolve_backend(backend).model_kernels(self)
+        return SimpleNamespace(drift=self.drift_batch,
+                               rates=self.transition_rates_batch,
+                               affine=self.affine_parts_batch,
+                               jacobian=self.jacobian_x_batch)
 
     # ------------------------------------------------------------------
     # State-space housekeeping

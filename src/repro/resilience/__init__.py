@@ -12,9 +12,9 @@ failure semantics, and this package supplies them:
   backoff, per-shard wall-clock timeouts, ``on_error="raise"|"partial"``;
 - :class:`ShardFailure` / :class:`QuestionFailure` — failures as typed
   *values* in result slots, next to everything that survived;
-- :func:`map_shards_robust` — the async-submission pool executor with
-  worker-death recovery that :func:`~repro.engine.map_shards` delegates
-  to when a policy is supplied;
+- :mod:`repro.resilience.execution` — the async-submission pool
+  executor with worker-death recovery that runs every
+  :func:`~repro.engine.map_shards` fan-out;
 - :mod:`repro.resilience.faults` — the deterministic fault-injection
   harness (off by default at provably zero cost, same op-tally
   discipline as :mod:`repro.telemetry`) that lets the chaos suite prove
@@ -28,7 +28,6 @@ cycles.
 from repro.resilience import faults
 from repro.resilience.policy import (FAILURE_KINDS, QuestionFailure,
                                      RetryPolicy, ShardFailure)
-from repro.resilience.execution import map_shards_robust
 
 __all__ = [
     "FAILURE_KINDS",
@@ -36,5 +35,4 @@ __all__ = [
     "RetryPolicy",
     "ShardFailure",
     "faults",
-    "map_shards_robust",
 ]

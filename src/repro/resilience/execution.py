@@ -1,10 +1,10 @@
-"""Fault-tolerant shard execution for :func:`repro.engine.map_shards`.
+"""The shard executor behind :func:`repro.engine.map_shards`.
 
-The legacy pool path (``multiprocessing.Pool.map``) has all-or-nothing
-semantics: one raising payload, one hung worker or one OOM kill aborts
-the whole fan-out and discards every finished shard.  This module is
-the robust alternative the engine delegates to whenever a
-:class:`~repro.resilience.RetryPolicy` is supplied:
+A plain ``Pool.map`` has all-or-nothing semantics: one raising
+payload, one hung worker or one OOM kill aborts the whole fan-out and
+discards every finished shard.  :func:`run_shards` runs every fan-out
+of the library under a :class:`~repro.resilience.RetryPolicy` instead
+(``map_shards`` defaults to one attempt with ``on_error="raise"``):
 
 - **Async submission, per-task collection.**  Shards go through a
   :class:`concurrent.futures.ProcessPoolExecutor` one task per shard,
@@ -13,8 +13,8 @@ the robust alternative the engine delegates to whenever a
 - **Typed failures, not aborts.**  Under ``on_error="partial"`` a shard
   that exhausts its attempts yields a
   :class:`~repro.resilience.ShardFailure` in its result slot; every
-  other slot keeps its real result.  ``on_error="raise"`` restores
-  legacy semantics (the final error propagates) while keeping retries.
+  other slot keeps its real result.  Under ``on_error="raise"`` the
+  final error propagates (after any retries).
 - **Pool death recovery.**  A crashed/OOM-killed worker surfaces as
   ``BrokenProcessPool``; the executor is rebuilt and outstanding shards
   resubmitted.  Blame is only assigned when exactly one task was in
@@ -29,8 +29,7 @@ the robust alternative the engine delegates to whenever a
   keyed on ``(index, attempt)`` — deterministic across rebuilds.
 - **Determinism.**  Backoff is the policy's pure schedule, fault
   decisions are pure in ``(index, attempt)``, and results keep input
-  order — a recovered sweep is reproducible on any worker count, and
-  the no-fault robust path is bit-identical to the legacy path.
+  order — a recovered sweep is reproducible on any worker count.
 
 The serial path mirrors the retry/backoff/partial semantics in-process;
 it cannot preempt a running payload, so ``timeout_seconds`` is ignored
@@ -50,7 +49,7 @@ from repro import telemetry
 from repro.resilience import faults
 from repro.resilience.policy import RetryPolicy, ShardFailure
 
-__all__ = ["map_shards_robust", "warn_pool_unavailable"]
+__all__ = ["run_shards"]
 
 #: Seam for tests: the one sleep primitive of the resilience layer
 #: (serial backoff and idle waits).  Monkeypatching ``execution._sleep``
@@ -65,7 +64,7 @@ class _PoolUnavailable(RuntimeError):
     """Process-pool creation failed (sandboxed env, missing semaphores)."""
 
 
-def warn_pool_unavailable(exc: BaseException) -> None:
+def _warn_pool_unavailable(exc: BaseException) -> None:
     """Stamp + warn (once) that shards degrade to the serial path."""
     global _pool_warned
     telemetry.inc("engine.shard.pool_unavailable")
@@ -85,8 +84,7 @@ class _ShardTask:
     inside the payload — and the shard-level fault itself — behave
     identically to the serial path.  Returns ``(seconds, result)``:
     the telemetry registry is process-local, so worker-side wall time
-    must ride back with the result (same contract as the legacy
-    ``_TimedCall``).
+    must ride back with the result.
     """
 
     __slots__ = ("fn", "plan")
@@ -125,36 +123,19 @@ def _kill_executor(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
-def map_shards_robust(fn: Callable, payloads: Sequence,
-                      processes: Optional[int] = None,
-                      policy: Optional[RetryPolicy] = None,
-                      initializer: Optional[Callable] = None,
-                      initargs: tuple = ()) -> List:
-    """Policy-governed :func:`~repro.engine.map_shards` equivalent.
+def run_shards(fn: Callable, payloads: Sequence, processes: Optional[int],
+               policy: RetryPolicy, initializer: Optional[Callable],
+               initargs: tuple) -> List:
+    """Run ``fn`` over ``payloads`` under ``policy``, results in input order.
 
-    Same contract (input order, serial short-circuit, initializer
-    protocol) plus the :class:`RetryPolicy` semantics described in the
-    module docstring.  Under ``policy.on_error="partial"`` the returned
-    list may contain :class:`ShardFailure` records in the slots of
-    shards that exhausted their attempts.
+    ``processes`` of ``None`` runs the shards in-process; otherwise a
+    pool of ``min(processes, len(payloads))`` workers does.  Under
+    ``policy.on_error="partial"`` the returned list may contain
+    :class:`ShardFailure` records in the slots of shards that exhausted
+    their attempts.
     """
-    if policy is None:
-        policy = RetryPolicy()
-    payloads = list(payloads)
     plan = faults.active_plan()
-    serial = processes is None or processes <= 1 or len(payloads) <= 1
-    if not telemetry.enabled():
-        return _dispatch(fn, payloads, processes, policy,
-                         initializer, initargs, plan, serial)
-    with telemetry.span("engine.map_shards", shards=len(payloads),
-                        processes=1 if serial else processes, robust=1):
-        return _dispatch(fn, payloads, processes, policy,
-                         initializer, initargs, plan, serial)
-
-
-def _dispatch(fn, payloads, processes, policy, initializer, initargs,
-              plan, serial) -> List:
-    if serial:
+    if processes is None:
         return _run_serial(fn, payloads, policy, initializer, initargs,
                            plan)
     try:
@@ -165,7 +146,7 @@ def _dispatch(fn, payloads, processes, policy, initializer, initargs,
         # executor construction; degrade to the serial path rather than
         # crash the sweep.  fn is deterministic per payload, so a rerun
         # from scratch is safe.
-        warn_pool_unavailable(exc.__cause__ or exc)
+        _warn_pool_unavailable(exc.__cause__ or exc)
         return _run_serial(fn, payloads, policy, initializer, initargs,
                            plan)
 

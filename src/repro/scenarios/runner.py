@@ -19,12 +19,13 @@ dtmc_reward :class:`repro.ctmc.IntervalDTMC` (uniformized finite chain,
             :func:`repro.ctmc.imprecise_reward_bounds`
 ========== ==========================================================
 
-Questions are independent, so with ``processes > 1`` they fan out over
-the same :func:`repro.engine.map_shards` pool primitive the ensemble
-sweep uses.  Payloads carry the :class:`ScenarioSpec` itself — specs
-hold a *module-level* factory plus plain data, so they pickle under any
-start method and ad-hoc (unregistered) specs shard just as well as
-catalog entries.
+Questions are independent shards of one :func:`repro.engine.map_shards`
+call — in-process by default, over a pool with ``processes > 1`` — so
+retries and failure isolation follow the plan's
+:class:`~repro.resilience.RetryPolicy` on either path.  Payloads carry
+the :class:`ScenarioSpec` itself — specs hold a *module-level* factory
+plus plain data, so they pickle under any start method and ad-hoc
+(unregistered) specs shard just as well as catalog entries.
 
 Results are memoized in a content-hash disk cache
 (:mod:`repro.scenarios.cache`): the spec hash keys a serialized
@@ -56,7 +57,6 @@ from repro.ctmc import ImpreciseCTMC, IntervalDTMC, imprecise_reward_bounds
 from repro.engine import map_shards, sweep_constant_ensembles
 from repro.reporting import ExperimentResult
 from repro.resilience import QuestionFailure, RetryPolicy, ShardFailure
-from repro.resilience import execution as _resilient
 from repro.scenarios import cache as _cache
 from repro.scenarios.spec import Question, ScenarioSpec
 from repro.steadystate import (
@@ -122,8 +122,7 @@ def _resolve_observables(model, spec: ScenarioSpec) -> Dict[str, np.ndarray]:
     return _resolve_weights(model, list(spec.observables) or None)
 
 
-def _run_envelope(model, spec: ScenarioSpec, q: Question,
-                  backend=None) -> QuestionOutcome:
+def _run_envelope(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     times = opts.get("times")
     if times is None:
@@ -135,7 +134,6 @@ def _run_envelope(model, spec: ScenarioSpec, q: Question,
         model, spec.x0, times,
         resolution=int(opts.get("resolution", 7)),
         observables=observables,
-        backend=backend,
         **kwargs,
     )
     out = QuestionOutcome()
@@ -148,8 +146,7 @@ def _run_envelope(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_pontryagin(model, spec: ScenarioSpec, q: Question,
-                    backend=None) -> QuestionOutcome:
+def _run_pontryagin(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     horizons = opts.get("horizons")
     if horizons is None:
@@ -165,8 +162,7 @@ def _run_pontryagin(model, spec: ScenarioSpec, q: Question,
         kwargs["sides"] = tuple(opts["sides"])
     observables = list(spec.observables) or None
     bounds = pontryagin_transient_bounds(
-        model, spec.x0, horizons, observables=observables, backend=backend,
-        **kwargs
+        model, spec.x0, horizons, observables=observables, **kwargs
     )
     out = QuestionOutcome()
     for name in bounds.observable_names:
@@ -184,8 +180,7 @@ def _run_pontryagin(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_hull(model, spec: ScenarioSpec, q: Question,
-              backend=None) -> QuestionOutcome:
+def _run_hull(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     times = opts.get("times")
     if times is None:
@@ -196,8 +191,7 @@ def _run_hull(model, spec: ScenarioSpec, q: Question,
                 "theta_method", "batch"):
         if key in opts:
             kwargs[key] = opts[key]
-    hull = differential_hull_bounds(model, spec.x0, times, backend=backend,
-                                    **kwargs)
+    hull = differential_hull_bounds(model, spec.x0, times, **kwargs)
     out = QuestionOutcome()
     for i, name in enumerate(model.state_names):
         out.series[q.prefixed(f"hull_{name}_lower")] = (times, hull.lower[:, i])
@@ -210,8 +204,7 @@ def _run_hull(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_template(model, spec: ScenarioSpec, q: Question,
-                  backend=None) -> QuestionOutcome:
+def _run_template(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     family = str(opts.get("family", "box"))
     if family == "box":
@@ -228,7 +221,7 @@ def _run_template(model, spec: ScenarioSpec, q: Question,
         kwargs["batch"] = bool(opts["batch"])
     polytope = template_reachable_bounds(
         model, spec.x0, float(opts.get("horizon", spec.horizon)),
-        directions=directions, backend=backend, **kwargs
+        directions=directions, **kwargs
     )
     out = QuestionOutcome()
     box = polytope.bounding_box()
@@ -241,8 +234,8 @@ def _run_template(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_steadystate(model, spec: ScenarioSpec, q: Question,
-                     backend=None) -> QuestionOutcome:
+def _run_steadystate(model, spec: ScenarioSpec,
+                     q: Question) -> QuestionOutcome:
     opts = q.opts
     out = QuestionOutcome()
     batch = bool(opts.get("batch", True))
@@ -251,7 +244,6 @@ def _run_steadystate(model, spec: ScenarioSpec, q: Question,
         horizon=float(opts.get("horizon", max(spec.horizon, 50.0))),
         batch=batch,
         settle=bool(opts.get("settle", True)),
-        backend=backend,
     )
     out.findings[q.prefixed("steady_hull_converged")] = float(rect.converged)
     for i, name in enumerate(model.state_names):
@@ -289,8 +281,7 @@ def _run_steadystate(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_ensemble(model, spec: ScenarioSpec, q: Question,
-                  backend=None) -> QuestionOutcome:
+def _run_ensemble(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     resolution = opts.get("resolution")
     if resolution is None:
@@ -309,7 +300,6 @@ def _run_ensemble(model, spec: ScenarioSpec, q: Question,
         seed=int(opts.get("seed", 2016)),
         n_samples=n_samples,
         model_kwargs=spec.kwargs,
-        backend=backend,
     )
     weights = _resolve_observables(model, spec)
     out = QuestionOutcome()
@@ -331,8 +321,8 @@ def _run_ensemble(model, spec: ScenarioSpec, q: Question,
     return out
 
 
-def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question,
-                     backend=None) -> QuestionOutcome:
+def _run_dtmc_reward(model, spec: ScenarioSpec,
+                     q: Question) -> QuestionOutcome:
     """Finite-``N`` interval-DTMC reward bounds through uniformization.
 
     Enumerates the chain at ``population_size``, uniformizes it into a
@@ -364,7 +354,7 @@ def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question,
     start_state = np.empty((steps + 1, value.shape[0]))
     start_state[0] = value[:, 0]
     for k in range(steps):
-        value = dtmc.upper_operator_batch(value, backend=backend)
+        value = dtmc.upper_operator_batch(value)
         start_state[k + 1] = value[:, 0]
     times = np.arange(steps + 1) / rate
 
@@ -384,7 +374,6 @@ def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question,
             lo, hi = dtmc.stationary_expectation_bounds(
                 rewards[j],
                 max_iter=int(opts.get("stationary_max_iter", 50_000)),
-                backend=backend,
             )
             out.findings[q.prefixed(f"dtmc_{name}_stationary_lower")] = lo
             out.findings[q.prefixed(f"dtmc_{name}_stationary_upper")] = hi
@@ -395,8 +384,7 @@ def _run_dtmc_reward(model, spec: ScenarioSpec, q: Question,
         # bias, so soundness is pinned on the Poisson-mixed bounds,
         # which enclose by construction; one stacked call mixes every
         # observable and both directions in a single value iteration.
-        mixed_lo, mixed_hi = dtmc.uniformized_bounds(rewards, horizon, rate,
-                                                     backend=backend)
+        mixed_lo, mixed_hi = dtmc.uniformized_bounds(rewards, horizon, rate)
         for j, name in enumerate(names):
             exact_hi = imprecise_reward_bounds(
                 chain, rewards[j], horizon, maximize=True, n_steps=n_steps
@@ -435,34 +423,26 @@ _BACKENDS = {
 
 
 def run_question(spec: ScenarioSpec, question: Question,
-                 model=None, backend=None) -> QuestionOutcome:
-    """Run one question of a spec (building the model when not supplied).
-
-    ``backend`` selects the compiled-array backend (a
-    :mod:`repro.backend` name) the question's batch kernels dispatch
-    through; ``None`` keeps the process default.
-    """
+                 model=None) -> QuestionOutcome:
+    """Run one question of a spec (building the model when not supplied)."""
     if model is None:
         model = spec.build_model()
     attrs = {"scenario": spec.name, "kind": question.kind}
     if question.label:
         attrs["label"] = question.label
-    if backend is not None:
-        attrs["backend"] = str(backend)
     with telemetry.span("scenario.question", **attrs):
-        return _BACKENDS[question.kind](model, spec, question,
-                                        backend=backend)
+        return _BACKENDS[question.kind](model, spec, question)
 
 
 def _run_question_payload(payload) -> QuestionOutcome:
-    """Pool worker: run one question of a (pickled) spec.
+    """Shard function: one question of a spec, on a model of its own.
 
-    The backend crosses the pool boundary as its *name* (a picklable
-    string); the worker re-resolves it, falling back with the standard
-    warning if the substrate is missing in the worker environment.
+    Models hold rate lambdas and do not pickle, so the payload carries
+    the spec and every question builds its model (a fraction of a
+    millisecond) — the same way in-process and in a pool worker.
     """
-    spec, index, backend = payload
-    return run_question(spec, spec.questions[index], backend=backend)
+    spec, index = payload
+    return run_question(spec, spec.questions[index])
 
 
 # ----------------------------------------------------------------------
@@ -478,15 +458,14 @@ class AnalysisPlan:
     :class:`ScenarioRun` while the surviving questions' outcomes are
     merged as usual (and the partial result is never cached).  ``retry``
     adds per-question bounded retries with the policy's deterministic
-    backoff; the default (``on_error="raise"``, no retry) is the legacy
-    fail-fast path, bit-identical to previous behaviour.
+    backoff; the default (``on_error="raise"``, no retry) fails fast on
+    the first raising question.
     """
 
     use_cache: bool = True
     cache_dir: Optional[str] = None
     processes: Optional[int] = None
     kinds: Optional[Tuple[str, ...]] = None  # run only these question kinds
-    backend: Optional[str] = None  # compiled-array backend name (repro.backend)
     on_error: str = "raise"
     retry: Optional[RetryPolicy] = None
 
@@ -608,7 +587,6 @@ def run_scenario(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     processes: Optional[int] = None,
-    backend: Optional[str] = None,
     on_error: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> ScenarioRun:
@@ -630,10 +608,6 @@ def run_scenario(
         Fan independent questions over a process pool (the spec itself
         is shipped to the workers; ad-hoc specs shard like catalog
         entries).
-    backend:
-        Compiled-array backend name (see :mod:`repro.backend`) every
-        question's batch kernels dispatch through; ``None`` keeps the
-        process default (``set_backend`` / ``$REPRO_BACKEND`` / numpy).
     on_error:
         ``"partial"`` isolates per-question failures into
         :class:`~repro.resilience.QuestionFailure` records on the
@@ -654,8 +628,8 @@ def run_scenario(
     overrides = {
         key: value
         for key, value in (("use_cache", use_cache), ("cache_dir", cache_dir),
-                           ("processes", processes), ("backend", backend),
-                           ("on_error", on_error), ("retry", retry))
+                           ("processes", processes), ("on_error", on_error),
+                           ("retry", retry))
         if value is not None
     }
     if overrides:
@@ -674,49 +648,30 @@ def run_scenario(
         return _execute_plan(spec, plan)
 
 
-def _run_questions_serial_robust(spec: ScenarioSpec, plan: AnalysisPlan,
-                                 model):
-    """In-process question loop with the plan's retry/isolation semantics.
+def _answer_questions(spec: ScenarioSpec, plan: AnalysisPlan):
+    """Every question of ``spec`` as one :func:`map_shards` fan-out.
 
-    The serial twin of the robust pool path: each question gets
-    ``retry.max_attempts`` tries with the policy's deterministic
-    backoff, and under ``on_error="partial"`` an exhausted question
+    Each question gets the plan's retry policy (one attempt by default)
+    on either path; under ``on_error="partial"`` an exhausted question
     becomes a :class:`~repro.resilience.QuestionFailure` instead of
-    aborting the scenario.
+    aborting the scenario.  Returns ``(outcomes, failures)``.
     """
-    policy = plan.retry or RetryPolicy(max_attempts=1)
-    retries_c = telemetry.live_counter("resilience.question.retries")
-    errors_c = telemetry.live_counter("resilience.question.errors")
-    outcomes = []
+    policy = dataclasses.replace(plan.retry or RetryPolicy(max_attempts=1),
+                                 on_error=plan.on_error)
+    payloads = [(spec, i) for i in range(len(spec.questions))]
+    slots = map_shards(_run_question_payload, payloads, plan.processes,
+                       policy=policy)
+    outcomes: List[QuestionOutcome] = []
     failures: List[QuestionFailure] = []
-    for question in spec.questions:
-        started = time.monotonic()
-        last_exc: Optional[BaseException] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                outcome = run_question(spec, question, model=model,
-                                       backend=plan.backend)
-            except Exception as exc:
-                last_exc = exc
-                if errors_c is not None:
-                    errors_c.inc()
-                if attempt < policy.max_attempts:
-                    if retries_c is not None:
-                        retries_c.inc()
-                    _resilient._sleep(policy.backoff_delay(attempt))
-                continue
-            outcomes.append(outcome)
-            break
-        else:
-            if plan.on_error == "raise":
-                raise last_exc
+    for question, slot in zip(spec.questions, slots):
+        if isinstance(slot, ShardFailure):
             failures.append(QuestionFailure(
-                scenario=spec.name, kind=question.kind,
-                label=question.label,
-                error_type=type(last_exc).__name__,
-                message=str(last_exc), attempts=policy.max_attempts,
-                elapsed_seconds=time.monotonic() - started,
+                scenario=spec.name, kind=question.kind, label=question.label,
+                error_type=slot.error_type, message=slot.message,
+                attempts=slot.attempts, elapsed_seconds=slot.elapsed_seconds,
             ))
+        else:
+            outcomes.append(slot)
     return outcomes, failures
 
 
@@ -763,49 +718,7 @@ def _execute_plan(spec: ScenarioSpec, plan: AnalysisPlan) -> ScenarioRun:
         },
     )
 
-    parallel_ok = (
-        plan.processes is not None and plan.processes > 1
-        and len(spec.questions) > 1
-    )
-    # The robust paths only engage when the plan asks for resilience;
-    # the default plan takes the legacy fan-out below, bit-identical to
-    # previous behaviour (no executor machinery, no retry loop).
-    robust = plan.on_error == "partial" or plan.retry is not None
-    failures: List[QuestionFailure] = []
-    if parallel_ok:
-        payloads = [(spec, i, plan.backend)
-                    for i in range(len(spec.questions))]
-        if robust:
-            policy = dataclasses.replace(
-                plan.retry or RetryPolicy(max_attempts=1),
-                on_error=plan.on_error,
-            )
-            slots = map_shards(_run_question_payload, payloads,
-                               plan.processes, policy=policy)
-            outcomes = []
-            for index, slot in enumerate(slots):
-                if isinstance(slot, ShardFailure):
-                    question = spec.questions[index]
-                    failures.append(QuestionFailure(
-                        scenario=spec.name, kind=question.kind,
-                        label=question.label,
-                        error_type=slot.error_type, message=slot.message,
-                        attempts=slot.attempts,
-                        elapsed_seconds=slot.elapsed_seconds,
-                    ))
-                else:
-                    outcomes.append(slot)
-        else:
-            outcomes = map_shards(_run_question_payload, payloads,
-                                  plan.processes)
-    elif robust:
-        model = spec.build_model()
-        outcomes, failures = _run_questions_serial_robust(spec, plan, model)
-    else:
-        model = spec.build_model()
-        outcomes = [run_question(spec, q, model=model, backend=plan.backend)
-                    for q in spec.questions]
-
+    outcomes, failures = _answer_questions(spec, plan)
     for outcome in outcomes:
         for name, (times, values) in outcome.series.items():
             result.add_series(name, times, values)

@@ -111,8 +111,7 @@ def hull_steady_rectangle(
             model,
             batch=batch,
             **{key: hull_kwargs[key]
-               for key in ("x_samples_per_axis", "refine", "theta_method",
-                           "backend")
+               for key in ("x_samples_per_axis", "refine", "theta_method")
                if key in hull_kwargs},
         )
 

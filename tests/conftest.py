@@ -46,42 +46,6 @@ from repro.models import (
 )
 
 
-#: One pytest param per registered compiled-array backend.  The numba
-#: param carries the ``backend_numba`` marker so numpy-only CI jobs can
-#: *deselect* it (deselection is not a skip, which keeps the no-skip
-#: gate honest); where numba is selected but absent, the fixture skips.
-BACKEND_PARAMS = [
-    pytest.param("numpy", id="numpy"),
-    pytest.param("numba", id="numba", marks=pytest.mark.backend_numba),
-]
-
-
-@pytest.fixture(params=BACKEND_PARAMS)
-def backend_name(request):
-    """Name of each installed compiled-array backend, in turn."""
-    if request.param != "numpy":
-        from repro.backend import available_backends
-
-        if request.param not in available_backends():
-            pytest.skip(f"backend {request.param!r} is not installed")
-    return request.param
-
-
-@pytest.fixture
-def assert_backend_close(backend_name):
-    """Backend-aware comparison: bit-identity on numpy, pinned tolerance
-    on compiled backends (whose arithmetic may reassociate)."""
-    def check(result, reference):
-        result = np.asarray(result)
-        reference = np.asarray(reference)
-        if backend_name == "numpy":
-            np.testing.assert_array_equal(result, reference)
-        else:
-            np.testing.assert_allclose(result, reference,
-                                       rtol=1e-9, atol=1e-12)
-    return check
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -241,42 +241,3 @@ class TestBatchedRk4Sweep:
                                    **kwargs)
         assert np.array_equal(env_b.lower["occupied"], env_s.lower["occupied"])
         assert np.array_equal(env_b.upper["occupied"], env_s.upper["occupied"])
-
-
-class TestBackendDifferential:
-    """The knapsack kernel routed through each installed backend.
-
-    numpy must be bit-identical to the direct call; compiled backends
-    are pinned at tolerance by ``assert_backend_close``.
-    """
-
-    @pytest.mark.parametrize("n,width,seed", RANDOM_CASES[:2])
-    def test_extreme_rows_batch(self, n, width, seed, backend_name,
-                                assert_backend_close):
-        rng = np.random.default_rng(seed)
-        dtmc = random_interval_dtmc(n, rng, width=width)
-        rewards = rng.normal(size=(3, n))
-        for maximize in (True, False):
-            reference = dtmc.extreme_rows_batch(rewards, maximize=maximize)
-            routed = dtmc.extreme_rows_batch(rewards, maximize=maximize,
-                                             backend=backend_name)
-            assert_backend_close(routed, reference)
-
-    def test_upper_operator_batch(self, backend_name, assert_backend_close):
-        rng = np.random.default_rng(11)
-        dtmc = random_interval_dtmc(9, rng, width=0.1)
-        values = rng.normal(size=(4, 9))
-        reference = dtmc.upper_operator_batch(values)
-        routed = dtmc.upper_operator_batch(values, backend=backend_name)
-        assert_backend_close(routed, reference)
-
-    def test_expectation_bounds_batch(self, backend_name,
-                                      assert_backend_close):
-        rng = np.random.default_rng(12)
-        dtmc = random_interval_dtmc(7, rng, width=0.08)
-        rewards = rng.normal(size=(2, 7))
-        ref_lo, ref_hi = dtmc.expectation_bounds_batch(rewards, steps=6)
-        lo, hi = dtmc.expectation_bounds_batch(rewards, steps=6,
-                                               backend=backend_name)
-        assert_backend_close(lo, ref_lo)
-        assert_backend_close(hi, ref_hi)

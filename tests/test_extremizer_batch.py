@@ -337,62 +337,3 @@ class TestConsumersBatchedVsScalar:
         outside = np.array([10.0, 10.0])
         assert not batched.contains_velocity(x, outside)
         assert not scalar.contains_velocity(x, outside)
-
-
-class TestBackendDifferential:
-    """Extremiser queries routed through each installed backend.
-
-    numpy must be bit-identical to the unrouted extremiser (its kernels
-    are the model's bound batch methods); compiled backends are pinned
-    at tolerance by ``assert_backend_close``.
-    """
-
-    @pytest.mark.parametrize("factory", [make_sir_model, make_seir_model],
-                             ids=lambda f: f.__name__)
-    def test_velocity_envelope(self, factory, rng, backend_name,
-                               assert_backend_close):
-        model = factory()
-        states, _ = _random_batch(model, rng)
-        reference = DriftExtremizer(model).velocity_envelope_batch(states)
-        routed = DriftExtremizer(
-            model, backend=backend_name
-        ).velocity_envelope_batch(states)
-        assert_backend_close(routed[0], reference[0])
-        assert_backend_close(routed[1], reference[1])
-
-    def test_directional_extremes(self, rng, backend_name,
-                                  assert_backend_close):
-        model = make_sir_model()
-        states, directions = _random_batch(model, rng)
-        reference = DriftExtremizer(model).maximize_direction_batch(
-            states, directions
-        )
-        routed = DriftExtremizer(
-            model, backend=backend_name
-        ).maximize_direction_batch(states, directions)
-        assert_backend_close(routed[0], reference[0])
-        assert_backend_close(routed[1], reference[1])
-
-    def test_pontryagin_bounds(self, backend_name, assert_backend_close):
-        from repro.bounds import pontryagin_transient_bounds
-
-        model = make_sir_model()
-        horizons = np.array([0.5, 1.0])
-        reference = pontryagin_transient_bounds(
-            model, [0.9, 0.1], horizons, observables=["I"]
-        )
-        routed = pontryagin_transient_bounds(
-            model, [0.9, 0.1], horizons, observables=["I"],
-            backend=backend_name,
-        )
-        assert_backend_close(routed.lower["I"], reference.lower["I"])
-        assert_backend_close(routed.upper["I"], reference.upper["I"])
-
-    def test_hull_bounds(self, backend_name, assert_backend_close):
-        model = make_sir_model(theta_max=2.0)
-        times = np.linspace(0.0, 1.0, 5)
-        reference = differential_hull_bounds(model, [0.9, 0.1], times)
-        routed = differential_hull_bounds(model, [0.9, 0.1], times,
-                                          backend=backend_name)
-        assert_backend_close(routed.lower, reference.lower)
-        assert_backend_close(routed.upper, reference.upper)

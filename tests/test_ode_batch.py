@@ -424,61 +424,3 @@ class TestTrajectoryBatchContainer:
         lane = tb.lane(1)
         assert len(lane) == 2
         np.testing.assert_array_equal(lane.states, states[1, :2])
-
-
-class TestBackendDifferential:
-    """The same integrations routed through each installed backend.
-
-    The numpy parameter must be bit-identical to the direct call (the
-    seam's numpy kernels *are* the reference expressions); compiled
-    backends are pinned at tolerance by ``assert_backend_close``.
-    """
-
-    def _field(self, model):
-        def field(t, X):
-            return model.drift_batch(X, np.full((X.shape[0], 1), 2.0))
-        return field
-
-    def test_rk4_lockstep(self, sir_model, rng, backend_name,
-                          assert_backend_close):
-        X0 = rng.uniform(0.05, 0.6, size=(5, 2))
-        t_eval = np.linspace(0.0, 2.0, 33)
-        reference = rk4_integrate_batch(self._field(sir_model), X0, t_eval)
-        routed = rk4_integrate_batch(self._field(sir_model), X0, t_eval,
-                                     backend=backend_name)
-        assert_backend_close(routed.states, reference.states)
-
-    def test_rk4_controlled(self, sir_model, rng, backend_name,
-                            assert_backend_close):
-        X0 = rng.uniform(0.05, 0.6, size=(4, 2))
-        t_eval = np.linspace(0.0, 1.5, 21)
-        controls = rng.uniform(1.0, 5.0, size=(4, t_eval.shape[0] - 1, 1))
-
-        def dynamics(t, X, U):
-            return sir_model.drift_batch(X, U)
-
-        reference = rk4_integrate_controlled_batch(dynamics, X0, t_eval,
-                                                   controls)
-        routed = rk4_integrate_controlled_batch(dynamics, X0, t_eval,
-                                                controls,
-                                                backend=backend_name)
-        assert_backend_close(routed.states, reference.states)
-
-    def test_dopri_adaptive(self, sir_model, rng, backend_name,
-                            assert_backend_close):
-        X0 = rng.uniform(0.05, 0.6, size=(4, 2))
-        t_eval = np.linspace(0.0, 2.0, 9)
-        reference = dopri_batch(self._field(sir_model), X0, t_eval)
-        routed = dopri_batch(self._field(sir_model), X0, t_eval,
-                             backend=backend_name)
-        assert_backend_close(routed.states, reference.states)
-
-    def test_envelope_through_backend(self, sir_model, sir_x0, backend_name,
-                                      assert_backend_close):
-        times = np.linspace(0.0, 1.0, 5)
-        reference = uncertain_envelope(sir_model, sir_x0, times, resolution=3)
-        routed = uncertain_envelope(sir_model, sir_x0, times, resolution=3,
-                                    backend=backend_name)
-        for name in reference.observable_names:
-            assert_backend_close(routed.lower[name], reference.lower[name])
-            assert_backend_close(routed.upper[name], reference.upper[name])

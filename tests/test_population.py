@@ -185,6 +185,14 @@ class TestPopulationModel:
     def test_repr(self):
         assert "toy" in repr(two_state_model())
 
+    def test_backend_kernels_are_the_batch_methods(self):
+        model = two_state_model()
+        kernels = model.backend_kernels()
+        assert kernels.drift == model.drift_batch
+        assert kernels.rates == model.transition_rates_batch
+        assert kernels.affine == model.affine_parts_batch
+        assert kernels.jacobian == model.jacobian_x_batch
+
 
 class TestNumericJacobian:
     def test_linear_map(self):

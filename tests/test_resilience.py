@@ -4,18 +4,19 @@ Every recovery path the tentpole added is *proved* here by injecting
 deterministic faults (:mod:`repro.resilience.faults`) and asserting the
 exact degraded behaviour:
 
-- robust shard execution: retries with the pinned backoff schedule,
-  per-shard timeouts reclaiming hung workers, pool-death recovery with
-  quarantine blame, typed :class:`ShardFailure` slots under
-  ``on_error="partial"``, serial fallback when pools are unavailable;
+- shard execution (:func:`repro.engine.map_shards`): retries with the
+  pinned backoff schedule, per-shard timeouts reclaiming hung workers,
+  pool-death recovery with quarantine blame, typed :class:`ShardFailure`
+  slots under ``on_error="partial"``, serial fallback when pools are
+  unavailable;
 - per-question isolation in :func:`repro.scenarios.run_scenario`:
   survivors merge, failures carry a taxonomy, partial results are never
   cached, the CLI maps completeness to exit codes;
 - numerical degradation: per-lane retirement in ``dopri_batch`` and
   deadline-bounded Pontryagin sweeps returning best-so-far bounds;
 - the cache's transient-store retry and corrupt-entry tolerance;
-- the no-fault guarantees: robust results bit-identical to the legacy
-  path, and disarmed fault seams at provably zero marginal cost.
+- the no-fault guarantees: retry policies leave healthy results
+  bit-identical, and disarmed fault seams cost provably nothing.
 
 Numerical caveat pinned here once: after a lane retires mid-run, the
 *surviving* lanes may differ from an all-healthy run by ~1 ULP because
@@ -40,7 +41,6 @@ from repro.resilience import (
     RetryPolicy,
     ShardFailure,
     faults,
-    map_shards_robust,
 )
 from repro.resilience import execution
 from repro.scenarios import (
@@ -169,11 +169,18 @@ class TestFaultPlans:
 # ----------------------------------------------------------------------
 
 class TestSerialRobust:
-    def test_no_fault_is_bit_identical_to_legacy(self):
+    def test_no_fault_retry_policy_is_bit_identical(self):
         payloads = list(range(8))
-        legacy = map_shards(_double, payloads)
-        robust = map_shards(_double, payloads, policy=RetryPolicy())
-        assert legacy == robust == [2 * p for p in payloads]
+        fail_fast = map_shards(_double, payloads)
+        retrying = map_shards(_double, payloads, policy=RetryPolicy())
+        assert fail_fast == retrying == [2 * p for p in payloads]
+
+    def test_default_policy_fails_fast(self, fresh_faults):
+        # One attempt, and the shard's own exception reaches the caller.
+        with faults.inject(crash_shard={1: 1}):
+            with pytest.raises(faults.InjectedFault):
+                map_shards(_double, [0, 1, 2])
+        assert faults.stats()["injected.crash"] == 1
 
     def test_crash_once_is_retried_to_success(self, fresh_faults):
         policy = RetryPolicy(max_attempts=2, backoff_base=0.0)
@@ -256,8 +263,8 @@ class TestPoolRobust:
         policy = RetryPolicy(max_attempts=2, backoff_base=0.0,
                              on_error="partial")
         with faults.inject(kill_shard={2: 1}):
-            out = map_shards_robust(_double, list(range(6)), processes=2,
-                                    policy=policy)
+            out = map_shards(_double, list(range(6)), processes=2,
+                             policy=policy)
         assert out == [2 * p for p in range(6)]
         counters = _counters()
         assert counters["resilience.shard.pool_crashes"] >= 1
@@ -267,8 +274,8 @@ class TestPoolRobust:
         policy = RetryPolicy(max_attempts=2, backoff_base=0.0,
                              on_error="partial")
         with faults.inject(kill_shard=3):
-            out = map_shards_robust(_double, list(range(6)), processes=2,
-                                    policy=policy)
+            out = map_shards(_double, list(range(6)), processes=2,
+                             policy=policy)
         failure = out[3]
         assert isinstance(failure, ShardFailure)
         assert failure.kind == "pool-crash"
@@ -301,24 +308,11 @@ class TestPoolRobust:
                             broken_executor)
         monkeypatch.setattr(execution, "_pool_warned", False)
         with pytest.warns(RuntimeWarning, match="running shards serially"):
-            out = map_shards_robust(_double, list(range(4)), processes=4,
-                                    policy=RetryPolicy())
+            out = map_shards(_double, list(range(4)), processes=4)
         assert out == [0, 2, 4, 6]
         # The warning fires once per process; later sweeps stay quiet.
-        out = map_shards_robust(_double, list(range(4)), processes=4,
-                                policy=RetryPolicy())
-        assert out == [0, 2, 4, 6]
-
-    def test_legacy_pool_creation_failure_also_degrades(self, monkeypatch):
-        import repro.engine.sharding as sharding
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no /dev/shm")
-
-        monkeypatch.setattr(sharding.multiprocessing, "Pool", broken_pool)
-        monkeypatch.setattr(execution, "_pool_warned", False)
-        with pytest.warns(RuntimeWarning, match="running shards serially"):
-            out = map_shards(_double, list(range(4)), processes=4)
+        out = map_shards(_double, list(range(4)), processes=4,
+                         policy=RetryPolicy())
         assert out == [0, 2, 4, 6]
 
 
@@ -398,7 +392,7 @@ class TestQuestionIsolation:
         assert not cache_path(spec, tmp_path).exists()
 
     def test_question_retry_policy(self, tmp_path, monkeypatch):
-        # The serial robust loop replays a question exactly
+        # The serial shard loop replays a question exactly
         # retry.max_attempts times with the policy's backoff.
         slept = []
         monkeypatch.setattr(execution, "_sleep", slept.append)
@@ -419,19 +413,19 @@ class TestQuestionIsolation:
         assert run.failures[0].question == "template[bad]"
         assert "I_uncertain_max_final" in run.result.findings
 
-    def test_robust_healthy_run_matches_legacy(self, tmp_path):
+    def test_retrying_healthy_run_matches_default(self, tmp_path):
         base = get_scenario("sir-transient")
         spec = base.with_overrides(
             name="resilience-healthy",
             questions=[Question("envelope", options={"n_times": 4})],
         )
-        legacy = run_scenario(spec, use_cache=False)
-        robust = run_scenario(spec, use_cache=False, on_error="partial",
-                              retry=RetryPolicy(max_attempts=2))
-        assert robust.failures == []
-        assert legacy.result.findings == robust.result.findings
-        for name, series in legacy.result.series.items():
-            twin = robust.result.series[name]
+        default = run_scenario(spec, use_cache=False)
+        retrying = run_scenario(spec, use_cache=False, on_error="partial",
+                                retry=RetryPolicy(max_attempts=2))
+        assert retrying.failures == []
+        assert default.result.findings == retrying.result.findings
+        for name, series in default.result.series.items():
+            twin = retrying.result.series[name]
             assert np.array_equal(series.times, twin.times)
             assert np.array_equal(series.values, twin.values)
 
