@@ -8,8 +8,8 @@ Three studies on the SIR ``max x_I(3)`` problem of Figure 2:
    is non-myopic — the maximising control starts at ``theta_min``.
 2. *Grid resolution*: the bound's sensitivity to the number of RK4/control
    intervals.
-3. *Warm start*: horizon continuation (as used by
-   :func:`pontryagin_transient_bounds`) versus cold starts.
+3. *Warm start*: horizon continuation versus the cold starts every lane
+   of :func:`pontryagin_transient_bounds` uses.
 """
 
 import numpy as np
@@ -24,6 +24,13 @@ MODEL = make_sir_model()
 X0 = np.array([0.7, 0.3])
 HORIZON = 3.0
 DIRECTION = np.array([0.0, 1.0])
+
+
+def _resample_controls(old_grid, old_controls, new_grid):
+    """Carry a piecewise-constant control onto a new grid (midpoint lookup)."""
+    mids = 0.5 * (new_grid[:-1] + new_grid[1:])
+    index = np.searchsorted(old_grid, mids, side="right") - 1
+    return old_controls[np.clip(index, 0, old_controls.shape[0] - 1)]
 
 
 def compute_ablation() -> ExperimentResult:
@@ -69,8 +76,6 @@ def compute_ablation() -> ExperimentResult:
     for horizon in horizons:
         initial = None
         if warm is not None:
-            from repro.bounds.pontryagin import _resample_controls
-
             initial = _resample_controls(
                 warm[0], warm[1], np.linspace(0.0, float(horizon), 201)
             )

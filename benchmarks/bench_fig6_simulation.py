@@ -42,7 +42,6 @@ def compute_fig6() -> ExperimentResult:
         parameters={
             "sizes": SIZES, "t_final": T_FINAL, "burn_in": BURN_IN,
             "epsilon": "3/sqrt(N)", "n_runs": N_RUNS,
-            "engine": "vectorized",
         },
     )
     region = birkhoff_centre_2d(model, x0_guess=[0.7, 0.05])
@@ -60,7 +59,7 @@ def compute_fig6() -> ExperimentResult:
     study = convergence_study(
         model, region, policies, SIZES, x0=[0.7, 0.3],
         t_final=T_FINAL, burn_in=BURN_IN, seed=2016, n_samples=1500,
-        n_runs=N_RUNS, engine="vectorized",
+        n_runs=N_RUNS,
     )
     for name in policies:
         fracs = study.fractions(name)

@@ -153,7 +153,6 @@ def convergence_study(
     epsilon_fn: Optional[Callable[[int], float]] = None,
     projection: Optional[Sequence[int]] = None,
     n_runs: int = 1,
-    engine: str = "vectorized",
 ) -> ConvergenceStudy:
     """Run the Figure-6 measurement over sizes and policies.
 
@@ -169,10 +168,6 @@ def convergence_study(
     n_runs:
         Independent chains per (policy, size) cell; their post-burn-in
         samples are pooled into one inclusion measurement.
-    engine:
-        Forwarded to :func:`~repro.simulation.batch_simulate`
-        (``"vectorized"`` by default; ``"scalar"`` for the legacy
-        kernel).
 
     Seeds are derived from a stable checksum of the policy label (not
     the process-salted ``hash``), so studies are reproducible across
@@ -189,7 +184,7 @@ def convergence_study(
             batch = batch_simulate(
                 population, factory, t_final,
                 n_runs=n_runs, seed=seed + 1000 * k + name_salt,
-                n_samples=n_samples, engine=engine,
+                n_samples=n_samples,
             )
             study.stats[name][int(n)] = ensemble_inclusion_fraction(
                 batch, region, burn_in=burn_in, epsilon=epsilon_fn(int(n)),

@@ -284,10 +284,11 @@ class UntestedBatchKernelCheck(Check):
     code = "REP007"
     title = "every public *_batch kernel is named in tests/"
     rationale = (
-        "The batching campaign's acceptance gate is the differential "
-        "suite: a batched kernel without a test pinning it to its scalar "
-        "twin is an unverified fast path. Any tests/test_*.py mention "
-        "(name, attribute, or string) counts."
+        "A batched kernel is only trusted once a test pins it to a "
+        "reference oracle under tests/ (a one-query-at-a-time "
+        "implementation kept there, not in the library). A kernel no "
+        "test names is an unverified fast path. Any tests/test_*.py "
+        "mention (name, attribute, or string) counts."
     )
     sections = ("src",)
 
@@ -297,8 +298,8 @@ class UntestedBatchKernelCheck(Check):
                 yield ctx.finding(
                     node, self.code,
                     f"public batch kernel {name}() is never named in any "
-                    "tests/test_*.py — add a differential test pinning it "
-                    "to its scalar twin",
+                    "tests/test_*.py — add a test pinning it to a "
+                    "reference oracle under tests/",
                 )
 
     @staticmethod

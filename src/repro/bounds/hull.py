@@ -161,7 +161,6 @@ def hull_vector_field(
     x_samples_per_axis: int = 2,
     refine: bool = False,
     theta_method: str = "auto",
-    batch: bool = True,
 ):
     """The autonomous hull pair field ``(t, z) -> dz`` on ``z = (xlo, xhi)``.
 
@@ -172,14 +171,14 @@ def hull_vector_field(
     parameter semantics.
     """
     d = model.dim
-    extremizer = DriftExtremizer(model, method=theta_method, batch=batch)
+    extremizer = DriftExtremizer(model, method=theta_method)
 
-    use_masks = batch and x_samples_per_axis <= 2
+    use_masks = x_samples_per_axis <= 2
     if use_masks:
         corner_bits, lo_sel, hi_sel = _corner_masks(d)
         columns = np.arange(d)[:, None]
 
-    def hull_field_batched(t, z):
+    def hull_field(t, z):
         lower, upper = z[:d], z[d:]
         # Keep the slice box well-ordered under round-off.
         upper = np.maximum(upper, lower)
@@ -220,38 +219,7 @@ def hull_vector_field(
                 )
         return np.concatenate([dlo, dhi])
 
-    def hull_field_scalar(t, z):
-        lower, upper = z[:d], z[d:]
-        upper = np.maximum(upper, lower)
-        dlo = np.empty(d)
-        dhi = np.empty(d)
-        for i in range(d):
-            lo_candidates = _slice_candidates(lower, upper, i, lower[i],
-                                              x_samples_per_axis)
-            hi_candidates = _slice_candidates(lower, upper, i, upper[i],
-                                              x_samples_per_axis)
-            lo_best = min(
-                extremizer.coordinate_range(x, i)[0] for x in lo_candidates
-            )
-            hi_best = max(
-                extremizer.coordinate_range(x, i)[1] for x in hi_candidates
-            )
-            if refine:
-                lo_best = min(
-                    lo_best,
-                    _refined_extremum(extremizer, lower, upper, i, lower[i],
-                                      minimise=True),
-                )
-                hi_best = max(
-                    hi_best,
-                    _refined_extremum(extremizer, lower, upper, i, upper[i],
-                                      minimise=False),
-                )
-            dlo[i] = lo_best
-            dhi[i] = hi_best
-        return np.concatenate([dlo, dhi])
-
-    return hull_field_batched if batch else hull_field_scalar
+    return hull_field
 
 
 def differential_hull_bounds(
@@ -264,7 +232,6 @@ def differential_hull_bounds(
     rtol: float = 1e-7,
     atol: float = 1e-9,
     blowup_threshold: float = 100.0,
-    batch: bool = True,
 ) -> HullBounds:
     """Integrate the differential hull of the model's mean-field inclusion.
 
@@ -294,15 +261,13 @@ def differential_hull_bounds(
         exceeds this magnitude and the remaining samples are filled with
         ``-inf`` / ``+inf``, which is the honest reading of a diverged
         hull.
-    batch:
-        Evaluate the RHS through the batched extremiser: the slice-corner
-        masks are precomputed once and every evaluation issues a *single*
-        :meth:`~repro.inclusion.DriftExtremizer.velocity_envelope_batch`
-        call over the ``2^d`` rectangle corners, instead of
-        ``O(d 2^(d-1))`` Python-level extremisations.  The candidate set
-        and per-corner optima are identical, so the field — and hence
-        the hull — matches the ``batch=False`` legacy loop (kept for
-        differential testing) to integrator round-off.
+
+    The RHS goes through the batched extremiser: with corner sampling
+    the slice-corner masks are precomputed once and every evaluation
+    issues a *single*
+    :meth:`~repro.inclusion.DriftExtremizer.velocity_envelope_batch`
+    call over the ``2^d`` rectangle corners, instead of ``O(d 2^(d-1))``
+    Python-level extremisations.
     """
     t_eval = np.asarray(t_eval, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -312,7 +277,6 @@ def differential_hull_bounds(
         x_samples_per_axis=x_samples_per_axis,
         refine=refine,
         theta_method=theta_method,
-        batch=batch,
     )
 
     z0 = np.concatenate([x0, x0])
@@ -323,7 +287,7 @@ def differential_hull_bounds(
     blowup_event.terminal = True
     blowup_event.direction = -1.0
 
-    with telemetry.span("hull.integrate", batch=batch) as sp:
+    with telemetry.span("hull.integrate") as sp:
         sol = solve_ivp(
             hull_field,
             (float(t_eval[0]), float(t_eval[-1])),

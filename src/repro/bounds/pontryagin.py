@@ -28,9 +28,10 @@ sweeps; the convergence test combines control stability with objective
 stability to tolerate chattering on the measure-zero switching set.
 
 :func:`pontryagin_transient_bounds` evaluates the bounds over a grid of
-horizons (the curves of Figures 1 and 7), warm-starting each horizon with
-the previous control signal.  :func:`reachable_polytope_2d` assembles the
-convex template polyhedron of the remark in Section IV-C.
+horizons (the curves of Figures 1 and 7), running every (observable,
+side, horizon) sweep as one lane of :func:`extremal_trajectories_batch`.
+:func:`reachable_polytope_2d` assembles the convex template polyhedron of
+the remark in Section IV-C.
 """
 
 from __future__ import annotations
@@ -134,7 +135,6 @@ def extremal_trajectory(
     chatter_intervals: int = 2,
     extremizer: Optional[DriftExtremizer] = None,
     initial_controls: Optional[np.ndarray] = None,
-    batch: bool = True,
 ) -> PontryaginResult:
     """Compute the trajectory extremising ``direction . x(T)``.
 
@@ -161,19 +161,13 @@ def extremal_trajectory(
         less than ``tol`` (relative) for ``value_patience`` consecutive
         sweeps.
     extremizer:
-        Optional pre-built Hamiltonian maximiser.
+        Optional pre-built Hamiltonian maximiser; the re-maximisation of
+        step (8) is one
+        :meth:`~repro.inclusion.DriftExtremizer.maximize_direction_batch`
+        call per sweep (all ``n_steps`` grid intervals at once).
     initial_controls:
         Warm-start control signal, shape ``(n_steps, p)``; defaults to
         the centre of ``Theta`` on every interval.
-    batch:
-        Whether the default extremiser uses the vectorized batch
-        kernels; the Hamiltonian re-maximisation of step (8) always
-        goes through one
-        :meth:`~repro.inclusion.DriftExtremizer.maximize_direction_batch`
-        call per sweep (all ``n_steps`` grid intervals at once), so
-        ``batch=False`` — or a pre-built ``batch=False`` extremiser —
-        reduces it to the legacy one-interval-at-a-time loop for
-        differential testing.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -187,7 +181,7 @@ def extremal_trajectory(
         )
     if not np.any(direction != 0.0):
         raise ValueError("direction must be non-zero")
-    extremizer = extremizer or DriftExtremizer(model, batch=batch)
+    extremizer = extremizer or DriftExtremizer(model)
     # Internally we always maximise c . x(T).
     c = direction if maximize else -direction
     grid = np.linspace(0.0, float(horizon), n_steps + 1)
@@ -642,8 +636,7 @@ class TransientBounds:
     ``converged`` is ``False`` when a ``deadline_seconds`` budget
     stopped the computation early: the recorded bounds are then the
     best iterates so far (still conservative directions of search, but
-    not fixed points), and horizons the scalar path never reached stay
-    NaN.
+    not fixed points).  Sides left out of ``sides`` stay NaN.
     """
 
     horizons: np.ndarray
@@ -686,17 +679,6 @@ def _resolve_directions(model, observables) -> Dict[str, np.ndarray]:
     return directions
 
 
-def _resample_controls(old_grid: np.ndarray, old_controls: np.ndarray,
-                       new_grid: np.ndarray) -> np.ndarray:
-    """Warm start: carry a control signal onto a new (longer) grid."""
-    n_new = new_grid.shape[0] - 1
-    out = np.empty((n_new, old_controls.shape[1]))
-    for i in range(n_new):
-        t_mid = 0.5 * (new_grid[i] + new_grid[i + 1])
-        out[i] = old_controls[_control_index(old_grid, t_mid, old_controls.shape[0])]
-    return out
-
-
 def pontryagin_transient_bounds(
     model,
     x0,
@@ -709,19 +691,16 @@ def pontryagin_transient_bounds(
     extremizer: Optional[DriftExtremizer] = None,
     keep_results: bool = False,
     sides: Sequence[str] = ("lower", "upper"),
-    batch: bool = True,
-    lanes: Optional[bool] = None,
     deadline_seconds: Optional[float] = None,
 ) -> TransientBounds:
     with telemetry.span("pontryagin.bounds",
-                        horizons=np.asarray(horizons).size,
-                        lanes=batch if lanes is None else lanes):
+                        horizons=np.asarray(horizons).size):
         return _pontryagin_transient_bounds_impl(
             model, x0, horizons, observables=observables,
             steps_per_unit=steps_per_unit, min_steps=min_steps,
             max_iter=max_iter, tol=tol, extremizer=extremizer,
-            keep_results=keep_results, sides=sides, batch=batch,
-            lanes=lanes, deadline_seconds=deadline_seconds,
+            keep_results=keep_results, sides=sides,
+            deadline_seconds=deadline_seconds,
         )
 
 
@@ -737,8 +716,6 @@ def _pontryagin_transient_bounds_impl(
     extremizer: Optional[DriftExtremizer] = None,
     keep_results: bool = False,
     sides: Sequence[str] = ("lower", "upper"),
-    batch: bool = True,
-    lanes: Optional[bool] = None,
     deadline_seconds: Optional[float] = None,
 ) -> TransientBounds:
     """Exact imprecise-model bounds at each horizon, per observable.
@@ -752,25 +729,22 @@ def _pontryagin_transient_bounds_impl(
     ``sides=("upper",)`` and halve the cost.  Unselected sides are left
     as NaN in the result.
 
-    With ``lanes`` enabled (the default, following ``batch``) *all*
-    (observable, side, horizon) sweeps advance simultaneously through
-    :func:`extremal_trajectories_batch`: each iteration issues one
-    batched forward RK4 call, one batched costate call and one
+    *All* (observable, side, horizon) sweeps advance simultaneously
+    through :func:`extremal_trajectories_batch`: each iteration issues
+    one batched forward RK4 call, one batched costate call and one
     Hamiltonian re-maximisation for the whole lane set, and converged
     lanes retire early.  Every lane cold-starts from the centre of
-    ``Theta``.  The scalar path (``lanes=False``) runs the legacy
-    sequential loop, warm-starting each horizon from the previous
-    horizon's optimal control; both converge to the same bang-bang
-    optima (the warm start saves sweeps, not accuracy) and are pinned
-    against each other in the differential suite.
+    ``Theta``.
 
-    ``deadline_seconds`` bounds the wall clock: past it, the lanes path
-    stops iterating and reports best-so-far values, the scalar path
-    stops launching new per-horizon sweeps (at least one sweep always
-    completes; unreached horizons stay NaN), and the returned
+    ``deadline_seconds`` bounds the wall clock: past it, the sweep
+    stops iterating and reports best-so-far values, and the returned
     :class:`TransientBounds` carries ``converged=False``.
     """
     horizons = np.asarray(horizons, dtype=float)
+    if horizons.ndim != 1 or horizons.size == 0:
+        raise ValueError("horizons must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(horizons)):
+        raise ValueError(f"horizons must be finite, got {horizons}")
     if np.any(horizons <= 0):
         raise ValueError("all horizons must be positive (t = 0 is the initial state)")
     if np.any(np.diff(horizons) <= 0):
@@ -781,10 +755,8 @@ def _pontryagin_transient_bounds_impl(
             f"sides must be a non-empty subset of ('lower', 'upper'); "
             f"got {tuple(sides)}"
         )
-    if lanes is None:
-        lanes = batch
     directions = _resolve_directions(model, observables)
-    extremizer = extremizer or DriftExtremizer(model, batch=batch)
+    extremizer = extremizer or DriftExtremizer(model)
     bounds = TransientBounds(horizons=horizons.copy())
     requested = tuple(
         is_max for is_max in (False, True)
@@ -799,76 +771,28 @@ def _pontryagin_transient_bounds_impl(
             bounds.lower_results[name] = []
             bounds.upper_results[name] = []
 
-    if lanes:
-        specs = []
-        keys = []
-        for name, c in directions.items():
-            bounds.lower[name] = np.full(horizons.shape[0], np.nan)
-            bounds.upper[name] = np.full(horizons.shape[0], np.nan)
-            for is_max in requested:
-                for k, horizon in enumerate(horizons):
-                    specs.append((c, is_max, float(horizon), step_counts[k]))
-                    keys.append((name, is_max, k))
-        results = extremal_trajectories_batch(
-            model, x0, specs,
-            max_iter=max_iter, tol=tol, extremizer=extremizer,
-            deadline_seconds=deadline_seconds,
-        )
-        for (name, is_max, k), result in zip(keys, results):
-            target = bounds.upper if is_max else bounds.lower
-            target[name][k] = result.value
-            if keep_results:
-                store = bounds.upper_results if is_max else bounds.lower_results
-                store[name].append(result)
-        if deadline_seconds is not None:
-            bounds.converged = all(r.converged for r in results)
-        return bounds
-
-    sweeps_start = time.perf_counter()
-    sweeps_done = 0
-    deadline_counter = telemetry.live_counter(
-        "resilience.pontryagin.deadline_hits"
-    )
+    specs = []
+    keys = []
     for name, c in directions.items():
         bounds.lower[name] = np.full(horizons.shape[0], np.nan)
         bounds.upper[name] = np.full(horizons.shape[0], np.nan)
         for is_max in requested:
-            warm: Optional[Tuple[np.ndarray, np.ndarray]] = None
             for k, horizon in enumerate(horizons):
-                # Deadline between sweeps (a running sweep is never
-                # preempted, and at least one always completes);
-                # horizons never launched stay NaN.
-                if (deadline_seconds is not None and sweeps_done >= 1
-                        and time.perf_counter() - sweeps_start
-                        > deadline_seconds):
-                    if bounds.converged:
-                        bounds.converged = False
-                        if deadline_counter is not None:
-                            deadline_counter.inc()
-                    break
-                n_steps = step_counts[k]
-                initial = None
-                if warm is not None:
-                    old_grid, old_controls = warm
-                    initial = _resample_controls(
-                        old_grid, old_controls, np.linspace(0, horizon, n_steps + 1)
-                    )
-                result = extremal_trajectory(
-                    model, x0, horizon, c,
-                    maximize=is_max,
-                    n_steps=n_steps,
-                    max_iter=max_iter,
-                    tol=tol,
-                    extremizer=extremizer,
-                    initial_controls=initial,
-                )
-                warm = (result.times, result.controls)
-                sweeps_done += 1
-                target = bounds.upper if is_max else bounds.lower
-                target[name][k] = result.value
-                if keep_results:
-                    store = bounds.upper_results if is_max else bounds.lower_results
-                    store[name].append(result)
+                specs.append((c, is_max, float(horizon), step_counts[k]))
+                keys.append((name, is_max, k))
+    results = extremal_trajectories_batch(
+        model, x0, specs,
+        max_iter=max_iter, tol=tol, extremizer=extremizer,
+        deadline_seconds=deadline_seconds,
+    )
+    for (name, is_max, k), result in zip(keys, results):
+        target = bounds.upper if is_max else bounds.lower
+        target[name][k] = result.value
+        if keep_results:
+            store = bounds.upper_results if is_max else bounds.lower_results
+            store[name].append(result)
+    if deadline_seconds is not None:
+        bounds.converged = all(r.converged for r in results)
     return bounds
 
 
@@ -976,7 +900,6 @@ def reachable_polytope_2d(
     n_steps: int = 300,
     max_iter: int = 100,
     extremizer: Optional[DriftExtremizer] = None,
-    batch: bool = True,
 ) -> np.ndarray:
     """Convex template over-approximation of the reachable set at ``T``.
 
@@ -990,7 +913,7 @@ def reachable_polytope_2d(
         raise ValueError("template polytopes are implemented for 2-D models")
     if n_directions < 3:
         raise ValueError("need at least 3 template directions")
-    extremizer = extremizer or DriftExtremizer(model, batch=batch)
+    extremizer = extremizer or DriftExtremizer(model)
     angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
     normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     offsets = np.empty(n_directions)

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.ode import dopri_batch, rk4_integrate, rk4_step, solve_ode
+from repro.ode import dopri_batch, rk4_step
 
 __all__ = ["UncertainEnvelope", "uncertain_envelope"]
 
@@ -99,9 +99,8 @@ def _rk4_sweep_batch(model, x0, rk4_grid, thetas) -> np.ndarray:
 
     Returns the state stack of shape ``(m, n_grid, d)``.  Each RK4 step
     is a single :meth:`drift_batch` evaluation over the ``(m, d)`` state
-    matrix — the per-lane arithmetic is element-wise identical to the
-    scalar path, so lanes match one-theta-at-a-time integration bit for
-    bit.
+    matrix — the per-lane arithmetic is element-wise identical to a
+    one-theta RK4 integration, so lanes match it bit for bit.
     """
     thetas = np.asarray(thetas, dtype=float)
     m = thetas.shape[0]
@@ -129,14 +128,13 @@ def uncertain_envelope(
     atol: float = 1e-10,
     integrator: str = "adaptive",
     rk4_steps: int = 400,
-    batch: bool = True,
 ) -> UncertainEnvelope:
     with telemetry.span("envelope.sweep", integrator=integrator,
-                        resolution=resolution, batch=batch) as sp:
+                        resolution=resolution) as sp:
         env = _uncertain_envelope_impl(
             model, x0, t_eval, resolution=resolution,
             observables=observables, rtol=rtol, atol=atol,
-            integrator=integrator, rk4_steps=rk4_steps, batch=batch,
+            integrator=integrator, rk4_steps=rk4_steps,
         )
         sp.set("thetas", env.thetas.shape[0])
     telemetry.inc("envelope.theta_solves", env.thetas.shape[0])
@@ -153,7 +151,6 @@ def _uncertain_envelope_impl(
     atol: float = 1e-10,
     integrator: str = "adaptive",
     rk4_steps: int = 400,
-    batch: bool = True,
 ) -> UncertainEnvelope:
     """Sweep constant parameters and envelope the observables.
 
@@ -173,25 +170,23 @@ def _uncertain_envelope_impl(
         or state coordinates, or ``(name, weights)`` pairs.  Defaults to
         the model's declared observables (or raw coordinates).
     integrator:
-        ``"adaptive"`` (scipy ``solve_ivp``, the accurate default) or
-        ``"rk4"`` (fixed-grid classical RK4 with ``rk4_steps`` steps).
+        ``"adaptive"`` (Dormand–Prince 5(4) with error control, the
+        accurate default) or ``"rk4"`` (fixed-grid classical RK4 with
+        ``rk4_steps`` steps).
         Models with *discontinuous* boundary rates — the bike-sharing
         station, whose drift slides on the occupancy boundary — defeat
         adaptive error control (the step size collapses on the sliding
         surface and the solve never returns); the fixed-step integrator
         crosses the discontinuity with bounded chatter instead, exactly
         as the Pontryagin forward sweeps do.
-    batch:
-        Advance all thetas simultaneously.  With the ``rk4`` integrator
-        this is one :meth:`drift_batch` call per RK4 stage instead of
-        one Python callback per theta per stage — bit-identical to the
-        scalar loop (kept behind ``batch=False`` for differential
-        testing).  With the ``adaptive`` integrator the whole theta grid
-        goes through :func:`~repro.ode.dopri_batch`: every lane keeps
-        its *own* adaptive step size and error control inside one
-        vectorized solver loop, eliminating the per-theta scipy
-        ``solve_ivp`` dispatch; lanes match the scalar scipy path to
-        integration tolerance (same Dormand–Prince 5(4) pair).
+
+    All thetas advance simultaneously.  With the ``rk4`` integrator
+    every RK4 stage is one :meth:`drift_batch` call over the whole
+    theta grid.  With the ``adaptive`` integrator the grid goes through
+    :func:`~repro.ode.dopri_batch`: every lane keeps its *own* adaptive
+    step size and error control inside one vectorized solver loop (the
+    Dormand–Prince 5(4) pair of scipy's ``RK45``).  A degenerate horizon
+    (``t_eval[0] == t_eval[-1]``) returns the constant ``x0`` envelope.
     """
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or t_eval.shape[0] < 1:
@@ -220,7 +215,12 @@ def _uncertain_envelope_impl(
             # so the fixed grid integrates backward from x0 at
             # t_eval[0], exactly as the adaptive path does.
             rk4_grid = rk4_grid[::-1]
-    if rk4_grid is not None and batch:
+    if t_span[0] == t_span[1]:
+        # Degenerate horizon: every lane stays at x0.
+        states = np.asarray(x0, float)[None, :].repeat(n_t, axis=0)
+        for name, w in weights.items():
+            values[name][:] = states @ w
+    elif rk4_grid is not None:
         # t_eval points are grid members by construction, so selecting
         # them exactly reproduces what np.interp returns at grid nodes.
         ascending = rk4_grid[::-1] if descending else rk4_grid
@@ -231,7 +231,7 @@ def _uncertain_envelope_impl(
                                         thetas)[:, pick, :]
         for name, w in weights.items():
             values[name] = states_stack @ w
-    elif integrator == "adaptive" and batch and t_span[0] != t_span[1]:
+    else:
         m = thetas.shape[0]
         x0_stack = np.broadcast_to(np.asarray(x0, dtype=float),
                                    (m, model.dim))
@@ -243,22 +243,6 @@ def _uncertain_envelope_impl(
                           rtol=rtol, atol=atol, lane_args=thetas)
         for name, w in weights.items():
             values[name] = sol.states @ w
-    else:
-        for k, theta in enumerate(thetas):
-            if t_span[0] == t_span[1]:
-                states = np.asarray(x0, float)[None, :].repeat(n_t, axis=0)
-            elif rk4_grid is not None:
-                traj = rk4_integrate(model.vector_field(theta), x0, rk4_grid)
-                if descending:
-                    # Trajectory interpolation needs ascending times.
-                    traj = traj.reversed_time()
-                states = traj(t_eval)
-            else:
-                traj = solve_ode(model.vector_field(theta), x0, t_span,
-                                 t_eval=t_eval, rtol=rtol, atol=atol)
-                states = traj.states
-            for name, w in weights.items():
-                values[name][k] = states @ w
 
     result = UncertainEnvelope(times=t_eval.copy(), thetas=thetas)
     for name in weights:

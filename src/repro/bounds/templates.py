@@ -151,13 +151,11 @@ def template_reachable_bounds(
     n_steps: int = 300,
     max_iter: int = 100,
     extremizer: Optional[DriftExtremizer] = None,
-    batch: bool = True,
 ) -> TemplatePolytope:
     """Template polytope enclosing the reachable set at ``horizon``.
 
     One Pontryagin sweep per template direction, each re-maximising its
-    Hamiltonian through the batched extremiser (``batch=False`` routes
-    the sweeps through the legacy scalar loop).  Works in any dimension
+    Hamiltonian through the batched extremiser.  Works in any dimension
     (used for the 4-D GPS MAP model); defaults to the octagon template.
     Soundness: every solution of the imprecise inclusion satisfies
     ``c_k . x(T) <= h_k`` for all ``k``, so the polytope contains the
@@ -170,7 +168,7 @@ def template_reachable_bounds(
         raise ValueError(
             f"directions must be (m, {model.dim}); got {directions.shape}"
         )
-    extremizer = extremizer or DriftExtremizer(model, batch=batch)
+    extremizer = extremizer or DriftExtremizer(model)
     offsets = np.empty(directions.shape[0])
     for k, c in enumerate(directions):
         result = extremal_trajectory(

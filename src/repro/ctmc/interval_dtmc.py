@@ -18,12 +18,11 @@ which is what makes the iteration a sound finite-horizon bound.
 
 The hot path is batched: :meth:`IntervalDTMC.extreme_rows_batch` solves
 all ``n`` row knapsacks for a whole stack of reward vectors in one
-argsort + cumulative-subtraction pass, and the scalar operators delegate
-to it.  The pre-batching per-row Python loop is kept behind
-``batch=False`` as the differential-testing reference — both paths share
-the final row-times-reward contraction, so the batched kernels are
-bit-identical to the legacy ones (a property the test suite pins with
-exact equality).
+argsort + cumulative-subtraction pass, and the single-reward operators
+delegate to it.  The test-suite keeps a one-row-at-a-time greedy
+knapsack as the reference implementation; the batched kernel reproduces
+its sequential rounding, so the two agree bit for bit (pinned with exact
+equality).
 
 :meth:`IntervalDTMC.from_imprecise_ctmc` discretises an imprecise CTMC
 through uniformization: ``P(theta) = I + Q(theta) / Lambda``, with the
@@ -67,7 +66,7 @@ def _knapsack_rows(lower, room, slack0, order):
     positions) and the ``(m, n)`` final leftover slack the caller
     checks for feasibility.
 
-    ``np.subtract.accumulate`` reproduces the legacy scalar loop's
+    ``np.subtract.accumulate`` reproduces a one-row greedy loop's
     sequential slack updates rounding step by rounding step.
     """
     m, n = order.shape[0], lower.shape[0]
@@ -79,7 +78,7 @@ def _knapsack_rows(lower, room, slack0, order):
     )
     # slack_seq[..., j] is the slack left before filling the j-th
     # coordinate in order (sequential subtraction, not a cumsum —
-    # same rounding as the scalar loop); the final entry is the
+    # same rounding as a one-row greedy loop); the final entry is the
     # slack left after exhausting every room.
     slack_seq = np.subtract.accumulate(chain, axis=2)
     take = np.clip(slack_seq[:, :, :-1], 0.0, room_perm)
@@ -104,6 +103,7 @@ class IntervalDTMC:
         Entry-wise probability bounds, shape ``(n, n)``, with
         ``0 <= lower <= upper <= 1``, ``sum(lower[i]) <= 1`` and
         ``sum(upper[i]) >= 1`` for every row (non-empty credal sets).
+        Every entry must be finite.
     """
 
     def __init__(self, lower, upper):
@@ -113,6 +113,9 @@ class IntervalDTMC:
             raise ValueError("lower must be a square matrix")
         if lower.shape != upper.shape:
             raise ValueError("lower and upper must have the same shape")
+        # NaN passes every comparison below, so reject it up front.
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("probability bounds must be finite")
         if np.any(lower < -1e-12) or np.any(upper > 1.0 + 1e-12):
             raise ValueError("probability bounds must lie in [0, 1]")
         if np.any(lower > upper + 1e-12):
@@ -136,41 +139,6 @@ class IntervalDTMC:
     # Row credal-set optimisation (fractional knapsack)
     # ------------------------------------------------------------------
 
-    def extreme_row(self, row: int, reward, maximize: bool = True) -> np.ndarray:
-        """The row distribution extremising ``p . reward`` over the credal set.
-
-        Start from the mandatory lower bounds and distribute the
-        remaining mass ``1 - sum(lower)`` greedily to the coordinates
-        with the largest (smallest) reward, capped at the upper bounds.
-
-        This is the legacy one-row-at-a-time knapsack, kept as the
-        differential-testing reference for
-        :meth:`extreme_rows_batch`; the operators below use the batched
-        kernel by default.
-        """
-        reward = np.asarray(reward, dtype=float)
-        if reward.shape != (self.n_states,):
-            raise ValueError(f"reward must have shape ({self.n_states},)")
-        p = self.lower[row].copy()
-        slack = 1.0 - float(p.sum())
-        order = np.argsort(-reward if maximize else reward)
-        for j in order:
-            if slack <= 0.0:
-                break
-            room = self.upper[row, j] - p[j]
-            take = min(room, slack)
-            p[j] += take
-            slack -= take
-        if slack > 1e-9:
-            raise RuntimeError("credal set inconsistency: mass left over")
-        total = float(p.sum())
-        if abs(total - 1.0) > _ROW_SUM_TOL:
-            # Rows admitted under the constructor's 1e-9 tolerance
-            # (negative slack, or upper bounds summing just below 1)
-            # must still come back stochastic.
-            p = p / total
-        return p
-
     def extreme_rows_batch(self, rewards, maximize: bool = True) -> np.ndarray:
         """All ``n`` extreme rows for a stack of reward vectors at once.
 
@@ -187,11 +155,13 @@ class IntervalDTMC:
         single reward (entry ``[i]`` is the row-``i`` distribution) or
         ``(m, n, n)`` for a stack.
 
+        Each row starts from its mandatory lower bounds and distributes
+        the remaining mass ``1 - sum(lower)`` greedily to the coordinates
+        with the largest (smallest) reward, capped at the upper bounds.
         All ``m * n`` fractional knapsacks are solved in one argsort +
-        cumulative-subtraction pass.  ``np.subtract.accumulate``
-        reproduces the legacy loop's sequential slack updates rounding
-        step by rounding step, so the rows are bit-identical to
-        :meth:`extreme_row`.
+        cumulative-subtraction pass; ``np.subtract.accumulate``
+        reproduces the sequential slack updates of a one-row greedy loop
+        rounding step by rounding step.
         """
         rewards = np.asarray(rewards, dtype=float)
         single = rewards.ndim == 1
@@ -220,8 +190,8 @@ class IntervalDTMC:
 
         Also accepts a single ``(n,)`` vector (returning ``(n,)``).  The
         value contraction is one stacked matrix–vector product, which
-        NumPy evaluates slice by slice — bit-identical to the legacy
-        path's single ``rows @ reward``.
+        NumPy evaluates slice by slice — bit-identical to a per-reward
+        ``rows @ reward``.
         """
         rewards = np.asarray(rewards, dtype=float)
         single = rewards.ndim == 1
@@ -253,29 +223,19 @@ class IntervalDTMC:
         lower = -value[m:]
         return (lower[0], upper[0]) if single else (lower, upper)
 
-    def upper_operator(self, reward, batch: bool = True) -> np.ndarray:
+    def upper_operator(self, reward) -> np.ndarray:
         """One application of the upper-expectation operator ``T̄ r``."""
-        reward = np.asarray(reward, dtype=float)
-        if batch:
-            return self.upper_operator_batch(reward)
-        # Legacy per-row knapsack loop; the final contraction is the
-        # same matrix-vector product the batched kernel issues.
-        rows = np.array(
-            [self.extreme_row(i, reward, maximize=True)
-             for i in range(self.n_states)]
-        )
-        return rows @ reward
+        return self.upper_operator_batch(np.asarray(reward, dtype=float))
 
-    def lower_operator(self, reward, batch: bool = True) -> np.ndarray:
+    def lower_operator(self, reward) -> np.ndarray:
         """One application of the lower-expectation operator."""
-        return -self.upper_operator(-np.asarray(reward, dtype=float), batch)
+        return -self.upper_operator(-np.asarray(reward, dtype=float))
 
     # ------------------------------------------------------------------
     # Finite-horizon expectations
     # ------------------------------------------------------------------
 
-    def upper_expectation(self, reward, steps: int,
-                          batch: bool = True) -> np.ndarray:
+    def upper_expectation(self, reward, steps: int) -> np.ndarray:
         """Upper expectation of ``reward`` after ``steps`` transitions.
 
         Returns the per-starting-state vector ``T̄^k r``.
@@ -284,29 +244,21 @@ class IntervalDTMC:
             raise ValueError("steps must be non-negative")
         value = np.asarray(reward, dtype=float).copy()
         for _ in range(steps):
-            value = self.upper_operator(value, batch=batch)
+            value = self.upper_operator(value)
         return value
 
-    def lower_expectation(self, reward, steps: int,
-                          batch: bool = True) -> np.ndarray:
+    def lower_expectation(self, reward, steps: int) -> np.ndarray:
         """Lower expectation of ``reward`` after ``steps`` transitions."""
-        return -self.upper_expectation(-np.asarray(reward, dtype=float), steps,
-                                       batch=batch)
+        return -self.upper_expectation(-np.asarray(reward, dtype=float), steps)
 
-    def expectation_bounds(
-        self, reward, steps: int, batch: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def expectation_bounds(self, reward, steps: int
+                           ) -> Tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` expectation vectors after ``steps`` steps."""
-        if batch:
-            return self.expectation_bounds_batch(
-                np.asarray(reward, dtype=float), steps
-            )
-        return (self.lower_expectation(reward, steps, batch=False),
-                self.upper_expectation(reward, steps, batch=False))
+        return self.expectation_bounds_batch(np.asarray(reward, dtype=float),
+                                             steps)
 
     def stationary_expectation_bounds(
         self, reward, tol: float = 1e-10, max_iter: int = 100_000,
-        batch: bool = True,
     ) -> Tuple[float, float]:
         """Long-run bounds on the expected reward (Škulj's limit regime).
 
@@ -327,9 +279,9 @@ class IntervalDTMC:
             converged = False
             for _ in range(max_iter):
                 if maximize:
-                    new_value = self.upper_operator(value, batch=batch)
+                    new_value = self.upper_operator(value)
                 else:
-                    new_value = self.lower_operator(value, batch=batch)
+                    new_value = self.lower_operator(value)
                 spread = float(new_value.max() - new_value.min())
                 delta = float(np.max(np.abs(new_value - value)))
                 value = new_value
@@ -348,7 +300,7 @@ class IntervalDTMC:
 
     def uniformized_bounds(
         self, rewards, horizon: float, rate: float,
-        tail_tol: float = 1e-12, batch: bool = True,
+        tail_tol: float = 1e-12,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Poisson-mixed reward bounds at CTMC time ``horizon``.
 
@@ -370,10 +322,15 @@ class IntervalDTMC:
         vectors, shaped like the input.
         """
         rewards = np.asarray(rewards, dtype=float)
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
-        if rate <= 0:
-            raise ValueError("uniformization rate must be positive")
+        # NaN passes every sign comparison, so finiteness is explicit.
+        if not np.isfinite(horizon) or horizon < 0:
+            raise ValueError(
+                f"horizon must be finite and non-negative, got {horizon}"
+            )
+        if not np.isfinite(rate) or rate <= 0:
+            raise ValueError(
+                f"uniformization rate must be finite and positive, got {rate}"
+            )
         single = rewards.ndim == 1
         stack = np.atleast_2d(rewards)
         m = stack.shape[0]
@@ -386,12 +343,7 @@ class IntervalDTMC:
         accumulated = weight
         mixed = weight * value
         for k in range(1, n_terms + 1):
-            if batch:
-                value = self.upper_operator_batch(value)
-            else:
-                value = np.stack([
-                    self.upper_operator(lane, batch=False) for lane in value
-                ])
+            value = self.upper_operator_batch(value)
             weight *= mean / k
             mixed = mixed + weight * value
             accumulated += weight

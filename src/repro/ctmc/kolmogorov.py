@@ -173,7 +173,6 @@ def uncertain_reward_envelope(
     t_eval,
     p0: Optional[np.ndarray] = None,
     resolution: int = 9,
-    batch: bool = True,
 ):
     """Envelope of ``r . P(t)`` over constant parameters (uncertain case).
 
@@ -182,11 +181,9 @@ def uncertain_reward_envelope(
     this is the exact uncertain-CTMC transient envelope at the grid
     resolution.
 
-    The master equation is linear in ``P``, so with ``batch=True`` (the
-    default) all grid parameters are stacked into one block ODE over an
-    ``(m, n)`` state matrix and integrated in a single ``solve_ode``
-    call; ``batch=False`` keeps the legacy one-ODE-per-theta loop for
-    differential testing.  A degenerate horizon
+    The master equation is linear in ``P``, so all grid parameters are
+    stacked into one block ODE over an ``(m, n)`` state matrix and
+    integrated in a single ``solve_ode`` call.  A degenerate horizon
     (``t_eval[0] == t_eval[-1]``) returns the constant ``p0 . r``
     envelope, matching :func:`repro.bounds.uncertain_envelope`;
     descending grids are rejected — backward integration of a generator
@@ -218,25 +215,16 @@ def uncertain_reward_envelope(
     )
     thetas = np.unique(thetas, axis=0)
     m, n = thetas.shape[0], chain.n_states
-    if batch:
-        # Linearity of the master equation: the whole theta stack is one
-        # block ODE, one sparse matmul per generator part per RHS call.
-        def field(t, y):
-            return system.drift_batch(y.reshape(m, n), thetas).ravel()
 
-        traj = solve_ode(
-            field, np.tile(p0, m),
-            (float(t_eval[0]), float(t_eval[-1])), t_eval=t_eval,
-            rtol=1e-9, atol=1e-11,
-        )
-        values = (traj.states.reshape(n_t, m, n) @ reward).T
-    else:
-        values = np.empty((m, n_t))
-        for k, theta in enumerate(thetas):
-            traj = solve_ode(
-                system.vector_field(theta), p0,
-                (float(t_eval[0]), float(t_eval[-1])), t_eval=t_eval,
-                rtol=1e-9, atol=1e-11,
-            )
-            values[k] = traj.states @ reward
+    # Linearity of the master equation: the whole theta stack is one
+    # block ODE, one sparse matmul per generator part per RHS call.
+    def field(t, y):
+        return system.drift_batch(y.reshape(m, n), thetas).ravel()
+
+    traj = solve_ode(
+        field, np.tile(p0, m),
+        (float(t_eval[0]), float(t_eval[-1])), t_eval=t_eval,
+        rtol=1e-9, atol=1e-11,
+    )
+    values = (traj.states.reshape(n_t, m, n) @ reward).T
     return t_eval.copy(), values.min(axis=0), values.max(axis=0)

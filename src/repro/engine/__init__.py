@@ -11,9 +11,8 @@
 - :func:`sweep_constant_ensembles` — multiprocessing sharding of
   parameter sweeps, one vectorized ensemble per ``theta`` grid point.
 
-:func:`~repro.simulation.batch_simulate` delegates here by default
-(``engine="vectorized"``); the legacy per-run scalar loop survives
-behind ``engine="scalar"`` for differential testing.
+:func:`~repro.simulation.batch_simulate` delegates every ensemble of
+more than one run here.
 """
 
 from repro.engine.lanes import PolicyLane, build_lane

@@ -46,8 +46,8 @@ Batching is *exact*, not approximate: each row's optimiser is the same
 corner (or grid point) the scalar code would pick — the per-row optimum
 of a monotone/affine functional does not depend on which other rows are
 evaluated alongside it.  Scalar calls delegate to the batch kernels with
-``n = 1``; the legacy scalar loop is kept behind ``batch=False`` purely
-for differential testing.
+``n = 1``; the test-suite pins every kernel against a one-query-at-a-time
+reference implementation kept under ``tests/``.
 """
 
 from __future__ import annotations
@@ -78,17 +78,10 @@ class DriftExtremizer:
     refine:
         Whether the grid strategy polishes its best point with a bounded
         L-BFGS-B run (only meaningful for non-affine models).
-    batch:
-        When ``True`` (the default) every query — scalar or stacked —
-        runs through the vectorized batch kernels.  ``batch=False``
-        routes everything through the legacy one-query-at-a-time scalar
-        code instead; the two paths are kept equivalent by the
-        differential test-suite and ``batch=False`` exists only to
-        support it (and honest scalar baselines in benchmarks).
     """
 
     def __init__(self, model, method: str = "auto", grid_resolution: int = 9,
-                 refine: bool = False, batch: bool = True):
+                 refine: bool = False):
         if method not in _VALID_METHODS:
             raise ValueError(f"method must be one of {_VALID_METHODS}, got {method!r}")
         if grid_resolution < 2:
@@ -106,7 +99,6 @@ class DriftExtremizer:
         self.method = method
         self.grid_resolution = int(grid_resolution)
         self.refine = bool(refine)
-        self.batch = bool(batch)
         self._cached_grid: Optional[np.ndarray] = None
         # The box bounds are immutable per extremizer; materialise them
         # once so the bang-bang kernel does no per-call allocation.
@@ -125,13 +117,10 @@ class DriftExtremizer:
         This is the support function of the velocity set in ``direction``
         together with its maximiser — the quantity the Pontryagin sweep
         evaluates at every grid point (Eq. 8 of the paper).  Delegates to
-        :meth:`maximize_direction_batch` with a one-row stack (or to the
-        legacy scalar strategies under ``batch=False``).
+        :meth:`maximize_direction_batch` with a one-row stack.
         """
         x = np.asarray(x, dtype=float)
         direction = np.asarray(direction, dtype=float)
-        if not self.batch:
-            return self._maximize_scalar(x, direction)
         thetas, values = self.maximize_direction_batch(x[None, :],
                                                        direction[None, :])
         return thetas[0], float(values[0])
@@ -173,15 +162,6 @@ class DriftExtremizer:
                 f"directions shape {directions.shape} must match states "
                 f"shape {states.shape}"
             )
-        if not self.batch:
-            n = states.shape[0]
-            thetas = np.empty((n, self.model.theta_dim))
-            values = np.empty(n)
-            for r in range(n):
-                theta, value = self._maximize_scalar(states[r], directions[r])
-                thetas[r] = theta
-                values[r] = value
-            return thetas, values
         if self.method == "affine":
             return self._maximize_affine_batch(states, directions)
         if self.method == "corners":
@@ -228,14 +208,14 @@ class DriftExtremizer:
         coordinate's bound sums the sign-matching box endpoint of every
         ``G`` entry (the bang-bang rule applied to all ``2 d``
         directions at once); other strategies stack the ``±e_i`` probes
-        through :meth:`support_batch`.  Both agree with the scalar
-        per-coordinate loop to the last bit — this is the kernel behind
-        the batched differential-hull RHS.
+        through :meth:`support_batch`.  Both agree with a per-coordinate
+        loop of :meth:`coordinate_range` to the last bit — this is the
+        kernel behind the batched differential-hull RHS.
         """
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[None, :]
-        if self.batch and self.method == "affine":
+        if self.method == "affine":
             g0s, big_gs = self.model.affine_parts_batch(states)
             theta_set = self.model.theta_set
             if isinstance(theta_set, DiscreteSet):
@@ -276,19 +256,12 @@ class DriftExtremizer:
         This is the tight rectangular enclosure of the velocity set used
         by the differential-hull construction (with the state part of the
         extremisation handled separately by the hull).  Delegates to
-        :meth:`velocity_envelope_batch` with a one-row stack (legacy
-        per-coordinate loop under ``batch=False``).
+        :meth:`velocity_envelope_batch` with a one-row stack.
         """
-        if self.batch:
-            lower, upper = self.velocity_envelope_batch(
-                np.asarray(x, dtype=float)[None, :]
-            )
-            return lower[0], upper[0]
-        lower = np.empty(self.model.dim)
-        upper = np.empty(self.model.dim)
-        for i in range(self.model.dim):
-            lower[i], upper[i] = self.coordinate_range(x, i)
-        return lower, upper
+        lower, upper = self.velocity_envelope_batch(
+            np.asarray(x, dtype=float)[None, :]
+        )
+        return lower[0], upper[0]
 
     # ------------------------------------------------------------------
     # Batched strategies
@@ -305,8 +278,9 @@ class DriftExtremizer:
             best = np.argmax(values, axis=1)
             thetas = theta_set.values[best].copy()
             return thetas, base + values[np.arange(best.shape[0]), best]
-        # Bang-bang per coordinate; zero coefficients take the lower
-        # bound for determinism, exactly as the scalar rule.
+        # Bang-bang per coordinate; zero coefficients leave theta free,
+        # so they take the lower bound for determinism (any choice
+        # attains the same value).
         thetas = np.where(coeffs > 0.0, self._affine_uppers, self._affine_lowers)
         values = base + np.einsum("np,np->n", coeffs, thetas)
         return thetas, values
@@ -338,30 +312,8 @@ class DriftExtremizer:
         return thetas, values
 
     # ------------------------------------------------------------------
-    # Legacy scalar strategies (batch=False differential-testing path)
+    # Shared helpers
     # ------------------------------------------------------------------
-
-    def _maximize_scalar(self, x, direction) -> Tuple[np.ndarray, float]:
-        if self.method == "affine":
-            return self._maximize_affine(x, direction)
-        if self.method == "corners":
-            return self._maximize_enumerate(x, direction, self.model.theta_set.corners())
-        return self._maximize_grid(x, direction)
-
-    def _maximize_affine(self, x, direction) -> Tuple[np.ndarray, float]:
-        g0, big_g = self.model.affine_parts(x)
-        base = float(direction @ g0)
-        coeffs = direction @ big_g  # shape (theta_dim,)
-        theta_set = self.model.theta_set
-        if isinstance(theta_set, DiscreteSet):
-            values = theta_set.values @ coeffs
-            best = int(np.argmax(values))
-            return theta_set.values[best].copy(), base + float(values[best])
-        lowers, uppers = self._box_bounds(theta_set)
-        theta = np.where(coeffs > 0.0, uppers, lowers)
-        # Zero coefficients leave theta free; pick the lower bound for
-        # determinism (any choice attains the same value).
-        return theta, base + float(coeffs @ theta)
 
     @staticmethod
     def _box_bounds(theta_set) -> Tuple[np.ndarray, np.ndarray]:
@@ -369,25 +321,12 @@ class DriftExtremizer:
             return np.array([theta_set.lower]), np.array([theta_set.upper])
         return theta_set.lowers.copy(), theta_set.uppers.copy()
 
-    def _maximize_enumerate(self, x, direction, candidates) -> Tuple[np.ndarray, float]:
-        values = np.array(
-            [float(direction @ self.model.drift(x, theta)) for theta in candidates]
-        )
-        best = int(np.argmax(values))
-        return np.asarray(candidates[best], dtype=float).copy(), float(values[best])
-
     def _theta_grid(self) -> np.ndarray:
         if self._cached_grid is None:
             grid = self.model.theta_set.grid(self.grid_resolution)
             corners = self.model.theta_set.corners()
             self._cached_grid = np.vstack([grid, corners])
         return self._cached_grid
-
-    def _maximize_grid(self, x, direction) -> Tuple[np.ndarray, float]:
-        theta, value = self._maximize_enumerate(x, direction, self._theta_grid())
-        if not self.refine or isinstance(self.model.theta_set, DiscreteSet):
-            return theta, value
-        return self._polish(x, direction, theta, value)
 
     def _polish(self, x, direction, theta, value) -> Tuple[np.ndarray, float]:
         """Shared L-BFGS-B refinement step of the grid strategy."""

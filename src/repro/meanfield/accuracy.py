@@ -69,7 +69,6 @@ def mean_field_accuracy(
     seed: int = 0,
     n_samples: int = 60,
     reference: Optional[Callable] = None,
-    engine: str = "vectorized",
 ) -> AccuracyStudy:
     """Measure the SSA-to-mean-field deviation across population sizes.
 
@@ -90,8 +89,6 @@ def mean_field_accuracy(
     reference:
         Optional precomputed reference trajectory callable ``t -> x``;
         defaults to integrating the mean-field ODE.
-    engine:
-        Forwarded to :func:`~repro.simulation.batch_simulate`.
     """
     sizes = np.asarray(sorted(int(n) for n in sizes))
     if sizes.shape[0] < 2:
@@ -113,7 +110,7 @@ def mean_field_accuracy(
         batch = batch_simulate(
             population, lambda: ConstantPolicy(theta), float(t_final),
             n_runs=n_replications, seed=seed + 10_000 * k,
-            n_samples=n_samples, engine=engine,
+            n_samples=n_samples,
         )
         # Per-run sup-norm deviation along the path, shape (n_replications,).
         deviations = np.max(

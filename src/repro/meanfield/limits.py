@@ -12,8 +12,7 @@ __all__ = ["mean_field_inclusion", "mean_field_ode"]
 
 
 def mean_field_inclusion(model, method: str = "auto", grid_resolution: int = 9,
-                         refine: bool = False,
-                         batch: bool = True) -> ParametricInclusion:
+                         refine: bool = False) -> ParametricInclusion:
     """Build the mean-field differential inclusion of Theorem 1.
 
     For an imprecise population process with density-scaled transition
@@ -28,7 +27,6 @@ def mean_field_inclusion(model, method: str = "auto", grid_resolution: int = 9,
     """
     extremizer = DriftExtremizer(
         model, method=method, grid_resolution=grid_resolution, refine=refine,
-        batch=batch,
     )
     return ParametricInclusion(model, extremizer=extremizer)
 

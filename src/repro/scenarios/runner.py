@@ -74,8 +74,7 @@ __all__ = ["AnalysisPlan", "RunReport", "ScenarioRun", "run_scenario",
 #: envelope backend below and by the conformance harness
 #: (:mod:`repro.testing`), so "how does this scenario integrate its
 #: envelope" has exactly one answer everywhere.
-ENVELOPE_INTEGRATOR_KEYS = ("integrator", "rk4_steps", "rtol", "atol",
-                            "batch")
+ENVELOPE_INTEGRATOR_KEYS = ("integrator", "rk4_steps", "rtol", "atol")
 
 
 def envelope_integrator_options(opts: Dict[str, object]) -> Dict[str, object]:
@@ -154,8 +153,8 @@ def _run_pontryagin(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
         horizons = np.linspace(spec.horizon / n, spec.horizon, n)
     horizons = np.asarray(horizons, dtype=float)
     kwargs = {}
-    for key in ("steps_per_unit", "min_steps", "max_iter", "tol", "batch",
-                "lanes", "deadline_seconds"):
+    for key in ("steps_per_unit", "min_steps", "max_iter", "tol",
+                "deadline_seconds"):
         if key in opts:
             kwargs[key] = opts[key]
     if "sides" in opts:
@@ -188,7 +187,7 @@ def _run_hull(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     times = np.asarray(times, dtype=float)
     kwargs = {}
     for key in ("x_samples_per_axis", "blowup_threshold", "rtol", "atol",
-                "theta_method", "batch"):
+                "theta_method"):
         if key in opts:
             kwargs[key] = opts[key]
     hull = differential_hull_bounds(model, spec.x0, times, **kwargs)
@@ -217,8 +216,6 @@ def _run_template(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     for key in ("n_steps", "max_iter"):
         if key in opts:
             kwargs[key] = int(opts[key])
-    if "batch" in opts:
-        kwargs["batch"] = bool(opts["batch"])
     polytope = template_reachable_bounds(
         model, spec.x0, float(opts.get("horizon", spec.horizon)),
         directions=directions, **kwargs
@@ -238,11 +235,9 @@ def _run_steadystate(model, spec: ScenarioSpec,
                      q: Question) -> QuestionOutcome:
     opts = q.opts
     out = QuestionOutcome()
-    batch = bool(opts.get("batch", True))
     rect = hull_steady_rectangle(
         model, spec.x0,
         horizon=float(opts.get("horizon", max(spec.horizon, 50.0))),
-        batch=batch,
         settle=bool(opts.get("settle", True)),
     )
     out.findings[q.prefixed("steady_hull_converged")] = float(rect.converged)
@@ -267,7 +262,6 @@ def _run_steadystate(model, spec: ScenarioSpec,
         curve = uncertain_fixed_points(
             model, resolution=int(opts.get("fp_resolution", 11)),
             x0_guess=opts.get("x0_guess"),
-            batch=batch,
         )
         inside = sum(region.contains(fp, tol=1e-3) for fp in curve)
         out.findings[q.prefixed("uncertain_fp_inside_region")] = float(inside)

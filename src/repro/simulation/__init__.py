@@ -21,17 +21,13 @@ Policies provided (Section V-E of the paper uses the last two):
 The SSA itself (:func:`simulate`) is an exact Gillespie/first-reaction
 scheme on the lattice chain of :class:`~repro.population.FinitePopulation`.
 
-Ensembles and engines
----------------------
+Ensembles
+---------
 :func:`batch_simulate` runs ``n_runs`` independent replications and
-aggregates them into a :class:`BatchResult`.  It has two engines:
-
-- ``engine="vectorized"`` (default) — delegates to
-  :func:`repro.engine.simulate_ensemble`, which steps the whole
-  ensemble as ``(n_runs, d)`` arrays with batched rate evaluation and
-  per-row clocks drawn from a single generator;
-- ``engine="scalar"`` — the legacy loop over :func:`simulate`, kept for
-  differential testing of the vectorized engine.
+aggregates them into a :class:`BatchResult`.  An ensemble delegates to
+:func:`repro.engine.simulate_ensemble`, which steps all replications as
+``(n_runs, d)`` arrays with batched rate evaluation and per-row clocks
+drawn from a single generator; a single run calls :func:`simulate`.
 
 *Why the vectorized engine is still exact.*  Each ensemble row runs its
 own direct-method race, asynchronously in its own clock: the row's
@@ -50,10 +46,11 @@ properties carry the scalar kernel's exactness argument over unchanged:
    mutually independent and each is distributed exactly as a scalar
    SSA run.
 
-Consequently the two engines are *statistically* indistinguishable
-(they consume the random stream in different orders, so paths differ
-for a fixed seed); ``tests/test_engine_equivalence.py`` pins them
-together through CLT bands and two-sample KS tests.
+Consequently the vectorized engine and a loop of :func:`simulate` are
+*statistically* indistinguishable (they consume the random stream in
+different orders, so paths differ for a fixed seed);
+``tests/test_engine_equivalence.py`` pins them together through CLT
+bands and two-sample KS tests.
 """
 
 from repro.simulation.adversarial import (

@@ -8,26 +8,22 @@ and the final-state empirical cloud.  Used by the convergence studies
 and by users estimating fluctuation bands around the mean-field bounds
 (the CLT-scale ``O(1/sqrt(N))`` band of Theorem 2's ``eps_N``).
 
-Two execution engines produce the same :class:`BatchResult`:
-
-- ``engine="vectorized"`` (default) delegates to
-  :func:`repro.engine.simulate_ensemble`, which steps the whole
-  ensemble as ``(n_runs, d)`` arrays — the fast path for the large-``N``
-  / many-run workloads of Figure 6;
-- ``engine="scalar"`` is the legacy loop over the scalar
-  :func:`~repro.simulation.simulate` kernel (replication ``r`` seeded
-  ``seed + r``), kept for differential testing of the vectorized engine.
-
-The engines consume randomness differently, so for a fixed seed they
-produce different trajectories with the *same* law; the equivalence
-tests compare them through ensemble statistics.
+An ensemble of ``n_runs > 1`` replications delegates to
+:func:`repro.engine.simulate_ensemble`, which steps the whole ensemble
+as ``(n_runs, d)`` arrays.  A single run calls the scalar
+:func:`~repro.simulation.simulate` kernel directly: with one row there
+is nothing to amortise the batching overhead over.  The equivalence
+tests compare the vectorized engine with a loop of :func:`simulate`
+(replication ``r`` seeded ``seed + r``) through ensemble statistics —
+the two consume randomness differently, so for a fixed seed they
+produce different trajectories with the *same* law.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -138,7 +134,6 @@ def batch_simulate(
     seed: int = 0,
     n_samples: int = 200,
     t_start: float = 0.0,
-    engine: str = "vectorized",
 ) -> BatchResult:
     """Run ``n_runs`` independent replications and aggregate them.
 
@@ -149,18 +144,8 @@ def batch_simulate(
         (policies are stateful; sharing one instance across runs would
         leak mode state even though ``reset`` is called).
     seed:
-        Base seed.  With ``engine="scalar"`` replication ``r`` uses
-        ``default_rng(seed + r)``; the vectorized engine drives every
-        row from the single ``default_rng(seed)``.
-    engine:
-        ``"vectorized"`` (default) steps the whole ensemble at once via
-        :func:`repro.engine.simulate_ensemble`; ``"scalar"`` is the
-        legacy per-replication loop kept for differential testing.
-        A single-run ensemble (``n_runs=1``) always uses the scalar
-        kernel: with one row there is nothing to amortise the batching
-        overhead over, so the scalar loop *is* the fast engine there
-        (both engines sample the same law, and replication 0 is seeded
-        ``default_rng(seed)`` either way).
+        Seed of the single ``default_rng(seed)`` that drives every
+        replication.
 
     All inputs are validated before any simulation work starts, so a
     bad call fails fast with a specific error instead of surfacing as a
@@ -169,12 +154,8 @@ def batch_simulate(
     n_runs = validate_ensemble_args(n_runs, t_final, t_start, n_samples)
     if not callable(policy_factory):
         raise TypeError("policy_factory must be a zero-argument callable")
-    if engine not in ("vectorized", "scalar"):
-        raise ValueError(
-            f"engine must be 'vectorized' or 'scalar', got {engine!r}"
-        )
 
-    if engine == "vectorized" and n_runs > 1:
+    if n_runs > 1:
         from repro.engine import simulate_ensemble
 
         return simulate_ensemble(
@@ -182,30 +163,20 @@ def batch_simulate(
             n_samples=n_samples, t_start=t_start,
         )
 
-    paths = []
-    times: Optional[np.ndarray] = None
-    n_events = 0
-    n_policy_jumps = 0
-    for r in range(n_runs):
-        rng = np.random.default_rng(seed + r)
-        try:
-            run: SimulationResult = simulate(
-                population, policy_factory(), t_final, rng=rng,
-                n_samples=n_samples, t_start=t_start,
-            )
-        except Exception as exc:
-            raise RuntimeError(
-                f"batch_simulate: replication {r} (seed {seed + r}) "
-                f"failed: {exc}"
-            ) from exc
-        times = run.times if times is None else times
-        paths.append(run.states)
-        n_events += run.n_events
-        n_policy_jumps += run.n_policy_jumps
+    try:
+        run: SimulationResult = simulate(
+            population, policy_factory(), t_final,
+            rng=np.random.default_rng(seed), n_samples=n_samples,
+            t_start=t_start,
+        )
+    except Exception as exc:
+        raise RuntimeError(
+            f"batch_simulate: replication 0 (seed {seed}) failed: {exc}"
+        ) from exc
     return BatchResult(
-        times=times.copy(),
-        states=np.stack(paths),
+        times=run.times.copy(),
+        states=run.states[None],
         population_size=population.population_size,
-        n_events=n_events,
-        n_policy_jumps=n_policy_jumps,
+        n_events=run.n_events,
+        n_policy_jumps=run.n_policy_jumps,
     )

@@ -285,7 +285,6 @@ def uncertain_fixed_points(
     resolution: int = 41,
     x0_guess=None,
     settle_time: float = 60.0,
-    batch: bool = True,
 ) -> np.ndarray:
     """Equilibria of the uncertain models over a parameter grid.
 
@@ -295,14 +294,10 @@ def uncertain_fixed_points(
     Figures 3 and 5; by Corollary 2 the stationary measures of the
     uncertain processes concentrate on these points.
 
-    With ``batch`` enabled (the default) the whole grid settles at once
-    through :func:`~repro.ode.find_fixed_point_batch` — one vectorized
-    integrator loop instead of one scipy solve per ``theta``, each lane
-    started from ``x0_guess`` and Newton-polished to the same tolerance.
-    The scalar path (``batch=False``) keeps the legacy warm-started
-    continuation along the grid; both land on the same attractor branch
-    for the catalog models and are pinned against each other in the
-    differential suite.
+    The whole grid settles at once through
+    :func:`~repro.ode.find_fixed_point_batch` — one vectorized
+    integrator loop, each lane started from ``x0_guess`` and
+    Newton-polished to the same tolerance.
     """
     if x0_guess is None:
         if model.state_lower is not None:
@@ -311,28 +306,21 @@ def uncertain_fixed_points(
             x0_guess = np.full(model.dim, 0.5)
     guess = np.asarray(x0_guess, dtype=float)
     thetas = model.theta_set.grid(resolution)
-    if batch:
-        result = find_fixed_point_batch(
-            lambda X, th: model.drift_batch(X, th),
-            np.broadcast_to(guess, (thetas.shape[0], model.dim)),
-            settle_time=settle_time,
-            lane_args=thetas,
+    result = find_fixed_point_batch(
+        lambda X, th: model.drift_batch(X, th),
+        np.broadcast_to(guess, (thetas.shape[0], model.dim)),
+        settle_time=settle_time,
+        lane_args=thetas,
+    )
+    if not result.converged.all():
+        # Lanes inside the acceptance band but above tol are usable,
+        # but not silently so.
+        n_loose = int(np.count_nonzero(~result.converged))
+        warnings.warn(
+            f"{n_loose} of {len(result)} equilibria settled with "
+            f"residual above tolerance (worst |f| = "
+            f"{float(result.residuals.max()):.2e})",
+            RuntimeWarning,
+            stacklevel=2,
         )
-        if not result.converged.all():
-            # Mirror the scalar path's near-miss signal: lanes inside
-            # the acceptance band but above tol are usable, not silent.
-            n_loose = int(np.count_nonzero(~result.converged))
-            warnings.warn(
-                f"{n_loose} of {len(result)} equilibria settled with "
-                f"residual above tolerance (worst |f| = "
-                f"{float(result.residuals.max()):.2e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return result.points
-    out = np.empty((thetas.shape[0], model.dim))
-    for k, theta in enumerate(thetas):
-        fp = find_fixed_point(model.drift_fn(theta), guess, settle_time=settle_time)
-        out[k] = fp
-        guess = fp
-    return out
+    return result.points

@@ -46,7 +46,6 @@ def hull_steady_rectangle(
     horizon: float = 200.0,
     residual_window: float = 0.05,
     residual_tol: float = 1e-6,
-    batch: bool = True,
     settle: bool = True,
     **hull_kwargs,
 ) -> HullRectangle:
@@ -63,11 +62,6 @@ def hull_steady_rectangle(
         is assessed.
     residual_tol:
         Maximum bound movement over the window for ``converged=True``.
-    batch:
-        Integrate the hull through the batched extremiser RHS (the
-        default; the long stationarity horizon makes this the most
-        extremisation-heavy workload in the library).  ``batch=False``
-        selects the legacy per-corner loop.
     settle:
         After a finite integration, polish the rectangle to the *exact*
         zero of the hull field through
@@ -83,8 +77,7 @@ def hull_steady_rectangle(
         threshold, ...).
     """
     t_eval = np.linspace(0.0, float(horizon), 401)
-    bounds = differential_hull_bounds(model, x0, t_eval, batch=batch,
-                                      **hull_kwargs)
+    bounds = differential_hull_bounds(model, x0, t_eval, **hull_kwargs)
     window = max(2, int(np.ceil(residual_window * t_eval.shape[0])))
     tail_lower = bounds.lower[-window:]
     tail_upper = bounds.upper[-window:]
@@ -109,7 +102,6 @@ def hull_steady_rectangle(
         # is exactly the field that was integrated.
         field = hull_vector_field(
             model,
-            batch=batch,
             **{key: hull_kwargs[key]
                for key in ("x_samples_per_axis", "refine", "theta_method")
                if key in hull_kwargs},

@@ -1,0 +1,402 @@
+"""Reference oracles for the batched kernels of the library.
+
+The library computes every bound through one batched implementation.
+The functions here are the plain, one-query-at-a-time versions of the
+same computations — a knapsack per row, an extremisation per query, an
+ODE solve per constant ``theta``, an SSA run per replication — kept only
+so the tests can pin the batched kernels against an independent
+computation.  Nothing under ``src/`` imports this module.
+
+Each oracle documents what it is the reference for; the tests choose the
+tolerance (exact equality where the arithmetic is the same, integrator
+tolerance where the batched path shares one adaptive step sequence).
+"""
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from repro.bounds import UncertainEnvelope, extremal_trajectory
+from repro.bounds.hull import _refined_extremum, _slice_candidates
+from repro.bounds.pontryagin import TransientBounds, _resolve_directions
+from repro.bounds.sweep import _resolve_weights
+from repro.ctmc.kolmogorov import KolmogorovSystem
+from repro.inclusion import DriftExtremizer
+from repro.ode import find_fixed_point, rk4_integrate, solve_ode
+from repro.params import DiscreteSet
+from repro.simulation import BatchResult, simulate
+
+# ----------------------------------------------------------------------
+# Drift extremisation: DriftExtremizer.*_batch
+# ----------------------------------------------------------------------
+
+
+def maximize_direction(extremizer, x, direction):
+    """``(theta*, value)`` maximising ``direction . f(x, theta)``, one query.
+
+    Follows the extremizer's configured strategy (``affine`` bang-bang,
+    ``corners`` or ``grid`` enumeration with optional L-BFGS-B polish).
+    """
+    x = np.asarray(x, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    model = extremizer.model
+    if extremizer.method == "affine":
+        return _maximize_affine(extremizer, x, direction)
+    if extremizer.method == "corners":
+        return _maximize_enumerate(model, x, direction,
+                                   model.theta_set.corners())
+    theta, value = _maximize_enumerate(model, x, direction,
+                                       extremizer._theta_grid())
+    if not extremizer.refine or isinstance(model.theta_set, DiscreteSet):
+        return theta, value
+    return extremizer._polish(x, direction, theta, value)
+
+
+def _maximize_affine(extremizer, x, direction):
+    g0, big_g = extremizer.model.affine_parts(x)
+    base = float(direction @ g0)
+    coeffs = direction @ big_g
+    theta_set = extremizer.model.theta_set
+    if isinstance(theta_set, DiscreteSet):
+        values = theta_set.values @ coeffs
+        best = int(np.argmax(values))
+        return theta_set.values[best].copy(), base + float(values[best])
+    lowers, uppers = extremizer._box_bounds(theta_set)
+    # Zero coefficients take the lower bound, as the batch kernel does.
+    theta = np.where(coeffs > 0.0, uppers, lowers)
+    return theta, base + float(coeffs @ theta)
+
+
+def _maximize_enumerate(model, x, direction, candidates):
+    values = np.array([float(direction @ model.drift(x, theta))
+                       for theta in candidates])
+    best = int(np.argmax(values))
+    return np.asarray(candidates[best], dtype=float).copy(), float(values[best])
+
+
+def maximize_direction_rows(extremizer, states, directions):
+    """:func:`maximize_direction` row by row: ``(thetas, values)``."""
+    pairs = [maximize_direction(extremizer, x, p)
+             for x, p in zip(states, directions)]
+    return (np.array([theta for theta, _ in pairs]),
+            np.array([value for _, value in pairs]))
+
+
+def minimize_direction(extremizer, x, direction):
+    theta, value = maximize_direction(extremizer, x,
+                                      -np.asarray(direction, dtype=float))
+    return theta, -value
+
+
+def support(extremizer, x, direction):
+    return maximize_direction(extremizer, x, direction)[1]
+
+
+def coordinate_range(extremizer, x, index):
+    """``(min, max)`` of drift coordinate ``index`` over ``Theta``."""
+    e = np.zeros(extremizer.model.dim)
+    e[index] = 1.0
+    return (-maximize_direction(extremizer, x, -e)[1],
+            maximize_direction(extremizer, x, e)[1])
+
+
+def velocity_envelope(extremizer, x):
+    """Coordinate-wise bounds of ``F(x)``: one range per coordinate."""
+    ranges = [coordinate_range(extremizer, x, i)
+              for i in range(extremizer.model.dim)]
+    return (np.array([lo for lo, _ in ranges]),
+            np.array([hi for _, hi in ranges]))
+
+
+# ----------------------------------------------------------------------
+# Differential hull: hull_vector_field / differential_hull_bounds
+# ----------------------------------------------------------------------
+
+
+def hull_field(model, x_samples_per_axis=2, refine=False,
+               theta_method="auto"):
+    """The hull pair field, one coordinate range per slice candidate."""
+    d = model.dim
+    extremizer = DriftExtremizer(model, method=theta_method)
+
+    def field(t, z):
+        lower, upper = z[:d], np.maximum(z[d:], z[:d])
+        dlo, dhi = np.empty(d), np.empty(d)
+        for i in range(d):
+            dlo[i] = min(
+                coordinate_range(extremizer, x, i)[0]
+                for x in _slice_candidates(lower, upper, i, lower[i],
+                                           x_samples_per_axis)
+            )
+            dhi[i] = max(
+                coordinate_range(extremizer, x, i)[1]
+                for x in _slice_candidates(lower, upper, i, upper[i],
+                                           x_samples_per_axis)
+            )
+            if refine:
+                dlo[i] = min(dlo[i], _refined_extremum(
+                    extremizer, lower, upper, i, lower[i], minimise=True))
+                dhi[i] = max(dhi[i], _refined_extremum(
+                    extremizer, lower, upper, i, upper[i], minimise=False))
+        return np.concatenate([dlo, dhi])
+
+    return field
+
+
+def hull_bounds(model, x0, t_eval, rtol=1e-7, atol=1e-9, **field_kwargs):
+    """``(lower, upper)`` of the hull integrated with the reference field.
+
+    Same scipy integrator and tolerances as the library, without the
+    blow-up cut-off (the tests compare hulls before any blow-up).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    t_eval = np.asarray(t_eval, dtype=float)
+    sol = solve_ivp(hull_field(model, **field_kwargs),
+                    (float(t_eval[0]), float(t_eval[-1])),
+                    np.concatenate([x0, x0]), t_eval=t_eval,
+                    rtol=rtol, atol=atol)
+    return sol.y[:model.dim].T, sol.y[model.dim:].T
+
+
+# ----------------------------------------------------------------------
+# Constant-theta sweeps: uncertain_envelope, uncertain_reward_envelope,
+# uncertain_fixed_points
+# ----------------------------------------------------------------------
+
+
+def _sweep_thetas(theta_set, resolution):
+    return np.unique(np.vstack([theta_set.grid(resolution),
+                                theta_set.corners()]), axis=0)
+
+
+def uncertain_envelope(model, x0, t_eval, resolution=15, observables=None,
+                       rtol=1e-8, atol=1e-10, integrator="adaptive",
+                       rk4_steps=400):
+    """The envelope from one ODE solve per constant ``theta``.
+
+    ``"adaptive"`` solves each ``theta`` with scipy's ``solve_ivp``;
+    ``"rk4"`` with the scalar fixed-grid RK4 on the same grid the
+    library builds, interpolated back onto ``t_eval``.
+    """
+    t_eval = np.asarray(t_eval, dtype=float)
+    weights = _resolve_weights(model, observables)
+    thetas = _sweep_thetas(model.theta_set, resolution)
+    t_span = (float(t_eval[0]), float(t_eval[-1]))
+    descending = t_span[0] > t_span[1]
+    values = {name: np.empty((thetas.shape[0], t_eval.shape[0]))
+              for name in weights}
+    for k, theta in enumerate(thetas):
+        if integrator == "rk4":
+            grid = np.union1d(np.linspace(t_span[0], t_span[1],
+                                          int(rk4_steps) + 1), t_eval)
+            traj = rk4_integrate(model.vector_field(theta), x0,
+                                 grid[::-1] if descending else grid)
+            states = (traj.reversed_time() if descending else traj)(t_eval)
+        else:
+            states = solve_ode(model.vector_field(theta), x0, t_span,
+                               t_eval=t_eval, rtol=rtol, atol=atol).states
+        for name, w in weights.items():
+            values[name][k] = states @ w
+    env = UncertainEnvelope(times=t_eval.copy(), thetas=thetas)
+    columns = np.arange(t_eval.shape[0])
+    for name, arr in values.items():
+        k_min, k_max = np.argmin(arr, axis=0), np.argmax(arr, axis=0)
+        env.lower[name] = arr[k_min, columns]
+        env.upper[name] = arr[k_max, columns]
+        env.argmin_theta[name] = thetas[k_min]
+        env.argmax_theta[name] = thetas[k_max]
+    return env
+
+
+def uncertain_reward_envelope(chain, reward, t_eval, p0=None, resolution=9):
+    """``(lower, upper)`` of ``r . P(t)``: one master-equation solve per theta."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    reward = np.asarray(reward, dtype=float)
+    p0 = chain.initial_distribution if p0 is None else np.asarray(p0, float)
+    system = KolmogorovSystem(chain)
+    values = np.array([
+        solve_ode(system.vector_field(theta), p0,
+                  (float(t_eval[0]), float(t_eval[-1])), t_eval=t_eval,
+                  rtol=1e-9, atol=1e-11).states @ reward
+        for theta in _sweep_thetas(chain.model.theta_set, resolution)
+    ])
+    return values.min(axis=0), values.max(axis=0)
+
+
+def uncertain_fixed_points(model, resolution=41, x0_guess=None,
+                           settle_time=60.0):
+    """Equilibria along the theta grid by warm-started continuation."""
+    if x0_guess is None:
+        x0_guess = (np.full(model.dim, 0.5) if model.state_lower is None
+                    else 0.5 * (model.state_lower + model.state_upper))
+    guess = np.asarray(x0_guess, dtype=float)
+    out = []
+    for theta in model.theta_set.grid(resolution):
+        guess = find_fixed_point(model.drift_fn(theta), guess,
+                                 settle_time=settle_time)
+        out.append(guess)
+    return np.array(out)
+
+
+# ----------------------------------------------------------------------
+# Interval DTMCs: IntervalDTMC.extreme_rows_batch and the operators
+# ----------------------------------------------------------------------
+
+
+def extreme_row(dtmc, row, reward, maximize=True):
+    """One row's credal-set extremiser: the greedy fractional knapsack.
+
+    Start from the mandatory lower bounds and hand the remaining mass
+    ``1 - sum(lower)`` to the coordinates with the largest (smallest)
+    reward, capped at the upper bounds.
+    """
+    reward = np.asarray(reward, dtype=float)
+    p = dtmc.lower[row].copy()
+    slack = 1.0 - float(p.sum())
+    for j in np.argsort(-reward if maximize else reward):
+        if slack <= 0.0:
+            break
+        take = min(dtmc.upper[row, j] - p[j], slack)
+        p[j] += take
+        slack -= take
+    if slack > 1e-9:
+        raise RuntimeError("credal set inconsistency: mass left over")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-12:
+        p = p / total
+    return p
+
+
+def extreme_rows(dtmc, reward, maximize=True):
+    return np.array([extreme_row(dtmc, i, reward, maximize)
+                     for i in range(dtmc.n_states)])
+
+
+def upper_operator(dtmc, reward):
+    reward = np.asarray(reward, dtype=float)
+    return extreme_rows(dtmc, reward) @ reward
+
+
+def lower_operator(dtmc, reward):
+    return -upper_operator(dtmc, -np.asarray(reward, dtype=float))
+
+
+def upper_expectation(dtmc, reward, steps):
+    value = np.asarray(reward, dtype=float).copy()
+    for _ in range(steps):
+        value = upper_operator(dtmc, value)
+    return value
+
+
+def expectation_bounds(dtmc, reward, steps):
+    return (-upper_expectation(dtmc, -np.asarray(reward, dtype=float), steps),
+            upper_expectation(dtmc, reward, steps))
+
+
+def stationary_expectation_bounds(dtmc, reward, tol=1e-10,
+                                  max_iter=100_000):
+    """Iterate each operator until the value vector flattens."""
+    bounds = []
+    for operator in (lower_operator, upper_operator):
+        value = np.asarray(reward, dtype=float).copy()
+        for _ in range(max_iter):
+            new_value = operator(dtmc, value)
+            flat = (new_value.max() - new_value.min() < tol
+                    and np.max(np.abs(new_value - value)) < tol)
+            value = new_value
+            if flat:
+                break
+        else:
+            raise RuntimeError("stationary iteration did not flatten")
+        bounds.append(float(value.mean()))
+    return bounds[0], bounds[1]
+
+
+def uniformized_bounds(dtmc, reward, horizon, rate, tail_tol=1e-12):
+    """Poisson-mixed step bounds of one reward, one row knapsack at a time."""
+    reward = np.asarray(reward, dtype=float)
+    mean = rate * horizon
+    n_terms = int(np.ceil(mean + 10.0 * np.sqrt(mean + 1.0) + 10.0))
+    value = np.stack([reward, -reward])
+    weight = np.exp(-mean)
+    accumulated = weight
+    mixed = weight * value
+    for k in range(1, n_terms + 1):
+        value = np.stack([upper_operator(dtmc, lane) for lane in value])
+        weight *= mean / k
+        mixed = mixed + weight * value
+        accumulated += weight
+        if 1.0 - accumulated < tail_tol:
+            break
+    tail = max(1.0 - accumulated, 0.0)
+    return (-(mixed[1] + tail * (-reward).max()),
+            mixed[0] + tail * reward.max())
+
+
+# ----------------------------------------------------------------------
+# Pontryagin: the warm-started horizon ladder
+# ----------------------------------------------------------------------
+
+
+def resample_controls(old_grid, old_controls, new_grid):
+    """Carry a piecewise-constant control onto a new grid (midpoint lookup)."""
+    mids = 0.5 * (new_grid[:-1] + new_grid[1:])
+    index = np.searchsorted(old_grid, mids, side="right") - 1
+    return old_controls[np.clip(index, 0, old_controls.shape[0] - 1)]
+
+
+def warm_started_bounds(model, x0, horizons, observables=None,
+                        steps_per_unit=100.0, min_steps=60, max_iter=100,
+                        tol=1e-7, sides=("lower", "upper")):
+    """Sequential Pontryagin bounds over a horizon ladder.
+
+    One scalar sweep per (observable, side, horizon), each horizon
+    warm-started from the previous horizon's optimal control — the
+    reference for the cold-started lanes of
+    :func:`repro.bounds.pontryagin_transient_bounds`.
+    """
+    horizons = np.asarray(horizons, dtype=float)
+    extremizer = DriftExtremizer(model)
+    bounds = TransientBounds(horizons=horizons.copy())
+    for name, c in _resolve_directions(model, observables).items():
+        bounds.lower[name] = np.full(horizons.shape[0], np.nan)
+        bounds.upper[name] = np.full(horizons.shape[0], np.nan)
+        for is_max in (False, True):
+            if ("upper" if is_max else "lower") not in sides:
+                continue
+            warm = None
+            for k, horizon in enumerate(horizons):
+                n_steps = max(min_steps, int(np.ceil(horizon * steps_per_unit)))
+                initial = None if warm is None else resample_controls(
+                    *warm, np.linspace(0.0, horizon, n_steps + 1))
+                result = extremal_trajectory(
+                    model, x0, horizon, c, maximize=is_max, n_steps=n_steps,
+                    max_iter=max_iter, tol=tol, extremizer=extremizer,
+                    initial_controls=initial,
+                )
+                warm = (result.times, result.controls)
+                target = bounds.upper if is_max else bounds.lower
+                target[name][k] = result.value
+    return bounds
+
+
+# ----------------------------------------------------------------------
+# SSA ensembles: repro.engine.simulate_ensemble
+# ----------------------------------------------------------------------
+
+
+def simulate_runs(population, policy_factory, t_final, n_runs, seed=0,
+                  n_samples=200, t_start=0.0):
+    """``n_runs`` scalar SSA replications, replication ``r`` seeded ``seed + r``."""
+    runs = [
+        simulate(population, policy_factory(), t_final,
+                 rng=np.random.default_rng(seed + r), n_samples=n_samples,
+                 t_start=t_start)
+        for r in range(n_runs)
+    ]
+    return BatchResult(
+        times=runs[0].times.copy(),
+        states=np.stack([run.states for run in runs]),
+        population_size=population.population_size,
+        n_events=sum(run.n_events for run in runs),
+        n_policy_jumps=sum(run.n_policy_jumps for run in runs),
+    )

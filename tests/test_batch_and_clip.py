@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.geometry import (
     ConvexPolygon,
     clip_convex,
@@ -130,15 +131,19 @@ class TestBatchSimulate:
             batch_simulate(pop, lambda: ConstantPolicy([5.0]), 1.0, n_runs=0)
 
     def test_engine_selection(self, sir_model):
+        """An ensemble runs on the vectorized engine; a single run is the
+        scalar SSA kernel seeded ``default_rng(seed)``."""
         pop = sir_model.instantiate(50, [0.7, 0.3])
-        for engine in ("vectorized", "scalar"):
+        for n_runs in (1, 2):
             batch = batch_simulate(pop, lambda: ConstantPolicy([5.0]), 0.5,
-                                   n_runs=2, seed=0, n_samples=5,
-                                   engine=engine)
-            assert batch.states.shape == (2, 5, 2)
-        with pytest.raises(ValueError, match="engine"):
-            batch_simulate(pop, lambda: ConstantPolicy([5.0]), 0.5,
-                           n_runs=2, engine="warp-drive")
+                                   n_runs=n_runs, seed=0, n_samples=5)
+            assert batch.states.shape == (n_runs, 5, 2)
+        single = batch_simulate(pop, lambda: ConstantPolicy([5.0]), 0.5,
+                                n_runs=1, seed=7, n_samples=5)
+        scalar = ref.simulate_runs(pop, lambda: ConstantPolicy([5.0]), 0.5,
+                                   n_runs=1, seed=7, n_samples=5)
+        np.testing.assert_array_equal(single.states, scalar.states)
+        assert single.n_events == scalar.n_events
 
 
 class TestBatchSimulateValidation:
@@ -148,10 +153,10 @@ class TestBatchSimulateValidation:
 
     def test_zero_runs_both_engines(self, sir_model):
         pop = sir_model.instantiate(10, [0.7, 0.3])
-        for engine in ("vectorized", "scalar"):
+        for n_runs in (0, -1):
             with pytest.raises(ValueError, match="n_runs must be positive"):
                 batch_simulate(pop, lambda: ConstantPolicy([5.0]), 1.0,
-                               n_runs=0, engine=engine)
+                               n_runs=n_runs)
 
     def test_non_integer_runs(self, sir_model):
         pop = sir_model.instantiate(10, [0.7, 0.3])
@@ -186,7 +191,7 @@ class TestBatchSimulateValidation:
         with pytest.raises(RuntimeError,
                            match="replication 0.*boom") as err:
             batch_simulate(pop, lambda: ExplodingPolicy([5.0]), 1.0,
-                           n_runs=3, engine="scalar")
+                           n_runs=1)
         assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_failing_policy_vectorized_propagates(self, sir_model):
@@ -198,4 +203,4 @@ class TestBatchSimulateValidation:
 
         with pytest.raises(RuntimeError, match="boom"):
             batch_simulate(pop, lambda: ExplodingPolicy([5.0]), 1.0,
-                           n_runs=3, engine="vectorized")
+                           n_runs=3)

@@ -1,13 +1,13 @@
 """Differential suite for the batched credal-operator kernels.
 
-Pins the batched interval-DTMC machinery against the legacy scalar
-paths with *exact* equality — the batch kernels reproduce the legacy
-knapsack's sequential rounding and share its final contraction, so any
-deviation at all is a bug.  The catalog-derived half of the suite also
-discharges the promise in the :mod:`repro.ctmc.interval_dtmc` module
-docstring: the entry-wise interval relaxation is conservative with
-respect to the exact imprecise-CTMC bounds of
-:func:`repro.ctmc.imprecise_reward_bounds`.
+Pins the batched interval-DTMC machinery against the one-row-at-a-time
+reference oracles of ``tests/reference_impls.py`` with *exact* equality
+— the batch kernels reproduce the greedy knapsack's sequential rounding
+and share its final contraction, so any deviation at all is a bug.  The
+catalog-derived half of the suite also discharges the promise in the
+:mod:`repro.ctmc.interval_dtmc` module docstring: the entry-wise
+interval relaxation is conservative with respect to the exact
+imprecise-CTMC bounds of :func:`repro.ctmc.imprecise_reward_bounds`.
 
 CI runs this file with a skip detector: every test here must execute.
 """
@@ -15,6 +15,7 @@ CI runs this file with a skip detector: every test here must execute.
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.bounds.sweep import uncertain_envelope
 from repro.ctmc import (
     ImpreciseCTMC,
@@ -31,13 +32,6 @@ from repro.models import (
 
 #: (n_states, interval width, seed) triples for the random-chain half.
 RANDOM_CASES = [(2, 0.05, 0), (7, 0.15, 1), (23, 0.08, 2), (60, 0.02, 3)]
-
-
-def _scalar_rows(dtmc, reward, maximize):
-    return np.array(
-        [dtmc.extreme_row(i, reward, maximize=maximize)
-         for i in range(dtmc.n_states)]
-    )
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +55,7 @@ class TestRandomChainsDifferential:
         for reward in (rng.normal(size=n), rng.random(n), np.zeros(n)):
             for maximize in (True, False):
                 batch = dtmc.extreme_rows_batch(reward, maximize=maximize)
-                legacy = _scalar_rows(dtmc, reward, maximize)
+                legacy = ref.extreme_rows(dtmc, reward, maximize)
                 assert np.array_equal(batch, legacy)
 
     @pytest.mark.parametrize("n,width,seed", RANDOM_CASES)
@@ -71,19 +65,19 @@ class TestRandomChainsDifferential:
         reward = rng.normal(size=n)
         assert np.array_equal(
             dtmc.upper_operator(reward),
-            dtmc.upper_operator(reward, batch=False),
+            ref.upper_operator(dtmc, reward),
         )
         assert np.array_equal(
             dtmc.lower_operator(reward),
-            dtmc.lower_operator(reward, batch=False),
+            ref.lower_operator(dtmc, reward),
         )
         # 40 iterations compound any rounding divergence into visibility.
         assert np.array_equal(
             dtmc.upper_expectation(reward, 40),
-            dtmc.upper_expectation(reward, 40, batch=False),
+            ref.upper_expectation(dtmc, reward, 40),
         )
         lo_b, hi_b = dtmc.expectation_bounds(reward, 25)
-        lo_s, hi_s = dtmc.expectation_bounds(reward, 25, batch=False)
+        lo_s, hi_s = ref.expectation_bounds(dtmc, reward, 25)
         assert np.array_equal(lo_b, lo_s)
         assert np.array_equal(hi_b, hi_s)
 
@@ -95,11 +89,11 @@ class TestRandomChainsDifferential:
         values = dtmc.upper_operator_batch(stack)
         lo, hi = dtmc.expectation_bounds_batch(stack, 12)
         for k in range(stack.shape[0]):
-            assert np.array_equal(rows[k], _scalar_rows(dtmc, stack[k], True))
+            assert np.array_equal(rows[k], ref.extreme_rows(dtmc, stack[k]))
             assert np.array_equal(
-                values[k], dtmc.upper_operator(stack[k], batch=False)
+                values[k], ref.upper_operator(dtmc, stack[k])
             )
-            lo_k, hi_k = dtmc.expectation_bounds(stack[k], 12, batch=False)
+            lo_k, hi_k = ref.expectation_bounds(dtmc, stack[k], 12)
             assert np.array_equal(lo[k], lo_k)
             assert np.array_equal(hi[k], hi_k)
 
@@ -108,7 +102,7 @@ class TestRandomChainsDifferential:
         dtmc = random_interval_dtmc(9, rng, width=0.05)
         reward = rng.random(9)
         assert dtmc.stationary_expectation_bounds(reward) == \
-            dtmc.stationary_expectation_bounds(reward, batch=False)
+            ref.stationary_expectation_bounds(dtmc, reward)
 
 
 class TestCatalogChainsDifferential:
@@ -120,11 +114,11 @@ class TestCatalogChainsDifferential:
         for maximize in (True, False):
             assert np.array_equal(
                 dtmc.extreme_rows_batch(reward, maximize=maximize),
-                _scalar_rows(dtmc, reward, maximize),
+                ref.extreme_rows(dtmc, reward, maximize),
             )
         steps = max(1, int(np.ceil(1.0 * rate)))
         lo_b, hi_b = dtmc.expectation_bounds(reward, steps)
-        lo_s, hi_s = dtmc.expectation_bounds(reward, steps, batch=False)
+        lo_s, hi_s = ref.expectation_bounds(dtmc, reward, steps)
         assert np.array_equal(lo_b, lo_s)
         assert np.array_equal(hi_b, hi_s)
 
@@ -165,7 +159,7 @@ class TestCatalogChainsDifferential:
         dtmc, rate = IntervalDTMC.from_imprecise_ctmc(chain)
         reward = chain.densities()[:, 0]
         lo_b, hi_b = dtmc.uniformized_bounds(reward, 1.0, rate)
-        lo_s, hi_s = dtmc.uniformized_bounds(reward, 1.0, rate, batch=False)
+        lo_s, hi_s = ref.uniformized_bounds(dtmc, reward, 1.0, rate)
         assert np.array_equal(lo_b, lo_s)
         assert np.array_equal(hi_b, hi_s)
 
@@ -194,8 +188,8 @@ class TestBlockOdeSweep:
         _, lo_b, hi_b = uncertain_reward_envelope(
             chain, reward, t_eval, resolution=5
         )
-        _, lo_s, hi_s = uncertain_reward_envelope(
-            chain, reward, t_eval, resolution=5, batch=False
+        lo_s, hi_s = ref.uncertain_reward_envelope(
+            chain, reward, t_eval, resolution=5
         )
         np.testing.assert_allclose(lo_b, lo_s, atol=1e-8, rtol=0)
         np.testing.assert_allclose(hi_b, hi_s, atol=1e-8, rtol=0)
@@ -207,8 +201,8 @@ class TestBlockOdeSweep:
         _, lo_b, hi_b = uncertain_reward_envelope(
             chain, reward, t_eval, resolution=4
         )
-        _, lo_s, hi_s = uncertain_reward_envelope(
-            chain, reward, t_eval, resolution=4, batch=False
+        lo_s, hi_s = ref.uncertain_reward_envelope(
+            chain, reward, t_eval, resolution=4
         )
         np.testing.assert_allclose(lo_b, lo_s, atol=1e-8, rtol=0)
         np.testing.assert_allclose(hi_b, hi_s, atol=1e-8, rtol=0)
@@ -222,8 +216,7 @@ class TestBatchedRk4Sweep:
         t_eval = np.linspace(0.0, 2.0, 7)
         kwargs = dict(resolution=7, integrator="rk4", rk4_steps=120)
         env_b = uncertain_envelope(model, [0.7, 0.3], t_eval, **kwargs)
-        env_s = uncertain_envelope(model, [0.7, 0.3], t_eval, batch=False,
-                                   **kwargs)
+        env_s = ref.uncertain_envelope(model, [0.7, 0.3], t_eval, **kwargs)
         for name in env_b.observable_names:
             assert np.array_equal(env_b.lower[name], env_s.lower[name])
             assert np.array_equal(env_b.upper[name], env_s.upper[name])
@@ -237,7 +230,6 @@ class TestBatchedRk4Sweep:
         t_eval = np.linspace(0.0, 3.0, 5)
         kwargs = dict(resolution=3, integrator="rk4", rk4_steps=150)
         env_b = uncertain_envelope(model, [0.6], t_eval, **kwargs)
-        env_s = uncertain_envelope(model, [0.6], t_eval, batch=False,
-                                   **kwargs)
+        env_s = ref.uncertain_envelope(model, [0.6], t_eval, **kwargs)
         assert np.array_equal(env_b.lower["occupied"], env_s.lower["occupied"])
         assert np.array_equal(env_b.upper["occupied"], env_s.upper["occupied"])

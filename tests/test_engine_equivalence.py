@@ -1,6 +1,9 @@
-"""Statistical equivalence of the vectorized and scalar SSA engines.
+"""Statistical equivalence of the vectorized SSA engine and the scalar kernel.
 
-The two engines consume randomness differently, so trajectories differ
+:func:`repro.engine.simulate_ensemble` is compared with a loop of the
+scalar :func:`repro.simulation.simulate` (replication ``r`` seeded
+``seed + r``, ``tests/reference_impls.py``).  The two consume
+randomness differently, so trajectories differ
 path-by-path even for the same seed; what must agree is the *law* of
 the ensemble.  With fixed seeds these tests are deterministic, and the
 seeds are chosen so the checks sit far from their thresholds:
@@ -22,6 +25,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import reference_impls as ref
+from repro.engine import simulate_ensemble
 from repro.models import make_power_of_d_model, make_sir_model
 from repro.simulation import (
     ConstantPolicy,
@@ -33,10 +38,10 @@ from repro.simulation import (
 
 def run_both_engines(population, policy_factory, t_final, n_runs, seed,
                      n_samples=21):
-    vec = batch_simulate(population, policy_factory, t_final, n_runs=n_runs,
-                         seed=seed, n_samples=n_samples, engine="vectorized")
-    sca = batch_simulate(population, policy_factory, t_final, n_runs=n_runs,
-                         seed=seed, n_samples=n_samples, engine="scalar")
+    vec = simulate_ensemble(population, policy_factory, t_final,
+                            n_runs=n_runs, seed=seed, n_samples=n_samples)
+    sca = ref.simulate_runs(population, policy_factory, t_final,
+                            n_runs=n_runs, seed=seed, n_samples=n_samples)
     return vec, sca
 
 

@@ -1,18 +1,19 @@
-"""Differential tests: batched extremization == legacy scalar loop.
+"""Differential tests: batched extremization == one-query reference oracle.
 
 The batched kernels of :class:`repro.inclusion.DriftExtremizer` (and the
 model-level ``affine_parts_batch`` / ``drift_batch`` they sit on) claim
 *exactness*: every row of a batched call must reproduce the scalar
 evaluation of that row, in both the support value and the maximising
 ``theta``.  This suite pins that claim across the whole model catalog,
-random states and directions, and all three strategies — it is the test
-the ``batch=False`` legacy path exists for, and CI fails if any of it is
-skipped.
+random states and directions, and all three strategies against the
+one-query-at-a-time oracles of ``tests/reference_impls.py``; CI fails if
+any of it is skipped.
 """
 
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.bounds import (
     differential_hull_bounds,
     extremal_trajectory,
@@ -74,10 +75,9 @@ class TestBatchedEqualsScalar:
         rng = np.random.default_rng(20160527)
         states, directions = _random_batch(model, rng)
         batched = DriftExtremizer(model, method=method, grid_resolution=5)
-        scalar = DriftExtremizer(model, method=method, grid_resolution=5,
-                                 batch=False)
         thetas_b, values_b = batched.maximize_direction_batch(states, directions)
-        thetas_s, values_s = scalar.maximize_direction_batch(states, directions)
+        thetas_s, values_s = ref.maximize_direction_rows(batched, states,
+                                                         directions)
         np.testing.assert_allclose(values_b, values_s, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(thetas_b, thetas_s)
 
@@ -86,11 +86,9 @@ class TestBatchedEqualsScalar:
         rng = np.random.default_rng(11)
         states, directions = _random_batch(model, rng)
         batched = DriftExtremizer(model, method=method, grid_resolution=5)
-        scalar = DriftExtremizer(model, method=method, grid_resolution=5,
-                                 batch=False)
         for x, p in zip(states, directions):
             theta_b, value_b = batched.maximize_direction(x, p)
-            theta_s, value_s = scalar.maximize_direction(x, p)
+            theta_s, value_s = ref.maximize_direction(batched, x, p)
             assert value_b == pytest.approx(value_s, rel=1e-12, abs=1e-12)
             np.testing.assert_array_equal(theta_b, theta_s)
 
@@ -99,13 +97,11 @@ class TestBatchedEqualsScalar:
         rng = np.random.default_rng(42)
         states, directions = _random_batch(model, rng)
         batched = DriftExtremizer(model, method=method, grid_resolution=5)
-        scalar = DriftExtremizer(model, method=method, grid_resolution=5,
-                                 batch=False)
         thetas_b, values_b = batched.minimize_direction_batch(
             states, directions
         )
         for r, (x, p) in enumerate(zip(states, directions)):
-            theta_s, value_s = scalar.minimize_direction(x, p)
+            theta_s, value_s = ref.minimize_direction(batched, x, p)
             assert values_b[r] == pytest.approx(value_s, rel=1e-12, abs=1e-12)
             np.testing.assert_array_equal(thetas_b[r], theta_s)
 
@@ -114,11 +110,9 @@ class TestBatchedEqualsScalar:
         rng = np.random.default_rng(7)
         states, _ = _random_batch(model, rng)
         batched = DriftExtremizer(model, method=method, grid_resolution=5)
-        scalar = DriftExtremizer(model, method=method, grid_resolution=5,
-                                 batch=False)
         lower_b, upper_b = batched.velocity_envelope_batch(states)
         for r, x in enumerate(states):
-            lower_s, upper_s = scalar.velocity_envelope(x)
+            lower_s, upper_s = ref.velocity_envelope(batched, x)
             np.testing.assert_allclose(lower_b[r], lower_s, rtol=1e-12,
                                        atol=1e-12)
             np.testing.assert_allclose(upper_b[r], upper_s, rtol=1e-12,
@@ -129,16 +123,14 @@ class TestBatchedEqualsScalar:
         rng = np.random.default_rng(99)
         states, directions = _random_batch(model, rng)
         batched = DriftExtremizer(model, method=method, grid_resolution=5)
-        scalar = DriftExtremizer(model, method=method, grid_resolution=5,
-                                 batch=False)
         values = batched.support_batch(states, directions)
         for r, (x, p) in enumerate(zip(states, directions)):
-            assert values[r] == pytest.approx(scalar.support(x, p), rel=1e-12,
-                                              abs=1e-12)
+            assert values[r] == pytest.approx(ref.support(batched, x, p),
+                                              rel=1e-12, abs=1e-12)
         index = model.dim - 1
         lower_b, upper_b = batched.coordinate_range_batch(states, index)
         for r, x in enumerate(states):
-            lower_s, upper_s = scalar.coordinate_range(x, index)
+            lower_s, upper_s = ref.coordinate_range(batched, x, index)
             assert lower_b[r] == pytest.approx(lower_s, rel=1e-12, abs=1e-12)
             assert upper_b[r] == pytest.approx(upper_s, rel=1e-12, abs=1e-12)
 
@@ -244,10 +236,9 @@ class TestNonAffineAndDiscrete:
         directions = rng.normal(size=(6, 1))
         batched = DriftExtremizer(model, method="grid", grid_resolution=4,
                                   refine=refine)
-        scalar = DriftExtremizer(model, method="grid", grid_resolution=4,
-                                 refine=refine, batch=False)
         thetas_b, values_b = batched.maximize_direction_batch(states, directions)
-        thetas_s, values_s = scalar.maximize_direction_batch(states, directions)
+        thetas_s, values_s = ref.maximize_direction_rows(batched, states,
+                                                         directions)
         np.testing.assert_allclose(values_b, values_s, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(thetas_b, thetas_s, rtol=1e-9, atol=1e-12)
 
@@ -258,30 +249,42 @@ class TestNonAffineAndDiscrete:
             affine_drift=lambda x: (np.zeros(1), np.ones((1, 1))),
         )
         batched = DriftExtremizer(model)
-        scalar = DriftExtremizer(model, batch=False)
         states = np.zeros((4, 1))
         directions = np.array([[1.0], [-1.0], [2.0], [-0.5]])
         thetas_b, values_b = batched.maximize_direction_batch(states, directions)
-        thetas_s, values_s = scalar.maximize_direction_batch(states, directions)
+        thetas_s, values_s = ref.maximize_direction_rows(batched, states,
+                                                         directions)
         np.testing.assert_array_equal(thetas_b, thetas_s)
         np.testing.assert_allclose(values_b, values_s, rtol=1e-12)
         lower_b, upper_b = batched.velocity_envelope_batch(states)
-        lower_s, upper_s = scalar.velocity_envelope(states[0])
+        lower_s, upper_s = ref.velocity_envelope(batched, states[0])
         np.testing.assert_allclose(lower_b[0], lower_s, rtol=1e-12)
         np.testing.assert_allclose(upper_b[0], upper_s, rtol=1e-12)
 
 
+class RowByRowExtremizer(DriftExtremizer):
+    """A drop-in extremizer whose batch entry point is the oracle.
+
+    Consumers that take an ``extremizer=`` argument run through the
+    one-query reference strategies, row by row.
+    """
+
+    def maximize_direction_batch(self, states, directions):
+        states = np.atleast_2d(np.asarray(states, dtype=float))
+        directions = np.atleast_2d(np.asarray(directions, dtype=float))
+        return ref.maximize_direction_rows(self, states, directions)
+
+
 class TestConsumersBatchedVsScalar:
-    """The rewired bound computations agree with the legacy loops."""
+    """The bound computations agree with the one-query reference oracles."""
 
     def test_hull_differential(self, sir_model):
         t_eval = np.linspace(0.0, 1.5, 7)
         batched = differential_hull_bounds(sir_model, [0.7, 0.3], t_eval)
-        scalar = differential_hull_bounds(sir_model, [0.7, 0.3], t_eval,
-                                          batch=False)
-        np.testing.assert_allclose(batched.lower, scalar.lower,
+        lower_s, upper_s = ref.hull_bounds(sir_model, [0.7, 0.3], t_eval)
+        np.testing.assert_allclose(batched.lower, lower_s,
                                    rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(batched.upper, scalar.upper,
+        np.testing.assert_allclose(batched.upper, upper_s,
                                    rtol=1e-9, atol=1e-12)
 
     def test_hull_differential_interior_sampling(self, sir_narrow):
@@ -289,11 +292,11 @@ class TestConsumersBatchedVsScalar:
         t_eval = np.linspace(0.0, 1.0, 5)
         batched = differential_hull_bounds(sir_narrow, [0.7, 0.3], t_eval,
                                            x_samples_per_axis=3)
-        scalar = differential_hull_bounds(sir_narrow, [0.7, 0.3], t_eval,
-                                          x_samples_per_axis=3, batch=False)
-        np.testing.assert_allclose(batched.lower, scalar.lower,
+        lower_s, upper_s = ref.hull_bounds(sir_narrow, [0.7, 0.3], t_eval,
+                                           x_samples_per_axis=3)
+        np.testing.assert_allclose(batched.lower, lower_s,
                                    rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(batched.upper, scalar.upper,
+        np.testing.assert_allclose(batched.upper, upper_s,
                                    rtol=1e-9, atol=1e-12)
 
     def test_hull_differential_four_dimensional(self, gps_map):
@@ -302,17 +305,18 @@ class TestConsumersBatchedVsScalar:
         t_eval = np.linspace(0.0, 0.5, 4)
         x0 = gps_initial_state_map()
         batched = differential_hull_bounds(gps_map, x0, t_eval)
-        scalar = differential_hull_bounds(gps_map, x0, t_eval, batch=False)
-        np.testing.assert_allclose(batched.lower, scalar.lower,
+        lower_s, upper_s = ref.hull_bounds(gps_map, x0, t_eval)
+        np.testing.assert_allclose(batched.lower, lower_s,
                                    rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(batched.upper, scalar.upper,
+        np.testing.assert_allclose(batched.upper, upper_s,
                                    rtol=1e-9, atol=1e-12)
 
     def test_pontryagin_differential(self, sir_model, sir_x0):
         batched = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
                                       n_steps=150)
         scalar = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
-                                     n_steps=150, batch=False)
+                                     n_steps=150,
+                                     extremizer=RowByRowExtremizer(sir_model))
         assert batched.value == pytest.approx(scalar.value, rel=1e-10)
         np.testing.assert_allclose(batched.controls, scalar.controls,
                                    rtol=1e-9, atol=1e-12)
@@ -320,15 +324,17 @@ class TestConsumersBatchedVsScalar:
     def test_template_differential(self, sir_model, sir_x0):
         batched = template_reachable_bounds(sir_model, sir_x0, 1.0,
                                             n_steps=80)
-        scalar = template_reachable_bounds(sir_model, sir_x0, 1.0,
-                                           n_steps=80, batch=False)
+        scalar = template_reachable_bounds(
+            sir_model, sir_x0, 1.0, n_steps=80,
+            extremizer=RowByRowExtremizer(sir_model),
+        )
         np.testing.assert_allclose(batched.offsets, scalar.offsets,
                                    rtol=1e-9, atol=1e-12)
 
     def test_inclusion_membership_batched(self, sir_model, rng):
         batched = ParametricInclusion(sir_model)
         scalar = ParametricInclusion(
-            sir_model, extremizer=DriftExtremizer(sir_model, batch=False)
+            sir_model, extremizer=RowByRowExtremizer(sir_model)
         )
         x = np.array([0.5, 0.2])
         for theta in sir_model.theta_set.sample(rng, 5):

@@ -16,6 +16,7 @@ change in the bounds.
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.bounds import differential_hull_bounds, pontryagin_transient_bounds
 from repro.models import make_sir_model
 
@@ -56,11 +57,12 @@ FIG4_UPPER = np.array([
 
 @pytest.fixture(scope="module")
 def fig1_bounds():
-    # The golden pins live on the scalar (warm-started sequential) path;
-    # the lane-parallel default is pinned against it in
+    # The golden pins were recorded on the warm-started sequential
+    # ladder, now the reference oracle in tests/reference_impls.py; the
+    # lane-parallel library path is pinned against it in
     # tests/test_ode_batch.py and against the same literals below.
-    return pontryagin_transient_bounds(
-        make_sir_model(), X0, FIG1_HORIZONS, observables=["I"], lanes=False
+    return ref.warm_started_bounds(
+        make_sir_model(), X0, FIG1_HORIZONS, observables=["I"]
     )
 
 
@@ -107,16 +109,13 @@ class TestFig4HullGolden:
                                    atol=1e-8)
 
     def test_hull_scalar_path_matches_batched_pin(self, fig4_hull):
-        """The legacy scalar-extremization hull hits the same pins, and
+        """The scalar-extremization reference hull hits the same pins, and
         agrees with the default batched path bit-for-bit."""
-        scalar = differential_hull_bounds(make_sir_model(), X0, FIG4_T_EVAL,
-                                          batch=False)
-        np.testing.assert_allclose(scalar.lower, FIG4_LOWER, rtol=1e-4,
-                                   atol=1e-8)
-        np.testing.assert_allclose(scalar.upper, FIG4_UPPER, rtol=1e-4,
-                                   atol=1e-8)
-        np.testing.assert_array_equal(scalar.lower, fig4_hull.lower)
-        np.testing.assert_array_equal(scalar.upper, fig4_hull.upper)
+        lower, upper = ref.hull_bounds(make_sir_model(), X0, FIG4_T_EVAL)
+        np.testing.assert_allclose(lower, FIG4_LOWER, rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(upper, FIG4_UPPER, rtol=1e-4, atol=1e-8)
+        np.testing.assert_array_equal(lower, fig4_hull.lower)
+        np.testing.assert_array_equal(upper, fig4_hull.upper)
 
     def test_hull_brackets_fig1_pins(self, fig4_hull):
         # The hull is a relaxation: at matching times its I-range must

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.ctmc import ImpreciseCTMC, IntervalDTMC, imprecise_reward_bounds
 from repro.models import make_bike_station_model
+
+
+def extreme_row(dtmc, row, reward, maximize=True):
+    """Row ``row`` of the batched knapsack, pinned to the one-row oracle."""
+    p = dtmc.extreme_rows_batch(np.asarray(reward, dtype=float),
+                                maximize=maximize)[row]
+    np.testing.assert_array_equal(p, ref.extreme_row(dtmc, row, reward,
+                                                     maximize))
+    return p
 
 
 def two_state_dtmc(width=0.1):
@@ -38,10 +48,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             IntervalDTMC(np.zeros((2, 2)), np.full((2, 2), 0.3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["lower", "upper", "both"])
+    def test_non_finite_bounds_rejected(self, bad, side):
+        # NaN passes every ordering check, so a NaN row used to be
+        # accepted and leak NaN out of the operators.
+        clean = np.array([[0.5, 0.5], [0.5, 0.5]])
+        dirty = np.array([[bad, bad], [0.5, 0.5]])
+        lower = dirty if side in ("lower", "both") else clean
+        upper = dirty if side in ("upper", "both") else clean
+        with pytest.raises(ValueError, match="finite"):
+            IntervalDTMC(lower, upper)
+
     def test_precise_chain_accepted(self):
         p = np.array([[0.5, 0.5], [0.2, 0.8]])
         dtmc = IntervalDTMC(p, p)
-        np.testing.assert_allclose(dtmc.extreme_row(0, [1.0, 0.0]), p[0])
+        np.testing.assert_allclose(extreme_row(dtmc, 0, [1.0, 0.0]), p[0])
 
 
 class TestRowOptimisation:
@@ -49,7 +71,7 @@ class TestRowOptimisation:
         dtmc = two_state_dtmc()
         for row in range(2):
             for reward in ([1.0, 0.0], [0.0, 1.0], [0.3, -0.7]):
-                p = dtmc.extreme_row(row, reward)
+                p = extreme_row(dtmc, row, reward)
                 assert p.sum() == pytest.approx(1.0)
                 assert np.all(p >= dtmc.lower[row] - 1e-12)
                 assert np.all(p <= dtmc.upper[row] + 1e-12)
@@ -57,7 +79,7 @@ class TestRowOptimisation:
     def test_extreme_row_maximises_over_samples(self, rng):
         dtmc = two_state_dtmc()
         reward = np.array([0.9, -0.4])
-        best = float(dtmc.extreme_row(0, reward) @ reward)
+        best = float(extreme_row(dtmc, 0, reward) @ reward)
         # Random admissible rows never beat the knapsack optimum.
         for _ in range(200):
             p = rng.uniform(dtmc.lower[0], dtmc.upper[0])
@@ -71,7 +93,7 @@ class TestRowOptimisation:
 
     def test_reward_shape_validated(self):
         with pytest.raises(ValueError):
-            two_state_dtmc().extreme_row(0, [1.0, 2.0, 3.0])
+            extreme_row(two_state_dtmc(), 0, [1.0, 2.0, 3.0])
 
 
 class TestToleranceRenormalization:
@@ -84,7 +106,7 @@ class TestToleranceRenormalization:
         upper = np.array([[0.7, 0.5], [0.4, 0.8]])
         dtmc = IntervalDTMC(lower, upper)
         for maximize in (True, False):
-            p = dtmc.extreme_row(0, [1.0, 0.0], maximize=maximize)
+            p = ref.extreme_row(dtmc, 0, [1.0, 0.0], maximize=maximize)
             assert p.sum() == pytest.approx(1.0, abs=1e-14)
             batch = dtmc.extreme_rows_batch(np.array([1.0, 0.0]),
                                             maximize=maximize)
@@ -94,13 +116,13 @@ class TestToleranceRenormalization:
         lower = np.array([[0.2, 0.2], [0.3, 0.3]])
         upper = np.array([[0.5, 0.5 - 5e-10], [0.6, 0.6]])
         dtmc = IntervalDTMC(lower, upper)
-        p = dtmc.extreme_row(0, [1.0, 0.0])
+        p = extreme_row(dtmc, 0, [1.0, 0.0])
         assert p.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_exactly_feasible_rows_untouched(self):
         p = np.array([[0.5, 0.5], [0.2, 0.8]])
         dtmc = IntervalDTMC(p, p)
-        np.testing.assert_array_equal(dtmc.extreme_row(0, [1.0, 0.0]), p[0])
+        np.testing.assert_array_equal(extreme_row(dtmc, 0, [1.0, 0.0]), p[0])
 
 
 class TestExpectations:
@@ -172,9 +194,7 @@ class TestStationary:
         dtmc = two_state_dtmc()
         lo, hi = dtmc.stationary_expectation_bounds([1.0, 0.0])
         assert lo <= hi
-        assert dtmc.stationary_expectation_bounds(
-            [1.0, 0.0], batch=False
-        ) == (lo, hi)
+        assert ref.stationary_expectation_bounds(dtmc, [1.0, 0.0]) == (lo, hi)
 
 
 class TestUniformizedBounds:
@@ -198,6 +218,11 @@ class TestUniformizedBounds:
             dtmc.uniformized_bounds([1.0, 0.0], -1.0, rate=5.0)
         with pytest.raises(ValueError):
             dtmc.uniformized_bounds([1.0, 0.0], 1.0, rate=0.0)
+        # NaN passes both sign checks; it used to surface as an opaque
+        # "cannot convert float NaN to integer" from the term count.
+        for horizon, rate in ((np.nan, 5.0), (np.inf, 5.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                dtmc.uniformized_bounds([1.0, 0.0], horizon, rate=rate)
 
 
 class TestUniformization:

@@ -11,7 +11,8 @@ Three layers of pins:
    tolerance, including lane retirement and dense output.
 3. **Consumer equality** — the rewired consumers (lane-parallel
    Pontryagin bounds, adaptive envelope sweep, batched steady-state
-   fixed points, hullbox settle) must agree with their scalar paths.
+   fixed points, hullbox settle) must agree with the scalar reference
+   oracles of ``tests/reference_impls.py``.
 
 CI runs this file with ``-rs`` and fails if anything here skips.
 """
@@ -19,6 +20,7 @@ CI runs this file with ``-rs`` and fails if anything here skips.
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.bounds import pontryagin_transient_bounds, uncertain_envelope
 from repro.bounds.pontryagin import extremal_trajectories_batch, extremal_trajectory
 from repro.models import (
@@ -308,9 +310,9 @@ class TestConsumersMatchScalarPaths:
             sir_model, sir_x0, horizons, observables=["I"],
             steps_per_unit=60.0,
         )
-        scalar = pontryagin_transient_bounds(
+        scalar = ref.warm_started_bounds(
             sir_model, sir_x0, horizons, observables=["I"],
-            steps_per_unit=60.0, lanes=False,
+            steps_per_unit=60.0,
         )
         np.testing.assert_allclose(lanes.lower["I"], scalar.lower["I"],
                                    rtol=3e-4, atol=1e-8)
@@ -326,9 +328,9 @@ class TestConsumersMatchScalarPaths:
             gps_poisson, x0, horizons, observables=["Q1", "Q2"],
             steps_per_unit=40.0, sides=("upper",),
         )
-        scalar = pontryagin_transient_bounds(
+        scalar = ref.warm_started_bounds(
             gps_poisson, x0, horizons, observables=["Q1", "Q2"],
-            steps_per_unit=40.0, sides=("upper",), lanes=False,
+            steps_per_unit=40.0, sides=("upper",),
         )
         for name in ("Q1", "Q2"):
             assert np.all(np.isnan(lanes.lower[name]))
@@ -353,8 +355,7 @@ class TestConsumersMatchScalarPaths:
         x0 = _interior_states(model, rng, 1)[0]
         t_eval = np.linspace(0.0, 2.0, 7)
         batch = uncertain_envelope(model, x0, t_eval, resolution=5)
-        scalar = uncertain_envelope(model, x0, t_eval, resolution=5,
-                                    batch=False)
+        scalar = ref.uncertain_envelope(model, x0, t_eval, resolution=5)
         for name in batch.observable_names:
             np.testing.assert_allclose(batch.lower[name], scalar.lower[name],
                                        rtol=1e-6, atol=1e-6)
@@ -365,9 +366,8 @@ class TestConsumersMatchScalarPaths:
         t_eval = np.linspace(0.0, 1.5, 7)
         batch = uncertain_envelope(sir_model, [0.7, 0.3], t_eval,
                                    resolution=5, integrator="rk4")
-        scalar = uncertain_envelope(sir_model, [0.7, 0.3], t_eval,
-                                    resolution=5, integrator="rk4",
-                                    batch=False)
+        scalar = ref.uncertain_envelope(sir_model, [0.7, 0.3], t_eval,
+                                        resolution=5, integrator="rk4")
         for name in batch.observable_names:
             np.testing.assert_array_equal(batch.lower[name],
                                           scalar.lower[name])
@@ -376,7 +376,7 @@ class TestConsumersMatchScalarPaths:
 
     def test_uncertain_fixed_points_batch_vs_scalar(self, sir_model):
         batch = uncertain_fixed_points(sir_model, resolution=9)
-        scalar = uncertain_fixed_points(sir_model, resolution=9, batch=False)
+        scalar = ref.uncertain_fixed_points(sir_model, resolution=9)
         np.testing.assert_allclose(batch, scalar, atol=1e-8)
 
     def test_hullbox_settle_refines_rectangle(self):

@@ -258,6 +258,15 @@ class TestTransientBounds:
         with pytest.raises(ValueError):
             pontryagin_transient_bounds(sir_model, sir_x0, [0.0, 1.0])
 
+    @pytest.mark.parametrize("horizons", [[], [np.nan], [0.5, np.nan],
+                                          [0.5, np.inf]])
+    def test_empty_or_non_finite_horizons_rejected(self, sir_model, sir_x0,
+                                                   horizons):
+        # An empty ladder used to return empty series as a success, and
+        # NaN slipped past the ordering checks into the step count.
+        with pytest.raises(ValueError, match="non-empty|finite"):
+            pontryagin_transient_bounds(sir_model, sir_x0, horizons)
+
     def test_bounds_bracket_uncertain(self, sir_model, sir_x0):
         horizons = np.array([0.5, 1.0, 1.5])
         tb = pontryagin_transient_bounds(sir_model, sir_x0, horizons,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_impls as ref
 from repro.ctmc import IntervalDTMC
 from repro.geometry import ConvexPolygon, intersection_area, polygon_area
 from repro.models import make_power_of_d_model
@@ -38,8 +39,10 @@ class TestIntervalDTMCProperties:
         n = data.draw(st.integers(2, 5))
         dtmc = random_interval_dtmc(data, n)
         reward = np.array([data.draw(small_floats) for _ in range(n)])
+        rows = dtmc.extreme_rows_batch(reward)
         for row in range(n):
-            p = dtmc.extreme_row(row, reward)
+            p = rows[row]
+            np.testing.assert_array_equal(p, ref.extreme_row(dtmc, row, reward))
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(p >= dtmc.lower[row] - 1e-12)
             assert np.all(p <= dtmc.upper[row] + 1e-12)

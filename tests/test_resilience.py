@@ -385,6 +385,23 @@ class TestQuestionIsolation:
         rerun = run_scenario(spec, cache_dir=tmp_path, on_error="partial")
         assert rerun.report.metrics["scenarios.cache.hits"] == 0
 
+    @pytest.mark.parametrize("horizons", [[], [float("nan")]])
+    def test_bad_pontryagin_ladder_is_a_typed_failure(self, horizons):
+        # An empty ladder used to "succeed" with no findings at all.
+        spec = get_scenario("sir-transient").with_overrides(
+            name="resilience-bad-ladder",
+            questions=[
+                Question("envelope", options={"n_times": 4}),
+                Question("pontryagin", options={"horizons": horizons},
+                         label="bad"),
+            ],
+        )
+        run = run_scenario(spec, use_cache=False, on_error="partial")
+        assert [f.question for f in run.failures] == ["pontryagin[bad]"]
+        assert isinstance(run.failures[0], QuestionFailure)
+        assert run.failures[0].error_type == "ValueError"
+        assert "I_uncertain_max_final" in run.result.findings
+
     def test_on_error_raise_keeps_legacy_semantics(self, tmp_path):
         spec = _partial_spec("resilience-raise")
         with pytest.raises(ValueError, match="bogus"):
@@ -526,19 +543,13 @@ class TestPontryaginDeadline:
         model = make_sir_model()
         x0 = np.array([0.7, 0.3])
         horizons = np.array([0.5, 1.0])
-        # Lanes path: the batch sweep stops iterating, keeps its
-        # best-so-far trajectories and reports non-convergence.
+        # The batch sweep stops iterating, keeps its best-so-far
+        # trajectories and reports non-convergence.
         tight = pontryagin_transient_bounds(
             model, x0, horizons, observables=["I"], deadline_seconds=1e-9)
         assert tight.converged is False
         assert np.isfinite(tight.lower["I"]).all()
-        # Scalar path: horizons never started stay NaN, nothing raises.
-        scalar = pontryagin_transient_bounds(
-            model, x0, horizons, observables=["I"], lanes=False,
-            deadline_seconds=1e-9)
-        assert scalar.converged is False
-        assert np.isnan(scalar.lower["I"]).any()
-        assert _counters()["resilience.pontryagin.deadline_hits"] >= 2
+        assert _counters()["resilience.pontryagin.deadline_hits"] >= 1
 
     def test_generous_deadline_matches_unbounded(self):
         model = make_sir_model()

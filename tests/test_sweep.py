@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.bounds import uncertain_envelope
 
 
@@ -101,8 +102,7 @@ class TestRk4Batching:
         t = np.linspace(0, 2, 9)
         kwargs = dict(resolution=5, integrator="rk4", rk4_steps=80)
         batched = uncertain_envelope(sir_model, [0.7, 0.3], t, **kwargs)
-        scalar = uncertain_envelope(sir_model, [0.7, 0.3], t, batch=False,
-                                    **kwargs)
+        scalar = ref.uncertain_envelope(sir_model, [0.7, 0.3], t, **kwargs)
         for name in batched.observable_names:
             np.testing.assert_array_equal(batched.lower[name],
                                           scalar.lower[name])
@@ -129,8 +129,7 @@ class TestRk4Batching:
         t = np.array([1.5, 0.75, 0.0])
         kwargs = dict(resolution=3, integrator="rk4", rk4_steps=60)
         batched = uncertain_envelope(sir_model, [0.7, 0.3], t, **kwargs)
-        scalar = uncertain_envelope(sir_model, [0.7, 0.3], t, batch=False,
-                                    **kwargs)
+        scalar = ref.uncertain_envelope(sir_model, [0.7, 0.3], t, **kwargs)
         np.testing.assert_array_equal(batched.lower["I"], scalar.lower["I"])
         np.testing.assert_array_equal(batched.upper["I"], scalar.upper["I"])
 
