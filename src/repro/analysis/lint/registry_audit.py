@@ -3,10 +3,11 @@
 Unlike pass 1 this *imports the package* and walks the live scenario
 registry, so it can check contracts no AST can see:
 
-- **REG001** — every registered model declares the batch-kernel pair
-  (``affine_drift_batch`` + ``drift_jacobian_batch``) the bounds layers
-  assume; a model without them silently drops every catalog entry that
-  uses it onto the slow per-row paths.
+- **REG001** — every registered model declares an affine decomposition
+  (``affine_drift_batch``, so :attr:`is_affine`) and an analytic
+  Jacobian (``drift_jacobian_batch``); without them the Hamiltonian
+  maximiser falls back to its grid search and the costate sweep to
+  finite-difference Jacobians of the drift.
 - **REG002** — ``Question.kind`` values and the runner's backend table
   are in bijection: a kind without a backend fails at dispatch, a
   backend without a kind is dead code.
@@ -103,7 +104,7 @@ def _audit_models(findings: List[Finding]) -> None:
             continue
         missing = [
             kernel for kernel, declared in (
-                ("affine_drift_batch", model.declares_affine_drift_batch),
+                ("affine_drift_batch", model.is_affine),
                 ("drift_jacobian_batch", model.declares_drift_jacobian_batch),
             ) if not declared
         ]
@@ -112,7 +113,8 @@ def _audit_models(findings: List[Finding]) -> None:
                 file=_REGISTRY_FILE, line=1, code="REG001",
                 message=f"scenario {spec.name!r}: model {model.name!r} does "
                         f"not declare {', '.join(missing)} — the bounds "
-                        "layers fall back to per-row loops",
+                        "layers fall back to the extremizer's grid search "
+                        "and finite-difference Jacobians",
             ))
 
 

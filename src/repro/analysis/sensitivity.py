@@ -16,7 +16,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from repro.bounds.hull import differential_hull_bounds
-from repro.bounds.pontryagin import extremal_trajectory
+from repro.bounds.pontryagin import extremal_trajectories_batch
 from repro.bounds.sweep import uncertain_envelope
 
 __all__ = ["WidthSensitivity", "interval_width_sensitivity"]
@@ -92,10 +92,9 @@ def interval_width_sensitivity(
         study.hull_trivial.append(bool(not np.isfinite(hull_width)
                                        or hull.is_trivial(observable_index)))
 
-        upper = extremal_trajectory(model, x0, horizon, direction,
-                                    maximize=True, n_steps=n_steps)
-        lower = extremal_trajectory(model, x0, horizon, direction,
-                                    maximize=False, n_steps=n_steps)
+        upper, lower = extremal_trajectories_batch(model, x0, [
+            (direction, is_max, horizon, n_steps) for is_max in (True, False)
+        ])
         study.pontryagin.append(float(upper.value - lower.value))
 
         env = uncertain_envelope(model, x0, np.array([0.0, horizon]),

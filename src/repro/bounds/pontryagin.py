@@ -121,6 +121,32 @@ def _control_index(times: np.ndarray, t: float, n_controls: int) -> int:
     return min(max(index, 0), n_controls - 1)
 
 
+def _checked_problem(x0, direction, horizon, n_steps, dim):
+    """``(x0, direction)`` as arrays, after rejecting a malformed sweep.
+
+    Non-finite inputs are rejected explicitly: ``nan <= 0`` and
+    ``nan != 0`` are both False, so they would otherwise slip past the
+    range checks and come back as a NaN bound.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    if not (horizon > 0 and np.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if n_steps < 2:
+        raise ValueError("n_steps must be >= 2")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    if direction.shape != (dim,):
+        raise ValueError(
+            f"direction has shape {direction.shape}, expected ({dim},)"
+        )
+    if not np.all(np.isfinite(direction)):
+        raise ValueError(f"direction must be finite, got {direction.tolist()}")
+    if not np.any(direction != 0.0):
+        raise ValueError("direction must be non-zero")
+    return x0, direction
+
+
 def extremal_trajectory(
     model,
     x0,
@@ -169,18 +195,8 @@ def extremal_trajectory(
         Warm-start control signal, shape ``(n_steps, p)``; defaults to
         the centre of ``Theta`` on every interval.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
-    x0 = np.asarray(x0, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (model.dim,):
-        raise ValueError(
-            f"direction has shape {direction.shape}, expected ({model.dim},)"
-        )
-    if not np.any(direction != 0.0):
-        raise ValueError("direction must be non-zero")
+    x0, direction = _checked_problem(x0, direction, horizon, n_steps,
+                                     model.dim)
     extremizer = extremizer or DriftExtremizer(model)
     # Internally we always maximise c . x(T).
     c = direction if maximize else -direction
@@ -415,7 +431,6 @@ def _extremal_trajectories_batch_impl(
     """
     if not specs:
         return []
-    x0 = np.asarray(x0, dtype=float)
     extremizer = extremizer or DriftExtremizer(model)
     L = len(specs)
     d, p = model.dim, model.theta_dim
@@ -424,18 +439,8 @@ def _extremal_trajectories_batch_impl(
     maximize = np.empty(L, dtype=bool)
     grids = []
     for l, (direction, is_max, horizon, n_steps) in enumerate(specs):
-        direction = np.asarray(direction, dtype=float)
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if n_steps < 2:
-            raise ValueError("n_steps must be >= 2")
-        if direction.shape != (d,):
-            raise ValueError(
-                f"direction has shape {direction.shape}, expected ({d},)"
-            )
-        if not np.any(direction != 0.0):
-            raise ValueError("direction must be non-zero")
-        directions[l] = direction
+        x0, directions[l] = _checked_problem(x0, direction, horizon,
+                                             n_steps, d)
         maximize[l] = bool(is_max)
         grids.append(np.linspace(0.0, float(horizon), int(n_steps) + 1))
     # Internally every lane maximises c . x(T).
@@ -904,7 +909,9 @@ def reachable_polytope_2d(
     """Convex template over-approximation of the reachable set at ``T``.
 
     Runs one Pontryagin sweep per template direction ``c_k`` on the unit
-    circle and intersects the halfspaces ``c_k . x <= h_k`` — the
+    circle — all of them as lanes of one
+    :func:`extremal_trajectories_batch` call — and intersects the
+    halfspaces ``c_k . x <= h_k`` — the
     "convex template polyhedron" refinement noted at the end of
     Section IV-C.  Returns the polygon vertices (CCW).  Only implemented
     for 2-D models.
@@ -913,16 +920,13 @@ def reachable_polytope_2d(
         raise ValueError("template polytopes are implemented for 2-D models")
     if n_directions < 3:
         raise ValueError("need at least 3 template directions")
-    extremizer = extremizer or DriftExtremizer(model)
     angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
     normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    offsets = np.empty(n_directions)
-    for k, c in enumerate(normals):
-        result = extremal_trajectory(
-            model, x0, horizon, c, maximize=True, n_steps=n_steps,
-            max_iter=max_iter, extremizer=extremizer,
-        )
-        offsets[k] = result.value
+    results = extremal_trajectories_batch(
+        model, x0, [(c, True, horizon, n_steps) for c in normals],
+        max_iter=max_iter, extremizer=extremizer,
+    )
+    offsets = np.array([result.value for result in results])
     # Vertices of the halfspace intersection: adjacent constraint pairs.
     vertices = []
     for k in range(n_directions):

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bounds.pontryagin import extremal_trajectory
+from repro.bounds.pontryagin import extremal_trajectories_batch
 from repro.inclusion import DriftExtremizer
 
 __all__ = [
@@ -154,9 +154,10 @@ def template_reachable_bounds(
 ) -> TemplatePolytope:
     """Template polytope enclosing the reachable set at ``horizon``.
 
-    One Pontryagin sweep per template direction, each re-maximising its
-    Hamiltonian through the batched extremiser.  Works in any dimension
-    (used for the 4-D GPS MAP model); defaults to the octagon template.
+    One Pontryagin sweep per template direction, all of them lanes of
+    one :func:`~repro.bounds.extremal_trajectories_batch` call.  Works in
+    any dimension (used for the 4-D GPS MAP model); defaults to the
+    octagon template.
     Soundness: every solution of the imprecise inclusion satisfies
     ``c_k . x(T) <= h_k`` for all ``k``, so the polytope contains the
     exact reachable set (it is *not* tight in non-template directions).
@@ -168,12 +169,9 @@ def template_reachable_bounds(
         raise ValueError(
             f"directions must be (m, {model.dim}); got {directions.shape}"
         )
-    extremizer = extremizer or DriftExtremizer(model)
-    offsets = np.empty(directions.shape[0])
-    for k, c in enumerate(directions):
-        result = extremal_trajectory(
-            model, x0, horizon, c, maximize=True, n_steps=n_steps,
-            max_iter=max_iter, extremizer=extremizer,
-        )
-        offsets[k] = result.value
+    results = extremal_trajectories_batch(
+        model, x0, [(c, True, horizon, n_steps) for c in directions],
+        max_iter=max_iter, extremizer=extremizer,
+    )
+    offsets = np.array([result.value for result in results])
     return TemplatePolytope(directions.copy(), offsets)

@@ -102,10 +102,9 @@ class KolmogorovSystem:
         return lambda t, p: self.drift(p, theta)
 
     def affine_parts(self, p):
-        p = np.asarray(p, dtype=float)
-        g0 = self._q0_t @ p
-        big_g = np.stack([part @ p for part in self._parts_t], axis=1)
-        return g0, big_g
+        """One-row view of :meth:`affine_parts_batch`."""
+        g0s, big_gs = self.affine_parts_batch(p)
+        return g0s[0], big_gs[0]
 
     def drift_batch(self, p, theta) -> np.ndarray:
         """Row-wise master-equation drift for ``(n, d)`` / ``(n, p)`` stacks."""
@@ -130,6 +129,9 @@ class KolmogorovSystem:
         return g0s, big_gs
 
     def jacobian_x(self, p, theta) -> np.ndarray:
+        """The dense ``Q(theta)^T``.  There is deliberately no batched
+        form: one dense Jacobian per costate stage and grid interval would
+        be ~280 MB on a 343-state chain with 100 steps."""
         theta = np.asarray(theta, dtype=float)
         jac = self._q0_t.toarray()
         for k, part in enumerate(self._parts_t):

@@ -93,14 +93,6 @@ def make_autoscaler_model(
         rate=lambda x, th: beta * x[1] * (1.0 - x[0]),
     )
 
-    def affine_drift(x):
-        q, s = float(x[0]), float(x[1])
-        g0 = np.array(
-            [-mu * s * q, alpha * q * (cap - s) - beta * s * (1.0 - q)]
-        )
-        big_g = np.array([[1.0 - q], [0.0]])
-        return g0, big_g
-
     def affine_drift_batch(x):
         q, s = x[:, 0], x[:, 1]
         g0 = np.stack(
@@ -109,16 +101,6 @@ def make_autoscaler_model(
         )
         big_g = np.stack([1.0 - q, np.zeros_like(q)], axis=1)[:, :, None]
         return g0, big_g
-
-    def jacobian(x, theta):
-        q, s = float(x[0]), float(x[1])
-        th = float(theta[0])
-        return np.array(
-            [
-                [-th - mu * s, -mu * q],
-                [alpha * (cap - s) + beta * s, -alpha * q - beta * (1.0 - q)],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         q, s = x[:, 0], x[:, 1]
@@ -135,9 +117,7 @@ def make_autoscaler_model(
         state_names=("q", "s"),
         transitions=[arrival, service, scale_up, scale_down],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0], [1.0, cap]),
         observables={

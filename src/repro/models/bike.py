@@ -51,14 +51,6 @@ def make_bike_station_model(
         rate=lambda x, th: th[1] if x[0] < 1.0 else 0.0,
     )
 
-    def affine_drift(x):
-        occupied = float(x[0])
-        g0 = np.zeros(1)
-        big_g = np.array(
-            [[-1.0 if occupied > 0.0 else 0.0, 1.0 if occupied < 1.0 else 0.0]]
-        )
-        return g0, big_g
-
     def affine_drift_batch(x):
         occupied = x[:, 0]
         n = x.shape[0]
@@ -72,10 +64,6 @@ def make_bike_station_model(
         )[:, None, :]
         return g0, big_g
 
-    def jacobian(x, theta):
-        # Piecewise constant drift: zero Jacobian away from the boundary.
-        return np.zeros((1, 1))
-
     def jacobian_batch(x, theta):
         return np.zeros((x.shape[0], 1, 1))
 
@@ -84,9 +72,7 @@ def make_bike_station_model(
         state_names=("occupied",),
         transitions=[departure, bike_return],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0], [1.0]),
         observables={"occupied": [1.0]},

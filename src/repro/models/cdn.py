@@ -70,12 +70,6 @@ def make_cdn_cache_model(
         rate=lambda x, th: mu * x[1],
     )
 
-    def affine_drift(x):
-        h, w = float(x[0]), float(x[1])
-        g0 = np.array([-gamma * h, gamma * h - mu * w])
-        big_g = np.array([[(1.0 - h - w) * (1.0 - h)], [0.0]])
-        return g0, big_g
-
     def affine_drift_batch(x):
         h, w = x[:, 0], x[:, 1]
         g0 = np.stack([-gamma * h, gamma * h - mu * w], axis=1)
@@ -83,16 +77,6 @@ def make_cdn_cache_model(
         big_g = np.stack([fill_coeff, np.zeros_like(fill_coeff)],
                          axis=1)[:, :, None]
         return g0, big_g
-
-    def jacobian(x, theta):
-        h, w = float(x[0]), float(x[1])
-        th = float(theta[0])
-        return np.array(
-            [
-                [-th * ((1.0 - h) + (1.0 - h - w)) - gamma, -th * (1.0 - h)],
-                [gamma, -mu],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         h, w = x[:, 0], x[:, 1]
@@ -109,9 +93,7 @@ def make_cdn_cache_model(
         state_names=("hot", "warm"),
         transitions=[fill, demote, evict],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0], [1.0, 1.0]),
         observables={

@@ -74,17 +74,6 @@ def make_csma_model(
         rate=lambda x, th: mu * x[1],
     )
 
-    def affine_drift(x):
-        b, t = float(x[0]), float(x[1])
-        g0 = np.array([0.0, -mu * t])
-        big_g = np.array(
-            [
-                [1.0 - b - t, -b * (1.0 - t)],
-                [0.0, b * (1.0 - t)],
-            ]
-        )
-        return g0, big_g
-
     def affine_drift_batch(x):
         b, t = x[:, 0], x[:, 1]
         n = x.shape[0]
@@ -94,16 +83,6 @@ def make_csma_model(
         big_g[:, 0, 1] = -b * (1.0 - t)
         big_g[:, 1, 1] = b * (1.0 - t)
         return g0, big_g
-
-    def jacobian(x, theta):
-        b, t = float(x[0]), float(x[1])
-        lam, beta = float(theta[0]), float(theta[1])
-        return np.array(
-            [
-                [-lam - beta * (1.0 - t), -lam + beta * b],
-                [beta * (1.0 - t), -beta * b - mu],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         b, t = x[:, 0], x[:, 1]
@@ -120,9 +99,7 @@ def make_csma_model(
         state_names=("backlog", "air"),
         transitions=[wake, grab, finish],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0], [1.0, 1.0]),
         observables={

@@ -75,12 +75,6 @@ def make_gossip_model(
         rate=lambda x, th: delta * (1.0 - x[0] - x[1]),
     )
 
-    def affine_drift(x):
-        ig, sp = float(x[0]), float(x[1])
-        g0 = np.array([delta * (1.0 - ig - sp), -k * sp * (1.0 - ig)])
-        big_g = np.array([[-ig * sp], [ig * sp]])
-        return g0, big_g
-
     def affine_drift_batch(x):
         ig, sp = x[:, 0], x[:, 1]
         g0 = np.stack(
@@ -89,16 +83,6 @@ def make_gossip_model(
         igsp = ig * sp
         big_g = np.stack([-igsp, igsp], axis=1)[:, :, None]
         return g0, big_g
-
-    def jacobian(x, theta):
-        ig, sp = float(x[0]), float(x[1])
-        th = float(theta[0])
-        return np.array(
-            [
-                [-delta - th * sp, -delta - th * ig],
-                [th * sp + k * sp, th * ig - k * (1.0 - ig)],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         ig, sp = x[:, 0], x[:, 1]
@@ -115,9 +99,7 @@ def make_gossip_model(
         state_names=("X", "Y"),
         transitions=[push, stifle, forget],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0], [1.0, 1.0]),
         observables={

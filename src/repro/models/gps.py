@@ -126,7 +126,7 @@ def _gps_share_rate_batch(q1, q2, mu_i, phi_i, q_i, phi, capacity):
 
     Identical arithmetic per element (the flooring only replaces the
     denominator where the share is zero anyway), so the batched affine
-    decomposition agrees with the scalar one bit-for-bit.
+    decomposition agrees with the transition-class drift bit-for-bit.
     """
     q1 = np.maximum(q1, 0.0)
     q2 = np.maximum(q2, 0.0)
@@ -200,19 +200,6 @@ def make_gps_poisson_model(
         ),
     )
 
-    def affine_drift(x):
-        q1, q2 = float(x[0]), float(x[1])
-        s1 = _gps_share_rate(q1, q2, mu[0], phi[0], q1, phi, capacity)
-        s2 = _gps_share_rate(q1, q2, mu[1], phi[1], q2, phi, capacity)
-        g0 = np.array([-s1, -s2])
-        big_g = np.array(
-            [
-                [max(n1 - q1, 0.0), 0.0],
-                [0.0, max(n2 - q2, 0.0)],
-            ]
-        )
-        return g0, big_g
-
     def affine_drift_batch(x):
         q1, q2 = x[:, 0], x[:, 1]
         n = x.shape[0]
@@ -223,26 +210,6 @@ def make_gps_poisson_model(
         big_g[:, 0, 0] = np.maximum(n1 - q1, 0.0)
         big_g[:, 1, 1] = np.maximum(n2 - q2, 0.0)
         return g0, big_g
-
-    def jacobian(x, theta):
-        q1, q2 = max(float(x[0]), 0.0), max(float(x[1]), 0.0)
-        lam1, lam2 = float(theta[0]), float(theta[1])
-        den = max(phi[0] * q1 + phi[1] * q2, _JACOBIAN_FLOOR)
-        # d/dq_j of c mu_i phi_i q_i / den
-        service_grad = np.array(
-            [
-                [
-                    capacity * mu[0] * phi[0] * (den - q1 * phi[0]) / den**2,
-                    -capacity * mu[0] * phi[0] * q1 * phi[1] / den**2,
-                ],
-                [
-                    -capacity * mu[1] * phi[1] * q2 * phi[0] / den**2,
-                    capacity * mu[1] * phi[1] * (den - q2 * phi[1]) / den**2,
-                ],
-            ]
-        )
-        creation_grad = np.diag([-lam1, -lam2])
-        return creation_grad - service_grad
 
     def jacobian_batch(x, theta):
         q1 = np.maximum(x[:, 0], 0.0)
@@ -262,9 +229,7 @@ def make_gps_poisson_model(
         state_names=("q1", "q2"),
         transitions=[creation_1, creation_2, service_1, service_2],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0], [n1, n2]),
         observables={
@@ -340,30 +305,6 @@ def make_gps_map_model(
         rate=lambda x, th: activation[1] * x[3],
     )
 
-    def affine_drift(x):
-        q1, e1, q2, e2 = (float(v) for v in x)
-        s1 = _gps_share_rate(q1, q2, mu[0], phi[0], q1, phi, capacity)
-        s2 = _gps_share_rate(q1, q2, mu[1], phi[1], q2, phi, capacity)
-        g0 = np.array(
-            [
-                -s1,
-                s1 - activation[0] * e1,
-                -s2,
-                s2 - activation[1] * e2,
-            ]
-        )
-        alpha1 = max(n1 - q1 - e1, 0.0)
-        alpha2 = max(n2 - q2 - e2, 0.0)
-        big_g = np.array(
-            [
-                [alpha1, 0.0],
-                [0.0, 0.0],
-                [0.0, alpha2],
-                [0.0, 0.0],
-            ]
-        )
-        return g0, big_g
-
     def affine_drift_batch(x):
         q1, e1, q2, e2 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
         n = x.shape[0]
@@ -382,34 +323,6 @@ def make_gps_map_model(
         big_g[:, 0, 0] = np.maximum(n1 - q1 - e1, 0.0)
         big_g[:, 2, 1] = np.maximum(n2 - q2 - e2, 0.0)
         return g0, big_g
-
-    def jacobian(x, theta):
-        q1, e1, q2, e2 = (float(v) for v in x)
-        q1, q2 = max(q1, 0.0), max(q2, 0.0)
-        lam1, lam2 = float(theta[0]), float(theta[1])
-        den = max(phi[0] * q1 + phi[1] * q2, _JACOBIAN_FLOOR)
-        jac = np.zeros((4, 4))
-        ds1_dq1 = capacity * mu[0] * phi[0] * (den - q1 * phi[0]) / den**2
-        ds1_dq2 = -capacity * mu[0] * phi[0] * q1 * phi[1] / den**2
-        ds2_dq1 = -capacity * mu[1] * phi[1] * q2 * phi[0] / den**2
-        ds2_dq2 = capacity * mu[1] * phi[1] * (den - q2 * phi[1]) / den**2
-        # dq1' = lam1 (n1 - q1 - e1) - s1
-        jac[0, 0] = -lam1 - ds1_dq1
-        jac[0, 1] = -lam1
-        jac[0, 2] = -ds1_dq2
-        # de1' = s1 - a1 e1
-        jac[1, 0] = ds1_dq1
-        jac[1, 1] = -activation[0]
-        jac[1, 2] = ds1_dq2
-        # dq2' = lam2 (n2 - q2 - e2) - s2
-        jac[2, 0] = -ds2_dq1
-        jac[2, 2] = -lam2 - ds2_dq2
-        jac[2, 3] = -lam2
-        # de2' = s2 - a2 e2
-        jac[3, 0] = ds2_dq1
-        jac[3, 2] = ds2_dq2
-        jac[3, 3] = -activation[1]
-        return jac
 
     def jacobian_batch(x, theta):
         q1 = np.maximum(x[:, 0], 0.0)
@@ -441,9 +354,7 @@ def make_gps_map_model(
         state_names=("q1", "e1", "q2", "e2"),
         transitions=[send_1, send_2, service_1, service_2, activate_1, activate_2],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0, 0.0, 0.0], [n1, n1, n2, n2]),
         observables={

@@ -105,14 +105,6 @@ def make_power_of_d_model(
             )
         )
 
-    def affine_drift(x):
-        g0 = np.zeros(dim)
-        coeff = np.zeros((dim, 1))
-        for k in range(1, dim + 1):
-            g0[k - 1] = -mu * max(tail(x, k) - tail(x, k + 1), 0.0)
-            coeff[k - 1, 0] = max(tail(x, k - 1) ** d - tail(x, k) ** d, 0.0)
-        return g0, coeff
-
     def affine_drift_batch(x):
         n = x.shape[0]
         # Columns of `padded` are the tails x_0 .. x_{K+1} with the
@@ -123,19 +115,6 @@ def make_power_of_d_model(
             padded[:, 0:dim] ** d - padded[:, 1:dim + 1] ** d, 0.0
         )
         return g0, coeff[:, :, None]
-
-    def jacobian(x, theta):
-        lam = float(theta[0])
-        jac = np.zeros((dim, dim))
-        for k in range(1, dim + 1):
-            row = k - 1
-            # d/dx of lam (x_{k-1}^d - x_k^d) - mu (x_k - x_{k+1}).
-            if k - 1 >= 1:
-                jac[row, k - 2] += lam * d * tail(x, k - 1) ** (d - 1)
-            jac[row, k - 1] += -lam * d * tail(x, k) ** (d - 1) - mu
-            if k + 1 <= dim:
-                jac[row, k] += mu
-        return jac
 
     def jacobian_batch(x, theta):
         lam = theta[:, 0]
@@ -154,9 +133,7 @@ def make_power_of_d_model(
         state_names=tuple(f"x{k}" for k in range(1, dim + 1)),
         transitions=transitions,
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=(np.zeros(dim), np.ones(dim)),
         observables={

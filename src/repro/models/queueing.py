@@ -86,12 +86,6 @@ def make_repairable_queue_model(
         rate=lambda x, th: rho * x[1],
     )
 
-    def affine_drift(x):
-        q, b = float(x[0]), float(x[1])
-        g0 = np.array([-mu * (c - b) * q, -rho * b])
-        big_g = np.array([[1.0 - q, 0.0], [0.0, c - b]])
-        return g0, big_g
-
     def affine_drift_batch(x):
         q, b_ = x[:, 0], x[:, 1]
         n = x.shape[0]
@@ -100,16 +94,6 @@ def make_repairable_queue_model(
         big_g[:, 0, 0] = 1.0 - q
         big_g[:, 1, 1] = c - b_
         return g0, big_g
-
-    def jacobian(x, theta):
-        q, b = float(x[0]), float(x[1])
-        lam, gam = float(theta[0]), float(theta[1])
-        return np.array(
-            [
-                [-lam - mu * (c - b), mu * q],
-                [0.0, -gam - rho],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         q, b = x[:, 0], x[:, 1]
@@ -125,9 +109,7 @@ def make_repairable_queue_model(
         state_names=("q", "b"),
         transitions=[arrival, service, breakdown, repair],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0], [1.0, c]),
         observables={

@@ -66,18 +66,6 @@ def make_seir_model(
         rate=lambda x, th: c * (1.0 - x[0] - x[1] - x[2]),
     )
 
-    def affine_drift(x):
-        s, e, i = float(x[0]), float(x[1]), float(x[2])
-        g0 = np.array(
-            [
-                c * (1.0 - s - e - i) - a * s,
-                a * s - sigma * e,
-                sigma * e - b * i,
-            ]
-        )
-        big_g = np.array([[-s * i], [s * i], [0.0]])
-        return g0, big_g
-
     def affine_drift_batch(x):
         s, e, i = x[:, 0], x[:, 1], x[:, 2]
         g0 = np.stack(
@@ -91,17 +79,6 @@ def make_seir_model(
         si = s * i
         big_g = np.stack([-si, si, np.zeros_like(si)], axis=1)[:, :, None]
         return g0, big_g
-
-    def jacobian(x, theta):
-        s, i = float(x[0]), float(x[2])
-        th = float(theta[0])
-        return np.array(
-            [
-                [-c - a - th * i, -c, -c - th * s],
-                [a + th * i, -sigma, th * s],
-                [0.0, sigma, -b],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         s, i = x[:, 0], x[:, 2]
@@ -122,9 +99,7 @@ def make_seir_model(
         state_names=("S", "E", "I"),
         transitions=[exposure, incubation, recovery, immunity_loss],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
         observables={

@@ -81,12 +81,6 @@ def make_sir_model(
         rate=lambda x, th: c * (1.0 - x[0] - x[1]),
     )
 
-    def affine_drift(x):
-        s, i = float(x[0]), float(x[1])
-        g0 = np.array([c - (a + c) * s - c * i, a * s - b * i])
-        big_g = np.array([[-s * i], [s * i]])
-        return g0, big_g
-
     def affine_drift_batch(x):
         # Filled column-by-column (not np.stack): this decomposition is
         # the innermost call of every hull RHS evaluation.
@@ -99,16 +93,6 @@ def make_sir_model(
         big_g[:, 0, 0] = -si
         big_g[:, 1, 0] = si
         return g0, big_g
-
-    def jacobian(x, theta):
-        s, i = float(x[0]), float(x[1])
-        th = float(theta[0])
-        return np.array(
-            [
-                [-(a + c) - th * i, -c - th * s],
-                [a + th * i, th * s - b],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         s, i = x[:, 0], x[:, 1]
@@ -125,9 +109,7 @@ def make_sir_model(
         state_names=("S", "I"),
         transitions=[infection, recovery, immunity_loss],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0], [1.0, 1.0]),
         observables={
@@ -175,29 +157,12 @@ def make_sir_full_model(
         rate=lambda x, th: c * x[2],
     )
 
-    def affine_drift(x):
-        s, i, r = float(x[0]), float(x[1]), float(x[2])
-        g0 = np.array([c * r - a * s, a * s - b * i, b * i - c * r])
-        big_g = np.array([[-s * i], [s * i], [0.0]])
-        return g0, big_g
-
     def affine_drift_batch(x):
         s, i, r = x[:, 0], x[:, 1], x[:, 2]
         g0 = np.stack([c * r - a * s, a * s - b * i, b * i - c * r], axis=1)
         si = s * i
         big_g = np.stack([-si, si, np.zeros_like(si)], axis=1)[:, :, None]
         return g0, big_g
-
-    def jacobian(x, theta):
-        s, i = float(x[0]), float(x[1])
-        th = float(theta[0])
-        return np.array(
-            [
-                [-a - th * i, -th * s, c],
-                [a + th * i, th * s - b, 0.0],
-                [0.0, b, -c],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         s, i = x[:, 0], x[:, 1]
@@ -217,9 +182,7 @@ def make_sir_full_model(
         state_names=("S", "I", "R"),
         transitions=[infection, recovery, immunity_loss],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
         conservations=[([1.0, 1.0, 1.0], 1.0)],

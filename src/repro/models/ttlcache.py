@@ -88,27 +88,12 @@ def make_ttl_cache_model(
         rate=lambda x, th: mu * x[1],
     )
 
-    def affine_drift(x):
-        f, s = float(x[0]), float(x[1])
-        g0 = np.array([-omega * f, omega * f - mu * s])
-        big_g = np.array([[(1.0 - f - s) + rho * s], [-rho * s]])
-        return g0, big_g
-
     def affine_drift_batch(x):
         f, s = x[:, 0], x[:, 1]
         g0 = np.stack([-omega * f, omega * f - mu * s], axis=1)
         big_g = np.stack([(1.0 - f - s) + rho * s, -rho * s],
                          axis=1)[:, :, None]
         return g0, big_g
-
-    def jacobian(x, theta):
-        th = float(theta[0])
-        return np.array(
-            [
-                [-th - omega, th * (rho - 1.0)],
-                [omega, -rho * th - mu],
-            ]
-        )
 
     def jacobian_batch(x, theta):
         th = theta[:, 0]
@@ -124,9 +109,7 @@ def make_ttl_cache_model(
         state_names=("fresh", "stale"),
         transitions=[fill, expire, refresh, evict],
         theta_set=theta_set,
-        affine_drift=affine_drift,
         affine_drift_batch=affine_drift_batch,
-        drift_jacobian=jacobian,
         drift_jacobian_batch=jacobian_batch,
         state_bounds=([0.0, 0.0], [1.0, 1.0]),
         observables={

@@ -541,6 +541,12 @@ def _dopri_batch_impl(
     L, d = x0.shape
     t0 = float(t_span[0])
     t_end = np.broadcast_to(np.asarray(t_span[1], dtype=float), (L,)).astype(float)
+    # A NaN never trips the step-size guards (every comparison is
+    # False), so it would spin to the max_steps guard.
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("dopri_batch: x0 must be finite")
+    if not (np.isfinite(t0) and np.all(np.isfinite(t_end))):
+        raise ValueError(f"dopri_batch: t_span must be finite, got {t_span}")
     spans = t_end - t0
     nonzero = spans[spans != 0.0]
     if nonzero.size and not (np.all(nonzero > 0) or np.all(nonzero < 0)):

@@ -108,9 +108,12 @@ def check_affine_decomposition(model, x, rng=None, n_samples: int = 16,
     """Verify that a model's declared affine decomposition matches its drift.
 
     Draws ``n_samples`` parameters from ``model.theta_set`` and checks
-    ``drift(x, theta) == g0(x) + G(x) @ theta`` to within ``tol``.
-    Raises ``AssertionError`` with a diagnostic on mismatch, returns
-    ``True`` otherwise.  Used by the model test-suites — a wrong affine
+    ``drift(x, theta) == g0(x) + G(x) @ theta`` to within ``tol``, where
+    ``(g0, G)`` is the one-row view of the declared
+    ``affine_drift_batch``.  Raises ``AssertionError`` with a diagnostic
+    on mismatch — including the mismatch the model's own first-call
+    check reports at the centre of ``Theta`` — and returns ``True``
+    otherwise.  Used by the model test-suites: a wrong affine
     decomposition silently corrupts every bound computed from it.
     """
     if not model.is_affine:
@@ -118,7 +121,10 @@ def check_affine_decomposition(model, x, rng=None, n_samples: int = 16,
     if rng is None:
         rng = np.random.default_rng(0)
     x = np.asarray(x, dtype=float)
-    g0, big_g = model.affine_parts(x)
+    try:
+        g0, big_g = model.affine_parts(x)
+    except ValueError as exc:
+        raise AssertionError(str(exc)) from exc
     thetas = model.theta_set.sample(rng, n_samples)
     for theta in thetas:
         direct = model.drift(x, theta)

@@ -38,37 +38,30 @@ class PopulationModel:
     theta_set:
         The parameter domain ``Theta``.  A :class:`~repro.params.Singleton`
         makes the model a *precise* population process.
-    affine_drift:
-        Optional callable ``x -> (g0, G)`` with ``g0`` of shape ``(d,)``
-        and ``G`` of shape ``(d, p)`` such that
-        ``drift(x, theta) = g0 + G @ theta`` for every ``theta``.  All
-        three paper models are affine in ``theta``; declaring the
-        decomposition unlocks closed-form extremisation (bang-bang
-        Hamiltonian maximisers, corner-based hulls).
     affine_drift_batch:
-        Optional *batched* form of ``affine_drift``: a callable
-        ``X -> (g0s, Gs)`` mapping a row-major state stack ``(n, d)``
-        to ``g0s`` of shape ``(n, d)`` and ``Gs`` of shape
-        ``(n, d, p)``.  Declaring it lets
-        :meth:`affine_parts_batch` — the hot path of every batched
-        bound computation (differential hull RHS, Pontryagin
-        Hamiltonian re-maximisation) — evaluate whole candidate stacks
-        in a handful of NumPy calls instead of one Python call per row.
-        The first batched call is spot-checked against the scalar
-        decomposition; without the declaration ``affine_parts_batch``
-        falls back to a per-row loop (correct, not fast).
-    drift_jacobian:
-        Optional analytic Jacobian ``(x, theta) -> (d, d)`` of the drift
-        in ``x``; finite differences are used when absent.
+        Optional affine-in-``theta`` decomposition of the drift: a
+        callable ``X -> (g0s, Gs)`` mapping a row-major state stack
+        ``(n, d)`` to ``g0s`` of shape ``(n, d)`` and ``Gs`` of shape
+        ``(n, d, p)`` such that ``drift(X[r], theta) = g0s[r] + Gs[r]
+        @ theta`` for every row and every ``theta``.  All three paper
+        models are affine in ``theta``; declaring the decomposition
+        unlocks closed-form extremisation (bang-bang Hamiltonian
+        maximisers, corner-based hulls).  :meth:`affine_parts_batch` is
+        the hot path of every batched bound computation and
+        :meth:`affine_parts` is its one-row view.  The first call is
+        checked against the transition-class drift at the centre of
+        ``Theta``, and a mismatch raises — a wrong decomposition
+        silently corrupts every bound computed from it.
     drift_jacobian_batch:
-        Optional *batched* form of ``drift_jacobian``: a callable
+        Optional analytic Jacobian of the drift in ``x``: a callable
         ``(X, Theta) -> (n, d, d)`` mapping row-major state and
-        parameter stacks to the stack of Jacobians.  Declaring it lets
+        parameter stacks to the stack of Jacobians.
         :meth:`jacobian_x_batch` — the inner loop of the batched
-        Pontryagin costate sweep — evaluate whole lane stacks in a few
-        NumPy calls; the first batched call is spot-checked against the
-        scalar Jacobian, and without the declaration the method falls
-        back to a per-row loop (correct, not fast).
+        Pontryagin costate sweep — calls it, and :meth:`jacobian_x` is
+        its one-row view.  Without the declaration the Jacobian is the
+        central finite difference of the drift, row by row.  The
+        conformance suite checks declared Jacobians against that finite
+        difference along the spec's own mean-field trajectories.
     state_bounds:
         Optional ``(lower, upper)`` vectors bounding the admissible
         normalised state space (e.g. ``([0, 0], [1, 1])``); used by the
@@ -91,9 +84,7 @@ class PopulationModel:
         state_names: Sequence[str],
         transitions: Sequence[Transition],
         theta_set: ParameterSet,
-        affine_drift: Optional[Callable] = None,
         affine_drift_batch: Optional[Callable] = None,
-        drift_jacobian: Optional[Callable] = None,
         drift_jacobian_batch: Optional[Callable] = None,
         state_bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
         conservations: Optional[List[Tuple[Sequence[float], float]]] = None,
@@ -117,22 +108,9 @@ class PopulationModel:
         if not isinstance(theta_set, ParameterSet):
             raise TypeError("theta_set must be a ParameterSet")
         self.theta_set = theta_set
-        self._affine_drift = affine_drift
         self._affine_drift_batch = affine_drift_batch
-        if affine_drift_batch is not None and affine_drift is None:
-            raise ValueError(
-                "affine_drift_batch requires the scalar affine_drift "
-                "(the batched form is validated against it)"
-            )
         self._affine_batch_checked = False
-        self._drift_jacobian = drift_jacobian
         self._drift_jacobian_batch = drift_jacobian_batch
-        if drift_jacobian_batch is not None and drift_jacobian is None:
-            raise ValueError(
-                "drift_jacobian_batch requires the scalar drift_jacobian "
-                "(the batched form is validated against it)"
-            )
-        self._jacobian_batch_checked = False
         if state_bounds is not None:
             lower, upper = state_bounds
             self.state_lower = np.asarray(lower, dtype=float)
@@ -182,25 +160,21 @@ class PopulationModel:
         return self.theta_set.dim
 
     @property
-    def declares_affine_drift_batch(self) -> bool:
-        """Whether the model ships the batched affine-drift kernel.
-
-        Catalog models must: the registry audit (``python -m repro
-        lint``) fails on registered models without it, because every
-        bounds layer silently degrades to per-row loops otherwise.
-        """
-        return self._affine_drift_batch is not None
-
-    @property
     def declares_drift_jacobian_batch(self) -> bool:
-        """Whether the model ships the batched Jacobian kernel (see
-        :attr:`declares_affine_drift_batch` — same audit contract)."""
+        """Whether the model ships an analytic Jacobian kernel.
+
+        Catalog models must, and must be :attr:`is_affine`: the registry
+        audit (``python -m repro lint``) fails on registered models
+        without either, because the costate sweep then runs on
+        finite-difference Jacobians and the Hamiltonian maximiser on
+        its grid search.
+        """
         return self._drift_jacobian_batch is not None
 
     @property
     def is_affine(self) -> bool:
         """Whether the model declares an affine-in-theta drift."""
-        return self._affine_drift is not None
+        return self._affine_drift_batch is not None
 
     @property
     def is_precise(self) -> bool:
@@ -387,21 +361,12 @@ class PopulationModel:
     def affine_parts(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(g0, G)`` with ``drift(x, theta) = g0 + G @ theta``.
 
-        Raises ``ValueError`` for models without a declared decomposition;
+        A one-row view of :meth:`affine_parts_batch`.  Raises
+        ``ValueError`` for models without a declared decomposition;
         callers needing genericity should branch on :attr:`is_affine`.
         """
-        if self._affine_drift is None:
-            raise ValueError(f"model {self.name!r} declares no affine decomposition")
-        g0, big_g = self._affine_drift(np.asarray(x, dtype=float))
-        g0 = np.asarray(g0, dtype=float)
-        big_g = np.asarray(big_g, dtype=float)
-        if g0.shape != (self.dim,):
-            raise ValueError(f"affine g0 has shape {g0.shape}, expected ({self.dim},)")
-        if big_g.shape != (self.dim, self.theta_dim):
-            raise ValueError(
-                f"affine G has shape {big_g.shape}, expected ({self.dim}, {self.theta_dim})"
-            )
-        return g0, big_g
+        g0s, big_gs = self.affine_parts_batch(x)
+        return g0s[0], big_gs[0]
 
     def affine_parts_batch(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """Batched affine decomposition: ``(g0s, Gs)`` for a state stack.
@@ -417,67 +382,53 @@ class PopulationModel:
         with ``drift(x[r], theta) = g0s[r] + Gs[r] @ theta`` for every
         row and every admissible ``theta``.
 
-        Uses the declared ``affine_drift_batch`` when available (one
-        vectorized call; its first use is spot-checked against the
-        scalar decomposition, and a mismatch raises — a wrong affine
-        decomposition silently corrupts every bound computed from it).
-        Falls back to a per-row loop over :meth:`affine_parts`
-        otherwise.
+        The first call checks the declared kernel's shapes and, on its
+        first and last finite rows, reconstructs ``g0 + G theta`` at the
+        centre of ``Theta`` against :meth:`drift_batch`; a mismatch
+        raises — a wrong affine decomposition silently corrupts every
+        bound computed from it.
         """
-        if self._affine_drift is None:
+        if self._affine_drift_batch is None:
             raise ValueError(f"model {self.name!r} declares no affine decomposition")
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
+        if self._affine_batch_checked:
+            return self._affine_drift_batch(x)
         n = x.shape[0]
-        if self._affine_drift_batch is not None:
-            if self._affine_batch_checked:
-                return self._affine_drift_batch(x)
-            g0s, big_gs = self._affine_drift_batch(x)
-            g0s = np.asarray(g0s, dtype=float)
-            big_gs = np.asarray(big_gs, dtype=float)
-            if g0s.shape != (n, self.dim):
-                raise ValueError(
-                    f"batched affine g0 has shape {g0s.shape}, "
-                    f"expected ({n}, {self.dim})"
-                )
-            if big_gs.shape != (n, self.dim, self.theta_dim):
-                raise ValueError(
-                    f"batched affine G has shape {big_gs.shape}, "
-                    f"expected ({n}, {self.dim}, {self.theta_dim})"
-                )
-            if not self._affine_batch_checked and n:
-                for r in {0, n - 1}:
-                    g0, big_g = self.affine_parts(x[r])
-                    if not (
-                        np.allclose(g0, g0s[r], rtol=1e-9, atol=1e-12)
-                        and np.allclose(big_g, big_gs[r], rtol=1e-9, atol=1e-12)
-                    ):
-                        raise ValueError(
-                            f"model {self.name!r}: affine_drift_batch disagrees "
-                            f"with affine_drift at x={x[r].tolist()}"
-                        )
-                self._affine_batch_checked = True
-            return g0s, big_gs
-        g0s = np.empty((n, self.dim))
-        big_gs = np.empty((n, self.dim, self.theta_dim))
-        for r in range(n):
-            g0s[r], big_gs[r] = self.affine_parts(x[r])
+        g0s, big_gs = self._affine_drift_batch(x)
+        g0s = np.asarray(g0s, dtype=float)
+        big_gs = np.asarray(big_gs, dtype=float)
+        if g0s.shape != (n, self.dim):
+            raise ValueError(
+                f"batched affine g0 has shape {g0s.shape}, "
+                f"expected ({n}, {self.dim})"
+            )
+        if big_gs.shape != (n, self.dim, self.theta_dim):
+            raise ValueError(
+                f"batched affine G has shape {big_gs.shape}, "
+                f"expected ({n}, {self.dim}, {self.theta_dim})"
+            )
+        finite = np.flatnonzero(np.isfinite(x).all(axis=1))
+        if finite.size:
+            # One-row drift_batch calls: they leave its lazy rate
+            # validation untouched.
+            centre = self.theta_set.center()
+            for r in {int(finite[0]), int(finite[-1])}:
+                reference = self.drift_batch(x[r], centre)[0]
+                if not np.allclose(g0s[r] + big_gs[r] @ centre, reference,
+                                   rtol=1e-8, atol=1e-9):
+                    raise ValueError(
+                        f"model {self.name!r}: affine_drift_batch disagrees "
+                        f"with drift_batch at x={x[r].tolist()}"
+                    )
+            self._affine_batch_checked = True
         return g0s, big_gs
 
     def jacobian_x(self, x, theta) -> np.ndarray:
-        """Jacobian of the drift in ``x`` (analytic when declared)."""
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if self._drift_jacobian is not None:
-            jac = np.asarray(self._drift_jacobian(x, theta), dtype=float)
-            if jac.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"declared Jacobian has shape {jac.shape}, "
-                    f"expected ({self.dim}, {self.dim})"
-                )
-            return jac
-        return numeric_jacobian(lambda y: self.drift(y, theta), x)
+        """Jacobian of the drift in ``x``: a one-row view of
+        :meth:`jacobian_x_batch`."""
+        return self.jacobian_x_batch(x, theta)[0]
 
     def jacobian_x_batch(self, x, theta) -> np.ndarray:
         """Batched drift Jacobians in ``x``: shape ``(n, d, d)``.
@@ -491,10 +442,8 @@ class PopulationModel:
             row — Pontryagin lanes carry different controls).
 
         Uses the declared ``drift_jacobian_batch`` when available (one
-        vectorized call; its first use is spot-checked against the
-        scalar Jacobian, and a mismatch raises — a wrong Jacobian
-        silently bends every costate integrated with it).  Falls back
-        to a per-row loop over :meth:`jacobian_x` otherwise.
+        vectorized call).  Falls back to the central finite difference
+        of :meth:`drift`, row by row, otherwise.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -507,29 +456,20 @@ class PopulationModel:
             raise ValueError(
                 f"theta batch has {theta.shape[0]} rows for {n} states"
             )
-        if self._drift_jacobian_batch is not None:
-            jacs = np.asarray(self._drift_jacobian_batch(x, theta),
-                              dtype=float)
-            if jacs.shape != (n, self.dim, self.dim):
-                raise ValueError(
-                    f"batched Jacobian has shape {jacs.shape}, "
-                    f"expected ({n}, {self.dim}, {self.dim})"
+        if self._drift_jacobian_batch is None:
+            out = np.empty((n, self.dim, self.dim))
+            for r in range(n):
+                out[r] = numeric_jacobian(
+                    lambda y: self.drift(y, theta[r]), x[r]
                 )
-            if not self._jacobian_batch_checked and n:
-                for r in {0, n - 1}:
-                    ref = self.jacobian_x(x[r], theta[r])
-                    if not np.allclose(ref, jacs[r], rtol=1e-9, atol=1e-12):
-                        raise ValueError(
-                            f"model {self.name!r}: drift_jacobian_batch "
-                            f"disagrees with drift_jacobian at "
-                            f"x={x[r].tolist()}"
-                        )
-                self._jacobian_batch_checked = True
-            return jacs
-        out = np.empty((n, self.dim, self.dim))
-        for r in range(n):
-            out[r] = self.jacobian_x(x[r], theta[r])
-        return out
+            return out
+        jacs = np.asarray(self._drift_jacobian_batch(x, theta), dtype=float)
+        if jacs.shape != (n, self.dim, self.dim):
+            raise ValueError(
+                f"batched Jacobian has shape {jacs.shape}, "
+                f"expected ({n}, {self.dim}, {self.dim})"
+            )
+        return jacs
 
     def backend_kernels(self) -> SimpleNamespace:
         """The batch kernels by role: ``drift``, ``rates``, ``affine``,

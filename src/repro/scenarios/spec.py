@@ -230,11 +230,14 @@ class ScenarioSpec:
             raise ValueError("scenario needs a non-empty name")
         if not callable(self.model_factory):
             raise TypeError("model_factory must be callable")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        object.__setattr__(
-            self, "x0", tuple(float(v) for v in np.asarray(self.x0, float))
-        )
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}"
+            )
+        x0 = np.asarray(self.x0, float)
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+        object.__setattr__(self, "x0", tuple(float(v) for v in x0))
         object.__setattr__(self, "horizon", float(self.horizon))
         questions = tuple(self.questions)
         if not questions:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bounds.pontryagin import extremal_trajectory
+from repro.bounds.pontryagin import extremal_trajectories_batch
 from repro.bounds.templates import TemplatePolytope, octagon_directions
 from repro.inclusion import DriftExtremizer
 
@@ -61,15 +61,16 @@ def asymptotic_reachable_hull(
     if directions is None:
         directions = octagon_directions(model.dim)
     directions = np.asarray(directions, dtype=float)
-    extremizer = extremizer or DriftExtremizer(model)
 
-    offsets = np.full(directions.shape[0], -np.inf)
-    for k, c in enumerate(directions):
-        for horizon in horizons[1:]:
-            n_steps = max(60, int(np.ceil(horizon * n_steps_per_unit)))
-            result = extremal_trajectory(
-                model, x0, float(horizon), c, maximize=True,
-                n_steps=n_steps, extremizer=extremizer,
-            )
-            offsets[k] = max(offsets[k], result.value)
+    # One lane per (direction, tail horizon); ragged grids are padded.
+    tail = horizons[1:]
+    specs = [
+        (c, True, float(horizon),
+         max(60, int(np.ceil(horizon * n_steps_per_unit))))
+        for c in directions for horizon in tail
+    ]
+    results = extremal_trajectories_batch(model, x0, specs,
+                                          extremizer=extremizer)
+    values = np.array([result.value for result in results])
+    offsets = values.reshape(directions.shape[0], tail.shape[0]).max(axis=1)
     return TemplatePolytope(directions.copy(), offsets)

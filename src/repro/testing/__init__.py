@@ -4,8 +4,9 @@ Registering a :class:`~repro.scenarios.ScenarioSpec` is the *entire*
 cost of testing a new model: :class:`ScenarioConformance` derives the
 structural soundness suite — bound-family ordering (envelope ⊆ template
 ⊆ hull), finite-``N`` ensemble grounding, interval-DTMC
-conservativeness, batch-vs-scalar kernel agreement,
-validity-range perturbation, and golden-pin verification against the
+conservativeness, drift/affine kernel agreement, Jacobians against
+finite differences of the drift, validity-range perturbation, and
+golden-pin verification against the
 paper's figures — from the spec alone, and the test files under
 ``tests/`` are thin parametrizations over the registry.
 

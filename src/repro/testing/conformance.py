@@ -36,10 +36,15 @@ per-model test code required beyond registration:
     can never drift from the production dispatch.
 
 ``check_batch_consistency``
-    The model's batch declarations (``drift_batch``,
-    ``affine_parts_batch``, ``jacobian_x_batch``) agree with their
-    scalar counterparts row-by-row on arbitrary admissible states and
-    parameters, and the affine decomposition reproduces the drift.
+    ``drift_batch`` agrees with the scalar ``drift`` row-by-row on
+    arbitrary admissible states and parameters, and the declared affine
+    decomposition ``g0 + G theta`` reproduces the drift.
+
+``check_jacobian``
+    The declared Jacobian kernel matches central differences of the
+    drift at the states of the spec's own mean-field trajectories (one
+    RK4 solution per corner of ``Theta`` plus its centre), kept where
+    they lie at least ``1e-3`` inside the declared state box.
 
 ``check_perturbation``
     The structural checks survive perturbing factory kwargs inside the
@@ -76,6 +81,7 @@ from repro.bounds import (
     uncertain_envelope,
 )
 from repro.inclusion import DriftExtremizer
+from repro.ode import rk4_integrate_batch
 from repro.params import DiscreteSet
 from repro.scenarios import list_scenarios
 from repro.scenarios.runner import run_question, spec_envelope_options
@@ -411,7 +417,7 @@ class ScenarioConformance:
         return checked
 
     # ------------------------------------------------------------------
-    # (d) batch-vs-scalar differential spot checks
+    # (d) kernel spot checks against the transition-class drift
     # ------------------------------------------------------------------
 
     def check_batch_consistency(
@@ -423,7 +429,7 @@ class ScenarioConformance:
         rtol: float = 1e-9,
         atol: float = 1e-11,
     ) -> int:
-        """Batch kernel declarations agree with the scalar paths.
+        """``drift_batch`` and the affine decomposition match the drift.
 
         ``state_fracs`` / ``theta_fracs`` are unit-fraction stacks
         (hypothesis-drawn in the property suite; a seeded uniform draw
@@ -461,26 +467,8 @@ class ScenarioConformance:
             f"(max |delta| = {np.abs(batched_drift - scalar_drift).max():.3g})",
         )
 
-        scalar_jac = np.stack(
-            [model.jacobian_x(states[r], thetas[r]) for r in range(n)]
-        )
-        batched_jac = model.jacobian_x_batch(states, thetas)
-        _require(
-            np.allclose(batched_jac, scalar_jac, rtol=rtol, atol=max(atol, 1e-9)),
-            f"{name}: jacobian_x_batch diverges from the scalar Jacobian "
-            f"(max |delta| = {np.abs(batched_jac - scalar_jac).max():.3g})",
-        )
-
         if model.is_affine:
             g0s, big_gs = model.affine_parts_batch(states)
-            for r in range(n):
-                g0, big_g = model.affine_parts(states[r])
-                _require(
-                    np.allclose(g0, g0s[r], rtol=rtol, atol=atol)
-                    and np.allclose(big_g, big_gs[r], rtol=rtol, atol=atol),
-                    f"{name}: affine_parts_batch row {r} diverges from the "
-                    "scalar decomposition",
-                )
             affine_drift = g0s + np.einsum("ndp,np->nd", big_gs, thetas)
             _require(
                 np.allclose(affine_drift, scalar_drift, rtol=1e-8, atol=1e-9),
@@ -489,6 +477,61 @@ class ScenarioConformance:
                 f"{np.abs(affine_drift - scalar_drift).max():.3g})",
             )
         return n
+
+    def check_jacobian(self) -> int:
+        """The Jacobian kernel matches central differences of the drift.
+
+        States are those the bounds actually visit: 200-step RK4
+        solutions from ``x0`` under each corner of ``Theta`` and its
+        centre, over ``min(horizon, 10)``, kept where every coordinate
+        lies at least ``1e-3`` inside the declared state box.  (Kernels
+        may ignore clamps that are only active outside the admissible
+        region, so box-drawn states would flag legitimate Jacobians.)
+        Column ``j`` of the analytic Jacobian must match the central
+        difference with step ``1e-7 * max(1, |x_j|)`` to
+        ``1e-4 * (1 + max |column|)``.  Returns the number of states
+        checked; it is 0 when the whole trajectory hugs the boundary (a
+        deep queue-length tail, say).
+        """
+        spec, model = self.spec, self.model
+        d, n_steps, margin = model.dim, 200, 1e-3
+        lane_thetas = np.vstack([model.theta_set.corners(),
+                                 model.theta_set.center()[None, :]])
+        lanes = lane_thetas.shape[0]
+        grid = np.linspace(0.0, min(spec.horizon, 10.0), n_steps + 1)
+        paths = rk4_integrate_batch(
+            lambda t, x: model.drift_batch(x, lane_thetas),
+            np.tile(np.asarray(spec.x0, dtype=float), (lanes, 1)), grid,
+        )
+        states = paths.states.reshape(-1, d)
+        thetas = np.repeat(lane_thetas, n_steps + 1, axis=0)
+        lower, upper = self._state_box()
+        inside = np.all((states >= lower + margin) & (states <= upper - margin),
+                        axis=1)
+        states, thetas = states[inside], thetas[inside]
+        if not states.shape[0]:
+            return 0
+        steps = 1e-7 * np.maximum(1.0, np.abs(states))
+        differences = np.empty((states.shape[0], d, d))
+        for j in range(d):
+            shift = np.zeros_like(states)
+            shift[:, j] = steps[:, j]
+            differences[:, :, j] = (
+                model.drift_batch(states + shift, thetas)
+                - model.drift_batch(states - shift, thetas)
+            ) / (2.0 * steps[:, j, None])
+        jacobians = model.jacobian_x_batch(states, thetas)
+        error = np.abs(jacobians - differences).max(axis=1)
+        tolerance = 1e-4 * (1.0 + np.abs(differences).max(axis=1))
+        row, col = np.unravel_index(np.argmax(error / tolerance), error.shape)
+        _require(
+            error[row, col] <= tolerance[row, col],
+            f"{spec.name}: Jacobian column {col} misses the drift's central "
+            f"difference by {error[row, col]:.3g} (tolerance "
+            f"{tolerance[row, col]:.3g}) at x={states[row].tolist()}, "
+            f"theta={thetas[row].tolist()}",
+        )
+        return int(states.shape[0])
 
     # ------------------------------------------------------------------
     # (e) kwargs/theta-box perturbation within declared validity
@@ -655,6 +698,7 @@ class ScenarioConformance:
 
         record("ordering", self.check_ordering)
         record("batch-consistency", self.check_batch_consistency)
+        record("jacobian", self.check_jacobian)
         record(
             "ensemble",
             lambda: self.check_ensemble(

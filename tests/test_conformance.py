@@ -7,11 +7,16 @@ the suite.  (The bound-family ordering check has its own file,
 
 - finite-``N`` ensemble grounding of the mean-field envelope,
 - interval-DTMC conservativeness through the runner's own backend,
-- batch-vs-scalar kernel agreement on hypothesis-drawn points,
+- ``drift_batch`` and the affine decomposition against the drift on
+  hypothesis-drawn points,
+- every declared Jacobian against central differences of the drift
+  along the spec's own trajectories,
 - kwarg perturbation inside declared validity ranges,
 - plus the registration-time validation that makes a typo'd factory
   kwarg fail at import instead of minutes into a sweep.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import make_sir_model
-from repro.params import DiscreteSet
+from repro.params import DiscreteSet, Interval
+from repro.population import PopulationModel, Transition
 from repro.scenarios import get_scenario
 from repro.scenarios.spec import Question, ScenarioSpec
 from repro.testing import (
@@ -50,6 +56,52 @@ PROPERTY_SPECS = ["autoscaler", "ttl-cache-fleet"]
 @pytest.mark.parametrize("spec", MODEL_CASES)
 def test_batch_kernels_agree_with_scalar(spec):
     assert ScenarioConformance(spec).check_batch_consistency() > 0
+
+
+@pytest.mark.parametrize("spec", MODEL_CASES)
+def test_jacobian_matches_drift_differences(spec):
+    ScenarioConformance(spec).check_jacobian()
+
+
+def test_jacobian_check_covers_every_model_factory():
+    # A spec whose trajectory hugs the state-box boundary checks no row
+    # (load-balancing's deep tail); another spec of the same factory
+    # must then cover it.
+    rows = Counter()
+    for spec in unique_model_cases():
+        rows[spec.factory_ref] += ScenarioConformance(spec).check_jacobian()
+    assert all(rows.values()), {k: v for k, v in rows.items() if not v}
+
+
+def _logistic_jacobian(xs, ths):
+    return (ths[:, 0] * (1.0 - 2.0 * xs[:, 0]))[:, None, None]
+
+
+def _logistic_model(jacobian_batch=_logistic_jacobian):
+    """Logistic growth ``x' = theta x (1 - x)``."""
+    grow = Transition("grow", [1.0], lambda x, th: th[0] * x[0] * (1.0 - x[0]))
+    return PopulationModel(
+        "logistic", ("x",), [grow], Interval(1.0, 2.0),
+        affine_drift_batch=lambda xs: (
+            np.zeros_like(xs), (xs * (1.0 - xs))[:, :, None]
+        ),
+        drift_jacobian_batch=jacobian_batch,
+        state_bounds=([0.0], [1.0]),
+    )
+
+
+def test_jacobian_check_flags_a_wrong_kernel():
+    spec = ScenarioSpec(
+        name="logistic-probe", title="logistic growth",
+        model_factory=_logistic_model, x0=(0.1,), horizon=3.0,
+        questions=(Question("hull"),),
+    )
+    assert ScenarioConformance(spec).check_jacobian() > 0
+    wrong = _logistic_model(  # drops the -theta x term of the derivative
+        lambda xs, ths: (ths[:, 0] * (1.0 - xs[:, 0]))[:, None, None]
+    )
+    with pytest.raises(ConformanceViolation, match="Jacobian column 0"):
+        ScenarioConformance(spec, model=wrong).check_jacobian()
 
 
 @pytest.mark.parametrize("spec", MODEL_CASES)
@@ -247,7 +299,7 @@ def test_run_all_report_lists_every_check():
         ensemble=False
     )
     names = {o.name for o in report.outcomes}
-    assert names == {"ordering", "batch-consistency", "ensemble",
+    assert names == {"ordering", "batch-consistency", "jacobian", "ensemble",
                      "dtmc-conservative", "perturbation", "golden"}
     assert {o.status for o in report.outcomes} <= {
         "passed", "not-applicable"

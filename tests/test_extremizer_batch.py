@@ -187,11 +187,13 @@ class TestModelBatchKernels:
         with pytest.raises(ValueError, match="rows"):
             model.jacobian_x_batch(states, thetas)
 
-    def test_affine_parts_batch_without_declaration_falls_back(self):
+    def test_affine_parts_batch_returns_declared_rows(self):
         tr = Transition("t", [1.0], lambda x, th: x[0] * th[0])
         model = PopulationModel(
             "plain", ("x",), [tr], Interval(0.0, 2.0),
-            affine_drift=lambda x: (np.zeros(1), np.array([[float(x[0])]])),
+            affine_drift_batch=lambda xs: (
+                np.zeros((xs.shape[0], 1)), xs[:, :, None]
+            ),
         )
         states = np.array([[0.25], [0.5], [2.0]])
         g0s, big_gs = model.affine_parts_batch(states)
@@ -202,7 +204,6 @@ class TestModelBatchKernels:
         tr = Transition("t", [1.0], lambda x, th: x[0] * th[0])
         model = PopulationModel(
             "broken", ("x",), [tr], Interval(0.0, 2.0),
-            affine_drift=lambda x: (np.zeros(1), np.array([[float(x[0])]])),
             affine_drift_batch=lambda xs: (
                 np.zeros((xs.shape[0], 1)),
                 2.0 * xs[:, :, None],  # wrong by a factor of two
@@ -210,16 +211,6 @@ class TestModelBatchKernels:
         )
         with pytest.raises(ValueError, match="disagrees"):
             model.affine_parts_batch(np.array([[0.5], [1.0]]))
-
-    def test_batch_declaration_requires_scalar_form(self):
-        tr = Transition("t", [1.0], lambda x, th: x[0] * th[0])
-        with pytest.raises(ValueError, match="affine_drift_batch"):
-            PopulationModel(
-                "headless", ("x",), [tr], Interval(0.0, 2.0),
-                affine_drift_batch=lambda xs: (
-                    np.zeros((xs.shape[0], 1)), xs[:, :, None]
-                ),
-            )
 
 
 class TestNonAffineAndDiscrete:
@@ -246,7 +237,9 @@ class TestNonAffineAndDiscrete:
         tr = Transition("t", [1.0], lambda x, th: th[0])
         model = PopulationModel(
             "d", ("x",), [tr], DiscreteSet([[1.0], [3.0], [2.0]]),
-            affine_drift=lambda x: (np.zeros(1), np.ones((1, 1))),
+            affine_drift_batch=lambda xs: (
+                np.zeros((xs.shape[0], 1)), np.ones((xs.shape[0], 1, 1))
+            ),
         )
         batched = DriftExtremizer(model)
         states = np.zeros((4, 1))

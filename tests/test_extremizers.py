@@ -77,7 +77,9 @@ class TestAffineStrategy:
         tr = Transition("t", [1.0], lambda x, th: th[0])
         model = PopulationModel(
             "d", ("x",), [tr], DiscreteSet([[1.0], [3.0], [2.0]]),
-            affine_drift=lambda x: (np.zeros(1), np.ones((1, 1))),
+            affine_drift_batch=lambda xs: (
+                np.zeros((xs.shape[0], 1)), np.ones((xs.shape[0], 1, 1))
+            ),
         )
         ext = DriftExtremizer(model)
         theta, value = ext.maximize_direction([0.0], [1.0])

@@ -192,12 +192,12 @@ class TestRegistryAudit:
 
     def test_declaration_properties_reflect_kernels(self):
         bare = _batchless_factory()
-        assert not bare.declares_affine_drift_batch
+        assert not bare.is_affine
         assert not bare.declares_drift_jacobian_batch
         from repro.models import make_sir_model
 
         sir = make_sir_model()
-        assert sir.declares_affine_drift_batch
+        assert sir.is_affine
         assert sir.declares_drift_jacobian_batch
 
     def test_bad_scenario_is_caught(self):

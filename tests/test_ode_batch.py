@@ -217,6 +217,26 @@ class TestDopriBatch:
         with pytest.raises(RuntimeError):
             dopri_batch(f, np.full((1, 1), 0.5), (0.0, 1.0), max_steps=200)
 
+    @pytest.mark.parametrize("x0, t_span", [
+        (np.array([[np.nan], [1.0]]), (0.0, 1.0)),
+        (np.ones((2, 1)), (np.nan, 1.0)),
+        (np.ones((2, 1)), (0.0, np.inf)),
+        (np.ones((2, 1)), (0.0, np.array([1.0, np.nan]))),
+    ], ids=["nan-x0", "nan-t0", "inf-t1", "nan-lane-end"])
+    def test_non_finite_inputs_rejected_before_stepping(self, x0, t_span):
+        # A NaN step size never trips the underflow guard, so without an
+        # entry check the solver spins to max_steps.
+        def field(t, X):
+            raise AssertionError("dopri_batch stepped on non-finite input")
+
+        with pytest.raises(ValueError, match="finite"):
+            dopri_batch(field, x0, t_span)
+
+    def test_envelope_rejects_nan_initial_state(self):
+        with pytest.raises(ValueError, match="finite"):
+            uncertain_envelope(make_sir_model(), [np.nan, 0.3],
+                               np.linspace(0.0, 1.0, 5))
+
     def test_mixed_direction_end_times_rejected(self):
         with pytest.raises(ValueError):
             dopri_batch(lambda t, X: -X, np.ones((2, 1)),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bounds import (
     PontryaginResult,
+    extremal_trajectories_batch,
     extremal_trajectory,
     pontryagin_transient_bounds,
     reachable_polytope_2d,
@@ -22,8 +23,10 @@ def linear_control_model():
     tr = Transition("move", [1.0], lambda x, th: th[0])
     return PopulationModel(
         "linear", ("x",), [tr], Interval(-1.0, 1.0),
-        affine_drift=lambda x: (np.zeros(1), np.ones((1, 1))),
-        drift_jacobian=lambda x, th: np.zeros((1, 1)),
+        affine_drift_batch=lambda xs: (
+            np.zeros((xs.shape[0], 1)), np.ones((xs.shape[0], 1, 1))
+        ),
+        drift_jacobian_batch=lambda xs, ths: np.zeros((xs.shape[0], 1, 1)),
     )
 
 
@@ -34,11 +37,13 @@ def double_integrator_model():
     return PopulationModel(
         "double_integrator", ("pos", "vel"), [move, acc],
         Interval(-1.0, 1.0),
-        affine_drift=lambda x: (
-            np.array([x[1], 0.0]),
-            np.array([[0.0], [1.0]]),
+        affine_drift_batch=lambda xs: (
+            np.stack([xs[:, 1], np.zeros(xs.shape[0])], axis=1),
+            np.tile([[0.0], [1.0]], (xs.shape[0], 1, 1)),
         ),
-        drift_jacobian=lambda x, th: np.array([[0.0, 1.0], [0.0, 0.0]]),
+        drift_jacobian_batch=lambda xs, ths: np.tile(
+            [[0.0, 1.0], [0.0, 0.0]], (xs.shape[0], 1, 1)
+        ),
     )
 
 
@@ -133,6 +138,25 @@ class TestSweepMechanics:
             extremal_trajectory(sir_model, sir_x0, 1.0, [0.0, 0.0])
         with pytest.raises(ValueError):
             extremal_trajectory(sir_model, sir_x0, 1.0, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("x0, direction, horizon", [
+        ([0.7, 0.3], [np.nan, 1.0], 1.0),
+        ([np.nan, 0.3], [0.0, 1.0], 1.0),
+        ([0.7, 0.3], [0.0, 1.0], np.nan),
+        ([0.7, 0.3], [0.0, 1.0], np.inf),
+    ], ids=["nan-direction", "nan-x0", "nan-horizon", "inf-horizon"])
+    def test_non_finite_inputs_rejected(self, sir_model, x0, direction,
+                                        horizon):
+        # Warm the model's first-call kernel checks, so the rejection
+        # cannot come from them by accident.
+        extremal_trajectory(sir_model, [0.7, 0.3], 0.5, [0.0, 1.0],
+                            n_steps=20)
+        with pytest.raises(ValueError, match="finite"):
+            extremal_trajectory(sir_model, x0, horizon, direction,
+                                n_steps=20)
+        with pytest.raises(ValueError, match="finite"):
+            extremal_trajectories_batch(sir_model, x0,
+                                        [(direction, True, horizon, 20)])
 
     def test_warm_start_shape_validated(self, sir_model, sir_x0):
         with pytest.raises(ValueError):
@@ -303,6 +327,21 @@ class TestReachablePolytope:
     def test_min_directions(self, sir_model, sir_x0):
         with pytest.raises(ValueError):
             reachable_polytope_2d(sir_model, sir_x0, 1.0, n_directions=2)
+
+    def test_lanes_match_scalar_sweeps(self, sir_model, sir_x0):
+        n = 6
+        vertices = reachable_polytope_2d(sir_model, sir_x0, 1.0,
+                                         n_directions=n, n_steps=60)
+        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        offsets = np.array([
+            extremal_trajectory(sir_model, sir_x0, 1.0, c, n_steps=60).value
+            for c in normals
+        ])
+        slack = vertices @ normals.T - offsets
+        assert np.all(slack <= 1e-12)
+        # Every vertex is tight on two of the scalar sweeps' halfspaces.
+        assert np.all(np.sum(np.abs(slack) <= 1e-12, axis=1) >= 2)
 
     @pytest.mark.slow
     def test_polytope_contains_uncertain_endpoints(self, sir_model, sir_x0):

@@ -19,7 +19,7 @@ def two_state_model(theta_set=None):
     down = Transition("down", [-1.0], lambda x, th: x[0])
     return PopulationModel(
         "toy", ("x",), [up, down], theta_set,
-        affine_drift=lambda x: (np.array([-x[0]]), np.array([[1.0 - x[0]]])),
+        affine_drift_batch=lambda xs: (-xs, (1.0 - xs)[:, :, None]),
         state_bounds=([0.0], [1.0]),
     )
 
@@ -108,12 +108,12 @@ class TestPopulationModel:
     def test_jacobian_analytic_vs_numeric(self):
         analytic = two_state_model()
 
-        def jac(x, theta):
-            return np.array([[-theta[0] - 1.0]])
+        def jac(xs, thetas):
+            return (-thetas[:, 0] - 1.0)[:, None, None]
 
         with_jac = PopulationModel(
             "m", ("x",), analytic.transitions, analytic.theta_set,
-            drift_jacobian=jac,
+            drift_jacobian_batch=jac,
         )
         x, theta = np.array([0.3]), np.array([1.5])
         np.testing.assert_allclose(
@@ -213,7 +213,9 @@ class TestCheckAffine:
         up = Transition("up", [1.0], lambda x, th: th[0] ** 2)
         model = PopulationModel(
             "bad", ("x",), [up], Interval(0.5, 2.0),
-            affine_drift=lambda x: (np.zeros(1), np.ones((1, 1))),
+            affine_drift_batch=lambda xs: (
+                np.zeros((xs.shape[0], 1)), np.ones((xs.shape[0], 1, 1))
+            ),
         )
         with pytest.raises(AssertionError):
             check_affine_decomposition(model, np.array([0.5]))

@@ -147,6 +147,20 @@ class TestSpec:
         )
         assert spec.kwargs == {"table": {"a": [1.0, 2.0], "b": {"c": 3}}}
 
+    @pytest.mark.parametrize("overrides", [
+        {"x0": (float("nan"), 0.3)},
+        {"x0": (0.7, float("inf"))},
+        {"horizon": float("nan")},
+        {"horizon": float("inf")},
+    ], ids=["nan-x0", "inf-x0", "nan-horizon", "inf-horizon"])
+    def test_non_finite_x0_and_horizon_rejected(self, overrides):
+        fields = dict(name="x", title="t", model_factory=make_sir_model,
+                      x0=(0.7, 0.3), horizon=1.0,
+                      questions=(Question("hull"),))
+        fields.update(overrides)
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioSpec(**fields)
+
     def test_typo_kwarg_rejected_at_construction(self):
         with pytest.raises(TypeError, match="theta_mxa"):
             ScenarioSpec(

@@ -6,6 +6,7 @@ import pytest
 from repro.bounds import (
     TemplatePolytope,
     box_directions,
+    extremal_trajectory,
     octagon_directions,
     template_reachable_bounds,
 )
@@ -105,6 +106,14 @@ class TestTemplateReachableBounds:
                              (0, horizon))
             assert poly.contains(traj.final_state, tol=1e-4)
 
+    def test_lanes_match_scalar_sweeps(self, sir_model, sir_x0):
+        poly = template_reachable_bounds(sir_model, sir_x0, 1.0, n_steps=80)
+        for c, offset in zip(poly.directions, poly.offsets):
+            scalar = extremal_trajectory(sir_model, sir_x0, 1.0, c,
+                                         n_steps=80)
+            assert offset == pytest.approx(scalar.value, rel=1e-12,
+                                           abs=1e-15)
+
     def test_box_template_matches_transient_bounds(self, sir_model, sir_x0):
         from repro.bounds import pontryagin_transient_bounds
 
@@ -151,6 +160,23 @@ class TestAsymptoticHull:
         )
         for vertex in region.polygon.vertices:
             assert hull.contains(vertex, tol=1e-2)
+
+    def test_ladder_lanes_match_scalar_sweeps(self, sir_model):
+        # Two tail horizons with different step counts: ragged lanes.
+        horizons = np.array([1.0, 2.0, 3.0])
+        directions = box_directions(2)
+        hull = asymptotic_reachable_hull(
+            sir_model, [0.7, 0.3], horizons=horizons,
+            directions=directions, n_steps_per_unit=30,
+        )
+        for c, offset in zip(directions, hull.offsets):
+            best = max(
+                extremal_trajectory(sir_model, [0.7, 0.3], h, c,
+                                    n_steps=max(60, int(np.ceil(h * 30)))
+                                    ).value
+                for h in horizons[1:]
+            )
+            assert offset == pytest.approx(best, rel=1e-12, abs=1e-15)
 
     def test_horizon_validation(self, sir_model):
         with pytest.raises(ValueError):
