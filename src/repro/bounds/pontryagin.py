@@ -18,14 +18,19 @@ argmax; that sign convention pairs with a minimum-principle reading — we
 use the standard maximum-principle convention above, and obtain minima by
 negating ``c``.)
 
-:func:`extremal_trajectory` solves these conditions with the fixed-point
-(forward–backward sweep) iteration the paper describes: integrate the
-state forward under the current control, the costate backward along the
-stored state, re-maximise the Hamiltonian pointwise, repeat until the
-control stabilises.  For the affine-in-theta models the Hamiltonian
-maximiser is bang-bang, so the iteration converges in a handful of
-sweeps; the convergence test combines control stability with objective
-stability to tolerate chattering on the measure-zero switching set.
+:func:`extremal_trajectories_batch` solves these conditions with the
+fixed-point (forward–backward sweep) iteration the paper describes:
+integrate the state forward under the current control, the costate
+backward along the stored state, re-maximise the Hamiltonian pointwise,
+repeat until the control stabilises — for a whole set of problems at
+once, each one a lane of the batched RK4 kernels.  For the
+affine-in-theta models the Hamiltonian maximiser is bang-bang, so the
+iteration converges in a handful of sweeps; the convergence test
+combines control stability with objective stability to tolerate
+chattering on the measure-zero switching set.  It is the only sweep in
+the library: :func:`extremal_trajectory` is a one-lane view of it (plus
+a warm-start control signal), which is how the robust-design loop and
+the exact Kolmogorov reward bounds of :mod:`repro.ctmc` run.
 
 :func:`pontryagin_transient_bounds` evaluates the bounds over a grid of
 horizons (the curves of Figures 1 and 7), running every (observable,
@@ -44,13 +49,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.inclusion import DriftExtremizer
-from repro.ode import (
-    Trajectory,
-    pad_grids,
-    rk4_integrate,
-    rk4_integrate_controlled,
-    rk4_integrate_controlled_batch,
-)
+from repro.ode import Trajectory, pad_grids, rk4_integrate_controlled_batch
 
 __all__ = [
     "PontryaginResult",
@@ -116,11 +115,6 @@ class PontryaginResult:
         return self.controls[index].copy()
 
 
-def _control_index(times: np.ndarray, t: float, n_controls: int) -> int:
-    index = int(np.searchsorted(times, t, side="right") - 1)
-    return min(max(index, 0), n_controls - 1)
-
-
 def _checked_problem(x0, direction, horizon, n_steps, dim):
     """``(x0, direction)`` as arrays, after rejecting a malformed sweep.
 
@@ -164,6 +158,10 @@ def extremal_trajectory(
 ) -> PontryaginResult:
     """Compute the trajectory extremising ``direction . x(T)``.
 
+    A one-lane view of :func:`extremal_trajectories_batch`: the sweep
+    runs as the single lane ``(direction, maximize, horizon, n_steps)``
+    of the lane engine.
+
     Parameters
     ----------
     model:
@@ -179,12 +177,13 @@ def extremal_trajectory(
         Maximise when ``True``, minimise when ``False``.
     n_steps:
         RK4 grid intervals shared by state, costate and control.
-    max_iter, tol, value_patience, chatter_intervals:
-        Sweep termination: stop when the control signal changed on at
-        most ``chatter_intervals`` grid intervals (a bang-bang switch
-        boundary hopping between neighbouring cells is a discretisation
-        artefact, not non-convergence), or when the objective moved by
-        less than ``tol`` (relative) for ``value_patience`` consecutive
+    max_iter, tol, value_tol, value_patience, chatter_intervals:
+        Sweep termination: stop when the control signal changed (by
+        more than ``tol``) on at most ``chatter_intervals`` grid
+        intervals (a bang-bang switch boundary hopping between
+        neighbouring cells is a discretisation artefact, not
+        non-convergence), or when the objective moved by less than
+        ``value_tol`` (relative) for ``value_patience`` consecutive
         sweeps.
     extremizer:
         Optional pre-built Hamiltonian maximiser; the re-maximisation of
@@ -192,128 +191,25 @@ def extremal_trajectory(
         :meth:`~repro.inclusion.DriftExtremizer.maximize_direction_batch`
         call per sweep (all ``n_steps`` grid intervals at once).
     initial_controls:
-        Warm-start control signal, shape ``(n_steps, p)``; defaults to
-        the centre of ``Theta`` on every interval.
+        Warm-start control signal, shape ``(n_steps, p)``: it seeds the
+        lane's control stack.  Defaults to the centre of ``Theta`` on
+        every interval.
     """
-    x0, direction = _checked_problem(x0, direction, horizon, n_steps,
-                                     model.dim)
-    extremizer = extremizer or DriftExtremizer(model)
-    # Internally we always maximise c . x(T).
-    c = direction if maximize else -direction
-    grid = np.linspace(0.0, float(horizon), n_steps + 1)
+    return _extremal_trajectories_batch_impl(
+        model, x0, [(direction, maximize, horizon, n_steps)],
+        max_iter=max_iter, tol=tol, value_tol=value_tol,
+        value_patience=value_patience, chatter_intervals=chatter_intervals,
+        extremizer=extremizer,
+        initial_controls=None if initial_controls is None
+        else [initial_controls],
+    )[0]
 
-    if initial_controls is None:
-        controls = np.tile(model.theta_set.center(), (n_steps, 1))
-    else:
-        controls = np.array(initial_controls, dtype=float)
-        if controls.ndim == 1:
-            controls = controls[:, None]
-        if controls.shape != (n_steps, model.theta_dim):
-            raise ValueError(
-                f"initial_controls has shape {controls.shape}, expected "
-                f"({n_steps}, {model.theta_dim})"
-            )
 
-    def dynamics(t, x, u):
-        return model.drift(x, u)
-
-    best: Optional[Tuple[float, np.ndarray, np.ndarray, np.ndarray]] = None
-    value_prev = None
-    stable_count = 0
-    converged = False
-    iterations = 0
-    costate_states = np.tile(c, (n_steps + 1, 1))
-    # Full-replacement updates can 2-cycle around a bang-bang switch; the
-    # parameter set is convex, so relaxed (blended) controls are
-    # admissible and the step shrinks whenever the objective regresses.
-    relaxation = 1.0
-
-    # Hoisted live handles: one registry lookup before the sweep, plain
-    # attribute ops per iteration (None when telemetry is disabled).
-    iter_counter = telemetry.live_counter("pontryagin.iterations")
-    relax_counter = telemetry.live_counter("pontryagin.relaxation_events")
-    residual_hist = telemetry.live_histogram("pontryagin.value_residual")
-
-    for iterations in range(1, max_iter + 1):
-        if iter_counter is not None:
-            iter_counter.inc()
-        # (7) forward state sweep under the current control.
-        x_traj = rk4_integrate_controlled(dynamics, x0, grid, controls)
-        value = float(c @ x_traj.final_state)
-        if best is None or value > best[0]:
-            best = (value, x_traj.states.copy(), costate_states.copy(),
-                    controls.copy())
-
-        # (9) backward costate sweep along the stored state.
-        def costate_field(t, p):
-            x = x_traj(t)
-            u = controls[_control_index(grid, t, n_steps)]
-            return -model.jacobian_x(x, u).T @ p
-
-        p_rev = rk4_integrate(costate_field, c, grid[::-1])
-        costate_states = p_rev.states[::-1].copy()
-
-        # (8) pointwise Hamiltonian maximisation -> target control signal:
-        # all n_steps grid intervals in one batched call.
-        target_controls, _ = extremizer.maximize_direction_batch(
-            x_traj.states[:-1], costate_states[:-1]
-        )
-
-        changed = np.any(np.abs(target_controls - controls) > tol, axis=1)
-        n_changed = int(np.count_nonzero(changed))
-        if n_changed <= chatter_intervals:
-            converged = True
-            # One final forward pass under the fixed-point control.
-            controls = target_controls
-            x_traj = rk4_integrate_controlled(dynamics, x0, grid, controls)
-            value = float(c @ x_traj.final_state)
-            if value >= best[0]:
-                best = (value, x_traj.states.copy(), costate_states.copy(),
-                        controls.copy())
-            break
-        if value_prev is not None and residual_hist is not None:
-            residual_hist.observe(abs(value - value_prev))
-        if value_prev is not None and value < value_prev - value_tol:
-            relaxation = max(0.5 * relaxation, 0.05)
-            if relax_counter is not None:
-                relax_counter.inc()
-        if value_prev is not None and abs(value - value_prev) <= value_tol * max(
-            1.0, abs(value)
-        ):
-            stable_count += 1
-            if stable_count >= value_patience:
-                converged = True
-                break
-        else:
-            stable_count = 0
-        value_prev = value
-        controls = controls + relaxation * (target_controls - controls)
-
-    value, states, costates, controls = best
-    # Relaxed iterations can leave blended (interior) controls; project
-    # back to the pointwise Hamiltonian maximiser — the PMP-consistent
-    # bang-bang signal — and keep it when it does not lose value.
-    projected, _ = extremizer.maximize_direction_batch(
-        states[:-1], costates[:-1]
-    )
-    x_proj = rk4_integrate_controlled(dynamics, x0, grid, projected)
-    value_proj = float(c @ x_proj.final_state)
-    if value_proj >= value - value_tol * max(1.0, abs(value)):
-        value = max(value, value_proj)
-        states = x_proj.states.copy()
-        controls = projected
-
-    return PontryaginResult(
-        times=grid,
-        states=states,
-        costates=costates,
-        controls=controls,
-        direction=direction.copy(),
-        maximize=maximize,
-        value=value if maximize else -value,
-        converged=converged,
-        iterations=iterations,
-    )
+#: Byte budget of the costate Jacobians built per ``jacobian_x_batch``
+#: call.  Every catalog population-model lane set fits in one block
+#: (1.7 MB at most); the dense ``d x d`` Jacobians of a master equation
+#: (0.94 MB per row at 343 states) are built a few steps at a time.
+_JACOBIAN_BLOCK_BYTES = 4 << 20
 
 
 def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
@@ -324,46 +220,53 @@ def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
     are *frozen*, so every Jacobian the RK4 stages will request is known
     in advance: per interval ``j`` the stages evaluate
     ``J(x(T[j+1]), u)`` (the node entered backward), ``J(x_mid, u_j)``
-    (the half step, twice) and ``J(x(T[j]), u_j)``.  All three stacks
-    are produced by a single batched
-    :meth:`~repro.population.PopulationModel.jacobian_x_batch` call
-    over every lane and interval; the recursion itself is then pure
-    matrix–vector arithmetic per lockstep step, mirroring the scalar
-    RK4 stage expressions (lanes whose grid is exhausted freeze).
-    Returns the costate stack in forward orientation, ``(L, n+1, d)``.
+    (the half step, twice) and ``J(x(T[j]), u_j)``.  The three stacks
+    of a block of lockstep steps come from one batched
+    :meth:`~repro.population.PopulationModel.jacobian_x_batch` call over
+    every lane; a block holds as many steps as fit in
+    :data:`_JACOBIAN_BLOCK_BYTES`, so small models build the whole sweep
+    in one call.  The recursion itself is pure matrix–vector arithmetic
+    per lockstep step, mirroring the scalar RK4 stage expressions
+    (lanes whose grid is exhausted freeze).  Returns the costate stack
+    in forward orientation, ``(L, n+1, d)``.
     """
     L, n_plus_1, d = states.shape
-    n_max = n_plus_1 - 1
+    n_sweep = int(steps.max())
     lanes = np.arange(L)
     x_left = states[:, :-1]
     x_right = states[:, 1:]
     x_mid = x_left + w_mid[:, :, None] * (x_right - x_left)
     u_right = controls[lanes[:, None], idx_right]
-    flat = lambda arr: arr.reshape(L * n_max, -1)  # noqa: E731
-    jacs = model.jacobian_x_batch(
-        np.concatenate([flat(x_right), flat(x_mid), flat(x_left)]),
-        np.concatenate([flat(u_right), flat(controls), flat(controls)]),
-    ).reshape(3, L, n_max, d, d)
-    j_right, j_mid, j_left = jacs[0], jacs[1], jacs[2]
+    block = max(1, _JACOBIAN_BLOCK_BYTES // (3 * L * d * d * states.itemsize))
 
     p = C.copy()
     costates = np.tile(C[:, None, :], (1, n_plus_1, 1))
-    for i in range(int(steps.max())):
-        j = steps - 1 - i
-        live = j >= 0
-        jc = np.where(live, j, 0)
-        dt = T[lanes, jc] - T[lanes, jc + 1]  # negative: backward in time
-        dtc = dt[:, None]
-        jr = j_right[lanes, jc]
-        jm = j_mid[lanes, jc]
-        jl = j_left[lanes, jc]
-        k1 = -np.einsum("lkj,lk->lj", jr, p)
-        k2 = -np.einsum("lkj,lk->lj", jm, p + 0.5 * dtc * k1)
-        k3 = -np.einsum("lkj,lk->lj", jm, p + 0.5 * dtc * k2)
-        k4 = -np.einsum("lkj,lk->lj", jl, p + dtc * k3)
-        p_new = p + (dtc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        p = np.where(live[:, None], p_new, p)
-        costates[lanes[live], j[live]] = p[live]
+    for i0 in range(0, n_sweep, block):
+        b = min(block, n_sweep - i0)
+        # Column c of lane l holds the interval lockstep step i0+b-1-c
+        # enters; a lane that has run out reads interval 0 instead.
+        window = np.maximum(steps[:, None] - i0 - b + np.arange(b), 0)
+        rows = lambda arr: arr[lanes[:, None], window].reshape(L * b, -1)  # noqa: E731
+        jacs = model.jacobian_x_batch(
+            np.concatenate([rows(x_right), rows(x_mid), rows(x_left)]),
+            np.concatenate([rows(u_right), rows(controls), rows(controls)]),
+        ).reshape(3, L, b, d, d)
+        for i in range(i0, i0 + b):
+            c = i0 + b - 1 - i
+            j = window[:, c]
+            live = steps > i
+            dt = T[lanes, j] - T[lanes, j + 1]  # negative: backward in time
+            dtc = dt[:, None]
+            k1 = -np.einsum("lkj,lk->lj", jacs[0, :, c], p)
+            k2 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + 0.5 * dtc * k1)
+            k3 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + 0.5 * dtc * k2)
+            k4 = -np.einsum("lkj,lk->lj", jacs[2, :, c], p + dtc * k3)
+            p_new = p + (dtc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = np.where(live[:, None], p_new, p)
+            costates[lanes[live], j[live]] = p[live]
+        # Free this block before the next is built: two live blocks
+        # would double the budget.
+        del jacs
     return costates
 
 
@@ -400,6 +303,7 @@ def _extremal_trajectories_batch_impl(
     chatter_intervals: int = 2,
     extremizer: Optional[DriftExtremizer] = None,
     deadline_seconds: Optional[float] = None,
+    initial_controls: Optional[Sequence] = None,
 ) -> List[PontryaginResult]:
     """Run many forward–backward sweeps as one lane-parallel batch.
 
@@ -407,19 +311,31 @@ def _extremal_trajectories_batch_impl(
     describing one extremal-trajectory problem; all of them advance in
     lockstep through the batched RK4 kernels: per iteration the forward
     state sweep is *one* :func:`~repro.ode.rk4_integrate_controlled_batch`
-    call, the backward costate sweep one :func:`~repro.ode.rk4_integrate_batch`
-    call (batched analytic Jacobians through
-    :meth:`~repro.population.PopulationModel.jacobian_x_batch`), and the
+    call, the backward costate sweep one lockstep RK4 recursion over
+    batched analytic Jacobians (built a block of steps per
+    :meth:`~repro.population.PopulationModel.jacobian_x_batch` call), and the
     Hamiltonian re-maximisation one extremiser call over every lane's
     every grid interval.  Per-lane convergence masks let converged lanes
     retire — they stop consuming forward/backward work — while the rest
     keep sweeping.
 
-    Lane iteration logic (relaxation schedule, best-iterate tracking,
-    chatter-tolerant convergence, bang-bang projection) mirrors
-    :func:`extremal_trajectory` lane by lane from a cold start, so each
-    returned :class:`PontryaginResult` matches the scalar sweep of the
-    same problem to integrator round-off.
+    Per lane the sweep integrates the state forward under the current
+    control, the costate backward along the stored state, and
+    re-maximises the Hamiltonian pointwise.  Full-replacement updates can
+    2-cycle around a bang-bang switch; ``Theta`` is convex, so a lane
+    whose objective regresses (by more than ``value_tol``) halves its
+    relaxation step (down to 0.05) and blends its controls instead.  A
+    lane stops when its control changed (by more than ``tol``) on at
+    most ``chatter_intervals`` grid intervals — then one final forward
+    pass runs under the fixed-point control — or when its objective
+    moved by at most ``value_tol`` (relative) for ``value_patience``
+    consecutive sweeps.  Each lane keeps its best iterate, and the
+    result projects it back to the pointwise Hamiltonian maximiser —
+    the PMP-consistent bang-bang signal — whenever that loses no value.
+
+    ``max_iter < 1``, a negative or non-finite ``tol`` / ``value_tol``
+    and ``value_patience < 1`` raise ``ValueError``: each would return
+    a bound that is not an extremum, marked converged.
 
     ``deadline_seconds`` is a wall-clock budget for graceful
     degradation: when the sweep loop exceeds it, iteration stops and
@@ -428,7 +344,20 @@ def _extremal_trajectories_batch_impl(
     best iterate exists, and the final bang-bang projection pass still
     runs).  Deadline hits stamp
     ``resilience.pontryagin.deadline_hits``.
+
+    ``initial_controls`` (one ``(n_max, p)`` signal per lane) replaces
+    the centre-of-``Theta`` cold start; it is the warm start of
+    :func:`extremal_trajectory`.
     """
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    for name, value in (("tol", tol), ("value_tol", value_tol)):
+        if not (np.isfinite(value) and value >= 0.0):
+            raise ValueError(
+                f"{name} must be finite and non-negative, got {value}"
+            )
+    if not value_patience >= 1:
+        raise ValueError(f"value_patience must be >= 1, got {value_patience}")
     if not specs:
         return []
     extremizer = extremizer or DriftExtremizer(model)
@@ -452,7 +381,7 @@ def _extremal_trajectories_batch_impl(
     # Stage geometry of the backward sweeps (fixed across iterations):
     # the mid-stage interpolation weight per interval, and the control
     # interval the node-entry stage reads (the piecewise-constant lookup
-    # clips at the terminal interval, exactly as the scalar sweep does).
+    # clips at the terminal interval).
     span = T[:, 1:] - T[:, :-1]
     t_mid = T[:, 1:] + 0.5 * (T[:, :-1] - T[:, 1:])
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -460,13 +389,23 @@ def _extremal_trajectories_batch_impl(
     idx_right = np.minimum(np.arange(1, n_max + 1)[None, :],
                            (steps - 1)[:, None])
 
-    controls = np.tile(model.theta_set.center(), (L, n_max, 1))
+    if initial_controls is None:
+        controls = np.tile(model.theta_set.center(), (L, n_max, 1))
+    else:
+        controls = np.array(initial_controls, dtype=float)
+        if controls.ndim == 2:
+            controls = controls[:, :, None]
+        if controls.shape != (L, n_max, p):
+            raise ValueError(
+                f"initial_controls has shape {controls.shape[1:]}, "
+                f"expected ({n_max}, {p})"
+            )
     x0_stack = np.broadcast_to(x0, (L, d)).copy()
 
     def dynamics(t, X, U):
         return model.drift_batch(X, U)
 
-    # Per-lane sweep state (mirrors the scalar loop variable for variable).
+    # Per-lane sweep state.
     best_value = np.full(L, -np.inf)
     best_states = np.zeros((L, n_max + 1, d))
     best_costates = np.tile(C[:, None, :], (1, n_max + 1, 1))

@@ -9,14 +9,14 @@ differential inclusion
 Because this is itself a differential inclusion with affine-in-theta
 drift, the whole Section IV toolbox applies verbatim: the
 :class:`KolmogorovSystem` adapter exposes the master equation through
-the same duck-typed interface as a population model (``drift``,
-``jacobian_x``, ``affine_parts`` — plus their batched forms
-``drift_batch`` / ``affine_parts_batch``, which reduce to one sparse
-matmul per generator part — and ``theta_set``), so
+the same duck-typed interface as a population model (``drift_batch``
+/ ``affine_parts_batch``, one sparse matmul per generator part;
+``jacobian_x_batch``, the dense ``Q(theta)^T`` per row; their one-row
+views ``drift`` / ``affine_parts`` / ``jacobian_x``; ``theta_set``), so
 
-- :func:`imprecise_reward_bounds` runs the Pontryagin sweep on the
-  master equation, giving the *exact* extreme of any expected reward
-  ``r . P(T)`` over all admissible parameter processes, and
+- :func:`imprecise_reward_bounds` runs the Pontryagin lane engine on
+  the master equation, giving the *exact* extreme of any expected
+  reward ``r . P(T)`` over all admissible parameter processes, and
 - :func:`uncertain_reward_envelope` sweeps constant parameters for the
   uncertain counterpart.
 
@@ -27,6 +27,7 @@ limit.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,12 +51,27 @@ __all__ = [
 ]
 
 
+def _checked_inputs(chain, reward, p0):
+    """``(reward, p0)`` as arrays, after rejecting malformed inputs."""
+    n = chain.n_states
+    reward = np.asarray(reward, dtype=float)
+    if reward.shape != (n,):
+        raise ValueError(f"reward has shape {reward.shape}, expected ({n},)")
+    if not np.all(np.isfinite(reward)):
+        raise ValueError("reward must be finite")
+    p0 = chain.initial_distribution if p0 is None else np.asarray(p0, float)
+    if p0.shape != (n,):
+        raise ValueError(f"p0 has shape {p0.shape}, expected ({n},)")
+    return reward, p0
+
+
 class KolmogorovSystem:
     """Adapter: the master equation of a finite chain as a drift model.
 
     Duck-types the subset of the :class:`~repro.population.PopulationModel`
     interface consumed by :class:`~repro.inclusion.DriftExtremizer` and
-    :func:`~repro.bounds.extremal_trajectory`:
+    the Pontryagin lane engine
+    (:func:`~repro.bounds.extremal_trajectories_batch`):
     the "state" is the probability vector ``P`` and the "drift" is
     ``f(P, theta) = Q(theta)^T P``, affine in ``theta`` through the
     generator decomposition.
@@ -85,13 +101,15 @@ class KolmogorovSystem:
     def is_affine(self) -> bool:
         return True
 
+    @cached_property
+    def _dense_parts(self):
+        """``[Q0^T, Q_1^T, ...]`` as one dense ``(1 + p, d, d)`` stack."""
+        return np.stack([part.toarray()
+                         for part in [self._q0_t, *self._parts_t]])
+
     def drift(self, p, theta) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = self._q0_t @ p
-        for k, part in enumerate(self._parts_t):
-            out = out + theta[k] * (part @ p)
-        return out
+        """One-row view of :meth:`drift_batch`."""
+        return self.drift_batch(p, theta)[0]
 
     def drift_fn(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -129,14 +147,22 @@ class KolmogorovSystem:
         return g0s, big_gs
 
     def jacobian_x(self, p, theta) -> np.ndarray:
-        """The dense ``Q(theta)^T``.  There is deliberately no batched
-        form: one dense Jacobian per costate stage and grid interval would
-        be ~280 MB on a 343-state chain with 100 steps."""
-        theta = np.asarray(theta, dtype=float)
-        jac = self._q0_t.toarray()
-        for k, part in enumerate(self._parts_t):
-            jac = jac + theta[k] * part.toarray()
-        return jac
+        """One-row view of :meth:`jacobian_x_batch`."""
+        return self.jacobian_x_batch(p, theta)[0]
+
+    def jacobian_x_batch(self, p, theta) -> np.ndarray:
+        """The dense ``Q(theta)^T`` per row, shape ``(n, d, d)``.
+
+        The master equation is linear, so the Jacobian depends on the
+        ``(n, p)`` parameter stack only.  Each row is ``d * d`` floats
+        (0.94 MB at 343 states); the costate sweep asks for blocks that
+        fit its byte budget, not for a whole sweep at once.  One einsum
+        of the dense generator stack against ``(1, theta)`` writes the
+        output once, with no ``(n, d, d)`` temporaries.
+        """
+        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        weights = np.hstack([np.ones((theta.shape[0], 1)), theta])
+        return np.einsum("nk,kij->nij", weights, self._dense_parts)
 
 
 def imprecise_reward_bounds(
@@ -156,16 +182,10 @@ def imprecise_reward_bounds(
     ``controls`` are the adversarial parameter signal achieving the
     bound.
     """
-    system = KolmogorovSystem(chain)
-    reward = np.asarray(reward, dtype=float)
-    if reward.shape != (chain.n_states,):
-        raise ValueError(
-            f"reward has shape {reward.shape}, expected ({chain.n_states},)"
-        )
-    p0 = chain.initial_distribution if p0 is None else np.asarray(p0, float)
+    reward, p0 = _checked_inputs(chain, reward, p0)
     return extremal_trajectory(
-        system, p0, horizon, reward, maximize=maximize, n_steps=n_steps,
-        **sweep_kwargs,
+        KolmogorovSystem(chain), p0, horizon, reward, maximize=maximize,
+        n_steps=n_steps, **sweep_kwargs,
     )
 
 
@@ -194,18 +214,15 @@ def uncertain_reward_envelope(
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or t_eval.shape[0] < 1:
         raise ValueError("t_eval must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t_eval)):
+        raise ValueError(f"t_eval must be finite, got {t_eval.tolist()}")
     if np.any(np.diff(t_eval) < 0):
         raise ValueError(
             "t_eval must be non-decreasing: the master equation is only "
             "integrated forward in time (the backward problem is "
             "exponentially unstable)"
         )
-    reward = np.asarray(reward, dtype=float)
-    if reward.shape != (chain.n_states,):
-        raise ValueError(
-            f"reward has shape {reward.shape}, expected ({chain.n_states},)"
-        )
-    p0 = chain.initial_distribution if p0 is None else np.asarray(p0, float)
+    reward, p0 = _checked_inputs(chain, reward, p0)
     n_t = t_eval.shape[0]
     if t_eval[0] == t_eval[-1]:
         # Degenerate horizon: the mass never moves off p0.

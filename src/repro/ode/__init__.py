@@ -3,8 +3,8 @@
 The mean-field objects of the paper are solved with two integrator
 families:
 
-- a fixed-grid classical Runge–Kutta 4 integrator
-  (:func:`rk4_integrate`, :func:`rk4_integrate_controlled`), used by the
+- a fixed-grid classical Runge–Kutta 4 integrator (:func:`rk4_integrate`
+  and the controlled :func:`rk4_integrate_controlled_batch`), used by the
   Pontryagin forward–backward sweep which needs the state, costate and
   control to live on one shared time grid, and
 - an adaptive integrator (:func:`solve_ode`) wrapping
@@ -17,8 +17,9 @@ to stationarity and polishing with a Newton solve.
 
 Each family also has a *batched* form in :mod:`repro.ode.batch` that
 advances an ``(n_lanes, d)`` stack of IVPs as one array program:
-:func:`rk4_integrate_batch` / :func:`rk4_integrate_controlled_batch`
-(lockstep, bit-identical to the scalar loop lane by lane),
+:func:`rk4_integrate_batch` (lockstep, bit-identical to the scalar loop
+lane by lane), :func:`rk4_integrate_controlled_batch` (the only
+controlled RK4: a scalar controlled solve is a one-lane batch),
 :func:`dopri_batch` (adaptive Dormand–Prince 5(4) with per-lane error
 control and lane retirement) and :func:`find_fixed_point_batch`.
 """
@@ -36,7 +37,6 @@ from repro.ode.integrators import (
     Trajectory,
     find_fixed_point,
     rk4_integrate,
-    rk4_integrate_controlled,
     rk4_step,
     solve_ode,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "pad_grids",
     "rk4_step",
     "rk4_integrate",
-    "rk4_integrate_controlled",
     "rk4_integrate_batch",
     "rk4_integrate_controlled_batch",
     "dopri_batch",

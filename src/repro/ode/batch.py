@@ -283,10 +283,10 @@ def _rk4_integrate_controlled_batch_impl(f: Callable, x0, t_grid, controls,
 
     ``controls`` holds one control row per lane per grid *interval*,
     shape ``(n_lanes, n_points - 1, p)``; the control is held constant
-    across each step, matching
-    :func:`~repro.ode.rk4_integrate_controlled` lane by lane (bit
-    identical, same stage arithmetic).  ``f(t, X, U)`` receives the
-    per-lane state and control stacks.
+    across each step (the bang-bang signals of the Pontryagin
+    maximiser), and each lane runs the :func:`~repro.ode.rk4_step`
+    stage arithmetic.  ``f(t, X, U)`` receives the per-lane state and
+    control stacks.
     """
     x0, t_grid, shared, lane_steps, n_points = _prepare_batch_grid(
         x0, t_grid, lane_steps

@@ -14,7 +14,6 @@ __all__ = [
     "Trajectory",
     "rk4_step",
     "rk4_integrate",
-    "rk4_integrate_controlled",
     "solve_ode",
     "find_fixed_point",
 ]
@@ -134,23 +133,6 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_step_controlled(f: Callable, t: float, x: np.ndarray, dt: float,
-                         u: np.ndarray) -> np.ndarray:
-    """One RK4 step of ``x' = f(t, x, u)`` with the control held constant.
-
-    The control is threaded straight into the stage evaluations instead
-    of freezing it in a per-interval closure, so the grid loop in
-    :func:`rk4_integrate_controlled` pays no per-step lambda
-    construction.  The stage arithmetic is identical to
-    :func:`rk4_step` applied to ``lambda t, y: f(t, y, u)``.
-    """
-    k1 = f(t, x, u)
-    k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, u)
-    k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, u)
-    k4 = f(t + dt, x + dt * k3, u)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _validate_grid(t_grid: np.ndarray) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.shape[0] < 2:
@@ -179,34 +161,6 @@ def rk4_integrate(f: Callable, x0, t_grid) -> Trajectory:
     return Trajectory(t_grid.copy(), states)
 
 
-def rk4_integrate_controlled(
-    f: Callable, x0, t_grid, controls
-) -> Trajectory:
-    """Integrate ``x' = f(t, x, u)`` with a piecewise-constant control.
-
-    ``controls`` holds one control vector per grid *interval*
-    (shape ``(len(t_grid) - 1, m)`` or ``(len(t_grid) - 1,)``); the control
-    is held constant across each RK4 step, which matches the bang-bang
-    controls produced by the Pontryagin maximiser.
-    """
-    t_grid = _validate_grid(t_grid)
-    ctrl = np.asarray(controls, dtype=float)
-    if ctrl.ndim == 1:
-        ctrl = ctrl[:, None]
-    if ctrl.shape[0] != t_grid.shape[0] - 1:
-        raise ValueError(
-            f"need {t_grid.shape[0] - 1} control intervals, got {ctrl.shape[0]}"
-        )
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((t_grid.shape[0], x.shape[0]))
-    states[0] = x
-    for i in range(t_grid.shape[0] - 1):
-        dt = t_grid[i + 1] - t_grid[i]
-        x = _rk4_step_controlled(f, t_grid[i], x, dt, ctrl[i])
-        states[i + 1] = x
-    return Trajectory(t_grid.copy(), states)
-
-
 def solve_ode(
     f: Callable,
     x0,
@@ -220,14 +174,23 @@ def solve_ode(
     """Adaptive integration of ``x' = f(t, x)`` via scipy ``solve_ivp``.
 
     Returns a :class:`Trajectory` sampled at ``t_eval`` when given,
-    otherwise at the solver's own accepted steps.
+    otherwise at the solver's own accepted steps.  A non-finite
+    ``t_span`` or ``t_eval`` raises ``ValueError`` before scipy sees it
+    (``solve_ivp`` never terminates on a NaN or infinite end time).
     """
     x0 = np.asarray(x0, dtype=float)
+    t_span = tuple(float(t) for t in t_span)
+    if not np.all(np.isfinite(t_span)):
+        raise ValueError(f"t_span must be finite, got {t_span}")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if not np.all(np.isfinite(t_eval)):
+            raise ValueError(f"t_eval must be finite, got {t_eval.tolist()}")
     sol = solve_ivp(
         f,
-        tuple(t_span),
+        t_span,
         x0,
-        t_eval=None if t_eval is None else np.asarray(t_eval, dtype=float),
+        t_eval=t_eval,
         rtol=rtol,
         atol=atol,
         method=method,

@@ -3,7 +3,8 @@
 The library computes every bound through one batched implementation.
 The functions here are the plain, one-query-at-a-time versions of the
 same computations — a knapsack per row, an extremisation per query, an
-ODE solve per constant ``theta``, an SSA run per replication — kept only
+ODE solve per constant ``theta``, a scalar forward–backward sweep per
+Pontryagin problem, an SSA run per replication — kept only
 so the tests can pin the batched kernels against an independent
 computation.  Nothing under ``src/`` imports this module.
 
@@ -15,13 +16,18 @@ tolerance where the batched path shares one adaptive step sequence).
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from repro.bounds import UncertainEnvelope, extremal_trajectory
+from repro.bounds import UncertainEnvelope
 from repro.bounds.hull import _refined_extremum, _slice_candidates
-from repro.bounds.pontryagin import TransientBounds, _resolve_directions
+from repro.bounds.pontryagin import (
+    PontryaginResult,
+    TransientBounds,
+    _checked_problem,
+    _resolve_directions,
+)
 from repro.bounds.sweep import _resolve_weights
 from repro.ctmc.kolmogorov import KolmogorovSystem
 from repro.inclusion import DriftExtremizer
-from repro.ode import find_fixed_point, rk4_integrate, solve_ode
+from repro.ode import Trajectory, find_fixed_point, rk4_integrate, solve_ode
 from repro.params import DiscreteSet
 from repro.simulation import BatchResult, simulate
 
@@ -333,8 +339,155 @@ def uniformized_bounds(dtmc, reward, horizon, rate, tail_tol=1e-12):
 
 
 # ----------------------------------------------------------------------
-# Pontryagin: the warm-started horizon ladder
+# Controlled RK4: repro.ode.rk4_integrate_controlled_batch
 # ----------------------------------------------------------------------
+
+
+def rk4_integrate_controlled(f, x0, t_grid, controls):
+    """Integrate ``x' = f(t, x, u)`` with a piecewise-constant control.
+
+    ``controls`` holds one control vector per grid *interval* (shape
+    ``(len(t_grid) - 1, m)`` or ``(len(t_grid) - 1,)``), held constant
+    across each RK4 step; a plain loop of the ``rk4_step`` stages.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    ctrl = np.asarray(controls, dtype=float)
+    if ctrl.ndim == 1:
+        ctrl = ctrl[:, None]
+    if ctrl.shape[0] != t_grid.shape[0] - 1:
+        raise ValueError(
+            f"need {t_grid.shape[0] - 1} control intervals, got {ctrl.shape[0]}"
+        )
+    x = np.asarray(x0, dtype=float).copy()
+    states = np.empty((t_grid.shape[0], x.shape[0]))
+    states[0] = x
+    for i in range(t_grid.shape[0] - 1):
+        t, dt, u = t_grid[i], t_grid[i + 1] - t_grid[i], ctrl[i]
+        k1 = f(t, x, u)
+        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, u)
+        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, u)
+        k4 = f(t + dt, x + dt * k3, u)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i + 1] = x
+    return Trajectory(t_grid.copy(), states)
+
+
+# ----------------------------------------------------------------------
+# Pontryagin: extremal_trajectories_batch and the warm-started ladder
+# ----------------------------------------------------------------------
+
+
+def extremal_trajectory(model, x0, horizon, direction, maximize=True,
+                        n_steps=400, max_iter=100, tol=1e-7, value_tol=1e-6,
+                        value_patience=3, chatter_intervals=2,
+                        extremizer=None, initial_controls=None):
+    """The forward–backward sweep of one problem, one scalar loop.
+
+    The reference for every lane of
+    :func:`repro.bounds.extremal_trajectories_batch` (and so for the
+    library's ``extremal_trajectory``): a scalar controlled RK4 forward
+    pass, a scalar RK4 costate pass that interpolates the stored state
+    and looks up the control at each stage time, and one Hamiltonian
+    re-maximisation per sweep, with the same relaxation, convergence
+    and bang-bang projection rules.
+    """
+    x0, direction = _checked_problem(x0, direction, horizon, n_steps,
+                                     model.dim)
+    extremizer = extremizer or DriftExtremizer(model)
+    # Internally we always maximise c . x(T).
+    c = direction if maximize else -direction
+    grid = np.linspace(0.0, float(horizon), n_steps + 1)
+
+    if initial_controls is None:
+        controls = np.tile(model.theta_set.center(), (n_steps, 1))
+    else:
+        controls = np.array(initial_controls, dtype=float)
+        if controls.ndim == 1:
+            controls = controls[:, None]
+        if controls.shape != (n_steps, model.theta_dim):
+            raise ValueError(
+                f"initial_controls has shape {controls.shape}, expected "
+                f"({n_steps}, {model.theta_dim})"
+            )
+
+    def dynamics(t, x, u):
+        return model.drift(x, u)
+
+    best = None
+    value_prev = None
+    stable_count = 0
+    converged = False
+    iterations = 0
+    costate_states = np.tile(c, (n_steps + 1, 1))
+    relaxation = 1.0
+
+    for iterations in range(1, max_iter + 1):
+        # (7) forward state sweep under the current control.
+        x_traj = rk4_integrate_controlled(dynamics, x0, grid, controls)
+        value = float(c @ x_traj.final_state)
+        if best is None or value > best[0]:
+            best = (value, x_traj.states.copy(), costate_states.copy(),
+                    controls.copy())
+
+        # (9) backward costate sweep along the stored state.
+        def costate_field(t, p):
+            index = int(np.searchsorted(grid, t, side="right") - 1)
+            u = controls[min(max(index, 0), n_steps - 1)]
+            return -model.jacobian_x(x_traj(t), u).T @ p
+
+        p_rev = rk4_integrate(costate_field, c, grid[::-1])
+        costate_states = p_rev.states[::-1].copy()
+
+        # (8) pointwise Hamiltonian maximisation -> target control signal.
+        target_controls, _ = extremizer.maximize_direction_batch(
+            x_traj.states[:-1], costate_states[:-1]
+        )
+
+        changed = np.any(np.abs(target_controls - controls) > tol, axis=1)
+        if int(np.count_nonzero(changed)) <= chatter_intervals:
+            converged = True
+            # One final forward pass under the fixed-point control.
+            controls = target_controls
+            x_traj = rk4_integrate_controlled(dynamics, x0, grid, controls)
+            value = float(c @ x_traj.final_state)
+            if value >= best[0]:
+                best = (value, x_traj.states.copy(), costate_states.copy(),
+                        controls.copy())
+            break
+        if value_prev is not None and value < value_prev - value_tol:
+            relaxation = max(0.5 * relaxation, 0.05)
+        if value_prev is not None and abs(value - value_prev) <= value_tol * max(
+            1.0, abs(value)
+        ):
+            stable_count += 1
+            if stable_count >= value_patience:
+                converged = True
+                break
+        else:
+            stable_count = 0
+        value_prev = value
+        controls = controls + relaxation * (target_controls - controls)
+
+    value, states, costates, controls = best
+    # Project back to the pointwise Hamiltonian maximiser and keep it
+    # when it does not lose value.
+    projected, _ = extremizer.maximize_direction_batch(
+        states[:-1], costates[:-1]
+    )
+    x_proj = rk4_integrate_controlled(dynamics, x0, grid, projected)
+    value_proj = float(c @ x_proj.final_state)
+    if value_proj >= value - value_tol * max(1.0, abs(value)):
+        value = max(value, value_proj)
+        states = x_proj.states.copy()
+        controls = projected
+
+    return PontryaginResult(
+        times=grid, states=states, costates=costates, controls=controls,
+        direction=direction.copy(), maximize=maximize,
+        value=value if maximize else -value, converged=converged,
+        iterations=iterations,
+    )
+
 
 
 def resample_controls(old_grid, old_controls, new_grid):
@@ -349,9 +502,10 @@ def warm_started_bounds(model, x0, horizons, observables=None,
                         tol=1e-7, sides=("lower", "upper")):
     """Sequential Pontryagin bounds over a horizon ladder.
 
-    One scalar sweep per (observable, side, horizon), each horizon
-    warm-started from the previous horizon's optimal control — the
-    reference for the cold-started lanes of
+    One scalar sweep (:func:`extremal_trajectory` above) per
+    (observable, side, horizon), each horizon warm-started from the
+    previous horizon's optimal control — the reference for the
+    cold-started lanes of
     :func:`repro.bounds.pontryagin_transient_bounds`.
     """
     horizons = np.asarray(horizons, dtype=float)

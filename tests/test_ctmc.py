@@ -1,8 +1,12 @@
 """Tests for the exact finite-CTMC substrate (repro.ctmc)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import reference_impls as ref
+from repro.bounds.sweep import _resolve_weights
 from repro.ctmc import (
     ImpreciseCTMC,
     KolmogorovSystem,
@@ -13,12 +17,26 @@ from repro.ctmc import (
 from repro.models import make_bike_station_model, make_sir_full_model
 from repro.params import Interval
 from repro.population import PopulationModel, Transition
+from repro.scenarios import get_scenario
 
 
 @pytest.fixture(scope="module")
 def bike_chain():
     model = make_bike_station_model()
     return ImpreciseCTMC(model.instantiate(10, [0.5]))
+
+
+def catalog_reward_problem(name):
+    """``(chain, reward, horizon, n_steps)`` of a catalog dtmc_reward
+    question, for its first observable."""
+    spec = get_scenario(name)
+    opts = next(q for q in spec.questions if q.kind == "dtmc_reward").opts
+    model = spec.build_model()
+    chain = ImpreciseCTMC(model.instantiate(opts["population_size"], spec.x0))
+    weights = _resolve_weights(model, list(spec.observables))
+    reward = chain.densities() @ next(iter(weights.values()))
+    horizon = float(opts.get("horizon", spec.horizon))
+    return chain, reward, horizon, int(opts["n_steps"])
 
 
 class TestEnumeration:
@@ -165,13 +183,27 @@ class TestKolmogorovSystem:
             g0 + big_g @ theta, system.drift(p, theta), atol=1e-12
         )
 
-    def test_jacobian_is_generator_transpose(self, bike_chain):
+    def test_jacobian_is_generator_transpose(self, bike_chain, rng):
         system = KolmogorovSystem(bike_chain)
         theta = np.array([1.0, 1.0])
         jac = system.jacobian_x(bike_chain.initial_distribution, theta)
         np.testing.assert_allclose(
             jac, bike_chain.generator(theta).T.toarray(), atol=1e-12
         )
+        # The batched form: one dense Q(theta_r)^T per row.
+        thetas = np.array([[1.0, 1.0], [0.9, 1.1], [1.1, 0.95]])
+        jacs = system.jacobian_x_batch(rng.dirichlet(np.ones(11), size=3),
+                                       thetas)
+        assert jacs.shape == (3, 11, 11)
+        for jac_row, theta_row in zip(jacs, thetas):
+            np.testing.assert_allclose(
+                jac_row, bike_chain.generator(theta_row).T.toarray(),
+                atol=1e-12,
+            )
+            np.testing.assert_array_equal(
+                system.jacobian_x(bike_chain.initial_distribution, theta_row),
+                jac_row,
+            )
 
     def test_probability_conserved_by_drift(self, bike_chain, rng):
         system = KolmogorovSystem(bike_chain)
@@ -204,6 +236,12 @@ class TestKolmogorovSystem:
         np.testing.assert_array_equal(
             dense.jacobian_x(p, theta), sparse_sys.jacobian_x(p, theta)
         )
+        ps = rng.dirichlet(np.ones(11), size=2)
+        thetas = np.array([[1.05, 0.95], [0.9, 1.1]])
+        np.testing.assert_array_equal(
+            dense.jacobian_x_batch(ps, thetas),
+            sparse_sys.jacobian_x_batch(ps, thetas),
+        )
 
 
 class TestRewardBounds:
@@ -223,6 +261,10 @@ class TestRewardBounds:
     def test_reward_shape_validated(self, bike_chain):
         with pytest.raises(ValueError):
             imprecise_reward_bounds(bike_chain, np.ones(3), 1.0)
+        # A wrong-shaped p0 used to fail inside the sparse matmuls.
+        with pytest.raises(ValueError, match="p0"):
+            imprecise_reward_bounds(bike_chain, np.ones(11), 1.0,
+                                    p0=np.full(3, 1.0 / 3.0))
 
     def test_probability_reward_stays_in_unit_interval(self, bike_chain):
         reward = (bike_chain.states[:, 0] >= 8).astype(float)
@@ -264,3 +306,63 @@ class TestRewardBounds:
         with pytest.raises(ValueError):
             uncertain_reward_envelope(bike_chain, np.ones(3),
                                       np.linspace(0, 1, 3))
+        # A wrong-shaped p0 used to fail inside numpy's reshape, and a
+        # NaN reward came back as a NaN envelope.
+        with pytest.raises(ValueError, match="p0"):
+            uncertain_reward_envelope(bike_chain, np.ones(11),
+                                      np.linspace(0, 1, 3),
+                                      p0=np.full(3, 1.0 / 3.0))
+        reward = np.ones(11)
+        reward[4] = np.nan
+        with pytest.raises(ValueError, match="reward"):
+            uncertain_reward_envelope(bike_chain, reward,
+                                      np.linspace(0, 1, 3))
+
+    @pytest.mark.parametrize("t_eval", [[0.0, np.nan], [0.0, 1.0, np.inf]],
+                             ids=["nan", "inf"])
+    def test_uncertain_envelope_non_finite_times_rejected(self, bike_chain,
+                                                          t_eval):
+        # Regression: these used to hang inside solve_ivp.
+        reward = bike_chain.densities()[:, 0]
+        with pytest.raises(ValueError, match="finite"):
+            uncertain_reward_envelope(bike_chain, reward, t_eval,
+                                      resolution=3)
+
+
+class TestRewardBoundsMatchScalarSweep:
+    """The exact bounds run as one lane of the lane engine per side; the
+    scalar forward–backward sweep of ``reference_impls`` is the oracle."""
+
+    @pytest.mark.parametrize("name, n_states", [
+        ("bike-dtmc-reward", 9),
+        ("sir-dtmc-reward", 28),
+        ("autoscaler", 49),
+        pytest.param("load-balancing-dtmc", 343, marks=pytest.mark.slow),
+    ])
+    def test_catalog_chains(self, name, n_states):
+        chain, reward, horizon, n_steps = catalog_reward_problem(name)
+        assert chain.n_states == n_states
+        for maximize in (False, True):
+            lane = imprecise_reward_bounds(chain, reward, horizon,
+                                           maximize=maximize, n_steps=n_steps)
+            scalar = ref.extremal_trajectory(
+                KolmogorovSystem(chain), chain.initial_distribution, horizon,
+                reward, maximize=maximize, n_steps=n_steps,
+            )
+            assert lane.iterations == scalar.iterations
+            assert lane.converged == scalar.converged
+            assert lane.value == pytest.approx(scalar.value, rel=1e-12)
+
+    def test_dense_jacobians_stay_in_budget(self):
+        # One dense Jacobian per stage and interval would be 282 MB on
+        # the 343-state chain; the costate sweep builds them in blocks.
+        chain, reward, horizon, _ = catalog_reward_problem(
+            "load-balancing-dtmc")
+        assert chain.n_states == 343
+        tracemalloc.start()
+        try:
+            imprecise_reward_bounds(chain, reward, horizon, n_steps=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20

@@ -7,10 +7,18 @@ from repro.ode import (
     Trajectory,
     find_fixed_point,
     rk4_integrate,
-    rk4_integrate_controlled,
+    rk4_integrate_controlled_batch,
     rk4_step,
     solve_ode,
 )
+
+
+def one_lane(f, x0, grid, controls):
+    """A controlled RK4 solve as the one lane of the batched kernel."""
+    batch = rk4_integrate_controlled_batch(
+        f, [x0], grid, np.asarray(controls, dtype=float)[None]
+    )
+    return batch.lane(0)
 
 
 class TestTrajectory:
@@ -144,10 +152,10 @@ class TestRK4:
 class TestControlledRK4:
     def test_piecewise_control_applied(self):
         # x' = u with u = 1 then u = -1: triangle wave.
-        f = lambda t, x, u: np.array([u[0]])
+        f = lambda t, x, u: u[:, :1]
         grid = np.linspace(0, 2, 201)
         controls = np.where(grid[:-1] < 1.0, 1.0, -1.0)
-        traj = rk4_integrate_controlled(f, [0.0], grid, controls)
+        traj = one_lane(f, [0.0], grid, controls)
         assert traj(1.0)[0] == pytest.approx(1.0, abs=1e-9)
         assert traj.final_state[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -155,13 +163,13 @@ class TestControlledRK4:
         f = lambda t, x, u: u
         grid = np.linspace(0, 1, 11)
         controls = np.tile([1.0, 2.0], (10, 1))
-        traj = rk4_integrate_controlled(f, [0.0, 0.0], grid, controls)
+        traj = one_lane(f, [0.0, 0.0], grid, controls)
         np.testing.assert_allclose(traj.final_state, [1.0, 2.0], atol=1e-12)
 
     def test_control_length_validated(self):
         f = lambda t, x, u: x
         with pytest.raises(ValueError):
-            rk4_integrate_controlled(f, [1.0], np.linspace(0, 1, 11), np.zeros(5))
+            one_lane(f, [1.0], np.linspace(0, 1, 11), np.zeros(5))
 
 
 class TestSolveOde:
@@ -179,6 +187,26 @@ class TestSolveOde:
         a = solve_ode(f, [1.0, 0.0], (0.0, 3.0), rtol=1e-10, atol=1e-12)
         b = rk4_integrate(f, [1.0, 0.0], np.linspace(0, 3, 3001))
         np.testing.assert_allclose(a.final_state, b.final_state, atol=1e-7)
+
+    @pytest.mark.parametrize("t_span", [(0.0, np.nan), (np.nan, 1.0),
+                                        (0.0, np.inf)],
+                             ids=["nan-end", "nan-start", "inf-end"])
+    def test_non_finite_t_span_rejected(self, t_span):
+        # Regression: solve_ivp never returned on these end times.
+        with pytest.raises(ValueError, match="t_span must be finite"):
+            solve_ode(lambda t, x: -x, [1.0], t_span)
+
+    def test_non_finite_t_eval_rejected(self):
+        # Regression: a NaN sample came back as a one-point trajectory
+        # whose "final state" was x0.
+        with pytest.raises(ValueError, match="t_eval must be finite"):
+            solve_ode(lambda t, x: -x, [1.0], (0.0, 1.0),
+                      t_eval=[0.0, np.nan, 1.0])
+
+    def test_fixed_point_rejects_nan_settle_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            find_fixed_point(lambda x: -x, np.array([1.0]),
+                             settle_time=np.nan)
 
 
 class TestFindFixedPoint:

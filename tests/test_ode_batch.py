@@ -22,7 +22,7 @@ import pytest
 
 import reference_impls as ref
 from repro.bounds import pontryagin_transient_bounds, uncertain_envelope
-from repro.bounds.pontryagin import extremal_trajectories_batch, extremal_trajectory
+from repro.bounds.pontryagin import extremal_trajectories_batch
 from repro.models import (
     make_cdn_cache_model,
     make_gossip_model,
@@ -42,7 +42,6 @@ from repro.ode import (
     pad_grids,
     rk4_integrate,
     rk4_integrate_batch,
-    rk4_integrate_controlled,
     rk4_integrate_controlled_batch,
     solve_ode,
 )
@@ -116,7 +115,7 @@ class TestLockstepRK4BitIdentity:
 
         batch = rk4_integrate_controlled_batch(dynamics, x0, grid, controls)
         for l in range(3):
-            scalar = rk4_integrate_controlled(
+            scalar = ref.rk4_integrate_controlled(
                 lambda t, y, u: model.drift(y, u), x0[l], grid, controls[l]
             )
             np.testing.assert_array_equal(batch.states[l], scalar.states)
@@ -314,8 +313,8 @@ class TestConsumersMatchScalarPaths:
         lane = extremal_trajectories_batch(
             sir_model, sir_x0, [([0.0, 1.0], True, 2.0, 150)]
         )[0]
-        scalar = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
-                                     n_steps=150)
+        scalar = ref.extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
+                                         n_steps=150)
         assert lane.iterations == scalar.iterations
         assert lane.converged == scalar.converged
         assert lane.value == pytest.approx(scalar.value, rel=1e-12, abs=1e-14)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.bounds import (
     PontryaginResult,
+    box_directions,
     extremal_trajectories_batch,
     extremal_trajectory,
+    pontryagin,
     pontryagin_transient_bounds,
     reachable_polytope_2d,
     switching_function,
@@ -158,6 +161,26 @@ class TestSweepMechanics:
             extremal_trajectories_batch(sir_model, x0,
                                         [(direction, True, horizon, 20)])
 
+    @pytest.mark.parametrize("options", [
+        {"max_iter": 0},
+        {"tol": np.nan},
+        {"tol": -1e-7},
+        {"value_tol": np.inf},
+        {"value_patience": 0},
+    ], ids=["max_iter-0", "nan-tol", "negative-tol", "inf-value_tol",
+            "value_patience-0"])
+    def test_bad_sweep_options_rejected(self, sir_model, sir_x0, options):
+        # Each used to come back as a non-extremal bound marked
+        # converged (max_iter=0: the initial state's objective).
+        match = f"^{next(iter(options))} must"
+        with pytest.raises(ValueError, match=match):
+            extremal_trajectory(sir_model, sir_x0, 1.0, [0.0, 1.0],
+                                n_steps=20, **options)
+        with pytest.raises(ValueError, match=match):
+            extremal_trajectories_batch(
+                sir_model, sir_x0, [([0.0, 1.0], True, 1.0, 20)], **options
+            )
+
     def test_warm_start_shape_validated(self, sir_model, sir_x0):
         with pytest.raises(ValueError):
             extremal_trajectory(sir_model, sir_x0, 1.0, [0.0, 1.0],
@@ -168,6 +191,20 @@ class TestSweepMechanics:
         res = extremal_trajectory(sir_model, sir_x0, 1.0, [0.0, 1.0],
                                   n_steps=50, initial_controls=warm)
         assert res.converged
+
+    def test_warm_start_seeds_the_lane(self, sir_model, sir_x0):
+        # The warm start reaches the lane engine through a private
+        # argument; the scalar oracle takes it directly.
+        cold = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
+                                   n_steps=100)
+        warm = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
+                                   n_steps=100, initial_controls=cold.controls)
+        scalar = ref.extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
+                                         n_steps=100,
+                                         initial_controls=cold.controls)
+        assert warm.iterations == scalar.iterations < cold.iterations
+        assert warm.converged == scalar.converged
+        assert warm.value == pytest.approx(scalar.value, rel=1e-12)
 
     def test_controls_admissible(self, sir_model, sir_x0):
         res = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
@@ -212,6 +249,66 @@ class TestSweepMechanics:
                                       maximize=False, n_steps=60)
         # Minimised value equals direction . x(T) of the found trajectory.
         assert res_min.value == pytest.approx(res_min.states[-1, 1], abs=1e-9)
+
+
+class TestCostateBlocks:
+    """The costate Jacobians are built in blocks under a byte budget;
+    the split must not change a single bit of the sweep."""
+
+    @staticmethod
+    def _first_sweep_args(monkeypatch, model, x0, specs):
+        captured = []
+        original = pontryagin._costate_sweep_batch
+
+        def spy(*args):
+            captured.append(args)
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pontryagin, "_costate_sweep_batch", spy)
+            extremal_trajectories_batch(model, x0, specs, max_iter=1)
+        return captured[0]
+
+    def _assert_blocks_bit_identical(self, monkeypatch, model, x0, specs):
+        args = self._first_sweep_args(monkeypatch, model, x0, specs)
+        single = pontryagin._costate_sweep_batch(*args)
+        reference = extremal_trajectories_batch(model, x0, specs)
+
+        calls = []
+        jacobian = model.jacobian_x_batch
+
+        def counting(*a):
+            calls.append(1)
+            return jacobian(*a)
+
+        L, _, d = args[3].shape
+        steps_per_block = int(args[2].max()) // 4
+        monkeypatch.setattr(model, "jacobian_x_batch", counting)
+        monkeypatch.setattr(pontryagin, "_JACOBIAN_BLOCK_BYTES",
+                            3 * L * d * d * 8 * steps_per_block)
+        blocked = pontryagin._costate_sweep_batch(*args)
+        assert len(calls) >= 3
+        np.testing.assert_array_equal(blocked, single)
+        for lane, ref_lane in zip(
+                extremal_trajectories_batch(model, x0, specs), reference):
+            assert lane.value == ref_lane.value
+            assert lane.iterations == ref_lane.iterations
+            np.testing.assert_array_equal(lane.costates, ref_lane.costates)
+            np.testing.assert_array_equal(lane.controls, ref_lane.controls)
+
+    def test_ragged_sir_ladder(self, monkeypatch, sir_model, sir_x0):
+        specs = [([0.0, 1.0], is_max, horizon, n_steps)
+                 for horizon, n_steps in ((0.5, 60), (1.25, 125), (2.0, 200))
+                 for is_max in (False, True)]
+        self._assert_blocks_bit_identical(monkeypatch, sir_model, sir_x0,
+                                          specs)
+
+    def test_gps_map(self, monkeypatch, gps_map):
+        from repro.models import gps_initial_state_map
+
+        specs = [(c, True, 1.0, 60) for c in box_directions(4)]
+        self._assert_blocks_bit_identical(monkeypatch, gps_map,
+                                          gps_initial_state_map(), specs)
 
 
 class TestSwitchingExtraction:
@@ -335,7 +432,8 @@ class TestReachablePolytope:
         angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         offsets = np.array([
-            extremal_trajectory(sir_model, sir_x0, 1.0, c, n_steps=60).value
+            ref.extremal_trajectory(sir_model, sir_x0, 1.0, c,
+                                    n_steps=60).value
             for c in normals
         ])
         slack = vertices @ normals.T - offsets

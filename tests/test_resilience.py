@@ -385,15 +385,24 @@ class TestQuestionIsolation:
         rerun = run_scenario(spec, cache_dir=tmp_path, on_error="partial")
         assert rerun.report.metrics["scenarios.cache.hits"] == 0
 
-    @pytest.mark.parametrize("horizons", [[], [float("nan")]])
-    def test_bad_pontryagin_ladder_is_a_typed_failure(self, horizons):
-        # An empty ladder used to "succeed" with no findings at all.
+    @pytest.mark.parametrize("options", [
+        {"horizons": []},
+        {"horizons": [float("nan")]},
+        {"max_iter": 0},
+        {"tol": float("nan")},
+        {"tol": -1e-7},
+    ], ids=["empty-ladder", "nan-horizon", "max_iter-0", "nan-tol",
+            "negative-tol"])
+    def test_bad_pontryagin_ladder_is_a_typed_failure(self, options):
+        # An empty ladder used to "succeed" with no findings at all;
+        # max_iter=0 reported I in [0.0200, 0.0200] at T = 2 (the true
+        # bounds are [0.0157, 0.1571]) and a NaN tol a non-conservative
+        # upper bound, both as complete runs.
         spec = get_scenario("sir-transient").with_overrides(
             name="resilience-bad-ladder",
             questions=[
                 Question("envelope", options={"n_times": 4}),
-                Question("pontryagin", options={"horizons": horizons},
-                         label="bad"),
+                Question("pontryagin", options=options, label="bad"),
             ],
         )
         run = run_scenario(spec, use_cache=False, on_error="partial")

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.bounds import (
     TemplatePolytope,
     box_directions,
-    extremal_trajectory,
     octagon_directions,
     template_reachable_bounds,
 )
@@ -109,8 +109,8 @@ class TestTemplateReachableBounds:
     def test_lanes_match_scalar_sweeps(self, sir_model, sir_x0):
         poly = template_reachable_bounds(sir_model, sir_x0, 1.0, n_steps=80)
         for c, offset in zip(poly.directions, poly.offsets):
-            scalar = extremal_trajectory(sir_model, sir_x0, 1.0, c,
-                                         n_steps=80)
+            scalar = ref.extremal_trajectory(sir_model, sir_x0, 1.0, c,
+                                             n_steps=80)
             assert offset == pytest.approx(scalar.value, rel=1e-12,
                                            abs=1e-15)
 
@@ -171,9 +171,9 @@ class TestAsymptoticHull:
         )
         for c, offset in zip(directions, hull.offsets):
             best = max(
-                extremal_trajectory(sir_model, [0.7, 0.3], h, c,
-                                    n_steps=max(60, int(np.ceil(h * 30)))
-                                    ).value
+                ref.extremal_trajectory(sir_model, [0.7, 0.3], h, c,
+                                        n_steps=max(60, int(np.ceil(h * 30)))
+                                        ).value
                 for h in horizons[1:]
             )
             assert offset == pytest.approx(best, rel=1e-12, abs=1e-15)
