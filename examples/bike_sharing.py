@@ -15,22 +15,27 @@ this example works at finite ``N`` rather than in the mean-field limit:
    rush hour via the imprecise Kolmogorov equations (Eq. 2 of the
    paper), solved exactly with the same Pontryagin machinery used for
    mean-field bounds — here on the master equation;
-4. compare with the uncertain (constant-rate) envelope and with SSA
-   estimates under an adversarial demand policy.
+4. compare with the uncertain (constant-rate) envelope and with an SSA
+   ensemble under an adversarial demand policy.
 
 Run:  python examples/bike_sharing.py
 """
 
 import numpy as np
 
-from repro import make_bike_station_model, render_table, run_scenario, simulate
+from repro import (
+    ConstantPolicy,
+    make_bike_station_model,
+    render_table,
+    run_scenario,
+    simulate_ensemble,
+)
 from repro.ctmc import (
     ImpreciseCTMC,
     imprecise_reward_bounds,
     uncertain_reward_envelope,
 )
 from repro.scenarios import get_scenario
-from repro.simulation import FeedbackPolicy
 
 N_RACKS = 15
 HORIZON = 6.0  # the rush-hour window
@@ -97,16 +102,16 @@ def main():
     # Validate the worst-case bound with an adversarial simulation: a
     # demand policy that always drains the station (max arrivals, min
     # returns) should approach the imprecise P(empty) upper bound.
-    adversary = FeedbackPolicy(lambda t, x: [1.4, 0.8])
-    n_runs, hits = 400, 0
-    for seed in range(n_runs):
-        run = simulate(population, adversary, HORIZON,
-                       rng=np.random.default_rng(seed), n_samples=2)
-        hits += run.final_state[0] == 0.0
+    n_runs = 400
+    ensemble = simulate_ensemble(population,
+                                 lambda: ConstantPolicy([1.4, 0.8]), HORIZON,
+                                 n_runs=n_runs, seed=0, n_samples=2)
+    estimate = float(np.mean(ensemble.final_states()[:, 0] == 0.0))
+    stderr = np.sqrt(estimate * (1.0 - estimate) / n_runs)
     res_max = imprecise_reward_bounds(chain, empty, HORIZON,
                                       maximize=True, n_steps=200)
     print(f"\nadversarial SSA estimate of P(empty at T): "
-          f"{hits / n_runs:.4f} over {n_runs} runs")
+          f"{estimate:.4f} +- {stderr:.4f} over {n_runs} runs")
     print(f"imprecise upper bound:                     {res_max.value:.4f}")
     print(
         "\nThe imprecise bounds certify worst-case stock-out risk against "

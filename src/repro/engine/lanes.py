@@ -1,10 +1,10 @@
 """Vectorized policy lanes: per-row policy state for ensemble SSA.
 
-The scalar SSA queries one :class:`~repro.simulation.ControlPolicy` per
-trajectory.  The vectorized engine steps ``n_runs`` trajectories at
-once, so it needs the same four hooks (``theta``, ``jump_rate``,
-``on_jump``, ``next_switch_after``) answered for *vectors of rows* in a
-single call.  A :class:`PolicyLane` is that batched view: it owns the
+A :class:`~repro.simulation.ControlPolicy` answers for one trajectory.
+The vectorized engine steps ``n_runs`` trajectories at once, so it
+needs the same four hooks (``theta``, ``jump_rate``, ``on_jump``,
+``next_switch_after``) answered for *vectors of rows* in a single
+call.  A :class:`PolicyLane` is that batched view: it owns the
 internal state of all rows (e.g. the hysteresis mode bits, or the
 current parameter of every random-jump row) as arrays.
 
@@ -12,8 +12,8 @@ Known policy classes get hand-vectorized lanes; anything else —
 including *subclasses* of the known classes, whose overridden behaviour
 a vectorized lane could silently miss — falls back to
 :class:`GenericLane`, which keeps one policy instance per row and loops.
-The fallback is semantically identical to the scalar engine, just
-without the batching speedup.
+The fallback queries each row's policy exactly as a one-policy
+simulation would, just without the batching speedup.
 """
 
 from __future__ import annotations

@@ -1,13 +1,10 @@
-"""Vectorized multi-trajectory SSA: step a whole ensemble per iteration.
+"""Vectorized multi-trajectory SSA: the one direct-method kernel.
 
-The scalar :func:`~repro.simulation.simulate` spends nearly all of its
-time in per-event Python overhead — three rate-lambda calls, a handful
-of tiny-array NumPy ops and an RNG draw *per event per trajectory*.  For
-the paper's Figure 6 workload (``N = 10^4`` chains, ensembles of
-hundreds of runs) that overhead dominates by orders of magnitude.
-
-:func:`simulate_ensemble` removes it by simulating all ``n_runs``
-trajectories simultaneously as ``(n_runs, d)`` arrays:
+Every stochastic simulation in the library runs here:
+:func:`~repro.simulation.batch_simulate` is an ensemble of ``n_runs``
+rows and :func:`~repro.simulation.simulate` is a one-row view.
+:func:`simulate_ensemble` steps all ``n_runs`` trajectories together as
+``(n_runs, d)`` arrays:
 
 - **batched rates** — one call to
   :meth:`~repro.population.FinitePopulation.aggregate_rates_batch`
@@ -23,25 +20,37 @@ trajectories simultaneously as ``(n_runs, d)`` arrays:
 
 Exactness
 ---------
-Each row runs the *same* direct-method race as the scalar kernel, just
-asynchronously in its own clock:
+Each row runs the direct (first-reaction-equivalent) method on the
+lattice chain of :class:`~repro.population.FinitePopulation`, raced
+against the autonomous events of its policy, asynchronously in its own
+clock:
 
-1. draw the row's holding time ``~ Exp(total rate)``;
-2. if the draw crosses the row's next deterministic policy switch,
-   advance that row to the switch and re-draw — the exponential
-   distribution is memoryless, so restarting the race at the switch
-   leaves the law of the trajectory unchanged (the same argument the
-   scalar kernel uses);
+1. evaluate the row's ``theta`` from its policy, then all aggregate
+   event rates;
+2. draw the row's holding time ``~ Exp(total rate)``; if the draw
+   crosses the row's next deterministic policy switch, advance that row
+   to the switch and re-draw — the exponential distribution is
+   memoryless, so restarting the race at the switch leaves the law of
+   the trajectory unchanged;
 3. otherwise pick the row's event proportionally to its rates — either
-   a model transition or an autonomous policy re-draw.
+   a model transition (jump ``change / N``) or an autonomous policy
+   re-draw;
+4. repeat until the horizon.
 
-Rows hit their horizons at different step counts; finished rows leave
-the active set, so late finishers never pay for early ones.  The engine
-is *statistically* equivalent to ``n_runs`` scalar calls but consumes
-the RNG stream in a different order, so trajectories differ path-by-path
-for the same seed; the equivalence tests pin the two engines together
-through ensemble statistics (CLT bands on mean/std, two-sample KS on
-final-state clouds).
+Rows never share holding times or selection draws, so they are
+independent exact samples of the chain.  A one-row call is the direct
+method bit for bit: ``tests/reference_impls.py`` keeps the scalar
+Gillespie loop as the oracle, and a one-row ensemble reproduces its
+times, states, parameters and event counts for the same generator.  The
+rows of a larger ensemble share one generator, so row ``r`` is not the
+oracle run of any particular seed; the equivalence tests pin the two
+together through ensemble statistics (CLT bands on mean/std, two-sample
+KS on final-state clouds).
+
+States are recorded on a fixed output grid (piecewise-constant sampling
+of the jump process), so memory stays bounded for large ``N`` and long
+horizons.  Rows hit their horizons at different step counts; finished
+rows leave the active set, so late finishers never pay for early ones.
 """
 
 from __future__ import annotations
@@ -130,9 +139,11 @@ def _simulate_ensemble_impl(
     Returns
     -------
     A :class:`~repro.simulation.BatchResult` with ``states`` of shape
-    ``(n_runs, n_samples, d)``.
+    ``(n_runs, n_samples, d)`` and ``thetas`` of shape
+    ``(n_runs, n_samples, p)``.
     """
-    n_runs = validate_ensemble_args(n_runs, t_final, t_start, n_samples)
+    n_runs = validate_ensemble_args(policy_factory, n_runs, t_final,
+                                    t_start, n_samples)
     rng = rng if rng is not None else np.random.default_rng(seed)
 
     model = population.model
@@ -148,6 +159,7 @@ def _simulate_ensemble_impl(
     t = np.full(n_runs, float(t_start))
     sample_times = np.linspace(t_start, t_final, n_samples)
     states = np.empty((n_runs, n_samples, dim))
+    thetas = np.empty((n_runs, n_samples, model.theta_set.dim))
     next_sample = np.zeros(n_runs, dtype=np.int64)
     n_events = np.zeros(n_runs, dtype=np.int64)
     n_policy_jumps = np.zeros(n_runs, dtype=np.int64)
@@ -179,7 +191,7 @@ def _simulate_ensemble_impl(
 
         # Per-row holding times; absorbed rows (no enabled event) get an
         # infinite draw, which routes them to their next policy switch
-        # or to the horizon, exactly as the scalar kernel does.
+        # or to the horizon.
         t_next = np.full(rows.shape[0], np.inf)
         racing = total > 0.0
         if racing.any():
@@ -191,10 +203,10 @@ def _simulate_ensemble_impl(
         finishes = ~crosses_switch & (t_next > t_final)
         fires = ~crosses_switch & ~finishes
 
-        # Record the pre-jump state on each row's slice of the shared
-        # output grid.  Only rows that actually crossed a grid point do
-        # per-row work; with event resolution much finer than the grid
-        # this loop is touched rarely.
+        # Record the pre-jump state and parameter on each row's slice of
+        # the shared output grid.  Only rows that actually crossed a grid
+        # point do per-row work; with event resolution much finer than
+        # the grid this loop is touched rarely.
         record_to = np.where(
             crosses_switch,
             np.minimum(switch_at, t_final),
@@ -205,6 +217,7 @@ def _simulate_ensemble_impl(
         for i in advanced:
             g = rows[i]
             states[g, next_sample[g]:new_next[i]] = x[i]
+            thetas[g, next_sample[g]:new_next[i]] = theta[i]
         next_sample[rows] = np.maximum(next_sample[rows], new_next)
 
         if fires.any():
@@ -238,6 +251,7 @@ def _simulate_ensemble_impl(
     return BatchResult(
         times=sample_times,
         states=states,
+        thetas=thetas,
         population_size=size,
         n_events=int(n_events.sum()),
         n_policy_jumps=int(n_policy_jumps.sum()),

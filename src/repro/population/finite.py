@@ -11,6 +11,7 @@ small enough.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 import numpy as np
@@ -22,10 +23,12 @@ class FinitePopulation:
     """A population model instantiated at a concrete population size ``N``."""
 
     def __init__(self, model, population_size: int, initial_density):
+        # operator.index rejects a fractional N instead of truncating it.
+        population_size = operator.index(population_size)
         if population_size < 1:
             raise ValueError("population size must be a positive integer")
         self.model = model
-        self.population_size = int(population_size)
+        self.population_size = population_size
         x0 = np.asarray(initial_density, dtype=float)
         if x0.shape != (model.dim,):
             raise ValueError(
@@ -115,18 +118,6 @@ class FinitePopulation:
         ).any(axis=2)
         rates[bad] = 0.0
         return rates
-
-    def apply(self, counts, transition_index: int) -> np.ndarray:
-        """Apply transition ``transition_index`` to a count vector."""
-        counts = np.asarray(counts, dtype=np.int64)
-        change = self.model.transitions[transition_index].change.astype(np.int64)
-        new_counts = counts + change
-        if np.any(new_counts < 0) or np.any(new_counts > self.population_size):
-            raise ValueError(
-                f"transition {self.model.transitions[transition_index].name!r} "
-                f"leaves the lattice at counts={counts.tolist()}"
-            )
-        return new_counts
 
     def uniformization_constant(self, theta_corners=None) -> float:
         """An upper bound on the total exit rate over the lattice.

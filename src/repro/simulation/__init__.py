@@ -18,39 +18,13 @@ Policies provided (Section V-E of the paper uses the last two):
 - :class:`RandomJumpPolicy` — the paper's ``theta_2``: re-draws ``theta``
   uniformly at state-dependent rate (an autonomous event in the race).
 
-The SSA itself (:func:`simulate`) is an exact Gillespie/first-reaction
-scheme on the lattice chain of :class:`~repro.population.FinitePopulation`.
-
-Ensembles
----------
+Simulation
+----------
 :func:`batch_simulate` runs ``n_runs`` independent replications and
-aggregates them into a :class:`BatchResult`.  An ensemble delegates to
-:func:`repro.engine.simulate_ensemble`, which steps all replications as
-``(n_runs, d)`` arrays with batched rate evaluation and per-row clocks
-drawn from a single generator; a single run calls :func:`simulate`.
-
-*Why the vectorized engine is still exact.*  Each ensemble row runs its
-own direct-method race, asynchronously in its own clock: the row's
-holding time is ``Exp(total rate)`` for *that row's* state and policy,
-and its event is selected proportionally to *that row's* rates.  Two
-properties carry the scalar kernel's exactness argument over unchanged:
-
-1. **memoryless restart at policy switches** — when a row's exponential
-   draw crosses the row's next deterministic ``theta`` discontinuity,
-   the engine advances that row to the switch and re-draws; by the
-   memoryless property of the exponential distribution the restarted
-   race has the same law as the conditional continuation, so
-   per-row switch handling is exact, not approximate;
-2. **per-row clocks** — rows never share holding times or selection
-   draws, only the underlying generator stream, so trajectories remain
-   mutually independent and each is distributed exactly as a scalar
-   SSA run.
-
-Consequently the vectorized engine and a loop of :func:`simulate` are
-*statistically* indistinguishable (they consume the random stream in
-different orders, so paths differ for a fixed seed);
-``tests/test_engine_equivalence.py`` pins them together through CLT
-bands and two-sample KS tests.
+aggregates them into a :class:`BatchResult`; :func:`simulate` runs one
+trajectory into a :class:`SimulationResult`.  Both are views of the one
+exact direct-method kernel, :func:`repro.engine.simulate_ensemble`,
+whose module documents the scheme and why it is exact.
 """
 
 from repro.simulation.adversarial import (

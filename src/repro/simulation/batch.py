@@ -8,15 +8,9 @@ and the final-state empirical cloud.  Used by the convergence studies
 and by users estimating fluctuation bands around the mean-field bounds
 (the CLT-scale ``O(1/sqrt(N))`` band of Theorem 2's ``eps_N``).
 
-An ensemble of ``n_runs > 1`` replications delegates to
+Every call, a single run included, delegates to
 :func:`repro.engine.simulate_ensemble`, which steps the whole ensemble
-as ``(n_runs, d)`` arrays.  A single run calls the scalar
-:func:`~repro.simulation.simulate` kernel directly: with one row there
-is nothing to amortise the batching overhead over.  The equivalence
-tests compare the vectorized engine with a loop of :func:`simulate`
-(replication ``r`` seeded ``seed + r``) through ensemble statistics —
-the two consume randomness differently, so for a fixed seed they
-produce different trajectories with the *same* law.
+as ``(n_runs, d)`` arrays from one ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -28,19 +22,21 @@ from typing import Callable
 import numpy as np
 
 from repro.population import FinitePopulation
-from repro.simulation.ssa import SimulationResult, simulate
 
 __all__ = ["BatchResult", "batch_simulate"]
 
 
-def validate_ensemble_args(n_runs, t_final: float, t_start: float,
-                           n_samples: int) -> int:
-    """Shared up-front validation for the ensemble entry points.
+def validate_ensemble_args(policy_factory, n_runs, t_final: float,
+                           t_start: float, n_samples: int) -> int:
+    """Up-front validation of every SSA call.
 
-    Used by both :func:`batch_simulate` and
-    :func:`repro.engine.simulate_ensemble` so the two public surfaces
-    cannot drift apart; returns the index-normalised ``n_runs``.
+    :func:`repro.engine.simulate_ensemble` runs it before any policy is
+    built, so :func:`batch_simulate`, :func:`~repro.simulation.simulate`
+    and the parameter sweeps fail the same way; returns the
+    index-normalised ``n_runs``.
     """
+    if not callable(policy_factory):
+        raise TypeError("policy_factory must be a zero-argument callable")
     try:
         n_runs = operator.index(n_runs)
     except TypeError as exc:
@@ -49,6 +45,11 @@ def validate_ensemble_args(n_runs, t_final: float, t_start: float,
         ) from exc
     if n_runs < 1:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
+    if not (np.isfinite(t_start) and np.isfinite(t_final)):
+        raise ValueError(
+            f"t_start and t_final must be finite, got t_start={t_start}, "
+            f"t_final={t_final}"
+        )
     if t_final <= t_start:
         raise ValueError("t_final must exceed t_start")
     if n_samples < 2:
@@ -66,20 +67,23 @@ class BatchResult:
         Common sampling grid, shape ``(n,)``.
     states:
         All sampled paths, shape ``(n_runs, n, d)``.
+    thetas:
+        The policy parameter in force at each grid time of each run,
+        shape ``(n_runs, n, p)``.
     population_size:
         The ``N`` of the simulated chains.
     n_events:
-        Total model transitions executed across all runs (0 when the
-        producing engine does not track them).
+        Total model transitions executed across all runs.
     n_policy_jumps:
         Total autonomous policy events across all runs.
     """
 
     times: np.ndarray
     states: np.ndarray
+    thetas: np.ndarray
     population_size: int
-    n_events: int = 0
-    n_policy_jumps: int = 0
+    n_events: int
+    n_policy_jumps: int
 
     @property
     def n_runs(self) -> int:
@@ -151,32 +155,9 @@ def batch_simulate(
     bad call fails fast with a specific error instead of surfacing as a
     downstream crash mid-ensemble.
     """
-    n_runs = validate_ensemble_args(n_runs, t_final, t_start, n_samples)
-    if not callable(policy_factory):
-        raise TypeError("policy_factory must be a zero-argument callable")
+    from repro.engine import simulate_ensemble
 
-    if n_runs > 1:
-        from repro.engine import simulate_ensemble
-
-        return simulate_ensemble(
-            population, policy_factory, t_final, n_runs=n_runs, seed=seed,
-            n_samples=n_samples, t_start=t_start,
-        )
-
-    try:
-        run: SimulationResult = simulate(
-            population, policy_factory(), t_final,
-            rng=np.random.default_rng(seed), n_samples=n_samples,
-            t_start=t_start,
-        )
-    except Exception as exc:
-        raise RuntimeError(
-            f"batch_simulate: replication 0 (seed {seed}) failed: {exc}"
-        ) from exc
-    return BatchResult(
-        times=run.times.copy(),
-        states=run.states[None],
-        population_size=population.population_size,
-        n_events=run.n_events,
-        n_policy_jumps=run.n_policy_jumps,
+    return simulate_ensemble(
+        population, policy_factory, t_final, n_runs=n_runs, seed=seed,
+        n_samples=n_samples, t_start=t_start,
     )

@@ -1,22 +1,11 @@
-"""Exact stochastic simulation (Gillespie SSA) of imprecise chains.
+"""Single SSA trajectories of imprecise chains.
 
 The simulated object is the finite-``N`` lattice chain of
-:class:`~repro.population.FinitePopulation`, raced against the autonomous
-events of a :class:`~repro.simulation.ControlPolicy`.  The scheme is the
-direct (first-reaction-equivalent) method:
-
-1. evaluate ``theta`` from the policy, then all aggregate event rates;
-2. draw the holding time ``~ Exp(total rate)``; if it crosses the next
-   deterministic policy switch, advance to the switch and re-draw
-   (the memoryless property makes this exact);
-3. pick an event proportionally to its rate — either a model transition
-   (jump ``change / N``) or a policy re-draw;
-4. repeat until the horizon.
-
-States are recorded on a fixed output grid (piecewise-constant sampling
-of the jump process), so memory stays bounded for large ``N`` and long
-horizons — the Figure 6 runs use ``N = 10^4`` over hundreds of time
-units.
+:class:`~repro.population.FinitePopulation`, raced against the
+autonomous events of a :class:`~repro.simulation.ControlPolicy`.
+:func:`simulate` is a one-row view of the library's one direct-method
+kernel, :func:`repro.engine.simulate_ensemble`; its module documents
+the scheme and why it is exact.
 """
 
 from __future__ import annotations
@@ -93,12 +82,16 @@ def simulate(
 ) -> SimulationResult:
     """Run one exact SSA trajectory up to ``t_final``.
 
+    A one-row view of :func:`repro.engine.simulate_ensemble`: the
+    trajectory is row 0 of a one-run ensemble driven by ``rng``.
+
     Parameters
     ----------
     population:
         The instantiated finite-``N`` chain.
     policy:
-        The environmental parameter signal (one admissible ``theta_t``).
+        The environmental parameter signal (one admissible ``theta_t``);
+        must be a :class:`~repro.simulation.ControlPolicy` instance.
     t_final:
         Simulation horizon.
     rng:
@@ -110,95 +103,17 @@ def simulate(
     max_events:
         Safety cap on the total number of executed events.
     """
-    if t_final <= t_start:
-        raise ValueError("t_final must exceed t_start")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(0))
-    model = population.model
+    from repro.engine import simulate_ensemble
 
-    counts = population.initial_counts.copy()
-    t = float(t_start)
-    policy.reset(rng, population.density(counts))
-
-    sample_times = np.linspace(t_start, t_final, n_samples)
-    states = np.empty((n_samples, model.dim))
-    theta_dim = model.theta_set.dim
-    thetas = np.empty((n_samples, theta_dim))
-    next_sample = 0
-
-    n_events = 0
-    n_policy_jumps = 0
-
-    def record_until(t_now: float, x_now: np.ndarray, theta_now: np.ndarray):
-        """Fill output samples with the pre-jump state up to ``t_now``."""
-        nonlocal next_sample
-        while next_sample < n_samples and sample_times[next_sample] <= t_now:
-            states[next_sample] = x_now
-            thetas[next_sample] = theta_now
-            next_sample += 1
-
-    while t < t_final and n_events + n_policy_jumps < max_events:
-        x = population.density(counts)
-        theta = model.theta_set.project(policy.theta(t, x))
-        rates = population.aggregate_rates(counts, theta)
-        policy_rate = policy.jump_rate(t, x)
-        total = float(np.sum(rates)) + policy_rate
-
-        switch_at = policy.next_switch_after(t)
-        if total <= 0.0:
-            # Absorbed (no enabled event): jump to the next deterministic
-            # policy switch, or finish.
-            record_until(min(switch_at, t_final), x, theta)
-            if switch_at >= t_final:
-                t = t_final
-                break
-            t = switch_at
-            continue
-
-        dt = rng.exponential(1.0 / total)
-        if t + dt > switch_at:
-            # The race crosses a deterministic discontinuity of theta:
-            # advance to it and restart (exact by memorylessness).
-            record_until(min(switch_at, t_final), x, theta)
-            t = switch_at
-            continue
-        if t + dt > t_final:
-            record_until(t_final, x, theta)
-            t = t_final
-            break
-
-        record_until(t + dt, x, theta)
-        t = t + dt
-        u = rng.uniform(0.0, total)
-        if u < policy_rate:
-            policy.on_jump(t, x, rng)
-            n_policy_jumps += 1
-            continue
-        u -= policy_rate
-        cumulative = np.cumsum(rates)
-        event = int(np.searchsorted(cumulative, u, side="right"))
-        event = min(event, len(rates) - 1)
-        counts = population.apply(counts, event)
-        n_events += 1
-
-    if n_events + n_policy_jumps >= max_events:
-        raise RuntimeError(
-            f"SSA exceeded max_events={max_events} before t_final "
-            f"(reached t={t:.4g}); raise the cap or shorten the horizon"
-        )
-
-    # Flush any remaining samples with the terminal state.
-    x = population.density(counts)
-    theta = model.theta_set.project(policy.theta(t, x))
-    record_until(t_final + 1e-12, x, theta)
-
+    batch = simulate_ensemble(
+        population, lambda: policy, t_final, n_runs=1, rng=rng,
+        n_samples=n_samples, t_start=t_start, max_events=max_events,
+    )
     return SimulationResult(
-        times=sample_times,
-        states=states,
-        thetas=thetas,
-        n_events=n_events,
-        n_policy_jumps=n_policy_jumps,
-        population_size=population.population_size,
+        times=batch.times,
+        states=batch.states[0],
+        thetas=batch.thetas[0],
+        n_events=batch.n_events,
+        n_policy_jumps=batch.n_policy_jumps,
+        population_size=batch.population_size,
     )

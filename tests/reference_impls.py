@@ -4,7 +4,7 @@ The library computes every bound through one batched implementation.
 The functions here are the plain, one-query-at-a-time versions of the
 same computations — a knapsack per row, an extremisation per query, an
 ODE solve per constant ``theta``, a scalar forward–backward sweep per
-Pontryagin problem, an SSA run per replication — kept only
+Pontryagin problem, a scalar Gillespie loop per SSA run — kept only
 so the tests can pin the batched kernels against an independent
 computation.  Nothing under ``src/`` imports this module.
 
@@ -29,7 +29,7 @@ from repro.ctmc.kolmogorov import KolmogorovSystem
 from repro.inclusion import DriftExtremizer
 from repro.ode import Trajectory, find_fixed_point, rk4_integrate, solve_ode
 from repro.params import DiscreteSet
-from repro.simulation import BatchResult, simulate
+from repro.simulation import BatchResult, SimulationResult
 
 # ----------------------------------------------------------------------
 # Drift extremisation: DriftExtremizer.*_batch
@@ -534,13 +534,120 @@ def warm_started_bounds(model, x0, horizons, observables=None,
 
 
 # ----------------------------------------------------------------------
-# SSA ensembles: repro.engine.simulate_ensemble
+# SSA: repro.engine.simulate_ensemble (and its one-row view simulate)
 # ----------------------------------------------------------------------
+
+
+def simulate(population, policy, t_final, rng=None, n_samples=1000,
+             t_start=0.0, max_events=50_000_000):
+    """One exact SSA trajectory, the scalar Gillespie (direct-method) loop.
+
+    The reference for one row of :func:`repro.engine.simulate_ensemble`:
+    evaluate ``theta`` from the policy, then all aggregate event rates;
+    draw the holding time ``~ Exp(total rate)``; if it crosses the next
+    deterministic policy switch, advance to the switch and re-draw
+    (exact by memorylessness); otherwise pick a model transition or a
+    policy re-draw proportionally to its rate.  States are recorded on
+    a fixed output grid.  A one-row ensemble driven by the same
+    generator reproduces this loop bit for bit.
+    """
+    if t_final <= t_start:
+        raise ValueError("t_final must exceed t_start")
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    if rng is None:
+        rng = np.random.default_rng(np.random.SeedSequence(0))
+    model = population.model
+
+    counts = population.initial_counts.copy()
+    t = float(t_start)
+    policy.reset(rng, population.density(counts))
+
+    sample_times = np.linspace(t_start, t_final, n_samples)
+    states = np.empty((n_samples, model.dim))
+    theta_dim = model.theta_set.dim
+    thetas = np.empty((n_samples, theta_dim))
+    next_sample = 0
+
+    n_events = 0
+    n_policy_jumps = 0
+
+    def record_until(t_now, x_now, theta_now):
+        """Fill output samples with the pre-jump state up to ``t_now``."""
+        nonlocal next_sample
+        while next_sample < n_samples and sample_times[next_sample] <= t_now:
+            states[next_sample] = x_now
+            thetas[next_sample] = theta_now
+            next_sample += 1
+
+    while t < t_final and n_events + n_policy_jumps < max_events:
+        x = population.density(counts)
+        theta = model.theta_set.project(policy.theta(t, x))
+        rates = population.aggregate_rates(counts, theta)
+        policy_rate = policy.jump_rate(t, x)
+        total = float(np.sum(rates)) + policy_rate
+
+        switch_at = policy.next_switch_after(t)
+        if total <= 0.0:
+            # Absorbed (no enabled event): jump to the next deterministic
+            # policy switch, or finish.
+            record_until(min(switch_at, t_final), x, theta)
+            if switch_at >= t_final:
+                t = t_final
+                break
+            t = switch_at
+            continue
+
+        dt = rng.exponential(1.0 / total)
+        if t + dt > switch_at:
+            # The race crosses a deterministic discontinuity of theta:
+            # advance to it and restart (exact by memorylessness).
+            record_until(min(switch_at, t_final), x, theta)
+            t = switch_at
+            continue
+        if t + dt > t_final:
+            record_until(t_final, x, theta)
+            t = t_final
+            break
+
+        record_until(t + dt, x, theta)
+        t = t + dt
+        u = rng.uniform(0.0, total)
+        if u < policy_rate:
+            policy.on_jump(t, x, rng)
+            n_policy_jumps += 1
+            continue
+        u -= policy_rate
+        cumulative = np.cumsum(rates)
+        event = int(np.searchsorted(cumulative, u, side="right"))
+        event = min(event, len(rates) - 1)
+        counts = counts + population.change_matrix[event]
+        n_events += 1
+
+    if n_events + n_policy_jumps >= max_events:
+        raise RuntimeError(
+            f"SSA exceeded max_events={max_events} before t_final "
+            f"(reached t={t:.4g}); raise the cap or shorten the horizon"
+        )
+
+    # Flush any remaining samples with the terminal state.
+    x = population.density(counts)
+    theta = model.theta_set.project(policy.theta(t, x))
+    record_until(t_final + 1e-12, x, theta)
+
+    return SimulationResult(
+        times=sample_times,
+        states=states,
+        thetas=thetas,
+        n_events=n_events,
+        n_policy_jumps=n_policy_jumps,
+        population_size=population.population_size,
+    )
 
 
 def simulate_runs(population, policy_factory, t_final, n_runs, seed=0,
                   n_samples=200, t_start=0.0):
-    """``n_runs`` scalar SSA replications, replication ``r`` seeded ``seed + r``."""
+    """``n_runs`` oracle SSA replications, replication ``r`` seeded ``seed + r``."""
     runs = [
         simulate(population, policy_factory(), t_final,
                  rng=np.random.default_rng(seed + r), n_samples=n_samples,
@@ -550,6 +657,7 @@ def simulate_runs(population, policy_factory, t_final, n_runs, seed=0,
     return BatchResult(
         times=runs[0].times.copy(),
         states=np.stack([run.states for run in runs]),
+        thetas=np.stack([run.thetas for run in runs]),
         population_size=population.population_size,
         n_events=sum(run.n_events for run in runs),
         n_policy_jumps=sum(run.n_policy_jumps for run in runs),

@@ -131,8 +131,8 @@ class TestBatchSimulate:
             batch_simulate(pop, lambda: ConstantPolicy([5.0]), 1.0, n_runs=0)
 
     def test_engine_selection(self, sir_model):
-        """An ensemble runs on the vectorized engine; a single run is the
-        scalar SSA kernel seeded ``default_rng(seed)``."""
+        """Every run count goes through the one engine; a single run is
+        bit-identical to the scalar oracle seeded ``default_rng(seed)``."""
         pop = sir_model.instantiate(50, [0.7, 0.3])
         for n_runs in (1, 2):
             batch = batch_simulate(pop, lambda: ConstantPolicy([5.0]), 0.5,
@@ -143,6 +143,7 @@ class TestBatchSimulate:
         scalar = ref.simulate_runs(pop, lambda: ConstantPolicy([5.0]), 0.5,
                                    n_runs=1, seed=7, n_samples=5)
         np.testing.assert_array_equal(single.states, scalar.states)
+        np.testing.assert_array_equal(single.thetas, scalar.thetas)
         assert single.n_events == scalar.n_events
 
 
@@ -169,7 +170,8 @@ class TestBatchSimulateValidation:
         with pytest.raises(TypeError, match="policy_factory"):
             batch_simulate(pop, ConstantPolicy([5.0]), 1.0, n_runs=2)
 
-    def test_bad_horizon_rejected_before_running(self, sir_model):
+    @pytest.mark.parametrize("n_runs", [1, 2])
+    def test_bad_horizon_rejected_before_running(self, sir_model, n_runs):
         pop = sir_model.instantiate(10, [0.7, 0.3])
         calls = []
 
@@ -178,23 +180,17 @@ class TestBatchSimulateValidation:
             return ConstantPolicy([5.0])
 
         with pytest.raises(ValueError, match="t_final"):
-            batch_simulate(pop, counting_factory, 0.0, n_runs=2)
+            batch_simulate(pop, counting_factory, 0.0, n_runs=n_runs)
+        for t_final in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                batch_simulate(pop, counting_factory, t_final, n_runs=n_runs)
+        with pytest.raises(ValueError, match="finite"):
+            batch_simulate(pop, counting_factory, 1.0, n_runs=n_runs,
+                           t_start=np.nan)
         assert not calls  # validation failed before any policy was built
 
-    def test_failing_policy_scalar_reports_replication(self, sir_model):
-        pop = sir_model.instantiate(10, [0.7, 0.3])
-
-        class ExplodingPolicy(ConstantPolicy):
-            def theta(self, t, x):
-                raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError,
-                           match="replication 0.*boom") as err:
-            batch_simulate(pop, lambda: ExplodingPolicy([5.0]), 1.0,
-                           n_runs=1)
-        assert isinstance(err.value.__cause__, RuntimeError)
-
-    def test_failing_policy_vectorized_propagates(self, sir_model):
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_failing_policy_vectorized_propagates(self, sir_model, n_runs):
         pop = sir_model.instantiate(10, [0.7, 0.3])
 
         class ExplodingPolicy(ConstantPolicy):
@@ -203,4 +199,4 @@ class TestBatchSimulateValidation:
 
         with pytest.raises(RuntimeError, match="boom"):
             batch_simulate(pop, lambda: ExplodingPolicy([5.0]), 1.0,
-                           n_runs=3)
+                           n_runs=n_runs)

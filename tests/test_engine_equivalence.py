@@ -1,24 +1,30 @@
-"""Statistical equivalence of the vectorized SSA engine and the scalar kernel.
+"""The one SSA kernel against the scalar direct-method oracle.
 
-:func:`repro.engine.simulate_ensemble` is compared with a loop of the
-scalar :func:`repro.simulation.simulate` (replication ``r`` seeded
-``seed + r``, ``tests/reference_impls.py``).  The two consume
-randomness differently, so trajectories differ
-path-by-path even for the same seed; what must agree is the *law* of
-the ensemble.  With fixed seeds these tests are deterministic, and the
-seeds are chosen so the checks sit far from their thresholds:
+``tests/reference_impls.py`` keeps the scalar Gillespie loop as the
+oracle.  Two contracts pin :func:`repro.engine.simulate_ensemble` to it:
 
-- ensemble mean and std paths agree within CLT-scale tolerances
-  (standard errors of the corresponding estimators, with a lattice-step
-  floor);
-- the final-state clouds agree under a two-sample Kolmogorov–Smirnov
-  test per coordinate (p > 0.01);
+- **one row is the direct method, bit for bit** — a one-row ensemble
+  and its view :func:`repro.simulation.simulate` consume the generator
+  exactly as the oracle does, so for the same generator they return the
+  oracle's states, sampled parameters and event counts, on every
+  registered model and every policy class;
+- **an ensemble has the oracle's law** — the rows of a larger ensemble
+  share one generator, so they are compared with a loop of oracle runs
+  (replication ``r`` seeded ``seed + r``) through ensemble statistics.
+  With fixed seeds these tests are deterministic, and the seeds are
+  chosen so the checks sit far from their thresholds:
 
-for the paper's SIR model (constant, hysteresis and random-jump
-policies — the last two are exactly the Figure 6 environments) and the
-power-of-``d``-choices load balancer (higher-dimensional state with
-boundary-disabled events, stressing the per-row masking of the batched
-rate evaluator).
+  - ensemble mean and std paths agree within CLT-scale tolerances
+    (standard errors of the corresponding estimators, with a
+    lattice-step floor);
+  - the final-state clouds agree under a two-sample Kolmogorov–Smirnov
+    test per coordinate (p > 0.01);
+
+  for the paper's SIR model (constant, hysteresis and random-jump
+  policies — the last two are exactly the Figure 6 environments) and
+  the power-of-``d``-choices load balancer (higher-dimensional state
+  with boundary-disabled events, stressing the per-row masking of the
+  batched rate evaluator).
 """
 
 import numpy as np
@@ -28,11 +34,17 @@ from scipy.stats import ks_2samp
 import reference_impls as ref
 from repro.engine import simulate_ensemble
 from repro.models import make_power_of_d_model, make_sir_model
+from repro.params import Interval
+from repro.population import PopulationModel, Transition
+from repro.scenarios import list_scenarios
 from repro.simulation import (
     ConstantPolicy,
+    FeedbackPolicy,
     HysteresisPolicy,
+    PiecewiseConstantPolicy,
     RandomJumpPolicy,
     batch_simulate,
+    simulate,
 )
 
 
@@ -67,6 +79,105 @@ def assert_ks_equivalent(vec, sca, alpha=0.01):
             f"coordinate {coordinate}: KS D={stat.statistic:.3f}, "
             f"p={stat.pvalue:.4f}"
         )
+
+
+class SubclassedConstant(ConstantPolicy):
+    """A subclass the engine must not vectorize: it runs on the generic
+    one-policy-per-row lane."""
+
+
+def assert_direct_method(population, policy_factory, t_final, seed,
+                         **kwargs):
+    """``simulate`` and a one-row ``simulate_ensemble`` both reproduce
+    the oracle run bit for bit; returns the oracle run."""
+    oracle = ref.simulate(population, policy_factory(), t_final,
+                          rng=np.random.default_rng(seed), **kwargs)
+    view = simulate(population, policy_factory(), t_final,
+                    rng=np.random.default_rng(seed), **kwargs)
+    row = simulate_ensemble(population, policy_factory, t_final, n_runs=1,
+                            rng=np.random.default_rng(seed), **kwargs)
+    for states, thetas, n_events, n_jumps in (
+        (view.states, view.thetas, view.n_events, view.n_policy_jumps),
+        (row.states[0], row.thetas[0], row.n_events, row.n_policy_jumps),
+    ):
+        np.testing.assert_array_equal(states, oracle.states)
+        np.testing.assert_array_equal(thetas, oracle.thetas)
+        assert (n_events, n_jumps) == (oracle.n_events,
+                                       oracle.n_policy_jumps)
+    np.testing.assert_array_equal(view.times, oracle.times)
+    np.testing.assert_array_equal(row.times, oracle.times)
+    return oracle
+
+
+def _death_model():
+    death = Transition("death", [-1.0], lambda x, th: th[0] * x[0])
+    return PopulationModel("death", ("x",), [death], Interval(0.5, 2.0),
+                           state_bounds=([0.0], [1.0]))
+
+
+SIR = make_sir_model()
+
+POLICY_FACTORIES = {
+    "constant": lambda: ConstantPolicy([5.0]),
+    "piecewise": lambda: PiecewiseConstantPolicy(
+        [(0.0, [1.0]), (0.37, [10.0]), (0.8, [3.0])]),
+    "feedback": lambda: FeedbackPolicy(lambda t, x: [1.0 + 9.0 * x[1]]),
+    "hysteresis": lambda: HysteresisPolicy(
+        [1.0], [10.0], coordinate=0, low_threshold=0.5,
+        high_threshold=0.85),
+    "random-jump": lambda: RandomJumpPolicy(
+        SIR.theta_set, rate_fn=lambda t, x: 20.0 * x[1]),
+    "constant-subclass": lambda: SubclassedConstant([5.0]),
+}
+
+
+class TestOneRowIsTheDirectMethod:
+    @pytest.mark.parametrize("spec", list_scenarios(),
+                             ids=lambda spec: spec.name)
+    def test_every_registered_model(self, spec):
+        model = spec.build_model()
+        theta = model.theta_set.center()
+        oracle = assert_direct_method(
+            model.instantiate(200, spec.x0), lambda: ConstantPolicy(theta),
+            1.0, seed=2016, n_samples=37,
+        )
+        assert oracle.n_events > 0
+
+    @pytest.mark.parametrize("t_start", [0.0, 0.6])
+    @pytest.mark.parametrize("name", list(POLICY_FACTORIES))
+    def test_every_policy_class(self, name, t_start):
+        assert_direct_method(
+            SIR.instantiate(200, [0.7, 0.3]), POLICY_FACTORIES[name],
+            t_start + 1.5, seed=7, n_samples=53, t_start=t_start,
+        )
+
+    def test_random_jumps_fire(self):
+        oracle = assert_direct_method(
+            SIR.instantiate(1000, [0.7, 0.3]),
+            POLICY_FACTORIES["random-jump"], 3.0, seed=5, n_samples=200,
+        )
+        assert oracle.n_policy_jumps > 0
+
+    @pytest.mark.parametrize("x0, schedule", [
+        ([0.0], [(0.0, [1.0]), (1.0, [2.0]), (7.0, [0.5])]),
+        ([0.5], [(0.0, [0.5]), (1.0, [2.0])]),
+    ], ids=["absorbed-start", "absorbed-mid-run"])
+    def test_absorbing_chain(self, x0, schedule):
+        oracle = assert_direct_method(
+            _death_model().instantiate(20, x0),
+            lambda: PiecewiseConstantPolicy(schedule), 30.0, seed=3,
+            n_samples=40,
+        )
+        assert oracle.states[-1, 0] == 0.0
+
+    def test_default_generator(self):
+        population = SIR.instantiate(100, [0.7, 0.3])
+        oracle = ref.simulate(population, ConstantPolicy([5.0]), 1.0,
+                              n_samples=30)
+        view = simulate(population, ConstantPolicy([5.0]), 1.0,
+                        n_samples=30)
+        np.testing.assert_array_equal(view.states, oracle.states)
+        assert view.n_events == oracle.n_events
 
 
 class TestSIREquivalence:
@@ -151,9 +262,6 @@ class TestBatchedRateFallback:
         """A rate written as a reduction (np.sum over the state) returns
         a 0-d value on the coordinate-major batch; it must route through
         the per-row fallback, never be broadcast batch-pooled."""
-        from repro.params import Interval
-        from repro.population import PopulationModel, Transition
-
         model = PopulationModel(
             "reduction_rate",
             state_names=("a", "b"),
@@ -181,9 +289,6 @@ class TestBatchedRateFallback:
         value when all rows are identical (the engine's first step), so
         validation must defer until rows are distinct — never cache a
         verdict from the degenerate batch."""
-        from repro.params import Interval
-        from repro.population import PopulationModel, Transition
-
         model = PopulationModel(
             "mean_pool", ("a", "b"),
             transitions=[
@@ -284,6 +389,15 @@ class TestShardedSweep:
             n_samples=6,
         )
         assert len(results) == 3
+
+    def test_non_finite_horizon_rejected(self):
+        from repro.engine import sweep_constant_ensembles
+
+        with pytest.raises(ValueError, match="finite"):
+            sweep_constant_ensembles(
+                make_sir_model, x0=[0.7, 0.3], population_size=50,
+                thetas=[3.0], t_final=np.nan, n_runs=2,
+            )
 
     def test_empty_grid_rejected(self):
         from repro.engine import sweep_constant_ensembles

@@ -238,6 +238,9 @@ class TestFinitePopulation:
         model = two_state_model()
         with pytest.raises(ValueError):
             model.instantiate(0, [0.5])
+        # A fractional N is rejected, not truncated to int(N).
+        with pytest.raises(TypeError):
+            model.instantiate(2.5, [0.5])
 
     def test_invalid_initial_shape(self):
         model = two_state_model()
@@ -263,18 +266,6 @@ class TestFinitePopulation:
         rates = pop.aggregate_rates(pop.initial_counts, [2.0])
         assert rates[0] == 0.0  # "up" would leave the lattice
         assert rates[1] > 0.0
-
-    def test_apply_transition(self):
-        model = two_state_model()
-        pop = model.instantiate(10, [0.5])
-        after = pop.apply(pop.initial_counts, 0)
-        assert after[0] == 6
-
-    def test_apply_off_lattice_rejected(self):
-        model = two_state_model()
-        pop = model.instantiate(10, [1.0])
-        with pytest.raises(ValueError):
-            pop.apply(pop.initial_counts, 0)
 
     def test_uniformization_constant_bounds_rates(self):
         model = two_state_model()

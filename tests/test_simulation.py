@@ -135,6 +135,18 @@ class TestSSA:
             simulate(pop, ConstantPolicy([5.0]), 0.0, rng=rng)
         with pytest.raises(ValueError):
             simulate(pop, ConstantPolicy([5.0]), 1.0, rng=rng, n_samples=1)
+        # Non-finite horizons: no NaN grid, no run toward max_events.
+        for t_final in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                simulate(pop, ConstantPolicy([5.0]), t_final, rng=rng)
+        with pytest.raises(ValueError, match="finite"):
+            simulate(pop, ConstantPolicy([5.0]), 1.0, rng=rng,
+                     t_start=np.nan)
+        # A theta of the wrong dimension is rejected, not truncated.
+        with pytest.raises(ValueError, match=r"\(n, 1\) parameters"):
+            simulate(pop, ConstantPolicy([5.0, 1.0]), 1.0, rng=rng)
+        with pytest.raises(TypeError, match="ControlPolicy"):
+            simulate(pop, lambda t, x: [5.0], 1.0, rng=rng)
 
     def test_max_events_cap(self, sir_model, rng):
         pop = sir_model.instantiate(1000, [0.7, 0.3])

@@ -390,6 +390,18 @@ def test_run_scenario_span_tree_reaches_the_kernels():
     assert "cache_hit=false" in rendered and "miss=bypassed" in rendered
 
 
+def test_single_trajectory_is_traced_as_a_one_row_ensemble():
+    from repro.simulation import ConstantPolicy, simulate
+
+    telemetry.enable()
+    run = simulate(make_sir_model().instantiate(100, [0.7, 0.3]),
+                   ConstantPolicy([5.0]), 0.5, n_samples=11)
+    counters = telemetry.snapshot()["counters"]
+    assert counters["engine.ssa.runs"] == 1
+    assert counters["engine.ssa.events"] == run.n_events > 0
+    assert [r.name for r in telemetry.trace_roots()] == ["engine.ensemble"]
+
+
 def test_run_report_metric_views(tmp_path):
     spec = _transient_spec()
     first = run_scenario(spec, cache_dir=tmp_path)
