@@ -32,7 +32,9 @@ def convex_hull(points) -> np.ndarray:
     Implements Andrew's monotone-chain algorithm, O(n log n).  Collinear
     points on the hull boundary are dropped, so the result is a *strictly*
     convex vertex list.  Degenerate inputs (all points collinear) return
-    the two extreme points; a single point returns itself.
+    the two extreme points; a single point returns itself.  A NaN or
+    infinite coordinate raises ``ValueError`` (it would otherwise corrupt
+    the lexicographic sort into a non-convex vertex list).
 
     >>> convex_hull([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
     array([[0., 0.],
@@ -45,6 +47,8 @@ def convex_hull(points) -> np.ndarray:
         raise ValueError(f"expected an (n, 2) array, got shape {pts.shape}")
     if pts.shape[0] == 0:
         raise ValueError("cannot take the hull of an empty point set")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("cannot take the hull of non-finite points")
     # Sort lexicographically and drop exact duplicates.
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
@@ -175,26 +179,25 @@ class ConvexPolygon:
 
     def contains(self, point, tol: float = 1e-9) -> bool:
         """Membership with a tolerance measured as distance to the region."""
-        if point_in_polygon(point, self.vertices, tol=tol):
-            return True
         return self.distance(point) <= tol
 
     def distance(self, point) -> float:
-        """Euclidean distance from ``point`` to the region (0 if inside)."""
-        if point_in_polygon(point, self.vertices):
-            return 0.0
+        """Euclidean distance from ``point`` to the region (0 if inside).
+
+        A point with a non-positive :meth:`signed_margin` lies in every
+        edge halfspace and so inside the region; otherwise the distance
+        is the nearest of the point's projections onto the edge segments.
+        """
         p = np.asarray(point, dtype=float)
-        best = np.inf
-        n = self.n_vertices
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            ab = b - a
-            denom = float(ab @ ab)
-            t = 0.0 if denom == 0.0 else np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t * ab
-            best = min(best, float(np.hypot(*(p - proj))))
-        return best
+        if self.signed_margin(p)[0] <= 0.0:
+            return 0.0
+        ab = self.edges()
+        ap = p[None, :] - self.vertices
+        denom = np.einsum("ij,ij->i", ab, ab)
+        denom[denom == 0.0] = 1.0
+        t = np.clip(np.einsum("ij,ij->i", ap, ab) / denom, 0.0, 1.0)
+        gaps = ap - t[:, None] * ab
+        return float(np.min(np.hypot(gaps[:, 0], gaps[:, 1])))
 
     def signed_margin(self, points) -> np.ndarray:
         """Vectorised signed distance proxy to the boundary.
@@ -250,11 +253,21 @@ class ConvexPolygon:
         return np.array(pts), np.array(nrm)
 
     def expanded_with(self, points) -> "ConvexPolygon":
-        """Return the convex hull of this region together with new points."""
+        """Return the convex hull of this region together with new points.
+
+        Points with a non-positive :meth:`signed_margin` lie inside the
+        region and cannot be vertices of the new hull, so only the points
+        outside it are re-hulled with the current vertices.  A NaN or
+        infinite point raises ``ValueError`` (its margin would compare
+        false and drop it silently).
+        """
         extra = np.asarray(points, dtype=float)
         if extra.ndim == 1:
             extra = extra[None, :]
-        return ConvexPolygon(np.vstack([self.vertices, extra]))
+        if not np.all(np.isfinite(extra)):
+            raise ValueError("cannot expand a region with non-finite points")
+        outside = extra[self.signed_margin(extra) > 0.0]
+        return ConvexPolygon(np.vstack([self.vertices, outside]))
 
     def simplified(self, tolerance: float, min_vertices: int = 8) -> "ConvexPolygon":
         """Drop vertices that deviate less than ``tolerance`` from their chord.

@@ -18,6 +18,18 @@ concentrate (Theorem 3).  Section V-C gives a constructive algorithm for
 Step 1–2 are generalised to multi-parameter ``Theta`` by seeding with
 trajectories between the fixed points of *all* corner parameters.
 
+Every trajectory stage is one batched call.  The seed loops are the
+lanes of one :func:`~repro.ode.dopri_batch` call (one lane per ordered
+corner pair, its parameter passed as the lane's argument), each growth
+round scans the whole sampled boundary with one
+:meth:`~repro.inclusion.DriftExtremizer.maximize_direction_batch` call,
+and that round's escape trajectories are the lanes of one more
+``dopri_batch`` call.  Only the corner equilibria of step 1 stay a
+scalar :func:`~repro.ode.find_fixed_point` loop: each corner is settled
+from the previous corner's equilibrium, and that continuation is what
+keeps every corner on the same attractor branch (a batched settle would
+start every lane from the one initial guess).
+
 The returned region is a convex *outer* shell of the Birkhoff centre
 built from trajectories that are themselves recurrent-set witnesses; the
 paper argues (and Figure 3 shows) that for the SIR model the grown convex
@@ -34,7 +46,7 @@ import numpy as np
 
 from repro.geometry import ConvexPolygon, convex_hull
 from repro.inclusion import DriftExtremizer
-from repro.ode import find_fixed_point, find_fixed_point_batch, solve_ode
+from repro.ode import dopri_batch, find_fixed_point, find_fixed_point_batch
 
 __all__ = ["BirkhoffResult", "birkhoff_centre_2d", "uncertain_fixed_points"]
 
@@ -149,9 +161,36 @@ def birkhoff_centre_2d(
         ``converged=True`` — the region is stable in Hausdorff distance
         even when a residual boundary drift above ``tolerance`` remains
         (the certificate flag then stays ``False``).
+
+    Raises
+    ------
+    ValueError
+        On a non-positive or non-finite time, fewer than four samples
+        per trajectory, no escape per round, a negative or non-finite
+        tolerance, or an ``x0_guess`` that is not a finite 2-vector.
+    RuntimeError
+        When the boundary scan meets a non-finite outward drift, or an
+        integration or fixed-point settle fails numerically.
     """
     if model.dim != 2:
         raise ValueError("birkhoff_centre_2d requires a two-dimensional model")
+    for name, value in (("settle_time", settle_time), ("loop_time", loop_time),
+                        ("grow_time", grow_time)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    for name, value in (("tolerance", tolerance),
+                        ("spatial_tolerance", spatial_tolerance),
+                        ("simplify_tolerance", simplify_tolerance)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(
+                f"{name} must be finite and non-negative, got {value}")
+    if samples_per_trajectory < 4:
+        # Each half of the escape grid needs two points.
+        raise ValueError("samples_per_trajectory must be >= 4, got "
+                         f"{samples_per_trajectory}")
+    if max_escapes_per_round < 1:
+        raise ValueError("max_escapes_per_round must be >= 1, got "
+                         f"{max_escapes_per_round}")
     extremizer = extremizer or DriftExtremizer(model)
     if x0_guess is None:
         if model.state_lower is not None:
@@ -159,6 +198,10 @@ def birkhoff_centre_2d(
         else:
             x0_guess = np.full(model.dim, 0.5)
     x0_guess = np.asarray(x0_guess, dtype=float)
+    if x0_guess.shape != (2,) or not np.all(np.isfinite(x0_guess)):
+        raise ValueError(
+            f"x0_guess must be a finite 2-vector, got {x0_guess.tolist()}")
+    lane_drift = lambda t, X, thetas: model.drift_batch(X, thetas)  # noqa: E731
 
     corners = model.theta_set.corners()
     # Step 1: fixed point of each corner parameter (continuation between
@@ -174,20 +217,19 @@ def birkhoff_centre_2d(
     fixed_points = np.array(fixed_points)
 
     # Step 2: seed trajectories between fixed points under switched
-    # corner parameters (the paper's x1 / x2 loop, generalised).
-    points = [fixed_points]
-    for i in range(corners.shape[0]):
-        for j in range(corners.shape[0]):
-            if i == j and corners.shape[0] > 1:
-                continue
-            traj = solve_ode(
-                model.vector_field(corners[j]),
-                fixed_points[i],
-                (0.0, loop_time),
-                t_eval=np.linspace(0.0, loop_time, samples_per_trajectory),
-            )
-            points.append(traj.states)
-    cloud = np.vstack(points)
+    # corner parameters (the paper's x1 / x2 loop, generalised), one
+    # lane per ordered corner pair.
+    n_corners = corners.shape[0]
+    starts, ends = np.array(
+        [(i, j) for i in range(n_corners) for j in range(n_corners)
+         if i != j or n_corners == 1]
+    ).T
+    seeds = dopri_batch(
+        lane_drift, fixed_points[starts], (0.0, loop_time),
+        t_eval=np.linspace(0.0, loop_time, samples_per_trajectory),
+        lane_args=corners[ends],
+    )
+    cloud = np.vstack([fixed_points, seeds.states.reshape(-1, 2)])
 
     diameter = float(
         np.max(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1), initial=0.0)
@@ -221,45 +263,43 @@ def birkhoff_centre_2d(
     converged = False
     max_outward = np.inf
     rounds = 0
+    # The outward excursion is often brief (the flow curves back into
+    # the recurrent set), so the early part of each escape is sampled
+    # densely or the hull gain is missed entirely.
+    early = min(1.0, 0.1 * grow_time)
+    t_escape = np.unique(
+        np.concatenate(
+            [
+                np.linspace(0.0, early, samples_per_trajectory // 2),
+                np.linspace(early, grow_time, samples_per_trajectory // 2),
+            ]
+        )
+    )
     for rounds in range(1, max_rounds + 1):
         boundary, normals = polygon.boundary_points(per_edge=per_edge)
-        candidates = []
-        max_outward = -np.inf
-        for x, n in zip(boundary, normals):
-            theta_star, outward = extremizer.maximize_direction(x, n)
-            max_outward = max(max_outward, outward)
-            if outward > tolerance:
-                candidates.append((outward, x, theta_star))
+        thetas, outward = extremizer.maximize_direction_batch(boundary,
+                                                              normals)
+        if not np.all(np.isfinite(outward)):
+            bad = int(np.argmin(np.isfinite(outward)))
+            raise RuntimeError(
+                f"non-finite outward drift {outward[bad]} in growth round "
+                f"{rounds} at boundary point {boundary[bad].tolist()}"
+            )
+        max_outward = float(np.max(outward))
         history.append(max_outward)
-        if not candidates:
+        candidates = np.nonzero(outward > tolerance)[0]
+        if candidates.size == 0:
             certified = True
             converged = True
             break
-        candidates.sort(key=lambda item: -item[0])
-        escapes = []
-        # The outward excursion is often brief (the flow curves back into
-        # the recurrent set), so the early part of each escape is sampled
-        # densely or the hull gain is missed entirely.
-        early = min(1.0, 0.1 * grow_time)
-        t_escape = np.unique(
-            np.concatenate(
-                [
-                    np.linspace(0.0, early, samples_per_trajectory // 2),
-                    np.linspace(early, grow_time, samples_per_trajectory // 2),
-                ]
-            )
+        # Worst offenders first; the stable sort keeps ties in scan order.
+        order = candidates[np.argsort(-outward[candidates], kind="stable")]
+        chosen = order[:max_escapes_per_round]
+        escapes = dopri_batch(
+            lane_drift, boundary[chosen], (0.0, grow_time), t_eval=t_escape,
+            rtol=1e-8, atol=1e-10, lane_args=thetas[chosen],
         )
-        for _, x, theta_star in candidates[:max_escapes_per_round]:
-            traj = solve_ode(
-                model.vector_field(theta_star),
-                x,
-                (0.0, grow_time),
-                t_eval=t_escape,
-                rtol=1e-8,
-                atol=1e-10,
-            )
-            escapes.append(traj.states)
-        escape_cloud = np.vstack(escapes)
+        escape_cloud = escapes.states.reshape(-1, 2)
         gain = float(np.max(polygon.signed_margin(escape_cloud)))
         if gain <= spatial_tolerance:
             converged = True

@@ -4,7 +4,8 @@ The library computes every bound through one batched implementation.
 The functions here are the plain, one-query-at-a-time versions of the
 same computations — a knapsack per row, an extremisation per query, an
 ODE solve per constant ``theta``, a scalar forward–backward sweep per
-Pontryagin problem, a scalar Gillespie loop per SSA run — kept only
+Pontryagin problem, a scipy solve per Birkhoff seed or escape
+trajectory, a scalar Gillespie loop per SSA run — kept only
 so the tests can pin the batched kernels against an independent
 computation.  Nothing under ``src/`` imports this module.
 
@@ -26,10 +27,12 @@ from repro.bounds.pontryagin import (
 )
 from repro.bounds.sweep import _resolve_weights
 from repro.ctmc.kolmogorov import KolmogorovSystem
+from repro.geometry import ConvexPolygon, convex_hull, point_in_polygon
 from repro.inclusion import DriftExtremizer
 from repro.ode import Trajectory, find_fixed_point, rk4_integrate, solve_ode
 from repro.params import DiscreteSet
 from repro.simulation import BatchResult, SimulationResult
+from repro.steadystate import BirkhoffResult
 
 # ----------------------------------------------------------------------
 # Drift extremisation: DriftExtremizer.*_batch
@@ -241,6 +244,177 @@ def uncertain_fixed_points(model, resolution=41, x0_guess=None,
                                  settle_time=settle_time)
         out.append(guess)
     return np.array(out)
+
+
+# ----------------------------------------------------------------------
+# Birkhoff centre: birkhoff_centre_2d and the ConvexPolygon queries
+# ----------------------------------------------------------------------
+
+
+def polygon_distance(polygon, point):
+    """Distance from ``point`` to a convex polygon, one edge at a time.
+
+    The reference for :meth:`repro.geometry.ConvexPolygon.distance`: the
+    ray-cast :func:`~repro.geometry.point_in_polygon` inside test, then
+    the nearest projection onto each edge segment in a Python loop.
+    """
+    if point_in_polygon(point, polygon.vertices):
+        return 0.0
+    p = np.asarray(point, dtype=float)
+    best = np.inf
+    n = polygon.n_vertices
+    for i in range(n):
+        a = polygon.vertices[i]
+        b = polygon.vertices[(i + 1) % n]
+        ab = b - a
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0.0 else np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
+        proj = a + t * ab
+        best = min(best, float(np.hypot(*(p - proj))))
+    return best
+
+
+def polygon_contains(polygon, point, tol=1e-9):
+    """Membership reference for :meth:`repro.geometry.ConvexPolygon.contains`."""
+    if point_in_polygon(point, polygon.vertices, tol=tol):
+        return True
+    return polygon_distance(polygon, point) <= tol
+
+
+def birkhoff_centre_2d(model, x0_guess=None, settle_time=60.0, loop_time=40.0,
+                       grow_time=30.0, per_edge=2, max_rounds=120,
+                       tolerance=1e-4, degenerate_diameter=1e-6,
+                       extremizer=None, samples_per_trajectory=200,
+                       max_escapes_per_round=24, simplify_tolerance=5e-6,
+                       spatial_tolerance=1e-4):
+    """The Section V-C construction, one scalar call per trajectory or point.
+
+    The reference for :func:`repro.steadystate.birkhoff_centre_2d`: a
+    scipy ``solve_ivp`` per ordered corner pair for the seed loops, one
+    ``maximize_direction`` per sampled boundary point, a ``solve_ivp``
+    per chosen escape, and the region re-hulled with every escape point
+    (no inside-point filter).  The library's Dormand–Prince lanes agree
+    with scipy to integrator tolerance, so the two constructions agree
+    on the region to about ``spatial_tolerance`` but not bit for bit.
+    """
+    if model.dim != 2:
+        raise ValueError("birkhoff_centre_2d requires a two-dimensional model")
+    extremizer = extremizer or DriftExtremizer(model)
+    if x0_guess is None:
+        if model.state_lower is not None:
+            x0_guess = 0.5 * (model.state_lower + model.state_upper)
+        else:
+            x0_guess = np.full(model.dim, 0.5)
+    x0_guess = np.asarray(x0_guess, dtype=float)
+
+    corners = model.theta_set.corners()
+    fixed_points = []
+    current_guess = x0_guess
+    for theta in corners:
+        fp = find_fixed_point(
+            model.drift_fn(theta), current_guess, settle_time=settle_time
+        )
+        fixed_points.append(fp)
+        current_guess = fp
+    fixed_points = np.array(fixed_points)
+
+    points = [fixed_points]
+    for i in range(corners.shape[0]):
+        for j in range(corners.shape[0]):
+            if i == j and corners.shape[0] > 1:
+                continue
+            traj = solve_ode(
+                model.vector_field(corners[j]),
+                fixed_points[i],
+                (0.0, loop_time),
+                t_eval=np.linspace(0.0, loop_time, samples_per_trajectory),
+            )
+            points.append(traj.states)
+    cloud = np.vstack(points)
+
+    diameter = float(
+        np.max(np.linalg.norm(cloud - cloud.mean(axis=0), axis=1), initial=0.0)
+    )
+    if diameter <= degenerate_diameter:
+        return BirkhoffResult(
+            polygon=None,
+            points=cloud,
+            corner_fixed_points=fixed_points,
+            certified=True,
+            degenerate=True,
+            rounds=0,
+            max_outward_drift=0.0,
+            converged=True,
+        )
+
+    hull = convex_hull(cloud)
+    if hull.shape[0] < 3:
+        direction = hull[-1] - hull[0]
+        normal = np.array([-direction[1], direction[0]])
+        norm = np.linalg.norm(normal)
+        normal = normal / norm if norm > 0 else np.array([0.0, 1.0])
+        cloud = np.vstack([cloud, cloud.mean(axis=0) + 1e-8 * normal])
+    polygon = ConvexPolygon(cloud)
+
+    history = []
+    certified = False
+    converged = False
+    max_outward = np.inf
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        boundary, normals = polygon.boundary_points(per_edge=per_edge)
+        candidates = []
+        max_outward = -np.inf
+        for x, n in zip(boundary, normals):
+            theta_star, outward = extremizer.maximize_direction(x, n)
+            max_outward = max(max_outward, outward)
+            if outward > tolerance:
+                candidates.append((outward, x, theta_star))
+        history.append(max_outward)
+        if not candidates:
+            certified = True
+            converged = True
+            break
+        candidates.sort(key=lambda item: -item[0])
+        escapes = []
+        early = min(1.0, 0.1 * grow_time)
+        t_escape = np.unique(
+            np.concatenate(
+                [
+                    np.linspace(0.0, early, samples_per_trajectory // 2),
+                    np.linspace(early, grow_time, samples_per_trajectory // 2),
+                ]
+            )
+        )
+        for _, x, theta_star in candidates[:max_escapes_per_round]:
+            traj = solve_ode(
+                model.vector_field(theta_star),
+                x,
+                (0.0, grow_time),
+                t_eval=t_escape,
+                rtol=1e-8,
+                atol=1e-10,
+            )
+            escapes.append(traj.states)
+        escape_cloud = np.vstack(escapes)
+        gain = float(np.max(polygon.signed_margin(escape_cloud)))
+        if gain <= spatial_tolerance:
+            converged = True
+            break
+        polygon = ConvexPolygon(np.vstack([polygon.vertices, escape_cloud]))
+        polygon = polygon.simplified(simplify_tolerance)
+
+    return BirkhoffResult(
+        polygon=polygon,
+        points=polygon.vertices,
+        corner_fixed_points=fixed_points,
+        certified=certified,
+        degenerate=False,
+        rounds=rounds,
+        max_outward_drift=float(max_outward),
+        converged=converged,
+        history=history,
+    )
 
 
 # ----------------------------------------------------------------------

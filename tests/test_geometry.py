@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import reference_impls as ref
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.geometry import (
     ConvexPolygon,
@@ -13,6 +16,15 @@ from repro.geometry import (
 )
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+coordinates = st.floats(min_value=-100.0, max_value=100.0,
+                        allow_nan=False, allow_infinity=False)
+
+
+def point_clouds(min_size, max_size):
+    return st.lists(st.tuples(coordinates, coordinates),
+                    min_size=min_size, max_size=max_size).map(
+        lambda pts: np.array(pts, dtype=float).reshape(-1, 2))
 
 
 class TestConvexHull:
@@ -52,6 +64,11 @@ class TestConvexHull:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             convex_hull([[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            convex_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 0.5]])
 
     def test_random_cloud_contains_all_points(self, rng):
         pts = rng.normal(size=(200, 2))
@@ -125,6 +142,10 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon([(0, 0), (1, 1), (2, 2)])
 
+    def test_non_finite_vertex_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ConvexPolygon(UNIT_SQUARE + [(np.nan, 0.5)])
+
     def test_area_and_centroid(self):
         poly = ConvexPolygon(UNIT_SQUARE)
         assert poly.area == pytest.approx(1.0)
@@ -188,6 +209,13 @@ class TestConvexPolygon:
         same = poly.expanded_with([(0.5, 0.5)])
         assert same.area == pytest.approx(poly.area)
 
+    @pytest.mark.parametrize("bad", [(np.nan, 2.0), (0.5, np.inf)])
+    def test_expanded_with_non_finite_point_rejected(self, bad):
+        # The inside-point filter compares margins, and a NaN margin
+        # compares false: the point must be rejected, not dropped.
+        with pytest.raises(ValueError, match="non-finite"):
+            ConvexPolygon(UNIT_SQUARE).expanded_with([bad])
+
     def test_simplified_reduces_vertices(self):
         angles = np.linspace(0, 2 * np.pi, 500, endpoint=False)
         circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -205,3 +233,29 @@ class TestConvexPolygon:
 
     def test_repr(self):
         assert "ConvexPolygon" in repr(ConvexPolygon(UNIT_SQUARE))
+
+
+class TestConvexPolygonMatchesLoopReference:
+    """The half-space queries against the ray cast and per-edge loop."""
+
+    @given(cloud=point_clouds(3, 30), queries=point_clouds(1, 20),
+           tol=st.floats(min_value=0.0, max_value=10.0))
+    def test_distance_and_contains(self, cloud, queries, tol):
+        assume(convex_hull(cloud).shape[0] >= 3)
+        poly = ConvexPolygon(cloud)
+        for p in np.vstack([queries, cloud]):
+            expected = ref.polygon_distance(poly, p)
+            assert abs(poly.distance(p) - expected) <= 1e-12
+            if abs(expected - tol) > 1e-12:
+                assert poly.contains(p, tol=tol) == ref.polygon_contains(
+                    poly, p, tol=tol)
+
+    @given(cloud=point_clouds(3, 30), extra=point_clouds(1, 30))
+    def test_expanded_with_matches_unfiltered_hull(self, cloud, extra):
+        assume(convex_hull(cloud).shape[0] >= 3)
+        poly = ConvexPolygon(cloud)
+        grown = poly.expanded_with(extra)
+        unfiltered = ConvexPolygon(np.vstack([poly.vertices, extra]))
+        assert abs(grown.area - unfiltered.area) <= 1e-12 * unfiltered.area
+        for p in np.vstack([poly.vertices, extra]):
+            assert grown.distance(p) <= 1e-12

@@ -1,9 +1,14 @@
 """Tests for Birkhoff centres and stationary hull rectangles."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import reference_impls as ref
 
+from repro.inclusion import DriftExtremizer
 from repro.models import make_sir_model
+from repro.scenarios import get_scenario
 from repro.steadystate import (
     birkhoff_centre_2d,
     hull_steady_rectangle,
@@ -16,6 +21,20 @@ def sir_birkhoff():
     """The paper's Figure-3 region (computed once for the module)."""
     model = make_sir_model()
     return model, birkhoff_centre_2d(model, x0_guess=[0.7, 0.05])
+
+
+class NaNRowsExtremizer(DriftExtremizer):
+    """An extremizer whose outward drift is NaN on the chosen scan rows."""
+
+    def __init__(self, model, rows):
+        super().__init__(model)
+        self.rows = rows
+
+    def maximize_direction_batch(self, states, directions):
+        thetas, values = super().maximize_direction_batch(states, directions)
+        values = np.array(values, dtype=float)
+        values[self.rows] = np.nan
+        return thetas, values
 
 
 class TestUncertainFixedPoints:
@@ -102,6 +121,98 @@ class TestBirkhoffCentre:
     def test_history_recorded(self, sir_birkhoff):
         _, result = sir_birkhoff
         assert len(result.history) == result.rounds
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"settle_time": 0.0}, "settle_time"),
+        ({"loop_time": -1.0}, "loop_time"),
+        ({"loop_time": np.inf}, "loop_time"),
+        ({"grow_time": 0.0}, "grow_time"),
+        ({"grow_time": np.nan}, "grow_time"),
+        ({"samples_per_trajectory": 3}, "samples_per_trajectory"),
+        ({"samples_per_trajectory": 1}, "samples_per_trajectory"),
+        ({"max_escapes_per_round": 0}, "max_escapes_per_round"),
+        ({"tolerance": np.nan}, "tolerance"),
+        ({"tolerance": -1e-4}, "tolerance"),
+        ({"spatial_tolerance": np.nan}, "spatial_tolerance"),
+        ({"simplify_tolerance": -1.0}, "simplify_tolerance"),
+        ({"simplify_tolerance": np.inf}, "simplify_tolerance"),
+        ({"x0_guess": [0.7, 0.05, 0.1]}, "x0_guess"),
+        ({"x0_guess": [np.nan, 0.05]}, "x0_guess"),
+    ])
+    def test_invalid_arguments_rejected(self, kwargs, name):
+        model = make_sir_model(theta_max=4.0)
+        kwargs = {"x0_guess": [0.7, 0.05], **kwargs}
+        with pytest.raises(ValueError, match=name):
+            birkhoff_centre_2d(model, **kwargs)
+
+    @pytest.mark.parametrize("rows", [slice(None), [0]],
+                             ids=["every-row", "one-row"])
+    def test_non_finite_drift_raises(self, rows):
+        """A NaN outward drift is a numerical failure, not a certificate."""
+        model = make_sir_model(theta_max=4.0)
+        with pytest.raises(RuntimeError,
+                           match=r"round 1 at boundary point \["):
+            birkhoff_centre_2d(model, x0_guess=[0.7, 0.05],
+                               extremizer=NaNRowsExtremizer(model, rows))
+
+
+@lru_cache(maxsize=None)
+def _constructions(model_factory, kwargs, x0_guess):
+    """``(library, oracle)`` results for one model, computed once."""
+    model = model_factory(**dict(kwargs))
+    guess = None if x0_guess is None else list(x0_guess)
+    return (birkhoff_centre_2d(model, x0_guess=guess),
+            ref.birkhoff_centre_2d(model, x0_guess=guess))
+
+
+def _spec_case(name):
+    spec = get_scenario(name)
+    (question,) = [q for q in spec.questions if q.kind == "steadystate"]
+    guess = question.opts.get("x0_guess")
+    return (spec.model_factory, tuple(sorted(spec.kwargs.items())),
+            None if guess is None else tuple(guess))
+
+
+def _hausdorff(a, b):
+    """Larger of the two polygons' vertex-to-region distances."""
+    return max(max(b.distance(v) for v in a.vertices),
+               max(a.distance(v) for v in b.vertices))
+
+
+class TestBirkhoffMatchesScalarConstruction:
+    """The batched construction against the scipy per-trajectory oracle.
+
+    The Dormand–Prince lanes agree with scipy to integrator tolerance,
+    not bit for bit, and the growth loop stops at the first round that
+    gains less than ``spatial_tolerance``; so regions are compared by
+    Hausdorff distance, and round counts only where the stopping round
+    is well conditioned (the catalog's three ``steadystate`` specs).
+    """
+
+    @pytest.mark.parametrize("name", [
+        pytest.param("gossip-spread", marks=pytest.mark.slow),
+        pytest.param("repairable-queue", marks=pytest.mark.slow),
+        "sir-steadystate",
+    ])
+    def test_catalog_specs(self, name):
+        lib, oracle = _constructions(*_spec_case(name))
+        assert lib.rounds == oracle.rounds
+        assert lib.certified == oracle.certified
+        assert lib.converged == oracle.converged
+        assert lib.degenerate == oracle.degenerate
+        assert lib.polygon.area == pytest.approx(oracle.polygon.area,
+                                                 rel=1e-4)
+
+    @pytest.mark.parametrize("theta_max", [
+        2.0, 4.0,
+        pytest.param(6.0, marks=pytest.mark.slow),
+        pytest.param(10.0, marks=pytest.mark.slow),
+    ])
+    def test_sir_regions_within_spatial_tolerance(self, theta_max):
+        lib, oracle = _constructions(
+            make_sir_model, (("theta_max", theta_max),), (0.7, 0.05))
+        assert lib.converged and oracle.converged
+        assert _hausdorff(lib.polygon, oracle.polygon) <= 3e-4
 
 
 class TestHullSteadyRectangle:
