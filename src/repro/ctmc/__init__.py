@@ -16,7 +16,7 @@ Definition 1 can be analysed exactly:
   expected rewards exactly.
 - :class:`IntervalDTMC` — Škulj-style interval DTMCs obtained by
   uniformization, with batched credal operators (all row knapsacks of
-  a reward stack in one argsort + cumulative-subtraction pass) and
+  a reward stack in one pass over each row's support slots) and
   Poisson-mixed time-``t`` bounds that enclose the exact imprecise
   bounds by construction.
 """

@@ -12,6 +12,7 @@ residual check), which is what the imprecise Kolmogorov machinery in
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -68,33 +69,55 @@ class ImpreciseCTMC:
     # Generators
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _successors(self) -> np.ndarray:
+        """``(n, K)`` table: entry ``(i, e)`` is the row transition ``e``
+        reaches from state ``i``, or ``-1`` where the jump leaves
+        ``[0, N]``."""
+        cap = self.population.population_size
+        jumps = self.states[:, None, :] + self.population.change_matrix
+        inside = np.all((jumps >= 0) & (jumps <= cap), axis=2)
+        table = np.full(inside.shape, -1, dtype=np.intp)
+        table[inside] = [self.index[tuple(key)]
+                         for key in jumps[inside].tolist()]
+        return table
+
     def generator(self, theta) -> sparse.csr_matrix:
-        """The generator ``Q(theta)`` (rows sum to zero), CSR sparse."""
+        """The generator ``Q(theta)`` (rows sum to zero), CSR sparse.
+
+        One :meth:`~repro.population.FinitePopulation.aggregate_rates_batch`
+        call rates every (state, transition) pair; the entries with a
+        positive rate and a successor inside the lattice (the cached
+        successor table) are emitted in (state, transition) row-major
+        order, followed by the diagonal, which subtracts each
+        transition's live rates one transition at a time.  That is the
+        entry order and the summation order of a per-state loop, so the
+        CSR arrays are exactly the ones such a loop builds.  Raises
+        ``ValueError`` unless ``theta`` is a finite vector of shape
+        ``(p,)``.
+        """
         theta = np.asarray(theta, dtype=float)
+        p = self.model.theta_dim
+        if theta.shape != (p,) or not np.all(np.isfinite(theta)):
+            raise ValueError(
+                f"theta must be a finite vector of shape ({p},), got {theta!r}"
+            )
         n = self.n_states
-        rows, cols, vals = [], [], []
+        rates = self.population.aggregate_rates_batch(
+            self.states, np.tile(theta, (n, 1))
+        )
+        live = (rates > 0.0) & (self._successors >= 0)
+        rows, events = np.nonzero(live)
         diagonal = np.zeros(n)
-        pop = self.population
-        cap = pop.population_size
-        for row in range(n):
-            counts = self.states[row]
-            rates = pop.aggregate_rates(counts, theta)
-            for e, tr in enumerate(self.model.transitions):
-                rate = float(rates[e])
-                if rate <= 0.0:
-                    continue
-                nxt = counts + tr.change.astype(np.int64)
-                if np.any(nxt < 0) or np.any(nxt > cap):
-                    continue
-                col = self.index[tuple(int(v) for v in nxt)]
-                rows.append(row)
-                cols.append(col)
-                vals.append(rate)
-                diagonal[row] -= rate
-        rows.extend(range(n))
-        cols.extend(range(n))
-        vals.extend(diagonal.tolist())
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        for e in range(rates.shape[1]):
+            np.subtract(diagonal, rates[:, e], out=diagonal, where=live[:, e])
+        diag_index = np.arange(n)
+        return sparse.csr_matrix(
+            (np.concatenate([rates[rows, events], diagonal]),
+             (np.concatenate([rows, diag_index]),
+              np.concatenate([self._successors[rows, events], diag_index]))),
+            shape=(n, n),
+        )
 
     def affine_generator_parts(self, tol: float = 1e-8):
         """Decompose ``Q(theta) = Q_0 + sum_k theta_k Q_k`` (verified).

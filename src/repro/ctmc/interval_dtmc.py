@@ -17,11 +17,26 @@ applied iteratively; it is monotone and contracting on reward ranges,
 which is what makes the iteration a sound finite-horizon bound.
 
 The hot path is batched: :meth:`IntervalDTMC.extreme_rows_batch` solves
-all ``n`` row knapsacks for a whole stack of reward vectors in one
-argsort + cumulative-subtraction pass, and the single-reward operators
-delegate to it.  The test-suite keeps a one-row-at-a-time greedy
-knapsack as the reference implementation; the batched kernel reproduces
-its sequential rounding, so the two agree bit for bit (pinned with exact
+all ``n`` row knapsacks for a whole stack of reward vectors at once, and
+the single-reward operators delegate to it.  The knapsacks run on each
+row's *support* — the columns with ``upper > 0``, which is all a
+uniformized chain can reach in one step (at most ``K + 1`` entries for
+``K`` transition classes).  The constructor lays the supports out once
+as an ``(n, s)`` column table padded to the widest row ``s`` (padding
+slots point at off-support columns, whose lower bound and room are
+zero) and gathers the lower bounds and rooms onto it.  A call with
+``m`` rewards makes one ``argsort`` per reward over all ``n``
+columns, turns it into column ranks, orders each row's ``s`` slots by
+rank, runs the ``np.subtract.accumulate`` slack chain over those slots
+and scatters the filled slots into the dense ``(m, n, n)`` rows: cost
+``O(m n log n + m n s log s)``, plus the dense row totals and the
+dense ``(m, n, n)`` contraction of :meth:`upper_operator_batch`, which
+are unchanged.  Off-support entries have zero room, so a fill over all
+``n`` columns would only subtract an exact ``0.0`` from the slack
+there; dropping them changes no rounding step, and tied rewards keep
+the fill order of the one ``argsort``.  The test-suite keeps a
+one-row-at-a-time greedy knapsack over every column as the reference
+implementation, and the two agree bit for bit (pinned with exact
 equality).
 
 :meth:`IntervalDTMC.from_imprecise_ctmc` discretises an imprecise CTMC
@@ -53,45 +68,6 @@ __all__ = ["IntervalDTMC", "random_interval_dtmc"]
 #: tolerance (``sum(lower)`` marginally above 1, ``sum(upper)``
 #: marginally below) would otherwise leak out sub-/super-stochastic.
 _ROW_SUM_TOL = 1e-12
-
-
-def _knapsack_rows(lower, room, slack0, order):
-    """The batched fractional-knapsack core: fill rows in reward order.
-
-    Parameters are the per-entry lower bounds ``(n, n)``, the per-entry
-    room ``upper - lower`` ``(n, n)``, the initial slack
-    ``1 - sum(lower)`` per row ``(n,)`` and the fill order ``(m, n)``
-    (one coordinate permutation per reward vector).  Returns the
-    ``(m, n, n)`` extremising rows (unnormalised, in original column
-    positions) and the ``(m, n)`` final leftover slack the caller
-    checks for feasibility.
-
-    ``np.subtract.accumulate`` reproduces a one-row greedy loop's
-    sequential slack updates rounding step by rounding step.
-    """
-    m, n = order.shape[0], lower.shape[0]
-    # Rooms permuted into each reward's fill order: (m, n, n).
-    room_perm = np.swapaxes(np.take(room, order, axis=1), 0, 1)
-    chain = np.concatenate(
-        [np.broadcast_to(slack0[None, :, None], (m, n, 1)), room_perm],
-        axis=2,
-    )
-    # slack_seq[..., j] is the slack left before filling the j-th
-    # coordinate in order (sequential subtraction, not a cumsum —
-    # same rounding as a one-row greedy loop); the final entry is the
-    # slack left after exhausting every room.
-    slack_seq = np.subtract.accumulate(chain, axis=2)
-    take = np.clip(slack_seq[:, :, :-1], 0.0, room_perm)
-    rows_sorted = np.take_along_axis(
-        np.broadcast_to(lower[None], (m, n, n)),
-        order[:, None, :], axis=2,
-    ) + take
-    rows = np.empty_like(rows_sorted)
-    np.put_along_axis(
-        rows, np.broadcast_to(order[:, None, :], rows.shape),
-        rows_sorted, axis=2,
-    )
-    return rows, slack_seq[:, :, -1]
 
 
 class IntervalDTMC:
@@ -130,6 +106,25 @@ class IntervalDTMC:
         # Clipping can flip a within-tolerance inversion into upper <
         # lower; enforce ordered bounds so every room is non-negative.
         self.upper = np.maximum(np.clip(upper, 0.0, 1.0), self.lower)
+        # The support tables below are derived from the bounds once;
+        # read-only bounds cannot drift away from them.
+        self.lower.flags.writeable = False
+        self.upper.flags.writeable = False
+        # Each row's support (upper > 0) first, in column order, then its
+        # off-support columns: the first ``s`` columns of every row are
+        # its support padded to the widest row with zero-room slots.
+        support = self.upper > 0.0
+        width = int(support.sum(axis=1).max(initial=0))
+        self._support = np.argsort(~support, axis=1, kind="stable")[:, :width]
+        self._support_lower = np.take_along_axis(
+            self.lower, self._support, axis=1
+        )
+        self._support_room = np.take_along_axis(
+            self.upper - self.lower, self._support, axis=1
+        )
+        # Summed over the dense rows, exactly as a one-row loop does.
+        self._slack0 = 1.0 - self.lower.sum(axis=1)
+        self._slot_base = width * np.arange(lower.shape[0])[:, None]
 
     @property
     def n_states(self) -> int:
@@ -158,10 +153,12 @@ class IntervalDTMC:
         Each row starts from its mandatory lower bounds and distributes
         the remaining mass ``1 - sum(lower)`` greedily to the coordinates
         with the largest (smallest) reward, capped at the upper bounds.
-        All ``m * n`` fractional knapsacks are solved in one argsort +
-        cumulative-subtraction pass; ``np.subtract.accumulate``
-        reproduces the sequential slack updates of a one-row greedy loop
-        rounding step by rounding step.
+        All ``m * n`` fractional knapsacks are solved in one pass over
+        the rows' support slots (see the module docstring);
+        ``np.subtract.accumulate`` reproduces the sequential slack
+        updates of a one-row greedy loop rounding step by rounding step.
+        Raises ``ValueError`` on a non-finite reward, before any row is
+        filled.
         """
         rewards = np.asarray(rewards, dtype=float)
         single = rewards.ndim == 1
@@ -169,14 +166,35 @@ class IntervalDTMC:
         n = self.n_states
         if rewards.shape[1] != n:
             raise ValueError(f"rewards must have trailing dimension {n}")
+        if not np.all(np.isfinite(rewards)):
+            raise ValueError("rewards must be finite")
         m = rewards.shape[0]
         if telemetry.enabled():
             telemetry.inc("ctmc.credal.operator_calls")
             telemetry.inc("ctmc.credal.knapsack_rows", m * n)
         order = np.argsort(-rewards if maximize else rewards, axis=1)
-        room = self.upper - self.lower                       # (n, n), >= 0
-        slack0 = 1.0 - self.lower.sum(axis=1)                # (n,)
-        rows, leftover = _knapsack_rows(self.lower, room, slack0, order)
+        # rank[k, j]: position of column j in reward k's fill order.
+        rank = np.empty_like(order)
+        rank[np.arange(m)[:, None], order] = np.arange(n)
+        # Every row's support slots in fill order, as flat indices into
+        # the (n, s) support tables: (m, n, s).
+        slots = (np.argsort(np.take(rank, self._support, axis=1), axis=2)
+                 + self._slot_base)
+        room = self._support_room.take(slots)
+        chain = np.empty((m, n, room.shape[2] + 1))
+        chain[:, :, 0] = self._slack0
+        chain[:, :, 1:] = room
+        # slack_seq[..., j] is the slack left before filling the j-th
+        # slot (sequential subtraction, not a cumsum — same rounding as
+        # a one-row greedy loop); the final entry is the slack left
+        # after exhausting every room.
+        slack_seq = np.subtract.accumulate(chain, axis=2)
+        take = np.clip(slack_seq[:, :, :-1], 0.0, room)
+        # Scatter the filled slots into the dense rows (flat indices).
+        rows = np.zeros((m, n, n))
+        cols = self._support.take(slots) + n * np.arange(m * n).reshape(m, n, 1)
+        rows.reshape(-1)[cols] = self._support_lower.take(slots) + take
+        leftover = slack_seq[:, :, -1]
         if np.any(leftover > 1e-9):
             raise RuntimeError("credal set inconsistency: mass left over")
         totals = rows.sum(axis=2)

@@ -10,9 +10,10 @@ Because this is itself a differential inclusion with affine-in-theta
 drift, the whole Section IV toolbox applies verbatim: the
 :class:`KolmogorovSystem` adapter exposes the master equation through
 the same duck-typed interface as a population model (``drift_batch``
-/ ``affine_parts_batch``, one sparse matmul per generator part;
-``jacobian_x_batch``, the dense ``Q(theta)^T`` per row; their one-row
-views ``drift`` / ``affine_parts`` / ``jacobian_x``; ``theta_set``), so
+/ ``affine_parts_batch``, one sparse product of the stacked generator
+parts ``[Q_0^T; Q_1^T; ...]`` per call; ``jacobian_x_batch``, the
+dense ``Q(theta)^T`` per row; their one-row views ``drift`` /
+``affine_parts`` / ``jacobian_x``; ``theta_set``), so
 
 - :func:`imprecise_reward_bounds` runs the Pontryagin lane engine on
   the master equation, giving the *exact* extreme of any expected
@@ -81,8 +82,12 @@ class KolmogorovSystem:
         self.chain = chain
         self.name = f"kolmogorov({chain.model.name})"
         q0, parts = chain.affine_generator_parts()
-        self._q0_t = _csr_transpose(q0)
-        self._parts_t = [_csr_transpose(part) for part in parts]
+        # [Q0^T; Q1^T; ...] as one CSR: a CSR row product sums that
+        # row's stored entries in stored order, so one product of the
+        # stack equals the 1 + p per-part products bit for bit.
+        self._stacked_t = sparse.vstack(
+            [_csr_transpose(part) for part in [q0, *parts]], format="csr"
+        )
         self.theta_set = chain.model.theta_set
         self.state_names = tuple(
             "p_" + "_".join(str(v) for v in row) for row in chain.states
@@ -104,8 +109,17 @@ class KolmogorovSystem:
     @cached_property
     def _dense_parts(self):
         """``[Q0^T, Q_1^T, ...]`` as one dense ``(1 + p, d, d)`` stack."""
-        return np.stack([part.toarray()
-                         for part in [self._q0_t, *self._parts_t]])
+        d = self.dim
+        return self._stacked_t.toarray().reshape(-1, d, d)
+
+    def _part_products(self, p):
+        """``[Q0^T P, Q_1^T P, ...]`` for a stack ``P``: ``(1 + p, n, d)``.
+
+        One sparse product of the stacked parts, sliced per part.
+        """
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        products = self._stacked_t @ p.T
+        return products.reshape(-1, self.dim, p.shape[0]).transpose(0, 2, 1)
 
     def drift(self, p, theta) -> np.ndarray:
         """One-row view of :meth:`drift_batch`."""
@@ -126,25 +140,23 @@ class KolmogorovSystem:
 
     def drift_batch(self, p, theta) -> np.ndarray:
         """Row-wise master-equation drift for ``(n, d)`` / ``(n, p)`` stacks."""
-        p = np.atleast_2d(np.asarray(p, dtype=float))
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        out = (self._q0_t @ p.T).T
-        for k, part in enumerate(self._parts_t):
-            out = out + theta[:, k, None] * (part @ p.T).T
+        products = self._part_products(p)
+        out = products[0]
+        for k in range(self.theta_dim):
+            out = out + theta[:, k, None] * products[k + 1]
         return out
 
     def affine_parts_batch(self, p):
-        """Batched decomposition: one sparse matmul per generator part.
+        """Batched decomposition: one sparse product for every part.
 
         The master equation is linear in ``P``, so the whole stack is a
-        single ``Q^T P`` product per part — the batched bound
-        computations (Pontryagin re-maximisation over all grid
-        intervals) need no per-row Python loop at all.
+        single product of the stacked parts ``[Q_0^T; Q_1^T; ...]`` —
+        the batched bound computations (Pontryagin re-maximisation over
+        all grid intervals) need no per-row Python loop at all.
         """
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        g0s = (self._q0_t @ p.T).T
-        big_gs = np.stack([(part @ p.T).T for part in self._parts_t], axis=2)
-        return g0s, big_gs
+        products = self._part_products(p)
+        return products[0], np.stack(products[1:], axis=2)
 
     def jacobian_x(self, p, theta) -> np.ndarray:
         """One-row view of :meth:`jacobian_x_batch`."""

@@ -43,12 +43,12 @@ def make_bike_station_model(
     departure = Transition(
         "departure",
         change=[-1.0],
-        rate=lambda x, th: th[0] if x[0] > 0.0 else 0.0,
+        rate=lambda x, th: np.where(x[0] > 0.0, th[0], 0.0),
     )
     bike_return = Transition(
         "return",
         change=[1.0],
-        rate=lambda x, th: th[1] if x[0] < 1.0 else 0.0,
+        rate=lambda x, th: np.where(x[0] < 1.0, th[1], 0.0),
     )
 
     def affine_drift_batch(x):

@@ -102,31 +102,19 @@ def _check_common(mu, phi, fractions, capacity):
     return mu, phi, fractions, float(capacity)
 
 
-def _gps_share_rate(q1: float, q2: float, mu_i: float, phi_i: float, q_i: float,
-                    phi: Tuple[float, float], capacity: float) -> float:
+def _gps_share_rate_batch(q1, q2, mu_i, phi_i, q_i, phi, capacity):
     """Density-scaled GPS service rate of one class at queue state (q1, q2).
 
-    Queue values are clamped at zero before forming the share: the GPS
-    share is only defined on the admissible orthant, and the clamped
-    extension keeps the drift bounded (``<= c mu_i``) when fixed-step
-    integrators overshoot the boundary by a step — the raw extension has
-    a pole at ``phi . q = 0`` that destabilises forward sweeps.
-    """
-    q1 = max(q1, 0.0)
-    q2 = max(q2, 0.0)
-    q_i = max(q_i, 0.0)
-    denominator = phi[0] * q1 + phi[1] * q2
-    if denominator <= _DENOMINATOR_FLOOR:
-        return 0.0
-    return capacity * mu_i * phi_i * q_i / denominator
-
-
-def _gps_share_rate_batch(q1, q2, mu_i, phi_i, q_i, phi, capacity):
-    """Vectorized :func:`_gps_share_rate` over parallel queue-state vectors.
-
-    Identical arithmetic per element (the flooring only replaces the
-    denominator where the share is zero anyway), so the batched affine
-    decomposition agrees with the transition-class drift bit-for-bit.
+    Elementwise over parallel queue-state vectors (scalars give a 0-d
+    array).  Queue values are clamped at zero before forming the share:
+    the GPS share is only defined on the admissible orthant, and the
+    clamped extension keeps the drift bounded (``<= c mu_i``) when
+    fixed-step integrators overshoot the boundary by a step — the raw
+    extension has a pole at ``phi . q = 0`` that destabilises forward
+    sweeps.  Where the clamped denominator is at most
+    :data:`_DENOMINATOR_FLOOR` no job is in service and the rate is
+    zero; the floor only replaces the denominator there, so every other
+    element is the plain quotient.
     """
     q1 = np.maximum(q1, 0.0)
     q2 = np.maximum(q2, 0.0)
@@ -178,24 +166,24 @@ def make_gps_poisson_model(
     creation_1 = Transition(
         "creation_1",
         change=[1.0, 0.0],
-        rate=lambda x, th: th[0] * max(n1 - x[0], 0.0),
+        rate=lambda x, th: th[0] * np.maximum(n1 - x[0], 0.0),
     )
     creation_2 = Transition(
         "creation_2",
         change=[0.0, 1.0],
-        rate=lambda x, th: th[1] * max(n2 - x[1], 0.0),
+        rate=lambda x, th: th[1] * np.maximum(n2 - x[1], 0.0),
     )
     service_1 = Transition(
         "service_1",
         change=[-1.0, 0.0],
-        rate=lambda x, th: _gps_share_rate(
+        rate=lambda x, th: _gps_share_rate_batch(
             x[0], x[1], mu[0], phi[0], x[0], phi, capacity
         ),
     )
     service_2 = Transition(
         "service_2",
         change=[0.0, -1.0],
-        rate=lambda x, th: _gps_share_rate(
+        rate=lambda x, th: _gps_share_rate_batch(
             x[0], x[1], mu[1], phi[1], x[1], phi, capacity
         ),
     )
@@ -265,10 +253,10 @@ def make_gps_map_model(
     theta_set = Box([("lambda1", lo1, hi1), ("lambda2", lo2, hi2)])
     n1, n2 = fractions
 
-    def active(x, class_index: int) -> float:
+    def active(x, class_index: int):
         if class_index == 0:
-            return max(n1 - x[0] - x[1], 0.0)
-        return max(n2 - x[2] - x[3], 0.0)
+            return np.maximum(n1 - x[0] - x[1], 0.0)
+        return np.maximum(n2 - x[2] - x[3], 0.0)
 
     send_1 = Transition(
         "send_1",
@@ -283,14 +271,14 @@ def make_gps_map_model(
     service_1 = Transition(
         "service_1",
         change=[-1.0, 1.0, 0.0, 0.0],
-        rate=lambda x, th: _gps_share_rate(
+        rate=lambda x, th: _gps_share_rate_batch(
             x[0], x[2], mu[0], phi[0], x[0], phi, capacity
         ),
     )
     service_2 = Transition(
         "service_2",
         change=[0.0, 0.0, -1.0, 1.0],
-        rate=lambda x, th: _gps_share_rate(
+        rate=lambda x, th: _gps_share_rate_batch(
             x[0], x[2], mu[1], phi[1], x[2], phi, capacity
         ),
     )

@@ -181,6 +181,21 @@ class PopulationModel:
         """Whether ``Theta`` is a singleton (a classical precise model)."""
         return isinstance(self.theta_set, Singleton)
 
+    @property
+    def scalar_only_transitions(self) -> Tuple[str, ...]:
+        """Transitions whose batched rate has been rejected so far.
+
+        :meth:`transition_rates_batch` and :meth:`drift_batch` evaluate
+        these rates one row at a time on every later call.  The
+        registry audit (``python -m repro lint``, REG006) fails on a
+        registered model with any.
+        """
+        return tuple(
+            tr.name for e, tr in enumerate(self.transitions)
+            if self._batch_rate_ok.get(e) is False
+            or self._batch_drift_ok.get(e) is False
+        )
+
     def state_index(self, name: str) -> int:
         """Index of a state coordinate by name."""
         return self.state_names.index(name)

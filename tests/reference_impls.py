@@ -2,8 +2,9 @@
 
 The library computes every bound through one batched implementation.
 The functions here are the plain, one-query-at-a-time versions of the
-same computations — a knapsack per row, an extremisation per query, an
-ODE solve per constant ``theta``, a scalar forward–backward sweep per
+same computations — a knapsack per row, a generator assembled state by
+state, a sparse product per generator part, an extremisation per query,
+an ODE solve per constant ``theta``, a scalar forward–backward sweep per
 Pontryagin problem, a scipy solve per Birkhoff seed or escape
 trajectory, a scalar Gillespie loop per SSA run — kept only
 so the tests can pin the batched kernels against an independent
@@ -15,6 +16,7 @@ tolerance where the batched path shares one adaptive step sequence).
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from repro.bounds import UncertainEnvelope
@@ -26,7 +28,7 @@ from repro.bounds.pontryagin import (
     _resolve_directions,
 )
 from repro.bounds.sweep import _resolve_weights
-from repro.ctmc.kolmogorov import KolmogorovSystem
+from repro.ctmc.kolmogorov import KolmogorovSystem, _csr_transpose
 from repro.geometry import ConvexPolygon, convex_hull, point_in_polygon
 from repro.inclusion import DriftExtremizer
 from repro.ode import Trajectory, find_fixed_point, rk4_integrate, solve_ode
@@ -415,6 +417,69 @@ def birkhoff_centre_2d(model, x0_guess=None, settle_time=60.0, loop_time=40.0,
         converged=converged,
         history=history,
     )
+
+
+# ----------------------------------------------------------------------
+# Finite chains: ImpreciseCTMC.generator and the KolmogorovSystem drift
+# ----------------------------------------------------------------------
+
+
+def generator(chain, theta):
+    """``Q(theta)`` assembled one state at a time (CSR).
+
+    Per state: the aggregate rates, then every transition with a
+    positive rate whose jump stays in ``[0, N]``, in transition order;
+    the diagonal entries follow all off-diagonal ones.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = chain.n_states
+    rows, cols, vals = [], [], []
+    diagonal = np.zeros(n)
+    pop = chain.population
+    cap = pop.population_size
+    for row in range(n):
+        counts = chain.states[row]
+        rates = pop.aggregate_rates(counts, theta)
+        for e, tr in enumerate(chain.model.transitions):
+            rate = float(rates[e])
+            if rate <= 0.0:
+                continue
+            nxt = counts + tr.change.astype(np.int64)
+            if np.any(nxt < 0) or np.any(nxt > cap):
+                continue
+            col = chain.index[tuple(int(v) for v in nxt)]
+            rows.append(row)
+            cols.append(col)
+            vals.append(rate)
+            diagonal[row] -= rate
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend(diagonal.tolist())
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _transposed_parts(chain):
+    q0, parts = chain.affine_generator_parts()
+    return [_csr_transpose(part) for part in [q0, *parts]]
+
+
+def kolmogorov_drift_batch(chain, p, theta):
+    """Master-equation drift with one sparse product per generator part."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    q0_t, *parts_t = _transposed_parts(chain)
+    out = (q0_t @ p.T).T
+    for k, part in enumerate(parts_t):
+        out = out + theta[:, k, None] * (part @ p.T).T
+    return out
+
+
+def kolmogorov_affine_parts_batch(chain, p):
+    """``(g0s, Gs)`` of the master equation, one product per part."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q0_t, *parts_t = _transposed_parts(chain)
+    return ((q0_t @ p.T).T,
+            np.stack([(part @ p.T).T for part in parts_t], axis=2))
 
 
 # ----------------------------------------------------------------------

@@ -83,6 +83,21 @@ class TestGenerators:
                 if abs(counts_i - counts_j) > 1:
                     assert q[i, j] == 0.0
 
+    @pytest.mark.parametrize("theta", [
+        [1.0, 1.0, 5.0],     # an extra entry used to be dropped silently
+        [1.0],               # used to raise IndexError inside a rate
+        [[1.0, 1.0]],        # a 2-D theta used to be accepted
+        [np.inf, 1.0],       # used to give a generator with inf entries
+        [1.0, -np.inf],
+    ], ids=["extra-entry", "missing-entry", "two-d", "inf", "minus-inf"])
+    def test_malformed_theta_rejected(self, bike_chain, theta):
+        with pytest.raises(ValueError, match="theta"):
+            bike_chain.generator(theta)
+        with pytest.raises(ValueError, match="theta"):
+            bike_chain.transient_distribution(theta, 1.0)
+        with pytest.raises(ValueError, match="theta"):
+            bike_chain.stationary_distribution(theta)
+
     def test_affine_parts_verified(self, bike_chain):
         q0, parts = bike_chain.affine_generator_parts()
         assert len(parts) == 2

@@ -20,6 +20,7 @@ from repro.bounds.sweep import uncertain_envelope
 from repro.ctmc import (
     ImpreciseCTMC,
     IntervalDTMC,
+    KolmogorovSystem,
     imprecise_reward_bounds,
     uncertain_reward_envelope,
 )
@@ -29,14 +30,26 @@ from repro.models import (
     make_power_of_d_model,
     make_sir_full_model,
 )
+from repro.params import Box
+from repro.population import PopulationModel, Transition
+from repro.scenarios import get_scenario
 
 #: (n_states, interval width, seed) triples for the random-chain half.
 RANDOM_CASES = [(2, 0.05, 0), (7, 0.15, 1), (23, 0.08, 2), (60, 0.02, 3)]
 
+#: Catalog scenarios whose dtmc_reward chains the steady-finite
+#: benchmark workload answers (28, 9, 343 and 49 states).
+DTMC_REWARD_SCENARIOS = [
+    "sir-dtmc-reward", "bike-dtmc-reward", "load-balancing-dtmc", "autoscaler",
+]
+CHAIN_KEYS = ["bike", "sir", "power_of_d", *DTMC_REWARD_SCENARIOS]
+
 
 @pytest.fixture(scope="module")
 def catalog_chains():
-    """Small finite chains derived from the catalog model families."""
+    """Finite chains derived from the catalog: three small chains of the
+    catalog model families, plus the chain of every dtmc_reward
+    question in :data:`DTMC_REWARD_SCENARIOS` (keyed by scenario)."""
     chains = {}
     bike = make_bike_station_model()
     chains["bike"] = ImpreciseCTMC(bike.instantiate(8, [0.5]))
@@ -44,6 +57,12 @@ def catalog_chains():
     chains["sir"] = ImpreciseCTMC(sir.instantiate(5, [0.6, 0.4, 0.0]))
     pod = make_power_of_d_model(buffer_depth=3)
     chains["power_of_d"] = ImpreciseCTMC(pod.instantiate(5, [0.4, 0.0, 0.0]))
+    for name in DTMC_REWARD_SCENARIOS:
+        spec = get_scenario(name)
+        opts = next(q for q in spec.questions if q.kind == "dtmc_reward").opts
+        chains[name] = ImpreciseCTMC(
+            spec.build_model().instantiate(opts["population_size"], spec.x0)
+        )
     return chains
 
 
@@ -163,6 +182,30 @@ class TestCatalogChainsDifferential:
         assert np.array_equal(lo_b, lo_s)
         assert np.array_equal(hi_b, hi_s)
 
+    @pytest.mark.parametrize("key", DTMC_REWARD_SCENARIOS)
+    def test_dtmc_reward_chains_bit_identical(self, key, catalog_chains):
+        """The support-slot kernel against the dense one-row oracle on
+        the benchmark's chains: a density, a random reward, all zeros
+        and a reward with ties (six values on at least nine states)."""
+        chain = catalog_chains[key]
+        dtmc, _ = IntervalDTMC.from_imprecise_ctmc(chain)
+        n = chain.n_states
+        rng = np.random.default_rng(13)
+        ties = np.round(0.5 * rng.random(n), 1)
+        assert np.unique(ties).size < n
+        rewards = [chain.densities()[:, 0], rng.normal(size=n), np.zeros(n),
+                   ties]
+        for reward in rewards:
+            for maximize in (True, False):
+                assert np.array_equal(
+                    dtmc.extreme_rows_batch(reward, maximize=maximize),
+                    ref.extreme_rows(dtmc, reward, maximize),
+                )
+        lo_b, hi_b = dtmc.expectation_bounds(rewards[0], 4)
+        lo_s, hi_s = ref.expectation_bounds(dtmc, rewards[0], 4)
+        assert np.array_equal(lo_b, lo_s)
+        assert np.array_equal(hi_b, hi_s)
+
     def test_uniformized_bounds_stack_matches_single(self, catalog_chains):
         chain = catalog_chains["sir"]
         dtmc, rate = IntervalDTMC.from_imprecise_ctmc(chain)
@@ -172,6 +215,40 @@ class TestCatalogChainsDifferential:
             lo_j, hi_j = dtmc.uniformized_bounds(stack[j], 0.8, rate)
             assert np.array_equal(lo[j], lo_j)
             assert np.array_equal(hi[j], hi_j)
+
+
+class TestGeneratorDifferential:
+    @pytest.mark.parametrize("key", CHAIN_KEYS)
+    def test_csr_arrays_match_per_state_loop(self, key, catalog_chains):
+        """Same entries in the same order: the CSR arrays are equal."""
+        chain = catalog_chains[key]
+        theta_set = chain.model.theta_set
+        for theta in [*theta_set.corners(), theta_set.center()]:
+            fast = chain.generator(theta)
+            slow = ref.generator(chain, theta)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(fast, attr),
+                                      getattr(slow, attr)), attr
+
+
+class TestKolmogorovDriftDifferential:
+    @pytest.mark.parametrize("key", CHAIN_KEYS)
+    def test_stacked_product_matches_per_part_products(self, key,
+                                                       catalog_chains):
+        chain = catalog_chains[key]
+        system = KolmogorovSystem(chain)
+        rng = np.random.default_rng(5)
+        for m in (1, 4):
+            p = rng.dirichlet(np.ones(chain.n_states), size=m)
+            theta = chain.model.theta_set.sample(rng, m)
+            assert np.array_equal(
+                system.drift_batch(p, theta),
+                ref.kolmogorov_drift_batch(chain, p, theta),
+            )
+            g0, big_g = system.affine_parts_batch(p)
+            g0_ref, big_g_ref = ref.kolmogorov_affine_parts_batch(chain, p)
+            assert np.array_equal(g0, g0_ref)
+            assert np.array_equal(big_g, big_g_ref)
 
 
 class TestBlockOdeSweep:
@@ -224,12 +301,22 @@ class TestBatchedRk4Sweep:
                                   env_s.argmax_theta[name])
 
     def test_rk4_batch_bit_identical_fallback_model(self):
-        # Bike rates branch on scalars, so drift_batch falls back to its
-        # per-row loop internally — the sweep must still be identical.
-        model = make_bike_station_model()
+        # These rates branch on scalars, so drift_batch falls back to
+        # its per-row loop internally — the sweep must still be
+        # identical.
+        model = PopulationModel(
+            "scalar_bike", ("occupied",),
+            [Transition("departure", [-1.0],
+                        lambda x, th: th[0] if x[0] > 0.0 else 0.0),
+             Transition("return", [1.0],
+                        lambda x, th: th[1] if x[0] < 1.0 else 0.0)],
+            Box([("theta_a", 0.8, 1.2), ("theta_r", 0.9, 1.1)]),
+            observables={"occupied": [1.0]},
+        )
         t_eval = np.linspace(0.0, 3.0, 5)
         kwargs = dict(resolution=3, integrator="rk4", rk4_steps=150)
         env_b = uncertain_envelope(model, [0.6], t_eval, **kwargs)
         env_s = ref.uncertain_envelope(model, [0.6], t_eval, **kwargs)
+        assert model.scalar_only_transitions == ("departure", "return")
         assert np.array_equal(env_b.lower["occupied"], env_s.lower["occupied"])
         assert np.array_equal(env_b.upper["occupied"], env_s.upper["occupied"])

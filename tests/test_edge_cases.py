@@ -5,7 +5,7 @@ import pytest
 
 from repro.bounds import pontryagin_transient_bounds
 from repro.models import make_gps_poisson_model
-from repro.models.gps import _gps_share_rate
+from repro.models.gps import _gps_share_rate_batch
 
 
 class TestGPSShareStability:
@@ -17,15 +17,30 @@ class TestGPSShareStability:
     """
 
     def test_negative_queue_clamped(self):
-        rate = _gps_share_rate(-0.01, 0.001, 5.0, 1.0, -0.01, (1.0, 1.0), 0.5)
+        rate = _gps_share_rate_batch(-0.01, 0.001, 5.0, 1.0, -0.01,
+                                     (1.0, 1.0), 0.5)
         assert rate == 0.0
 
     def test_share_bounded_by_capacity_times_mu(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             q1, q2 = rng.uniform(-0.1, 0.6, size=2)
-            rate = _gps_share_rate(q1, q2, 5.0, 7.0, q1, (7.0, 1.0), 0.5)
+            rate = _gps_share_rate_batch(q1, q2, 5.0, 7.0, q1, (7.0, 1.0), 0.5)
             assert 0.0 <= rate <= 0.5 * 5.0 + 1e-9
+
+    def test_array_input_matches_elementwise(self):
+        rng = np.random.default_rng(1)
+        q1, q2 = rng.uniform(-0.1, 0.6, size=(2, 200))
+        q1[:3] = [-0.01, 0.0, 0.0]
+        q2[:3] = [0.001, 0.0, -0.2]
+        rates = _gps_share_rate_batch(q1, q2, 5.0, 7.0, q1, (7.0, 1.0), 0.5)
+        assert rates.shape == (200,)
+        assert np.all(rates[:3] == 0.0)
+        assert np.all((rates >= 0.0) & (rates <= 0.5 * 5.0 + 1e-9))
+        for j in range(200):
+            assert rates[j] == _gps_share_rate_batch(
+                q1[j], q2[j], 5.0, 7.0, q1[j], (7.0, 1.0), 0.5
+            )
 
     def test_high_weight_sweep_stays_finite(self):
         """The phi_1 = 15 sweep that used to blow up."""

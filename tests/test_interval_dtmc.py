@@ -65,6 +65,14 @@ class TestValidation:
         dtmc = IntervalDTMC(p, p)
         np.testing.assert_allclose(extreme_row(dtmc, 0, [1.0, 0.0]), p[0])
 
+    def test_bounds_are_read_only(self):
+        # The per-row support tables are built from the bounds once.
+        dtmc = two_state_dtmc()
+        with pytest.raises(ValueError, match="read-only"):
+            dtmc.lower[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            dtmc.upper[0, 1] = 1.0
+
 
 class TestRowOptimisation:
     def test_extreme_row_is_distribution(self):
@@ -223,6 +231,36 @@ class TestUniformizedBounds:
         for horizon, rate in ((np.nan, 5.0), (np.inf, 5.0), (1.0, np.nan)):
             with pytest.raises(ValueError, match="finite"):
                 dtmc.uniformized_bounds([1.0, 0.0], horizon, rate=rate)
+
+
+class TestNonFiniteRewards:
+    @pytest.fixture(scope="class")
+    def bike_dtmc(self):
+        chain = ImpreciseCTMC(make_bike_station_model().instantiate(8, [0.5]))
+        return IntervalDTMC.from_imprecise_ctmc(chain)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [
+        "upper_operator", "expectation_bounds", "uniformized_bounds",
+        "stationary_expectation_bounds",
+    ])
+    def test_rejected_before_iterating(self, bike_dtmc, entry, bad):
+        # NaN used to come back as NaN bounds, inf as NaN through
+        # inf * 0 in the contraction, and the stationary iteration
+        # blamed a periodic or reducible chain.
+        dtmc, rate = bike_dtmc
+        reward = np.linspace(0.0, 1.0, dtmc.n_states)
+        reward[3] = bad
+        calls = {
+            "upper_operator": lambda: dtmc.upper_operator(reward),
+            "expectation_bounds": lambda: dtmc.expectation_bounds(reward, 5),
+            "uniformized_bounds":
+                lambda: dtmc.uniformized_bounds(reward, 1.0, rate),
+            "stationary_expectation_bounds":
+                lambda: dtmc.stationary_expectation_bounds(reward),
+        }
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            calls[entry]()
 
 
 class TestUniformization:

@@ -16,6 +16,7 @@ plus the self-clean gate: ``repro lint --strict`` exits 0 on this repo.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.lint import (
@@ -186,6 +187,23 @@ def _batchless_factory():
     return PopulationModel("batchless", ("x",), [tr], Interval(0.0, 2.0))
 
 
+def _scalar_rate_factory():
+    """An affine model with a ``max(...)`` rate (REG006 bait)."""
+    inflow = Transition("inflow", [1.0], lambda x, th: th[0] * (1.0 - x[0]))
+    outflow = Transition("clamped_outflow", [-1.0],
+                         lambda x, th: max(x[0], 0.0))
+
+    def affine(x):
+        return -np.maximum(x[:, :1], 0.0), (1.0 - x)[:, :, None]
+
+    def jacobian(x, theta):
+        return (-theta[:, 0] - (x[:, 0] > 0.0))[:, None, None]
+
+    return PopulationModel("scalar_rates", ("x",), [inflow, outflow],
+                           Interval(0.5, 2.0), affine_drift_batch=affine,
+                           drift_jacobian_batch=jacobian)
+
+
 class TestRegistryAudit:
     def test_real_catalog_is_clean(self):
         assert audit_registry() == []
@@ -221,6 +239,31 @@ class TestRegistryAudit:
         assert "REG004" in codes
         messages = " ".join(f.message for f in findings)
         assert "lint-test-bad-scenario" in messages
+
+
+    def test_scalar_only_rate_is_caught(self):
+        spec = ScenarioSpec(
+            name="lint-test-scalar-rate",
+            title="synthetic REG006 bait",
+            model_factory=_scalar_rate_factory,
+            x0=(0.5,),
+            horizon=1.0,
+            questions=(Question("envelope", options={"n_times": 3}),),
+            observables=("x",),
+        )
+        register_scenario(spec)
+        try:
+            findings = audit_registry()
+        finally:
+            _REGISTRY.pop(spec.name, None)
+        assert [f.code for f in findings] == ["REG006"]
+        message = findings[0].message
+        assert "lint-test-scalar-rate" in message
+        assert "clamped_outflow" in message
+        assert "inflow" not in message
+
+    def test_catalog_rates_take_batches(self):
+        assert [f for f in audit_registry() if f.code == "REG006"] == []
 
 
 class TestSelfClean:

@@ -32,6 +32,28 @@ def random_interval_dtmc(data, n: int) -> IntervalDTMC:
     return IntervalDTMC(lower, upper)
 
 
+def sparse_interval_dtmc(data, n: int) -> IntervalDTMC:
+    """An interval chain whose rows have random supports: single-entry
+    rows, full rows and masks in between."""
+    lower = np.zeros((n, n))
+    upper = np.zeros((n, n))
+    for i in range(n):
+        kind = data.draw(st.sampled_from(["single", "full", "mask"]))
+        if kind == "full":
+            mask = np.ones(n, dtype=bool)
+        else:
+            mask = np.zeros(n, dtype=bool)
+            mask[data.draw(st.integers(0, n - 1))] = True
+            if kind == "mask":
+                mask |= np.array([data.draw(st.booleans()) for _ in range(n)])
+        raw = np.array([data.draw(probs) + 1e-3 for _ in range(n)]) * mask
+        center = raw / raw.sum()
+        width = data.draw(st.floats(min_value=0.0, max_value=0.3))
+        lower[i] = np.clip(center - width, 0.0, 1.0) * mask
+        upper[i] = np.clip(center + width, 0.0, 1.0) * mask
+    return IntervalDTMC(lower, upper)
+
+
 class TestIntervalDTMCProperties:
     @FAST
     @given(data=st.data())
@@ -46,6 +68,23 @@ class TestIntervalDTMCProperties:
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(p >= dtmc.lower[row] - 1e-12)
             assert np.all(p <= dtmc.upper[row] + 1e-12)
+
+    @FAST
+    @given(data=st.data())
+    def test_sparse_support_rows_match_dense_oracle(self, data):
+        """The support-slot kernel equals the one-row knapsack over all
+        columns, ties in the reward included."""
+        n = data.draw(st.integers(1, 7))
+        dtmc = sparse_interval_dtmc(data, n)
+        value = st.one_of(small_floats, st.sampled_from([-1.0, 0.0, 0.5]))
+        rewards = np.array([[data.draw(value) for _ in range(n)]
+                            for _ in range(2)])
+        for maximize in (True, False):
+            rows = dtmc.extreme_rows_batch(rewards, maximize=maximize)
+            for k in range(2):
+                np.testing.assert_array_equal(
+                    rows[k], ref.extreme_rows(dtmc, rewards[k], maximize)
+                )
 
     @FAST
     @given(data=st.data())
