@@ -23,7 +23,10 @@ fixed-point (forward–backward sweep) iteration the paper describes:
 integrate the state forward under the current control, the costate
 backward along the stored state, re-maximise the Hamiltonian pointwise,
 repeat until the control stabilises — for a whole set of problems at
-once, each one a lane of the batched RK4 kernels.  For the
+once, each one a lane of the batched RK4 kernels.  Each iteration makes
+one forward call, and it also carries the lanes that are finishing (the
+final pass under a fixed-point control) or projecting (the pass under
+the bang-bang projection of a lane's best iterate).  For the
 affine-in-theta models the Hamiltonian maximiser is bang-bang, so the
 iteration converges in a handful of sweeps; the convergence test
 combines control stability with objective stability to tolerate
@@ -41,6 +44,7 @@ the remark in Section IV-C.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -120,7 +124,9 @@ def _checked_problem(x0, direction, horizon, n_steps, dim):
 
     Non-finite inputs are rejected explicitly: ``nan <= 0`` and
     ``nan != 0`` are both False, so they would otherwise slip past the
-    range checks and come back as a NaN bound.
+    range checks and come back as a NaN bound.  So is an ``x0`` of the
+    wrong shape, which the lane stack would otherwise broadcast (a
+    scalar to every coordinate) or fail on with a bare numpy error.
     """
     x0 = np.asarray(x0, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -128,6 +134,8 @@ def _checked_problem(x0, direction, horizon, n_steps, dim):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
+    if x0.shape != (dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({dim},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     if direction.shape != (dim,):
@@ -227,8 +235,11 @@ def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
     :data:`_JACOBIAN_BLOCK_BYTES`, so small models build the whole sweep
     in one call.  The recursion itself is pure matrix–vector arithmetic
     per lockstep step, mirroring the scalar RK4 stage expressions
-    (lanes whose grid is exhausted freeze).  Returns the costate stack
-    in forward orientation, ``(L, n+1, d)``.
+    (lanes whose grid is exhausted freeze); its step geometry is built
+    once, as step-major tables, and the costate of every step is kept
+    in a step-major trail that is scattered onto the grid once at the
+    end.  Returns the costate stack in forward orientation,
+    ``(L, n+1, d)``.
     """
     L, n_plus_1, d = states.shape
     n_sweep = int(steps.max())
@@ -238,14 +249,22 @@ def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
     x_mid = x_left + w_mid[:, :, None] * (x_right - x_left)
     u_right = controls[lanes[:, None], idx_right]
     block = max(1, _JACOBIAN_BLOCK_BYTES // (3 * L * d * d * states.itemsize))
+    # Step i enters interval steps - 1 - i of each lane (interval 0 once
+    # the lane has run out); dt is negative: backward in time.
+    step_index = np.arange(n_sweep)[:, None]
+    live = step_index < steps
+    entered = np.maximum(steps - 1 - step_index, 0)
+    dt = (T[lanes, entered] - T[lanes, entered + 1])[:, :, None]
+    half, sixth = 0.5 * dt, dt / 6.0
+    all_live = bool(np.all(steps == n_sweep))
 
     p = C.copy()
-    costates = np.tile(C[:, None, :], (1, n_plus_1, 1))
+    trail = np.empty((n_sweep, L, d))
     for i0 in range(0, n_sweep, block):
         b = min(block, n_sweep - i0)
         # Column c of lane l holds the interval lockstep step i0+b-1-c
-        # enters; a lane that has run out reads interval 0 instead.
-        window = np.maximum(steps[:, None] - i0 - b + np.arange(b), 0)
+        # enters.
+        window = entered[i0:i0 + b][::-1].T
         rows = lambda arr: arr[lanes[:, None], window].reshape(L * b, -1)  # noqa: E731
         jacs = model.jacobian_x_batch(
             np.concatenate([rows(x_right), rows(x_mid), rows(x_left)]),
@@ -253,20 +272,19 @@ def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
         ).reshape(3, L, b, d, d)
         for i in range(i0, i0 + b):
             c = i0 + b - 1 - i
-            j = window[:, c]
-            live = steps > i
-            dt = T[lanes, j] - T[lanes, j + 1]  # negative: backward in time
-            dtc = dt[:, None]
             k1 = -np.einsum("lkj,lk->lj", jacs[0, :, c], p)
-            k2 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + 0.5 * dtc * k1)
-            k3 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + 0.5 * dtc * k2)
-            k4 = -np.einsum("lkj,lk->lj", jacs[2, :, c], p + dtc * k3)
-            p_new = p + (dtc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            p = np.where(live[:, None], p_new, p)
-            costates[lanes[live], j[live]] = p[live]
+            k2 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + half[i] * k1)
+            k3 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + half[i] * k2)
+            k4 = -np.einsum("lkj,lk->lj", jacs[2, :, c], p + dt[i] * k3)
+            p_new = p + sixth[i] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = p_new if all_live else np.where(live[i][:, None], p_new, p)
+            trail[i] = p
         # Free this block before the next is built: two live blocks
         # would double the budget.
         del jacs
+    costates = np.tile(C[:, None, :], (1, n_plus_1, 1))
+    step_of, lane_of = np.nonzero(live)
+    costates[lane_of, entered[step_of, lane_of]] = trail[step_of, lane_of]
     return costates
 
 
@@ -314,10 +332,10 @@ def _extremal_trajectories_batch_impl(
     call, the backward costate sweep one lockstep RK4 recursion over
     batched analytic Jacobians (built a block of steps per
     :meth:`~repro.population.PopulationModel.jacobian_x_batch` call), and the
-    Hamiltonian re-maximisation one extremiser call over every lane's
-    every grid interval.  Per-lane convergence masks let converged lanes
-    retire — they stop consuming forward/backward work — while the rest
-    keep sweeping.
+    Hamiltonian re-maximisation one extremiser call over every active
+    lane's every grid interval.  Per-lane convergence masks let converged
+    lanes retire — they stop consuming forward/backward work — while the
+    rest keep sweeping.
 
     Per lane the sweep integrates the state forward under the current
     control, the costate backward along the stored state, and
@@ -332,6 +350,19 @@ def _extremal_trajectories_batch_impl(
     consecutive sweeps.  Each lane keeps its best iterate, and the
     result projects it back to the pointwise Hamiltonian maximiser —
     the PMP-consistent bang-bang signal — whenever that loses no value.
+
+    Neither the final pass nor the projection pass is a forward call of
+    its own: each lane moves through the states active → finishing →
+    projecting → done, and the iteration's one forward call carries the
+    active lanes under their current controls, the finishing lanes under
+    their fixed-point controls and the projecting lanes under the
+    projection of their best iterate.  A lane at a fixed point finishes
+    in the next call; a lane whose best iterate is final (after its
+    final pass, on value patience, or when ``max_iter`` or the deadline
+    stops the sweep) projects in the call after that, and drain turns
+    run the pending passes once no lane is active.  Lanes are
+    independent rows of every kernel call, so the schedule returns the
+    same bits as separate fixed-point and projection passes.
 
     ``max_iter < 1``, a negative or non-finite ``tol`` / ``value_tol``
     and ``value_patience < 1`` raise ``ValueError``: each would return
@@ -351,6 +382,8 @@ def _extremal_trajectories_batch_impl(
     """
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    # An iteration count (TypeError on a float, as range() raised).
+    operator.index(max_iter)
     for name, value in (("tol", tol), ("value_tol", value_tol)):
         if not (np.isfinite(value) and value >= 0.0):
             raise ValueError(
@@ -410,6 +443,7 @@ def _extremal_trajectories_batch_impl(
     best_states = np.zeros((L, n_max + 1, d))
     best_costates = np.tile(C[:, None, :], (1, n_max + 1, 1))
     best_controls = controls.copy()
+    projected = np.empty_like(controls)
     value_prev = np.zeros(L)
     has_prev = np.zeros(L, dtype=bool)
     stable = np.zeros(L, dtype=int)
@@ -427,126 +461,149 @@ def _extremal_trajectories_batch_impl(
         "resilience.pontryagin.deadline_hits"
     )
 
+    # Lanes move active -> (finishing ->) projecting -> done; each turn
+    # runs one forward pass over all three groups.
+    no_lanes = lanes_all[:0]
+    active, finishing, projecting = lanes_all, no_lanes, no_lanes
     sweep_start = time.perf_counter()
-    active = lanes_all.copy()
-    for it in range(1, max_iter + 1):
-        if active.size == 0:
-            break
-        # Graceful degradation under a wall-clock budget: guarded by
-        # ``it > 1`` so every lane completes at least one full sweep
-        # (best_value starts at -inf and is only finite afterwards).
-        if (deadline_seconds is not None and it > 1
-                and time.perf_counter() - sweep_start > deadline_seconds):
-            if deadline_counter is not None:
-                deadline_counter.inc()
-            break
-        iterations[active] = it
-        a = active
-        if iter_counter is not None:
-            iter_counter.inc(int(a.size))
-        # (7) forward state sweep under the current controls.
+    it = 0
+    while active.size or finishing.size or projecting.size:
+        it += 1
+        a, fin, proj = active, finishing, projecting
+        if a.size:
+            iterations[a] = it
+            if iter_counter is not None:
+                iter_counter.inc(int(a.size))
+        # (7) forward state sweep: the active lanes under their current
+        # controls, the finishing lanes under their fixed-point controls
+        # (the final pass) and the projecting lanes under the pointwise
+        # Hamiltonian maximiser of their best iterate.
+        rows = np.concatenate([a, fin, proj])
+        n_a, n_af = a.size, a.size + fin.size
         fwd = rk4_integrate_controlled_batch(
-            dynamics, x0_stack[a], T[a], controls[a], lane_steps=steps[a],
+            dynamics, x0_stack[rows], T[rows],
+            np.concatenate([controls[rows[:n_af]], projected[proj]]),
+            lane_steps=steps[rows],
         )
-        finals = fwd.final_states
-        value = np.einsum("ld,ld->l", C[a], finals)
-        improved = value > best_value[a]
-        upd = a[improved]
-        best_value[upd] = value[improved]
-        best_states[upd] = fwd.states[improved]
-        best_costates[upd] = costates[upd]
-        best_controls[upd] = controls[upd]
+        row_values = np.einsum("ld,ld->l", C[rows], fwd.final_states)
+        finished = [fin]
+        active = finishing = no_lanes
 
-        # (9) backward costate sweep along the stored states.
-        costates_a = _costate_sweep_batch(
-            model, T[a], steps[a], fwd.states, controls[a], C[a],
-            w_mid[a], idx_right[a],
-        )
-        costates[a] = costates_a
+        if a.size:
+            value = row_values[:n_a]
+            states_a = fwd.states[:n_a]
+            improved = value > best_value[a]
+            upd = a[improved]
+            best_value[upd] = value[improved]
+            best_states[upd] = states_a[improved]
+            best_costates[upd] = costates[upd]
+            best_controls[upd] = controls[upd]
 
-        # (8) pointwise Hamiltonian maximisation, all lanes and intervals
-        # in one batched call.
-        thetas_flat, _ = extremizer.maximize_direction_batch(
-            fwd.states[:, :-1].reshape(-1, d),
-            costates_a[:, :-1].reshape(-1, d),
-        )
-        target = thetas_flat.reshape(a.size, n_max, p)
-
-        changed = (
-            np.any(np.abs(target - controls[a]) > tol, axis=2)
-            & interval_live[a]
-        )
-        n_changed = np.count_nonzero(changed, axis=1)
-        fixed_point = n_changed <= chatter_intervals
-
-        if np.any(fixed_point):
-            # One final forward pass under the fixed-point controls.
-            fin = a[fixed_point]
-            controls[fin] = target[fixed_point]
-            final_fwd = rk4_integrate_controlled_batch(
-                dynamics, x0_stack[fin], T[fin], controls[fin],
-                lane_steps=steps[fin],
+            # (9) backward costate sweep along the stored states.
+            costates_a = _costate_sweep_batch(
+                model, T[a], steps[a], states_a, controls[a], C[a],
+                w_mid[a], idx_right[a],
             )
-            fin_value = np.einsum("ld,ld->l", C[fin], final_fwd.final_states)
+            costates[a] = costates_a
+
+            # (8) pointwise Hamiltonian maximisation, all lanes and
+            # intervals in one batched call.
+            thetas_flat, _ = extremizer.maximize_direction_batch(
+                states_a[:, :-1].reshape(-1, d),
+                costates_a[:, :-1].reshape(-1, d),
+            )
+            target = thetas_flat.reshape(a.size, n_max, p)
+
+            changed = (
+                np.any(np.abs(target - controls[a]) > tol, axis=2)
+                & interval_live[a]
+            )
+            n_changed = np.count_nonzero(changed, axis=1)
+            fixed_point = n_changed <= chatter_intervals
+            # A fixed point runs one final pass under its controls next.
+            finishing = a[fixed_point]
+            controls[finishing] = target[fixed_point]
+            converged[finishing] = True
+
+            cont = ~fixed_point
+            if np.any(cont):
+                ac = a[cont]
+                v = value[cont]
+                regressed = has_prev[ac] & (v < value_prev[ac] - value_tol)
+                relaxation[ac[regressed]] = np.maximum(
+                    0.5 * relaxation[ac[regressed]], 0.05
+                )
+                if relax_counter is not None:
+                    n_regressed = int(np.count_nonzero(regressed))
+                    if n_regressed:
+                        relax_counter.inc(n_regressed)
+                if residual_hist is not None:
+                    residual_hist.observe_many(
+                        np.abs(v - value_prev[ac])[has_prev[ac]]
+                    )
+                settled = has_prev[ac] & (
+                    np.abs(v - value_prev[ac])
+                    <= value_tol * np.maximum(1.0, np.abs(v))
+                )
+                stable[ac[settled]] += 1
+                stable[ac[~settled]] = 0
+                patience_hit = stable[ac] >= value_patience
+                converged[ac[patience_hit]] = True
+                finished.append(ac[patience_hit])
+                value_prev[ac] = v
+                has_prev[ac] = True
+                step_lanes = ~patience_hit
+                active = ac[step_lanes]
+                controls[active] = controls[active] \
+                    + relaxation[active][:, None, None] \
+                    * (target[cont][step_lanes] - controls[active])
+
+        if fin.size:
+            fin_value = row_values[n_a:n_af]
             better = fin_value >= best_value[fin]
             upd = fin[better]
             best_value[upd] = fin_value[better]
-            best_states[upd] = final_fwd.states[better]
+            best_states[upd] = fwd.states[n_a:n_af][better]
             best_costates[upd] = costates[upd]
             best_controls[upd] = controls[upd]
-            converged[fin] = True
 
-        cont = ~fixed_point
-        if np.any(cont):
-            ac = a[cont]
-            v = value[cont]
-            regressed = has_prev[ac] & (v < value_prev[ac] - value_tol)
-            relaxation[ac[regressed]] = np.maximum(
-                0.5 * relaxation[ac[regressed]], 0.05
-            )
-            if relax_counter is not None:
-                n_regressed = int(np.count_nonzero(regressed))
-                if n_regressed:
-                    relax_counter.inc(n_regressed)
-            if residual_hist is not None:
-                residual_hist.observe_many(
-                    np.abs(v - value_prev[ac])[has_prev[ac]]
-                )
-            settled = has_prev[ac] & (
-                np.abs(v - value_prev[ac])
-                <= value_tol * np.maximum(1.0, np.abs(v))
-            )
-            stable[ac[settled]] += 1
-            stable[ac[~settled]] = 0
-            patience_hit = stable[ac] >= value_patience
-            converged[ac[patience_hit]] = True
-            value_prev[ac] = v
-            has_prev[ac] = True
-            step_lanes = ~patience_hit
-            upd = ac[step_lanes]
-            controls[upd] = controls[upd] + relaxation[upd][:, None, None] * (
-                target[cont][step_lanes] - controls[upd]
-            )
-            active = upd
-        else:
-            active = a[~fixed_point]
+        if proj.size:
+            # Keep the projection whenever it loses no value.
+            proj_value = row_values[n_af:]
+            values = best_value[proj]
+            keep = proj_value >= values - value_tol * np.maximum(
+                1.0, np.abs(values))
+            kept = proj[keep]
+            best_states[kept] = fwd.states[n_af:][keep]
+            best_controls[kept] = projected[kept]
+            best_value[proj] = np.where(
+                keep, np.maximum(values, proj_value), values)
 
-    # Projection back to the pointwise Hamiltonian maximiser — one remax
-    # plus one forward pass for every lane at once.
-    values = best_value.copy()
-    thetas_flat, _ = extremizer.maximize_direction_batch(
-        best_states[:, :-1].reshape(-1, d),
-        best_costates[:, :-1].reshape(-1, d),
-    )
-    projected = thetas_flat.reshape(L, n_max, p)
-    proj_fwd = rk4_integrate_controlled_batch(
-        dynamics, x0_stack, T, projected, lane_steps=steps,
-    )
-    proj_value = np.einsum("ld,ld->l", C, proj_fwd.final_states)
-    keep = proj_value >= values - value_tol * np.maximum(1.0, np.abs(values))
-    final_states = np.where(keep[:, None, None], proj_fwd.states, best_states)
-    final_controls = np.where(keep[:, None, None], projected, best_controls)
-    values = np.where(keep, np.maximum(values, proj_value), values)
+        if active.size:
+            # Past max_iter, or past the wall-clock budget (graceful
+            # degradation, checked only after a full iteration so every
+            # lane has a finite best value), the active lanes stop and
+            # project their best iterate.
+            timed_out = (it < max_iter and deadline_seconds is not None
+                         and time.perf_counter() - sweep_start
+                         > deadline_seconds)
+            if timed_out and deadline_counter is not None:
+                deadline_counter.inc()
+            if it >= max_iter or timed_out:
+                finished.append(active)
+                active = no_lanes
+
+        # Project each lane whose best iterate is final back to the
+        # pointwise Hamiltonian maximiser: the PMP-consistent bang-bang
+        # signal its projection pass runs under next turn.
+        projecting = np.concatenate(finished)
+        if projecting.size:
+            thetas_flat, _ = extremizer.maximize_direction_batch(
+                best_states[projecting, :-1].reshape(-1, d),
+                best_costates[projecting, :-1].reshape(-1, d),
+            )
+            projected[projecting] = thetas_flat.reshape(
+                projecting.size, n_max, p)
 
     results = []
     for l in range(L):
@@ -554,12 +611,12 @@ def _extremal_trajectories_batch_impl(
         results.append(
             PontryaginResult(
                 times=T[l, :stop].copy(),
-                states=final_states[l, :stop].copy(),
+                states=best_states[l, :stop].copy(),
                 costates=best_costates[l, :stop].copy(),
-                controls=final_controls[l, : stop - 1].copy(),
+                controls=best_controls[l, : stop - 1].copy(),
                 direction=directions[l].copy(),
                 maximize=bool(maximize[l]),
-                value=float(values[l] if maximize[l] else -values[l]),
+                value=float(best_value[l] if maximize[l] else -best_value[l]),
                 converged=bool(converged[l]),
                 iterations=int(iterations[l]),
             )
@@ -680,6 +737,9 @@ def _pontryagin_transient_bounds_impl(
     lanes retire early.  Every lane cold-starts from the centre of
     ``Theta``.
 
+    Each horizon ``T`` gets ``max(min_steps, ceil(T * steps_per_unit))``
+    grid intervals; ``steps_per_unit`` must be positive and finite.
+
     ``deadline_seconds`` bounds the wall clock: past it, the sweep
     stops iterating and reports best-so-far values, and the returned
     :class:`TransientBounds` carries ``converged=False``.
@@ -693,6 +753,10 @@ def _pontryagin_transient_bounds_impl(
         raise ValueError("all horizons must be positive (t = 0 is the initial state)")
     if np.any(np.diff(horizons) <= 0):
         raise ValueError("horizons must be strictly increasing")
+    if not (steps_per_unit > 0 and np.isfinite(steps_per_unit)):
+        raise ValueError(
+            f"steps_per_unit must be positive and finite, got {steps_per_unit}"
+        )
     invalid_sides = set(sides) - {"lower", "upper"}
     if invalid_sides or not sides:
         raise ValueError(

@@ -27,7 +27,10 @@ program:
 Lane retirement semantics: a lane whose grid (or end time) is exhausted
 stops updating — its state is frozen at its own final value while the
 remaining lanes keep stepping, so heterogeneous horizons batch into one
-call without perturbing each other.
+call without perturbing each other.  The two lockstep RK4 kernels share
+one step loop, and it stops at the longest live lane: a call runs
+``lane_steps.max()`` steps, however wide its padded grid, and writes each
+lane's frozen final state into the padded tail.
 """
 
 from __future__ import annotations
@@ -222,6 +225,53 @@ def _prepare_batch_grid(x0, t_grid, lane_steps):
     return x0, t_grid, shared, lane_steps, n_points
 
 
+def _rk4_lockstep(f: Callable, x0, t_grid, shared, lane_steps, n_points,
+                  ctrl=None) -> TrajectoryBatch:
+    """The step loop of both lockstep RK4 kernels.
+
+    Steps only as far as the longest live lane (``lane_steps.max()``
+    steps), then copies every lane's frozen final state into the padded
+    tail.  The step geometry — stage times, ``dt``, ``0.5 * dt`` and
+    ``dt / 6`` — is built once as step-major tables from the same
+    elementwise expressions the stages would evaluate, so each lane runs
+    the :func:`~repro.ode.rk4_step` arithmetic bit for bit.  With
+    ``ctrl`` (``(n_lanes, n_points - 1, p)``) the field is called as
+    ``f(t, X, U)`` with one control row per lane per step.
+    """
+    L, d = x0.shape
+    n_run = int(lane_steps.max())
+    if shared:
+        t0 = t_grid[:n_run]
+        dt = t_grid[1:n_run + 1] - t0
+    else:
+        t0 = np.ascontiguousarray(t_grid[:, :n_run].T)
+        dt = t_grid[:, 1:n_run + 1].T - t0
+    t_half, t1 = t0 + 0.5 * dt, t0 + dt
+    # Per-lane steps scale each lane's state row: (n_lanes, 1) columns.
+    dtc = dt if shared else dt[:, :, None]
+    half, sixth = 0.5 * dtc, dtc / 6.0
+    all_live = bool(np.all(lane_steps == n_run))
+    live = (np.arange(n_run)[:, None] < lane_steps)[:, :, None]
+    x = x0.copy()
+    states = np.empty((L, n_points, d))
+    states[:, 0] = x
+    u = ()
+    for i in range(n_run):
+        if ctrl is not None:
+            u = (ctrl[:, i],)
+        h = half[i]
+        k1 = f(t0[i], x, *u)
+        k2 = f(t_half[i], x + h * k1, *u)
+        k3 = f(t_half[i], x + h * k2, *u)
+        k4 = f(t1[i], x + dtc[i] * k3, *u)
+        stepped = x + sixth[i] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = stepped if all_live else np.where(live[i], stepped, x)
+        states[:, i + 1] = x
+    states[:, n_run + 1:] = x[:, None]
+    times = np.broadcast_to(t_grid, (L, n_points)).copy() if shared else t_grid.copy()
+    return TrajectoryBatch(times=times, states=states, lane_steps=lane_steps)
+
+
 def _rk4_integrate_batch_impl(f: Callable, x0, t_grid,
                               lane_steps=None) -> TrajectoryBatch:
     """Lockstep fixed-grid RK4 over a stack of IVPs.
@@ -246,35 +296,7 @@ def _rk4_integrate_batch_impl(f: Callable, x0, t_grid,
     expression, so lane ``l`` reproduces the scalar integrator run on
     row ``l`` bit for bit.
     """
-    x0, t_grid, shared, lane_steps, n_points = _prepare_batch_grid(
-        x0, t_grid, lane_steps
-    )
-    L, d = x0.shape
-    x = x0.copy()
-    states = np.empty((L, n_points, d))
-    states[:, 0] = x
-    all_live = bool(np.all(lane_steps == n_points - 1))
-    for i in range(n_points - 1):
-        if shared:
-            t = t_grid[i]
-            dt = dtc = t_grid[i + 1] - t_grid[i]
-        else:
-            t = t_grid[:, i]
-            dt = t_grid[:, i + 1] - t
-            dtc = dt[:, None]
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * dt, x + 0.5 * dtc * k1)
-        k3 = f(t + 0.5 * dt, x + 0.5 * dtc * k2)
-        k4 = f(t + dt, x + dtc * k3)
-        stepped = x + (dtc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if all_live:
-            x = stepped
-        else:
-            live = lane_steps > i
-            x = np.where(live[:, None], stepped, x)
-        states[:, i + 1] = x
-    times = np.broadcast_to(t_grid, (L, n_points)).copy() if shared else t_grid.copy()
-    return TrajectoryBatch(times=times, states=states, lane_steps=lane_steps)
+    return _rk4_lockstep(f, *_prepare_batch_grid(x0, t_grid, lane_steps))
 
 
 def _rk4_integrate_controlled_batch_impl(f: Callable, x0, t_grid, controls,
@@ -291,41 +313,15 @@ def _rk4_integrate_controlled_batch_impl(f: Callable, x0, t_grid, controls,
     x0, t_grid, shared, lane_steps, n_points = _prepare_batch_grid(
         x0, t_grid, lane_steps
     )
-    L, d = x0.shape
     ctrl = np.asarray(controls, dtype=float)
     if ctrl.ndim == 2:
         ctrl = ctrl[:, :, None]
-    if ctrl.shape[:2] != (L, n_points - 1):
+    if ctrl.shape[:2] != (x0.shape[0], n_points - 1):
         raise ValueError(
             f"controls must be (n_lanes, {n_points - 1}, p); "
             f"got {ctrl.shape}"
         )
-    x = x0.copy()
-    states = np.empty((L, n_points, d))
-    states[:, 0] = x
-    all_live = bool(np.all(lane_steps == n_points - 1))
-    for i in range(n_points - 1):
-        u = ctrl[:, i]
-        if shared:
-            t = t_grid[i]
-            dt = dtc = t_grid[i + 1] - t_grid[i]
-        else:
-            t = t_grid[:, i]
-            dt = t_grid[:, i + 1] - t
-            dtc = dt[:, None]
-        k1 = f(t, x, u)
-        k2 = f(t + 0.5 * dt, x + 0.5 * dtc * k1, u)
-        k3 = f(t + 0.5 * dt, x + 0.5 * dtc * k2, u)
-        k4 = f(t + dt, x + dtc * k3, u)
-        stepped = x + (dtc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if all_live:
-            x = stepped
-        else:
-            live = lane_steps > i
-            x = np.where(live[:, None], stepped, x)
-        states[:, i + 1] = x
-    times = np.broadcast_to(t_grid, (L, n_points)).copy() if shared else t_grid.copy()
-    return TrajectoryBatch(times=times, states=states, lane_steps=lane_steps)
+    return _rk4_lockstep(f, x0, t_grid, shared, lane_steps, n_points, ctrl)
 
 
 def _record_lockstep(kind: str, batch: TrajectoryBatch) -> TrajectoryBatch:
@@ -335,8 +331,9 @@ def _record_lockstep(kind: str, batch: TrajectoryBatch) -> TrajectoryBatch:
         telemetry.inc(f"ode.{kind}.lanes", batch.n_lanes)
         telemetry.inc(f"ode.{kind}.steps", int(batch.lane_steps.sum()))
         # Lockstep kernels evaluate all four stages on the full stack
-        # every grid interval, retired lanes included.
-        telemetry.inc(f"ode.{kind}.rhs_evals", 4 * (n_points - 1))
+        # up to the longest lane's last step, retired lanes included.
+        telemetry.inc(f"ode.{kind}.rhs_evals",
+                      4 * int(batch.lane_steps.max()))
         retired = int(np.count_nonzero(batch.lane_steps < n_points - 1))
         if retired:
             telemetry.inc(f"ode.{kind}.lane_retirements", retired)

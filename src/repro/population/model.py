@@ -23,6 +23,13 @@ from repro.population.transitions import Transition
 __all__ = ["PopulationModel"]
 
 
+def _float_rows(a) -> np.ndarray:
+    """``a`` as a 2-D float64 stack; an array that already is one as is."""
+    if type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64:
+        return a
+    return np.atleast_2d(np.asarray(a, dtype=float))
+
+
 class PopulationModel:
     """An imprecise population process specified by transition classes.
 
@@ -142,8 +149,10 @@ class PopulationModel:
         self._batch_rate_ok: dict = {}
         self._batch_drift_ok: dict = {}
         # Set once every transition's raw batched rate is validated: the
-        # drift_batch hot path then skips the validation machinery.
+        # drift_batch hot path then skips the validation machinery and
+        # reads this (rate, change row) table.
         self._drift_batch_fast = False
+        self._drift_table: List[Tuple[Callable, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -328,18 +337,22 @@ class PopulationModel:
         skip the validation machinery entirely (same calls, same
         accumulation order — the fast path is bit-identical): this is
         the innermost call of every batched RK4 stage, so the bookkeeping
-        would otherwise dominate small-stack integrations.
+        would otherwise dominate small-stack integrations.  The fast path
+        also takes 2-D float64 arrays as they are.
         """
+        if self._drift_batch_fast:
+            x, theta = _float_rows(x), _float_rows(theta)
+            out = np.zeros((x.shape[0], self.dim))
+            x_t, theta_t = x.T, theta.T
+            for rate, change in self._drift_table:
+                out += np.asarray(rate(x_t, theta_t), dtype=float)[:, None] \
+                    * change
+            return out
         x = np.atleast_2d(np.asarray(x, dtype=float))
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         n = x.shape[0]
         out = np.zeros((n, self.dim))
         x_t, theta_t = x.T, theta.T
-        if self._drift_batch_fast:
-            for tr in self.transitions:
-                out += np.asarray(tr.rate(x_t, theta_t), dtype=float)[:, None] \
-                    * tr.change[None, :]
-            return out
         can_validate = n >= 2 and (
             bool(np.any(x != x[0])) or bool(np.any(theta != theta[0]))
         )
@@ -360,6 +373,8 @@ class PopulationModel:
         if len(self._batch_drift_ok) == len(self.transitions) and all(
             v is True for v in self._batch_drift_ok.values()
         ):
+            self._drift_table = [(tr.rate, tr.change[None, :])
+                                 for tr in self.transitions]
             self._drift_batch_fast = True
         return out
 

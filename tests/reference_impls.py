@@ -5,7 +5,8 @@ The functions here are the plain, one-query-at-a-time versions of the
 same computations — a knapsack per row, a generator assembled state by
 state, a sparse product per generator part, an extremisation per query,
 an ODE solve per constant ``theta``, a scalar forward–backward sweep per
-Pontryagin problem, a scipy solve per Birkhoff seed or escape
+Pontryagin problem (and the lane sweep with a forward call per phase and
+a costate store per step), a scipy solve per Birkhoff seed or escape
 trajectory, a scalar Gillespie loop per SSA run — kept only
 so the tests can pin the batched kernels against an independent
 computation.  Nothing under ``src/`` imports this module.
@@ -15,11 +16,13 @@ tolerance (exact equality where the arithmetic is the same, integrator
 tolerance where the batched path shares one adaptive step sequence).
 """
 
+import time
+
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from repro.bounds import UncertainEnvelope
+from repro.bounds import UncertainEnvelope, pontryagin
 from repro.bounds.hull import _refined_extremum, _slice_candidates
 from repro.bounds.pontryagin import (
     PontryaginResult,
@@ -31,7 +34,14 @@ from repro.bounds.sweep import _resolve_weights
 from repro.ctmc.kolmogorov import KolmogorovSystem, _csr_transpose
 from repro.geometry import ConvexPolygon, convex_hull, point_in_polygon
 from repro.inclusion import DriftExtremizer
-from repro.ode import Trajectory, find_fixed_point, rk4_integrate, solve_ode
+from repro.ode import (
+    Trajectory,
+    find_fixed_point,
+    pad_grids,
+    rk4_integrate,
+    rk4_integrate_controlled_batch,
+    solve_ode,
+)
 from repro.params import DiscreteSet
 from repro.simulation import BatchResult, SimulationResult
 from repro.steadystate import BirkhoffResult
@@ -727,6 +737,238 @@ def extremal_trajectory(model, x0, horizon, direction, maximize=True,
         iterations=iterations,
     )
 
+
+def costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
+                        idx_right):
+    """The lane engine's backward costate sweep, one masked store a step.
+
+    The reference for
+    :func:`repro.bounds.pontryagin._costate_sweep_batch`: the same
+    Jacobian blocks (under the library's ``_JACOBIAN_BLOCK_BYTES``) and
+    the same four stage products, but each lockstep step works out its
+    entered interval, ``dt`` and live lanes inside the loop and stores
+    its live lanes' costates straight into the ``(L, n+1, d)`` stack.
+    """
+    L, n_plus_1, d = states.shape
+    n_sweep = int(steps.max())
+    lanes = np.arange(L)
+    x_left = states[:, :-1]
+    x_right = states[:, 1:]
+    x_mid = x_left + w_mid[:, :, None] * (x_right - x_left)
+    u_right = controls[lanes[:, None], idx_right]
+    block = max(1, pontryagin._JACOBIAN_BLOCK_BYTES
+                // (3 * L * d * d * states.itemsize))
+
+    p = C.copy()
+    costates = np.tile(C[:, None, :], (1, n_plus_1, 1))
+    for i0 in range(0, n_sweep, block):
+        b = min(block, n_sweep - i0)
+        # Column c of lane l holds the interval lockstep step i0+b-1-c
+        # enters; a lane that has run out reads interval 0 instead.
+        window = np.maximum(steps[:, None] - i0 - b + np.arange(b), 0)
+        rows = lambda arr: arr[lanes[:, None], window].reshape(L * b, -1)  # noqa: E731
+        jacs = model.jacobian_x_batch(
+            np.concatenate([rows(x_right), rows(x_mid), rows(x_left)]),
+            np.concatenate([rows(u_right), rows(controls), rows(controls)]),
+        ).reshape(3, L, b, d, d)
+        for i in range(i0, i0 + b):
+            c = i0 + b - 1 - i
+            j = window[:, c]
+            live = steps > i
+            dt = T[lanes, j] - T[lanes, j + 1]  # negative: backward in time
+            dtc = dt[:, None]
+            k1 = -np.einsum("lkj,lk->lj", jacs[0, :, c], p)
+            k2 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + 0.5 * dtc * k1)
+            k3 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + 0.5 * dtc * k2)
+            k4 = -np.einsum("lkj,lk->lj", jacs[2, :, c], p + dtc * k3)
+            p_new = p + (dtc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = np.where(live[:, None], p_new, p)
+            costates[lanes[live], j[live]] = p[live]
+    return costates
+
+
+def extremal_trajectories_batch(model, x0, specs, max_iter=100, tol=1e-7,
+                                value_tol=1e-6, value_patience=3,
+                                chatter_intervals=2, extremizer=None,
+                                deadline_seconds=None,
+                                initial_controls=None):
+    """The lane sweep with a forward call per phase.
+
+    The reference for the schedule of
+    :func:`repro.bounds.extremal_trajectories_batch`: each iteration runs
+    the active lanes' forward pass, then a separate final pass for the
+    lanes that reached a fixed point, and after the loop one projection
+    pass over every lane.  Same update rules (improvement, relaxation,
+    patience, deadline, projection) and the same lockstep kernels, so a
+    lane must agree with the library bit for bit.  The costate sweep is
+    :func:`costate_sweep_batch` above.
+    """
+    extremizer = extremizer or DriftExtremizer(model)
+    L = len(specs)
+    d, p = model.dim, model.theta_dim
+
+    directions = np.empty((L, d))
+    maximize = np.empty(L, dtype=bool)
+    grids = []
+    for l, (direction, is_max, horizon, n_steps) in enumerate(specs):
+        x0, directions[l] = _checked_problem(x0, direction, horizon,
+                                             n_steps, d)
+        maximize[l] = bool(is_max)
+        grids.append(np.linspace(0.0, float(horizon), int(n_steps) + 1))
+    C = np.where(maximize[:, None], directions, -directions)
+    T, steps = pad_grids(grids)
+    n_max = T.shape[1] - 1
+    lanes_all = np.arange(L)
+    interval_live = np.arange(n_max)[None, :] < steps[:, None]
+    span = T[:, 1:] - T[:, :-1]
+    t_mid = T[:, 1:] + 0.5 * (T[:, :-1] - T[:, 1:])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w_mid = np.where(span != 0.0, (t_mid - T[:, :-1]) / span, 0.5)
+    idx_right = np.minimum(np.arange(1, n_max + 1)[None, :],
+                           (steps - 1)[:, None])
+
+    if initial_controls is None:
+        controls = np.tile(model.theta_set.center(), (L, n_max, 1))
+    else:
+        controls = np.array(initial_controls, dtype=float)
+        if controls.ndim == 2:
+            controls = controls[:, :, None]
+    x0_stack = np.broadcast_to(x0, (L, d)).copy()
+
+    def dynamics(t, X, U):
+        return model.drift_batch(X, U)
+
+    best_value = np.full(L, -np.inf)
+    best_states = np.zeros((L, n_max + 1, d))
+    best_costates = np.tile(C[:, None, :], (1, n_max + 1, 1))
+    best_controls = controls.copy()
+    value_prev = np.zeros(L)
+    has_prev = np.zeros(L, dtype=bool)
+    stable = np.zeros(L, dtype=int)
+    relaxation = np.ones(L)
+    converged = np.zeros(L, dtype=bool)
+    iterations = np.zeros(L, dtype=int)
+    costates = np.tile(C[:, None, :], (1, n_max + 1, 1))
+
+    sweep_start = time.perf_counter()
+    active = lanes_all.copy()
+    for it in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        if (deadline_seconds is not None and it > 1
+                and time.perf_counter() - sweep_start > deadline_seconds):
+            break
+        iterations[active] = it
+        a = active
+        fwd = rk4_integrate_controlled_batch(
+            dynamics, x0_stack[a], T[a], controls[a], lane_steps=steps[a],
+        )
+        finals = fwd.final_states
+        value = np.einsum("ld,ld->l", C[a], finals)
+        improved = value > best_value[a]
+        upd = a[improved]
+        best_value[upd] = value[improved]
+        best_states[upd] = fwd.states[improved]
+        best_costates[upd] = costates[upd]
+        best_controls[upd] = controls[upd]
+
+        costates_a = costate_sweep_batch(
+            model, T[a], steps[a], fwd.states, controls[a], C[a],
+            w_mid[a], idx_right[a],
+        )
+        costates[a] = costates_a
+
+        thetas_flat, _ = extremizer.maximize_direction_batch(
+            fwd.states[:, :-1].reshape(-1, d),
+            costates_a[:, :-1].reshape(-1, d),
+        )
+        target = thetas_flat.reshape(a.size, n_max, p)
+
+        changed = (
+            np.any(np.abs(target - controls[a]) > tol, axis=2)
+            & interval_live[a]
+        )
+        n_changed = np.count_nonzero(changed, axis=1)
+        fixed_point = n_changed <= chatter_intervals
+
+        if np.any(fixed_point):
+            # One final forward pass under the fixed-point controls.
+            fin = a[fixed_point]
+            controls[fin] = target[fixed_point]
+            final_fwd = rk4_integrate_controlled_batch(
+                dynamics, x0_stack[fin], T[fin], controls[fin],
+                lane_steps=steps[fin],
+            )
+            fin_value = np.einsum("ld,ld->l", C[fin], final_fwd.final_states)
+            better = fin_value >= best_value[fin]
+            upd = fin[better]
+            best_value[upd] = fin_value[better]
+            best_states[upd] = final_fwd.states[better]
+            best_costates[upd] = costates[upd]
+            best_controls[upd] = controls[upd]
+            converged[fin] = True
+
+        cont = ~fixed_point
+        if np.any(cont):
+            ac = a[cont]
+            v = value[cont]
+            regressed = has_prev[ac] & (v < value_prev[ac] - value_tol)
+            relaxation[ac[regressed]] = np.maximum(
+                0.5 * relaxation[ac[regressed]], 0.05
+            )
+            settled = has_prev[ac] & (
+                np.abs(v - value_prev[ac])
+                <= value_tol * np.maximum(1.0, np.abs(v))
+            )
+            stable[ac[settled]] += 1
+            stable[ac[~settled]] = 0
+            patience_hit = stable[ac] >= value_patience
+            converged[ac[patience_hit]] = True
+            value_prev[ac] = v
+            has_prev[ac] = True
+            step_lanes = ~patience_hit
+            upd = ac[step_lanes]
+            controls[upd] = controls[upd] + relaxation[upd][:, None, None] * (
+                target[cont][step_lanes] - controls[upd]
+            )
+            active = upd
+        else:
+            active = a[~fixed_point]
+
+    # Projection back to the pointwise Hamiltonian maximiser: one remax
+    # plus one forward pass for every lane at once.
+    values = best_value.copy()
+    thetas_flat, _ = extremizer.maximize_direction_batch(
+        best_states[:, :-1].reshape(-1, d),
+        best_costates[:, :-1].reshape(-1, d),
+    )
+    projected = thetas_flat.reshape(L, n_max, p)
+    proj_fwd = rk4_integrate_controlled_batch(
+        dynamics, x0_stack, T, projected, lane_steps=steps,
+    )
+    proj_value = np.einsum("ld,ld->l", C, proj_fwd.final_states)
+    keep = proj_value >= values - value_tol * np.maximum(1.0, np.abs(values))
+    final_states = np.where(keep[:, None, None], proj_fwd.states, best_states)
+    final_controls = np.where(keep[:, None, None], projected, best_controls)
+    values = np.where(keep, np.maximum(values, proj_value), values)
+
+    results = []
+    for l in range(L):
+        stop = int(steps[l]) + 1
+        results.append(
+            PontryaginResult(
+                times=T[l, :stop].copy(),
+                states=final_states[l, :stop].copy(),
+                costates=best_costates[l, :stop].copy(),
+                controls=final_controls[l, : stop - 1].copy(),
+                direction=directions[l].copy(),
+                maximize=bool(maximize[l]),
+                value=float(values[l] if maximize[l] else -values[l]),
+                converged=bool(converged[l]),
+                iterations=int(iterations[l]),
+            )
+        )
+    return results
 
 
 def resample_controls(old_grid, old_controls, new_grid):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference_impls as ref
+from repro.bounds import extremal_trajectories_batch, pontryagin
 from repro.bounds.sweep import _resolve_weights
 from repro.ctmc import (
     ImpreciseCTMC,
@@ -367,6 +368,27 @@ class TestRewardBoundsMatchScalarSweep:
             assert lane.iterations == scalar.iterations
             assert lane.converged == scalar.converged
             assert lane.value == pytest.approx(scalar.value, rel=1e-12)
+
+    def test_343_state_lane_matches_phased_oracle(self, monkeypatch):
+        # The lane engine's one forward call per iteration against the
+        # oracle's call per phase, on the dense master equation, with
+        # the Jacobian budget below one step (one step per block).
+        chain, reward, horizon, n_steps = catalog_reward_problem(
+            "load-balancing-dtmc")
+        monkeypatch.setattr(pontryagin, "_JACOBIAN_BLOCK_BYTES", 1 << 20)
+        system = KolmogorovSystem(chain)
+        for maximize in (False, True):
+            spec = [(reward, maximize, horizon, n_steps)]
+            lane, = extremal_trajectories_batch(
+                system, chain.initial_distribution, spec)
+            want, = ref.extremal_trajectories_batch(
+                system, chain.initial_distribution, spec)
+            assert lane.value == want.value
+            assert (lane.iterations, lane.converged) == \
+                (want.iterations, want.converged)
+            for name in ("states", "costates", "controls"):
+                np.testing.assert_array_equal(getattr(lane, name),
+                                              getattr(want, name))
 
     def test_dense_jacobians_stay_in_budget(self):
         # One dense Jacobian per stage and interval would be 282 MB on

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import reference_impls as ref
+from repro import telemetry
 from repro.bounds import pontryagin_transient_bounds, uncertain_envelope
 from repro.bounds.pontryagin import extremal_trajectories_batch
 from repro.models import (
@@ -140,6 +141,71 @@ class TestLockstepRK4BitIdentity:
             np.testing.assert_array_equal(
                 batch.states[l, len(grid):],
                 np.tile(scalar.final_state, (T.shape[1] - len(grid), 1)),
+            )
+
+    @pytest.mark.parametrize("controlled", [False, True],
+                             ids=["uncontrolled", "controlled"])
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["per-lane-grids", "shared-grid"])
+    def test_stops_at_longest_live_lane(self, sir_model, rng, controlled,
+                                        shared):
+        # The grid has 60 intervals but no lane takes more than 45
+        # steps: the loop stops there, every lane stays bit-identical to
+        # the scalar loop with its padded tail frozen, and
+        # ode.rk4.rhs_evals counts the stages the field really ran.
+        lane_steps = np.array([12, 45, 7, 45, 30])
+        L, n_points = lane_steps.size, 61
+        if shared:
+            T = np.linspace(0.0, 1.5, n_points)
+            grids = [T[: s + 1] for s in lane_steps]
+        else:
+            grids = [np.linspace(0.0, 0.04 * s, s + 1) for s in lane_steps]
+            T = np.pad(pad_grids(grids)[0], ((0, 0), (0, n_points - 46)),
+                       mode="edge")
+        x0 = _interior_states(sir_model, rng, L)
+        controls = np.stack([sir_model.theta_set.sample(rng, n_points - 1)
+                             for _ in range(L)])
+        calls = []
+        telemetry.enable()
+        telemetry.clear()
+        try:
+            if controlled:
+                def field(t, X, U):
+                    calls.append(1)
+                    return sir_model.drift_batch(X, U)
+
+                batch = rk4_integrate_controlled_batch(
+                    field, x0, T, controls, lane_steps=lane_steps)
+            else:
+                # One parameter per lane, held by the field.
+                controls[:] = controls[:, :1]
+
+                def field(t, X):
+                    calls.append(1)
+                    return sir_model.drift_batch(X, controls[:, 0])
+
+                batch = rk4_integrate_batch(field, x0, T,
+                                            lane_steps=lane_steps)
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.clear()
+        assert len(calls) == 4 * lane_steps.max()
+        assert counters["ode.rk4.rhs_evals"] == len(calls)
+        assert counters["ode.rk4.steps"] == lane_steps.sum()
+        assert counters["ode.rk4.lanes"] == L
+        assert counters["ode.rk4.lane_retirements"] == L
+        for l, grid in enumerate(grids):
+            s = lane_steps[l]
+            scalar = ref.rk4_integrate_controlled(
+                lambda t, y, u: sir_model.drift(y, u), x0[l], grid,
+                controls[l, :s],
+            )
+            np.testing.assert_array_equal(batch.lane(l).states,
+                                          scalar.states)
+            np.testing.assert_array_equal(
+                batch.states[l, s + 1:],
+                np.tile(scalar.final_state, (n_points - 1 - s, 1)),
             )
 
     def test_input_validation(self):

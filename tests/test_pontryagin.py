@@ -181,6 +181,23 @@ class TestSweepMechanics:
                 sir_model, sir_x0, [([0.0, 1.0], True, 1.0, 20)], **options
             )
 
+    @pytest.mark.parametrize("x0", [0.5, [0.5], [[0.7, 0.3]],
+                                    [0.7, 0.3, 0.0]],
+                             ids=["scalar", "one-entry", "row", "d-plus-1"])
+    def test_malformed_x0_rejected(self, sir_model, x0):
+        # A scalar or one-entry x0 used to be broadcast to every
+        # coordinate (a sweep from [0.5, 0.5]), and a (d+1,) one died in
+        # a bare numpy broadcast error.
+        match = r"x0 has shape .*, expected \(2,\)"
+        with pytest.raises(ValueError, match=match):
+            extremal_trajectory(sir_model, x0, 1.0, [0.0, 1.0], n_steps=20)
+        with pytest.raises(ValueError, match=match):
+            extremal_trajectories_batch(sir_model, x0,
+                                        [([0.0, 1.0], True, 1.0, 20)])
+        with pytest.raises(ValueError, match=match):
+            pontryagin_transient_bounds(sir_model, x0, [0.5, 1.0],
+                                        steps_per_unit=20, min_steps=20)
+
     def test_warm_start_shape_validated(self, sir_model, sir_x0):
         with pytest.raises(ValueError):
             extremal_trajectory(sir_model, sir_x0, 1.0, [0.0, 1.0],
@@ -289,6 +306,9 @@ class TestCostateBlocks:
         blocked = pontryagin._costate_sweep_batch(*args)
         assert len(calls) >= 3
         np.testing.assert_array_equal(blocked, single)
+        # The per-step loop (a masked store into the grid stack each
+        # step) is the oracle of the step-major trail.
+        np.testing.assert_array_equal(ref.costate_sweep_batch(*args), single)
         for lane, ref_lane in zip(
                 extremal_trajectories_batch(model, x0, specs), reference):
             assert lane.value == ref_lane.value
@@ -309,6 +329,68 @@ class TestCostateBlocks:
         specs = [(c, True, 1.0, 60) for c in box_directions(4)]
         self._assert_blocks_bit_identical(monkeypatch, gps_map,
                                           gps_initial_state_map(), specs)
+
+
+def assert_lanes_identical(lanes, oracle):
+    """Every output of two lane sets agrees bit for bit."""
+    assert len(lanes) == len(oracle)
+    for lane, want in zip(lanes, oracle):
+        assert lane.value == want.value
+        assert lane.iterations == want.iterations
+        assert lane.converged == want.converged
+        for name in ("times", "states", "costates", "controls"):
+            np.testing.assert_array_equal(getattr(lane, name),
+                                          getattr(want, name))
+
+
+class TestSweepMatchesPhasedOracle:
+    """The sweep runs one forward call per iteration, which also carries
+    the finishing lanes' final passes and the projecting lanes'
+    projection passes; the oracle runs a separate call for each phase.
+    Lanes are independent rows, so every output must agree bit for
+    bit."""
+
+    SIR_LADDER = [([0.0, 1.0], is_max, horizon, n_steps)
+                  for horizon, n_steps in ((0.5, 60), (1.25, 125), (2.0, 200))
+                  for is_max in (False, True)]
+
+    @pytest.mark.parametrize("options", [
+        {}, {"max_iter": 1}, {"max_iter": 2}, {"deadline_seconds": 0.0},
+        {"chatter_intervals": 0}, {"value_patience": 1},
+    ], ids=["default", "max_iter-1", "max_iter-2", "deadline-0",
+            "chatter-0", "patience-1"])
+    def test_ragged_sir_ladder(self, sir_model, sir_x0, options):
+        assert_lanes_identical(
+            extremal_trajectories_batch(sir_model, sir_x0, self.SIR_LADDER,
+                                        **options),
+            ref.extremal_trajectories_batch(sir_model, sir_x0,
+                                            self.SIR_LADDER, **options),
+        )
+
+    def test_gps_map_lanes(self, gps_map):
+        from repro.models import gps_initial_state_map
+
+        specs = [(c, is_max, horizon, n_steps)
+                 for horizon, n_steps in ((0.5, 30), (1.0, 60))
+                 for c in box_directions(4)[:4] for is_max in (False, True)]
+        x0 = gps_initial_state_map()
+        assert_lanes_identical(
+            extremal_trajectories_batch(gps_map, x0, specs),
+            ref.extremal_trajectories_batch(gps_map, x0, specs),
+        )
+
+    def test_warm_start(self, sir_model, sir_x0):
+        # A converged signal (a fixed point on the first iteration) and
+        # a constant one.
+        specs = [([0.0, 1.0], is_max, 2.0, 100) for is_max in (False, True)]
+        warm = [extremal_trajectories_batch(sir_model, sir_x0, specs)[0]
+                .controls, np.full((100, 1), 5.0)]
+        assert_lanes_identical(
+            pontryagin._extremal_trajectories_batch_impl(
+                sir_model, sir_x0, specs, initial_controls=warm),
+            ref.extremal_trajectories_batch(sir_model, sir_x0, specs,
+                                            initial_controls=warm),
+        )
 
 
 class TestSwitchingExtraction:
@@ -387,6 +469,16 @@ class TestTransientBounds:
         # NaN slipped past the ordering checks into the step count.
         with pytest.raises(ValueError, match="non-empty|finite"):
             pontryagin_transient_bounds(sir_model, sir_x0, horizons)
+
+    @pytest.mark.parametrize("steps_per_unit", [np.nan, np.inf, 0.0, -50.0])
+    def test_steps_per_unit_validated(self, sir_model, sir_x0,
+                                      steps_per_unit):
+        # NaN died converting to int, inf overflowed, and a value <= 0
+        # silently fell back to min_steps on every horizon.
+        with pytest.raises(ValueError,
+                           match="steps_per_unit must be positive and finite"):
+            pontryagin_transient_bounds(sir_model, sir_x0, [0.5, 1.0],
+                                        steps_per_unit=steps_per_unit)
 
     def test_bounds_bracket_uncertain(self, sir_model, sir_x0):
         horizons = np.array([0.5, 1.0, 1.5])

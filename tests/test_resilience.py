@@ -391,13 +391,19 @@ class TestQuestionIsolation:
         {"max_iter": 0},
         {"tol": float("nan")},
         {"tol": -1e-7},
+        {"steps_per_unit": float("nan")},
+        {"steps_per_unit": float("inf")},
+        {"steps_per_unit": 0.0},
     ], ids=["empty-ladder", "nan-horizon", "max_iter-0", "nan-tol",
-            "negative-tol"])
+            "negative-tol", "nan-steps_per_unit", "inf-steps_per_unit",
+            "zero-steps_per_unit"])
     def test_bad_pontryagin_ladder_is_a_typed_failure(self, options):
         # An empty ladder used to "succeed" with no findings at all;
         # max_iter=0 reported I in [0.0200, 0.0200] at T = 2 (the true
         # bounds are [0.0157, 0.1571]) and a NaN tol a non-conservative
-        # upper bound, both as complete runs.
+        # upper bound, both as complete runs.  A NaN steps_per_unit
+        # failed on an int conversion, inf overflowed and zero fell back
+        # to min_steps silently.  The failure names the bad option.
         spec = get_scenario("sir-transient").with_overrides(
             name="resilience-bad-ladder",
             questions=[
@@ -409,6 +415,7 @@ class TestQuestionIsolation:
         assert [f.question for f in run.failures] == ["pontryagin[bad]"]
         assert isinstance(run.failures[0], QuestionFailure)
         assert run.failures[0].error_type == "ValueError"
+        assert f"{next(iter(options))} must" in run.failures[0].message
         assert "I_uncertain_max_final" in run.result.findings
 
     def test_on_error_raise_keeps_legacy_semantics(self, tmp_path):
