@@ -8,7 +8,7 @@
   (the quantitative reading of Figure 6 / Theorem 3).
 - :mod:`repro.analysis.lint` — the repo's own static-analysis gate
   (``python -m repro lint``): AST rules REP001–REP010 plus the registry
-  contract audit REG001–REG004 and REG006.  Not imported here — it is a dev tool,
+  contract audit REG001–REG004.  Not imported here — it is a dev tool,
   not part of the numeric API.
 """
 

@@ -13,8 +13,8 @@ Two passes enforce the conventions seven PRs of growth hardened:
 - **Pass 2** (:mod:`~repro.analysis.lint.registry_audit`): imports the
   package and audits the scenario registry — batch-kernel declarations,
   question-kind/backend bijection, the ScenarioSpec hash-field
-  manifest, golden ⇒ validity, batched rate functions (REG001–REG004,
-  REG006).
+  manifest, golden ⇒ validity (REG001–REG004).  Rate functions that
+  do not take batches fail model construction, so REG001 reports them.
 
 CLI: ``python -m repro lint [--strict] [--format=text|json]``; the
 programmatic surface is :func:`run_lint` returning a

@@ -69,7 +69,7 @@ def _print_rules() -> int:
         sections = ",".join(cls.sections)
         print(f"{cls.code}  [{sections}]  {cls.title}")
     print("REP000 is the framework's unused-suppression warning; "
-          "REG001-REG004 and REG006 are the registry-audit contracts.")
+          "REG001-REG004 are the registry-audit contracts.")
     return 0
 
 

@@ -20,24 +20,18 @@ registry, so it can check contracts no AST can see:
 - **REG004** — every spec declaring ``golden`` pins also declares
   ``validity`` ranges: a pinned scenario without perturbation metadata
   freezes its numbers while exempting itself from the robustness sweep.
-- **REG006** — every registered model's rate functions take the
-  batched (coordinate-major) calling convention: ``drift_batch`` and
-  ``transition_rates_batch`` are evaluated on a few distinct rows
-  inside the declared state bounds (around the spec's ``x0`` when the
-  model declares none), with ``theta`` drawn from ``Theta``, and every
-  transition whose batched rate is rejected is reported — a scalar-only
-  rate (``max(...)``, an ``if`` on a coordinate, a ``float()`` cast)
-  sends both methods to a per-row Python loop on every call.
 
 REG005 is retired (it audited the array-backend seam, since deleted).
+REG006 is retired: it audited batched rate functions, which
+:class:`~repro.population.PopulationModel` now checks when it is built,
+so a scalar-only rate makes ``build_model()`` raise and REG001 reports
+the factory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Callable, Dict, List
-
-import numpy as np
 
 from repro.analysis.lint.framework import Finding
 
@@ -229,46 +223,6 @@ def _audit_golden_validity(findings: List[Finding]) -> None:
             ))
 
 
-def _audit_batched_rates(findings: List[Finding]) -> None:
-    from repro.scenarios import list_scenarios
-
-    for spec in list_scenarios():
-        try:
-            model = spec.build_model()
-        except Exception:  # repro: noqa[REP002] - REG001 reports a factory that fails to build
-            continue
-        rng = np.random.default_rng(0)
-        n_rows = 4
-        if model.state_lower is not None:
-            span = model.state_upper - model.state_lower
-            rows = model.state_lower + rng.random((n_rows, model.dim)) * span
-        else:
-            rows = np.asarray(spec.x0, dtype=float) + 0.05 * rng.random(
-                (n_rows, model.dim)
-            )
-        thetas = model.theta_set.sample(rng, n_rows)
-        try:
-            model.drift_batch(rows, thetas)
-            model.transition_rates_batch(rows, thetas)
-        except Exception as exc:  # repro: noqa[REP002] - a failing rate must become a finding, not a crash
-            findings.append(Finding(
-                file=_REGISTRY_FILE, line=1, code="REG006",
-                message=f"scenario {spec.name!r}: model {model.name!r} "
-                        f"rates fail on a batch of states: {exc}",
-            ))
-            continue
-        rejected = model.scalar_only_transitions
-        if rejected:
-            findings.append(Finding(
-                file=_REGISTRY_FILE, line=1, code="REG006",
-                message=f"scenario {spec.name!r}: model {model.name!r} "
-                        f"transition rates {', '.join(rejected)} reject "
-                        "batched (coordinate-major) evaluation, so "
-                        "drift_batch and transition_rates_batch loop over "
-                        "rows for them on every call",
-            ))
-
-
 def audit_registry() -> List[Finding]:
     """Run every registry contract check; returns the findings."""
     findings: List[Finding] = []
@@ -276,5 +230,4 @@ def audit_registry() -> List[Finding]:
     _audit_backends(findings)
     _audit_hash_manifest(findings)
     _audit_golden_validity(findings)
-    _audit_batched_rates(findings)
     return findings

@@ -738,7 +738,8 @@ def _pontryagin_transient_bounds_impl(
     ``Theta``.
 
     Each horizon ``T`` gets ``max(min_steps, ceil(T * steps_per_unit))``
-    grid intervals; ``steps_per_unit`` must be positive and finite.
+    grid intervals; ``steps_per_unit`` must be positive and finite, and
+    ``min_steps`` an integer of at least 2.
 
     ``deadline_seconds`` bounds the wall clock: past it, the sweep
     stops iterating and reports best-so-far values, and the returned
@@ -757,6 +758,9 @@ def _pontryagin_transient_bounds_impl(
         raise ValueError(
             f"steps_per_unit must be positive and finite, got {steps_per_unit}"
         )
+    if not (np.isfinite(min_steps) and min_steps >= 2
+            and float(min_steps).is_integer()):
+        raise ValueError(f"min_steps must be an integer >= 2, got {min_steps}")
     invalid_sides = set(sides) - {"lower", "upper"}
     if invalid_sides or not sides:
         raise ValueError(
@@ -771,7 +775,7 @@ def _pontryagin_transient_bounds_impl(
         if ("upper" if is_max else "lower") in sides
     )
     step_counts = [
-        max(min_steps, int(np.ceil(horizon * steps_per_unit)))
+        max(int(min_steps), int(np.ceil(horizon * steps_per_unit)))
         for horizon in horizons
     ]
     if keep_results:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.population.calculus import validated_batch_eval
+from repro import telemetry
 from repro.simulation.policies import (
     ConstantPolicy,
     ControlPolicy,
@@ -143,6 +143,64 @@ class HysteresisLane(PolicyLane):
         )
 
 
+def _validated_batch_eval(batch_fn: Callable, scalar_fn: Callable, n: int,
+                          status, can_validate: bool):
+    """Evaluate a user jump-rate function over a batch with lazy validation.
+
+    Jump-rate functions are written against scalar coordinates, so the
+    batched (coordinate-major) call is only trusted after it has
+    reproduced the per-row scalar evaluation once.
+
+    Parameters
+    ----------
+    batch_fn:
+        Zero-argument thunk invoking the user function on the
+        coordinate-major batch; its result should be ``(n,)``.
+    scalar_fn:
+        Zero-argument thunk evaluating the same rows one-by-one through
+        the scalar path (always correct, already clamped).
+    n:
+        Number of batch rows.
+    status:
+        Tri-state verdict so far: ``True`` (validated), ``False``
+        (fall back forever), ``None`` (unknown).
+    can_validate:
+        Whether this batch can discriminate a broken vectorization —
+        callers pass ``True`` only for batches of two or more *distinct*
+        rows.  On an all-identical batch, normalisation-invariant
+        pooling mistakes (``np.mean`` over all rows) coincide with the
+        correct value, so validating there would wrongly bless them.
+
+    Returns
+    -------
+    ``(values, new_status)`` — ``values`` of shape ``(n,)``, clamped
+    non-negative, and the updated tri-state (``None`` means "still
+    unknown", i.e. validation was deferred).
+    """
+    if status is False or (status is None and not can_validate):
+        return scalar_fn(), status
+    try:
+        raw = np.asarray(batch_fn(), dtype=float)
+        # 0-d results are ambiguous (a constant, or a full reduction
+        # such as np.sum pooling every row); both take the fallback.
+        if raw.ndim == 0 or raw.shape != (n,):
+            raise ValueError("batched rate has wrong shape")
+    except Exception:
+        # The user function cannot take arrays (or pooled them): fall
+        # back to the scalar path forever, stamping the rejection so an
+        # unexpectedly slow run is diagnosable from the metrics.
+        telemetry.inc("engine.lanes.batch_rejections")
+        return scalar_fn(), False
+    values = np.maximum(raw, 0.0)
+    if status is None:
+        scalar = scalar_fn()
+        if not np.allclose(values, scalar, rtol=1e-9, atol=1e-12,
+                           equal_nan=True):
+            return scalar, False
+        return values, True
+    return values, True
+
+
 class RandomJumpLane(PolicyLane):
     """Per-row current parameter with batched uniform re-draws."""
 
@@ -167,15 +225,14 @@ class RandomJumpLane(PolicyLane):
         return np.maximum(values, 0.0)
 
     def jump_rate(self, rows, t, x):
-        # Same coordinate-major convention and lazy validation as
-        # PopulationModel.transition_rates_batch, via the shared
-        # validated_batch_eval heuristic (only a batch of distinct
-        # rows can expose row-pooling mistakes).
+        # The coordinate-major convention of model rates, validated
+        # lazily: only a batch of distinct rows can expose row-pooling
+        # mistakes.
         n = rows.shape[0]
         can_validate = n >= 2 and (
             bool(np.any(x != x[0])) or bool(np.any(t != t[0]))
         )
-        values, status = validated_batch_eval(
+        values, status = _validated_batch_eval(
             lambda: self._rate_fn(t, x.T),
             lambda: self._scalar_jump_rates(t, x, n),
             n,

@@ -393,8 +393,16 @@ def _rms_norm(v: np.ndarray) -> np.ndarray:
 
 
 def _dp_stage_sum(coeffs: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """Tableau-weighted stage sum ``sum_j coeffs[j] * stages[j]``."""
-    return np.tensordot(coeffs, stages, axes=(0, 0))
+    """Tableau-weighted stage sum ``sum_j coeffs[j] * stages[j]``.
+
+    ``coeffs`` has shape ``(s,)`` and ``stages`` ``(s, n, d)``.  This is
+    the one ``np.dot`` of a ``(1, s)`` row by an ``(s, n*d)`` matrix that
+    ``np.tensordot(coeffs, stages, axes=(0, 0))`` makes, without its
+    axis bookkeeping, so the result is the same bit for bit.
+    """
+    s = coeffs.shape[0]
+    return np.dot(coeffs.reshape(1, s), stages.reshape(s, -1)).reshape(
+        stages.shape[1:])
 
 
 def _subset_args(lane_args, idx):

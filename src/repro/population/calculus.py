@@ -6,79 +6,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro import telemetry
-
 __all__ = [
     "numeric_jacobian",
     "check_affine_decomposition",
-    "validated_batch_eval",
 ]
-
-
-def validated_batch_eval(batch_fn: Callable, scalar_fn: Callable, n: int,
-                         status, can_validate: bool, clamp: bool = True):
-    """Evaluate a user rate function over a batch with lazy validation.
-
-    Shared heuristic behind
-    :meth:`~repro.population.PopulationModel.transition_rates_batch`,
-    :meth:`~repro.population.PopulationModel.drift_batch` and the
-    random-jump policy lane: user rate functions are written against
-    scalar coordinates, so the batched (coordinate-major) call is only
-    trusted after it has reproduced the per-row scalar evaluation once.
-
-    Parameters
-    ----------
-    batch_fn:
-        Zero-argument thunk invoking the user function on the
-        coordinate-major batch; its result should be ``(n,)``.
-    scalar_fn:
-        Zero-argument thunk evaluating the same rows one-by-one through
-        the scalar path (always correct, already clamped when ``clamp``).
-    n:
-        Number of batch rows.
-    status:
-        Tri-state verdict so far: ``True`` (validated), ``False``
-        (fall back forever), ``None`` (unknown).
-    can_validate:
-        Whether this batch can discriminate a broken vectorization —
-        callers pass ``True`` only for batches of two or more *distinct*
-        rows.  On an all-identical batch, normalisation-invariant
-        pooling mistakes (``np.mean`` over all rows) coincide with the
-        correct value, so validating there would wrongly bless them.
-    clamp:
-        Clamp batched values non-negative (the SSA rate convention).
-        Drift evaluations pass ``False``: the drift uses the *raw* rates
-        so it stays smooth across the state-space boundary, and the
-        scalar reference path is then expected to be unclamped too.
-
-    Returns
-    -------
-    ``(values, new_status)`` — ``values`` of shape ``(n,)`` (clamped
-    non-negative when ``clamp``), and the updated tri-state (``None``
-    means "still unknown", i.e. validation was deferred).
-    """
-    if status is False or (status is None and not can_validate):
-        return scalar_fn(), status
-    try:
-        raw = np.asarray(batch_fn(), dtype=float)
-        # 0-d results are ambiguous (a constant, or a full reduction
-        # such as np.sum pooling every row); both take the fallback.
-        if raw.ndim == 0 or raw.shape != (n,):
-            raise ValueError("batched rate has wrong shape")
-    except Exception:
-        # The user function cannot take arrays (or pooled them): fall
-        # back to the scalar path forever, stamping the rejection so an
-        # unexpectedly slow run is diagnosable from the metrics.
-        telemetry.inc("calculus.batch_rejections")
-        return scalar_fn(), False
-    values = np.maximum(raw, 0.0) if clamp else raw
-    if status is None:
-        scalar = scalar_fn()
-        if not np.allclose(values, scalar, rtol=1e-9, atol=1e-12,
-                           equal_nan=True):
-            return scalar, False
-        return values, True
-    return values, True
 
 
 def numeric_jacobian(f: Callable, x, eps: float = 1e-7) -> np.ndarray:

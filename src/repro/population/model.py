@@ -17,17 +17,63 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.params import ParameterSet, Singleton
-from repro.population.calculus import numeric_jacobian, validated_batch_eval
+from repro.population.calculus import numeric_jacobian
 from repro.population.transitions import Transition
 
 __all__ = ["PopulationModel"]
 
+#: Where the construction-time rate check probes, as fractions of each
+#: state coordinate's range (plus a per-coordinate skew below 0.1): three
+#: rows that differ in every coordinate and in their sums, so a rate
+#: that pools the batch (``np.sum(x)``, ``np.mean(x)``) disagrees with
+#: its per-row values on at least one row.
+_PROBE_STATE_FRACTIONS = np.array([0.2, 0.45, 0.7])
+#: How far each probe parameter row moves from the centre of ``Theta``
+#: towards one of its corners.
+_PROBE_THETA_FRACTIONS = np.array([0.5, 0.75, 0.25])
 
-def _float_rows(a) -> np.ndarray:
-    """``a`` as a 2-D float64 stack; an array that already is one as is."""
-    if type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64:
-        return a
-    return np.atleast_2d(np.asarray(a, dtype=float))
+
+def _checked_rate(tr: Transition, x_probe: np.ndarray,
+                  theta_probe: np.ndarray) -> Callable:
+    """``tr.rate`` as the batch kernel calls it, checked on probe rows.
+
+    The rate is evaluated once on the coordinate-major probe batch and
+    once per row; it must return ``(n,)`` values (or a constant, which
+    is wrapped to broadcast to ``(n,)``) equal to the per-row ones.
+    Raises ``ValueError`` naming the transition otherwise.
+    """
+    n = x_probe.shape[0]
+    contract = ("rates must be coordinate-wise array arithmetic: x of shape "
+                "(d, n) and theta of shape (p, n) in, (n,) values or a "
+                "constant out")
+    try:
+        with np.errstate(all="ignore"):
+            batched = np.asarray(tr.rate(x_probe.T, theta_probe.T),
+                                 dtype=float)
+            per_row = np.array([float(tr.rate(x_probe[r], theta_probe[r]))
+                                for r in range(n)])
+    except Exception as exc:
+        raise ValueError(
+            f"transition {tr.name!r}: rate raises {type(exc).__name__} "
+            f"({exc}); {contract}"
+        ) from exc
+    if batched.shape not in ((n,), ()):
+        raise ValueError(
+            f"transition {tr.name!r}: rate returns shape {batched.shape} "
+            f"for {n} states; {contract}"
+        )
+    if not np.allclose(batched, per_row, rtol=1e-9, atol=1e-12,
+                       equal_nan=True):
+        raise ValueError(
+            f"transition {tr.name!r}: rate on a batch of {n} states "
+            f"returns {batched.tolist()}, one state at a time "
+            f"{per_row.tolist()}; {contract}"
+        )
+    if batched.ndim == 0:
+        rate = tr.rate
+        return lambda x, theta: np.full(x.shape[1], rate(x, theta),
+                                        dtype=float)
+    return tr.rate
 
 
 class PopulationModel:
@@ -41,7 +87,11 @@ class PopulationModel:
         Names of the normalised state coordinates, e.g. ``("S", "I")``.
     transitions:
         The event classes; each must have ``change`` of length
-        ``len(state_names)``.
+        ``len(state_names)`` and a rate that takes batches (see
+        :class:`~repro.population.Transition`).  Each rate is checked
+        once here against its per-row values, on three rows distinct in
+        every coordinate; one that fails raises ``ValueError`` naming
+        the transition.
     theta_set:
         The parameter domain ``Theta``.  A :class:`~repro.params.Singleton`
         makes the model a *precise* population process.
@@ -143,16 +193,13 @@ class PopulationModel:
                     f"observable {obs_name!r} weights must match state dimension"
                 )
             self.observables[str(obs_name)] = w
-        # Per-transition caches of whether the rate function accepts the
-        # batched (coordinate-major) calling convention; populated lazily
-        # by transition_rates_batch (clamped) and drift_batch (raw).
-        self._batch_rate_ok: dict = {}
-        self._batch_drift_ok: dict = {}
-        # Set once every transition's raw batched rate is validated: the
-        # drift_batch hot path then skips the validation machinery and
-        # reads this (rate, change row) table.
-        self._drift_batch_fast = False
-        self._drift_table: List[Tuple[Callable, np.ndarray]] = []
+        # The rate kernel: one checked rate per transition, and the
+        # (K, 1, d) change stack drift_batch weights their values with.
+        x_probe, theta_probe = self._probe_rows()
+        self._rates = tuple(_checked_rate(tr, x_probe, theta_probe)
+                            for tr in self.transitions)
+        self._changes = np.array([tr.change for tr in self.transitions])[
+            :, None, :]
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -190,20 +237,26 @@ class PopulationModel:
         """Whether ``Theta`` is a singleton (a classical precise model)."""
         return isinstance(self.theta_set, Singleton)
 
-    @property
-    def scalar_only_transitions(self) -> Tuple[str, ...]:
-        """Transitions whose batched rate has been rejected so far.
+    def _probe_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The fixed ``(x, theta)`` rows the rate contract is checked on.
 
-        :meth:`transition_rates_batch` and :meth:`drift_batch` evaluate
-        these rates one row at a time on every later call.  The
-        registry audit (``python -m repro lint``, REG006) fails on a
-        registered model with any.
+        States lie inside ``state_bounds`` (the open unit box when the
+        model declares none); parameters lie in ``Theta``, between its
+        centre and its corners.
         """
-        return tuple(
-            tr.name for e, tr in enumerate(self.transitions)
-            if self._batch_rate_ok.get(e) is False
-            or self._batch_drift_ok.get(e) is False
+        if self.state_lower is None:
+            lower, span = np.zeros(self.dim), np.ones(self.dim)
+        else:
+            lower, span = self.state_lower, self.state_upper - self.state_lower
+        skew = 0.1 * np.arange(self.dim) / self.dim
+        x_probe = lower + (_PROBE_STATE_FRACTIONS[:, None] + skew) * span
+        centre = self.theta_set.center()
+        corners = self.theta_set.corners()
+        towards = corners[np.arange(x_probe.shape[0]) % corners.shape[0]]
+        theta_probe = self.theta_set.project_batch(
+            centre + _PROBE_THETA_FRACTIONS[:, None] * (towards - centre)
         )
+        return x_probe, theta_probe
 
     def state_index(self, name: str) -> int:
         """Index of a state coordinate by name."""
@@ -223,78 +276,64 @@ class PopulationModel:
         """Sum of all density-scaled transition rates (the SSA race total)."""
         return float(np.sum(self.transition_rates(x, theta)))
 
+    def _rate_stack(self, x, theta) -> np.ndarray:
+        """Raw rates of every transition on a batch, shape ``(K, n)``.
+
+        ``x`` must be ``(n, d)`` or ``(d,)``; ``theta`` must be
+        ``(n, p)``, or ``(p,)`` / ``(1, p)`` for every row.  Anything
+        else raises ``ValueError`` naming both shapes.  Each checked
+        rate is called once, coordinate-major.
+        """
+        xs = np.asarray(x, dtype=float)
+        thetas = np.asarray(theta, dtype=float)
+        if xs.ndim == 1:
+            xs = xs[None, :]
+        if thetas.ndim == 1:
+            thetas = thetas[None, :]
+        if (xs.ndim != 2 or xs.shape[1] != self.dim or thetas.ndim != 2
+                or thetas.shape[1] != self.theta_dim
+                or thetas.shape[0] not in (1, xs.shape[0])):
+            raise ValueError(
+                f"model {self.name!r}: states of shape {np.shape(x)} and "
+                f"parameters of shape {np.shape(theta)} do not fit; expected "
+                f"states (n, {self.dim}) or ({self.dim},) and parameters "
+                f"(n, {self.theta_dim}), (1, {self.theta_dim}) or "
+                f"({self.theta_dim},)"
+            )
+        if thetas.shape[0] != xs.shape[0]:
+            thetas = np.broadcast_to(thetas, (xs.shape[0], self.theta_dim))
+        x_t, theta_t = xs.T, thetas.T
+        return np.array([rate(x_t, theta_t) for rate in self._rates],
+                        dtype=float)
+
     def transition_rates_batch(self, x, theta) -> np.ndarray:
         """Density-scaled rates of every transition for a batch of states.
 
         Parameters
         ----------
         x:
-            Batch of normalised states, shape ``(n, d)``.
+            Batch of normalised states, shape ``(n, d)``, or one state
+            ``(d,)``.
         theta:
             Batch of parameter vectors, shape ``(n, p)`` (one per row —
-            policies can differ across ensemble members).
+            policies can differ across ensemble members), or one vector
+            ``(p,)`` / ``(1, p)`` for every row.
 
         Returns
         -------
         Rates of shape ``(n, n_transitions)``, clamped non-negative.
-
-        Notes
-        -----
-        Rate functions are written against scalar coordinates
-        (``x[0]``, ``theta[0]``, ...), so the batch is evaluated
-        *coordinate-major*: the function receives ``x.T`` of shape
-        ``(d, n)`` and ``theta.T`` of shape ``(p, n)``, making ``x[k]``
-        the vector of coordinate ``k`` across the batch.  Purely
-        coordinate-wise arithmetic rates (all the paper models)
-        vectorize transparently.
-
-        Functions that break the convention fall back to a per-row
-        loop, detected per transition by
-        :func:`~repro.population.calculus.validated_batch_eval`:
-
-        - hard breaks (``float()`` casts, scalar branches, ``max``)
-          raise on array input, as does a 0-d result (a constant, or a
-          full reduction like ``np.sum(x)`` that pooled the batch);
-        - soft breaks — reductions such as ``x[0] * np.sum(x)`` or
-          ``np.mean(x)`` that return the right *shape* with row-pooled
-          *values* — are caught by cross-checking the batched result
-          against the scalar evaluator row-by-row.
-
-        The cross-check only counts on a batch of *distinct* rows: on
-        an all-identical batch (the engine's first step, where every
-        ensemble row is the initial state) normalisation-invariant
-        pooling coincides with the correct value, so validation is
-        deferred until the trajectories diverge; until then the
-        always-correct per-row loop is used.  The heuristic remains a
-        heuristic — rate functions used with the vectorized engine
-        should be written as coordinate-wise arithmetic.
+        Raises ``ValueError`` naming the first transition whose rate is
+        NaN on some row.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        n = x.shape[0]
-        out = np.empty((n, len(self.transitions)))
-        x_t, theta_t = x.T, theta.T
-        can_validate = n >= 2 and (
-            bool(np.any(x != x[0])) or bool(np.any(theta != theta[0]))
-        )
-        for e, tr in enumerate(self.transitions):
-            vals, status = validated_batch_eval(
-                lambda: tr.rate(x_t, theta_t),
-                lambda: np.array(
-                    [tr.rate_at(x[r], theta[r]) for r in range(n)]
-                ),
-                n,
-                self._batch_rate_ok.get(e),
-                can_validate,
+        rates = self._rate_stack(x, theta)
+        nan = np.isnan(rates).any(axis=1)
+        if nan.any():
+            name = self.transitions[int(np.argmax(nan))].name
+            raise ValueError(
+                f"transition {name!r}: rate is NaN for some batch rows"
             )
-            if status is not None:
-                self._batch_rate_ok[e] = status
-            if np.isnan(vals).any():
-                raise ValueError(
-                    f"transition {tr.name!r}: rate is NaN for some batch rows"
-                )
-            out[:, e] = vals
-        return out
+        # C order, like a per-row table, so row sums add in that order.
+        return np.maximum(rates.T, 0.0, order="C")
 
     def drift(self, x, theta) -> np.ndarray:
         """The imprecise drift ``f(x, theta) = sum_e change_e * rate_e``.
@@ -317,9 +356,11 @@ class PopulationModel:
         Parameters
         ----------
         x:
-            Batch of normalised states, shape ``(n, d)``.
+            Batch of normalised states, shape ``(n, d)``, or one state
+            ``(d,)``.
         theta:
-            Batch of parameter vectors, shape ``(n, p)`` (one per row).
+            Batch of parameter vectors, shape ``(n, p)`` (one per row),
+            or one vector ``(p,)`` / ``(1, p)`` for every row.
 
         Returns
         -------
@@ -329,54 +370,14 @@ class PopulationModel:
         -----
         Like :meth:`drift` — and unlike :meth:`transition_rates_batch` —
         the rates are used *raw* (unclamped), so the batched drift is
-        smooth across the state-space boundary and agrees with the
-        scalar drift row-by-row.  Rate functions are evaluated
-        coordinate-major (see :meth:`transition_rates_batch`) with the
-        same lazy per-transition validation and per-row fallback.  Once
-        every transition's batched rate has validated, subsequent calls
-        skip the validation machinery entirely (same calls, same
-        accumulation order — the fast path is bit-identical): this is
-        the innermost call of every batched RK4 stage, so the bookkeeping
-        would otherwise dominate small-stack integrations.  The fast path
-        also takes 2-D float64 arrays as they are.
+        smooth across the state-space boundary.  The ``(K, n)`` rate
+        stack is weighted by the change vectors and summed over the
+        transitions in declaration order, starting from ``0.0``: the
+        additions of a per-transition ``out += rate * change`` loop, so
+        each row equals that loop bit for bit.
         """
-        if self._drift_batch_fast:
-            x, theta = _float_rows(x), _float_rows(theta)
-            out = np.zeros((x.shape[0], self.dim))
-            x_t, theta_t = x.T, theta.T
-            for rate, change in self._drift_table:
-                out += np.asarray(rate(x_t, theta_t), dtype=float)[:, None] \
-                    * change
-            return out
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        n = x.shape[0]
-        out = np.zeros((n, self.dim))
-        x_t, theta_t = x.T, theta.T
-        can_validate = n >= 2 and (
-            bool(np.any(x != x[0])) or bool(np.any(theta != theta[0]))
-        )
-        for e, tr in enumerate(self.transitions):
-            vals, status = validated_batch_eval(
-                lambda: tr.rate(x_t, theta_t),
-                lambda: np.array(
-                    [float(tr.rate(x[r], theta[r])) for r in range(n)]
-                ),
-                n,
-                self._batch_drift_ok.get(e),
-                can_validate,
-                clamp=False,
-            )
-            if status is not None:
-                self._batch_drift_ok[e] = status
-            out += vals[:, None] * tr.change[None, :]
-        if len(self._batch_drift_ok) == len(self.transitions) and all(
-            v is True for v in self._batch_drift_ok.values()
-        ):
-            self._drift_table = [(tr.rate, tr.change[None, :])
-                                 for tr in self.transitions]
-            self._drift_batch_fast = True
-        return out
+        weighted = self._rate_stack(x, theta)[:, :, None] * self._changes
+        return np.add.reduce(weighted, axis=0, initial=0.0)
 
     def drift_fn(self, theta) -> Callable:
         """Freeze ``theta`` and return the autonomous drift ``x -> f(x, theta)``."""
@@ -441,8 +442,6 @@ class PopulationModel:
             )
         finite = np.flatnonzero(np.isfinite(x).all(axis=1))
         if finite.size:
-            # One-row drift_batch calls: they leave its lazy rate
-            # validation untouched.
             centre = self.theta_set.center()
             for r in {int(finite[0]), int(finite[-1])}:
                 reference = self.drift_batch(x[r], centre)[0]

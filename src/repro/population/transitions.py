@@ -21,11 +21,20 @@ class Transition:
         vector from ``K`` to ``K + change``.  In the normalised process of
         size ``N`` the state jumps by ``change / N``.
     rate:
-        Density-scaled rate function ``rate(x, theta) -> float`` where
-        ``x`` is the normalised state.  The aggregate rate of the event in
-        the size-``N`` system is ``N * rate(x, theta)``; this is the
-        scaling that makes Definition 4 hold and yields the drift
-        ``f(x, theta) = sum_e change_e * rate_e(x, theta)``.
+        Density-scaled rate function ``rate(x, theta)`` where ``x`` is
+        the normalised state.  The aggregate rate of the event in the
+        size-``N`` system is ``N * rate(x, theta)``; this is the scaling
+        that makes Definition 4 hold and yields the drift
+        ``f(x, theta) = sum_e change_e * rate_e(x, theta)``.  Rates are
+        coordinate-wise array arithmetic: called with one state ``(d,)``
+        and one parameter vector ``(p,)`` they return a number, and
+        called with a batch — ``x`` of shape ``(d, n)`` and ``theta`` of
+        shape ``(p, n)``, so ``x[k]`` is coordinate ``k`` of every row —
+        they return the ``(n,)`` per-row values, or a constant.
+        :class:`~repro.population.PopulationModel` checks this once when
+        it is built and raises ``ValueError`` for a rate that branches
+        on a coordinate, casts it with ``float()``, takes ``max(...)``,
+        or pools the batch (``np.sum(x)``, ``np.mean(x)``).
 
     Examples
     --------

@@ -2,9 +2,10 @@
 
 The library computes every bound through one batched implementation.
 The functions here are the plain, one-query-at-a-time versions of the
-same computations — a knapsack per row, a generator assembled state by
-state, a sparse product per generator part, an extremisation per query,
-an ODE solve per constant ``theta``, a scalar forward–backward sweep per
+same computations — a rate per row and transition, a knapsack per row,
+a generator assembled state by state, a sparse product per generator
+part, an extremisation per query, an ODE solve per constant ``theta``,
+a scalar forward–backward sweep per
 Pontryagin problem (and the lane sweep with a forward call per phase and
 a costate store per step), a scipy solve per Birkhoff seed or escape
 trajectory, a scalar Gillespie loop per SSA run — kept only
@@ -45,6 +46,46 @@ from repro.ode import (
 from repro.params import DiscreteSet
 from repro.simulation import BatchResult, SimulationResult
 from repro.steadystate import BirkhoffResult
+
+# ----------------------------------------------------------------------
+# Population rates: PopulationModel.drift_batch / transition_rates_batch
+# ----------------------------------------------------------------------
+
+
+def _row_stacks(model, x, theta):
+    """``(n, d)`` states and ``(n, p)`` parameters, one θ row for all."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    return x, np.broadcast_to(theta, (x.shape[0], model.theta_dim))
+
+
+def drift_batch(model, x, theta):
+    """Drift rows as a loop over transitions of per-row raw rates.
+
+    Each transition adds ``rate * change`` to every row in declaration
+    order, starting from zero — the reference for
+    :meth:`PopulationModel.drift_batch`, equal bit for bit.
+    """
+    x, theta = _row_stacks(model, x, theta)
+    out = np.zeros((x.shape[0], model.dim))
+    for tr in model.transitions:
+        values = np.array([float(tr.rate(x[r], theta[r]))
+                           for r in range(x.shape[0])])
+        out += values[:, None] * tr.change[None, :]
+    return out
+
+
+def transition_rates_batch(model, x, theta):
+    """Clamped rates ``(n, K)`` from one ``Transition.rate_at`` per entry.
+
+    The reference for :meth:`PopulationModel.transition_rates_batch`,
+    equal bit for bit.
+    """
+    x, theta = _row_stacks(model, x, theta)
+    return np.array([[tr.rate_at(x[r], theta[r]) for tr in model.transitions]
+                     for r in range(x.shape[0])]).reshape(
+        x.shape[0], len(model.transitions))
+
 
 # ----------------------------------------------------------------------
 # Drift extremisation: DriftExtremizer.*_batch

@@ -300,23 +300,17 @@ class TestBatchedRk4Sweep:
             assert np.array_equal(env_b.argmax_theta[name],
                                   env_s.argmax_theta[name])
 
-    def test_rk4_batch_bit_identical_fallback_model(self):
-        # These rates branch on scalars, so drift_batch falls back to
-        # its per-row loop internally — the sweep must still be
-        # identical.
-        model = PopulationModel(
-            "scalar_bike", ("occupied",),
-            [Transition("departure", [-1.0],
-                        lambda x, th: th[0] if x[0] > 0.0 else 0.0),
-             Transition("return", [1.0],
-                        lambda x, th: th[1] if x[0] < 1.0 else 0.0)],
-            Box([("theta_a", 0.8, 1.2), ("theta_r", 0.9, 1.1)]),
-            observables={"occupied": [1.0]},
-        )
-        t_eval = np.linspace(0.0, 3.0, 5)
-        kwargs = dict(resolution=3, integrator="rk4", rk4_steps=150)
-        env_b = uncertain_envelope(model, [0.6], t_eval, **kwargs)
-        env_s = ref.uncertain_envelope(model, [0.6], t_eval, **kwargs)
-        assert model.scalar_only_transitions == ("departure", "return")
-        assert np.array_equal(env_b.lower["occupied"], env_s.lower["occupied"])
-        assert np.array_equal(env_b.upper["occupied"], env_s.upper["occupied"])
+    def test_rk4_batch_scalar_branch_model_rejected(self):
+        # Rates that branch on a scalar coordinate used to send
+        # drift_batch to a per-row loop; the model now refuses them when
+        # it is built, naming the first such transition.
+        with pytest.raises(ValueError, match="'departure'.*coordinate-wise"):
+            PopulationModel(
+                "scalar_bike", ("occupied",),
+                [Transition("departure", [-1.0],
+                            lambda x, th: th[0] if x[0] > 0.0 else 0.0),
+                 Transition("return", [1.0],
+                            lambda x, th: th[1] if x[0] < 1.0 else 0.0)],
+                Box([("theta_a", 0.8, 1.2), ("theta_r", 0.9, 1.1)]),
+                observables={"occupied": [1.0]},
+            )

@@ -258,60 +258,11 @@ class TestPowerOfDEquivalence:
 
 
 class TestBatchedRateFallback:
-    def test_reduction_rate_functions_fall_back_not_pool(self):
-        """A rate written as a reduction (np.sum over the state) returns
-        a 0-d value on the coordinate-major batch; it must route through
-        the per-row fallback, never be broadcast batch-pooled."""
-        model = PopulationModel(
-            "reduction_rate",
-            state_names=("a", "b"),
-            transitions=[
-                Transition("sum_rate", change=[1.0, 0.0],
-                           rate=lambda x, th: 0.3 * np.sum(x)),
-                # Partial reduction: right (n,) shape, row-pooled
-                # values — only the first-call cross-check catches it.
-                Transition("mixed_rate", change=[0.0, 1.0],
-                           rate=lambda x, th: x[0] * np.sum(x)),
-                Transition("drain", change=[-1.0, 0.0],
-                           rate=lambda x, th: x[0]),
-            ],
-            theta_set=Interval(0.0, 1.0),
-        )
-        x = np.array([[0.2, 0.1], [0.4, 0.3], [0.6, 0.1]])
-        thetas = np.full((3, 1), 0.5)
-        batched = model.transition_rates_batch(x, thetas)
-        expected = np.stack([model.transition_rates(x[r], thetas[r])
-                             for r in range(3)])
-        np.testing.assert_allclose(batched, expected, rtol=1e-12)
-
-    def test_mean_pooling_rate_not_blessed_on_identical_rows(self):
-        """np.mean over the coordinate-major batch equals the correct
-        value when all rows are identical (the engine's first step), so
-        validation must defer until rows are distinct — never cache a
-        verdict from the degenerate batch."""
-        model = PopulationModel(
-            "mean_pool", ("a", "b"),
-            transitions=[
-                Transition("pooled", change=[1.0, 0.0],
-                           rate=lambda x, th: th[0] * np.mean(x)),
-            ],
-            theta_set=Interval(0.0, 1.0),
-        )
-        identical = np.tile([0.2, 0.1], (4, 1))
-        thetas = np.full((4, 1), 0.5)
-        model.transition_rates_batch(identical, thetas)
-        assert model._batch_rate_ok.get(0) is None  # verdict deferred
-
-        distinct = np.array([[0.2, 0.1], [0.4, 0.05], [0.05, 0.05],
-                             [0.3, 0.2]])
-        batched = model.transition_rates_batch(distinct, thetas)
-        expected = np.stack([model.transition_rates(distinct[r], thetas[r])
-                             for r in range(4)])
-        np.testing.assert_allclose(batched, expected[:, :], rtol=1e-12)
-        assert model._batch_rate_ok.get(0) is False  # pooling detected
-
     def test_reduction_jump_rate_falls_back(self, sir_model):
-        """Same hole for RandomJumpPolicy rate functions."""
+        """A RandomJumpPolicy rate written as a reduction (np.sum over
+        the state) must take the lane's per-row fallback, never be
+        broadcast batch-pooled.  (Model rates that pool are refused when
+        the model is built: see test_rate_kernel.py.)"""
         factory = lambda: RandomJumpPolicy(  # noqa: E731
             sir_model.theta_set, rate_fn=lambda t, x: 4.0 * np.sum(x),
         )

@@ -188,7 +188,7 @@ def _batchless_factory():
 
 
 def _scalar_rate_factory():
-    """An affine model with a ``max(...)`` rate (REG006 bait)."""
+    """An affine model with a ``max(...)`` rate: it fails to build."""
     inflow = Transition("inflow", [1.0], lambda x, th: th[0] * (1.0 - x[0]))
     outflow = Transition("clamped_outflow", [-1.0],
                          lambda x, th: max(x[0], 0.0))
@@ -242,28 +242,45 @@ class TestRegistryAudit:
 
 
     def test_scalar_only_rate_is_caught(self):
-        spec = ScenarioSpec(
-            name="lint-test-scalar-rate",
-            title="synthetic REG006 bait",
-            model_factory=_scalar_rate_factory,
-            x0=(0.5,),
-            horizon=1.0,
-            questions=(Question("envelope", options={"n_times": 3}),),
-            observables=("x",),
-        )
-        register_scenario(spec)
+        # A rate that cannot take a batch makes the model's constructor
+        # raise, so the audit reports the factory under REG001, naming
+        # the rate.
+        register_scenario(_scalar_rate_spec())
         try:
             findings = audit_registry()
         finally:
-            _REGISTRY.pop(spec.name, None)
-        assert [f.code for f in findings] == ["REG006"]
+            _REGISTRY.pop("lint-test-scalar-rate", None)
+        assert [f.code for f in findings] == ["REG001"]
         message = findings[0].message
         assert "lint-test-scalar-rate" in message
-        assert "clamped_outflow" in message
-        assert "inflow" not in message
+        assert "'clamped_outflow'" in message
+        assert "'inflow'" not in message
 
-    def test_catalog_rates_take_batches(self):
-        assert [f for f in audit_registry() if f.code == "REG006"] == []
+    def test_strict_cli_fails_a_scalar_rate_scenario(self, capsys):
+        from repro.__main__ import main
+
+        register_scenario(_scalar_rate_spec())
+        try:
+            code = main(["lint", "--root", str(REPO_ROOT), "--strict",
+                         "--format", "json"])
+        finally:
+            _REGISTRY.pop("lint-test-scalar-rate", None)
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [f["code"] for f in payload["findings"]] == ["REG001"]
+        assert "'clamped_outflow'" in payload["findings"][0]["message"]
+
+
+def _scalar_rate_spec():
+    return ScenarioSpec(
+        name="lint-test-scalar-rate",
+        title="synthetic scalar-rate bait",
+        model_factory=_scalar_rate_factory,
+        x0=(0.5,),
+        horizon=1.0,
+        questions=(Question("envelope", options={"n_times": 3}),),
+        observables=("x",),
+    )
 
 
 class TestSelfClean:

@@ -480,6 +480,28 @@ class TestTransientBounds:
             pontryagin_transient_bounds(sir_model, sir_x0, [0.5, 1.0],
                                         steps_per_unit=steps_per_unit)
 
+    @pytest.mark.parametrize("min_steps", [np.nan, np.inf, 2.5, 1, 0, -3])
+    def test_min_steps_validated(self, sir_model, sir_x0, min_steps):
+        # NaN died converting to int, inf overflowed, and 2.5 silently
+        # ran 2 intervals.
+        with pytest.raises(ValueError,
+                           match="min_steps must be an integer >= 2"):
+            pontryagin_transient_bounds(sir_model, sir_x0, [0.01, 0.02],
+                                        steps_per_unit=50,
+                                        min_steps=min_steps)
+
+    def test_integral_min_steps_accepted(self, sir_model, sir_x0):
+        # An integral float (from a JSON-like option dict) is the int.
+        as_int = pontryagin_transient_bounds(sir_model, sir_x0, [0.05],
+                                             observables=["I"],
+                                             steps_per_unit=20, min_steps=4)
+        as_float = pontryagin_transient_bounds(sir_model, sir_x0, [0.05],
+                                               observables=["I"],
+                                               steps_per_unit=20,
+                                               min_steps=4.0)
+        assert as_int.upper["I"][0] == as_float.upper["I"][0]
+        assert as_int.lower["I"][0] == as_float.lower["I"][0]
+
     def test_bounds_bracket_uncertain(self, sir_model, sir_x0):
         horizons = np.array([0.5, 1.0, 1.5])
         tb = pontryagin_transient_bounds(sir_model, sir_x0, horizons,

@@ -193,27 +193,6 @@ class TestPopulationModel:
         assert kernels.affine == model.affine_parts_batch
         assert kernels.jacobian == model.jacobian_x_batch
 
-    @pytest.mark.parametrize("x, theta", [
-        ([[0.7, 0.3], [0.2, 0.4]], [[2.0], [5.0]]),
-        (np.array([0.7, 0.3]), np.array([2.0])),
-        (np.array([[1, 0], [0, 1]]), np.array([[2], [3]])),
-        (np.array([[0.7, 0.3]], dtype=np.float32), [[2.0]]),
-    ], ids=["lists", "1-D", "int", "float32"])
-    def test_drift_batch_fast_path_takes_any_array_like(self, x, theta):
-        # Once validated, drift_batch takes 2-D float64 arrays as they
-        # are; every other input must still come out as on the
-        # validated path of a fresh model.
-        from repro.models import make_sir_model
-
-        warm = make_sir_model()
-        warm.drift_batch(np.array([[0.7, 0.3], [0.5, 0.1]]),
-                         np.array([[2.0], [5.0]]))
-        assert warm._drift_batch_fast
-        want = make_sir_model().drift_batch(x, theta)
-        got = warm.drift_batch(x, theta)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, want)
-
 
 class TestNumericJacobian:
     def test_linear_map(self):

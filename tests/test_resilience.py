@@ -394,16 +394,23 @@ class TestQuestionIsolation:
         {"steps_per_unit": float("nan")},
         {"steps_per_unit": float("inf")},
         {"steps_per_unit": 0.0},
+        {"min_steps": float("nan")},
+        {"min_steps": float("inf")},
+        {"min_steps": 2.5},
+        {"min_steps": 1},
     ], ids=["empty-ladder", "nan-horizon", "max_iter-0", "nan-tol",
             "negative-tol", "nan-steps_per_unit", "inf-steps_per_unit",
-            "zero-steps_per_unit"])
+            "zero-steps_per_unit", "nan-min_steps", "inf-min_steps",
+            "fractional-min_steps", "one-min_steps"])
     def test_bad_pontryagin_ladder_is_a_typed_failure(self, options):
         # An empty ladder used to "succeed" with no findings at all;
         # max_iter=0 reported I in [0.0200, 0.0200] at T = 2 (the true
         # bounds are [0.0157, 0.1571]) and a NaN tol a non-conservative
         # upper bound, both as complete runs.  A NaN steps_per_unit
         # failed on an int conversion, inf overflowed and zero fell back
-        # to min_steps silently.  The failure names the bad option.
+        # to min_steps silently; a NaN or infinite min_steps failed the
+        # same way, and 2.5 ran 2 intervals.  The failure names the bad
+        # option.
         spec = get_scenario("sir-transient").with_overrides(
             name="resilience-bad-ladder",
             questions=[
