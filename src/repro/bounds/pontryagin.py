@@ -23,8 +23,13 @@ fixed-point (forward–backward sweep) iteration the paper describes:
 integrate the state forward under the current control, the costate
 backward along the stored state, re-maximise the Hamiltonian pointwise,
 repeat until the control stabilises — for a whole set of problems at
-once, each one a lane of the batched RK4 kernels.  Each iteration makes
-one forward call, and it also carries the lanes that are finishing (the
+once, each one a lane of the batched RK4 kernels.  The costate equation
+is linear along the frozen state and control: a population model folds
+each backward step's four RK4 stages into one transfer matrix, so a
+step is one small matrix–vector product, and the master equation of a
+finite chain runs the stages through its sparse vector–Jacobian hook
+instead of a dense Jacobian.  Each iteration makes one forward call,
+and it also carries the lanes that are finishing (the
 final pass under a fixed-point control) or projecting (the pass under
 the bang-bang projection of a lane's best iterate).  For the
 affine-in-theta models the Hamiltonian maximiser is bang-bang, so the
@@ -213,10 +218,11 @@ def extremal_trajectory(
     )[0]
 
 
-#: Byte budget of the costate Jacobians built per ``jacobian_x_batch``
-#: call.  Every catalog population-model lane set fits in one block
-#: (1.7 MB at most); the dense ``d x d`` Jacobians of a master equation
-#: (0.94 MB per row at 343 states) are built a few steps at a time.
+#: Byte budget of one block of the population-model costate sweep: the
+#: three Jacobian stacks of a block of lockstep steps plus the two work
+#: stacks its transfer matrices are built in, five ``d x d`` matrices
+#: per lane and step.  Every catalog lane set fits in one block (2.8 MB
+#: at most), so the sweep makes one ``jacobian_x_batch`` call.
 _JACOBIAN_BLOCK_BYTES = 4 << 20
 
 
@@ -224,21 +230,36 @@ def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
                          idx_right):
     """Backward costate integration for a whole lane set at once.
 
-    During one backward sweep the state trajectory and control signal
-    are *frozen*, so every Jacobian the RK4 stages will request is known
-    in advance: per interval ``j`` the stages evaluate
-    ``J(x(T[j+1]), u)`` (the node entered backward), ``J(x_mid, u_j)``
-    (the half step, twice) and ``J(x(T[j]), u_j)``.  The three stacks
-    of a block of lockstep steps come from one batched
-    :meth:`~repro.population.PopulationModel.jacobian_x_batch` call over
-    every lane; a block holds as many steps as fit in
-    :data:`_JACOBIAN_BLOCK_BYTES`, so small models build the whole sweep
-    in one call.  The recursion itself is pure matrix–vector arithmetic
-    per lockstep step, mirroring the scalar RK4 stage expressions
-    (lanes whose grid is exhausted freeze); its step geometry is built
-    once, as step-major tables, and the costate of every step is kept
-    in a step-major trail that is scattered onto the grid once at the
-    end.  Returns the costate stack in forward orientation,
+    The costate equation ``p' = -J(x, u)^T p`` is linear, and during one
+    backward sweep the state trajectory and control signal are *frozen*:
+    per interval ``j`` the RK4 stages read ``J(x(T[j+1]), u)`` (the node
+    entered backward), ``J(x_mid, u_j)`` (the half step, twice) and
+    ``J(x(T[j]), u_j)``.  No stage loop runs over dense Jacobians:
+
+    - A population model (dense, small ``d``) folds a step's four
+      stages into one ``d x d`` transfer matrix, so a lockstep step is
+      one costate product, ``p <- M p``.  With
+      ``B_1, B_2, B_3`` the ``-J^T`` of the three stage points and ``dt``
+      negative (backward in time), the RK4 stage algebra applied to the
+      identity gives ``K_1 = B_1``, ``K_2 = B_2 (I + dt/2 K_1)``,
+      ``K_3 = B_2 (I + dt/2 K_2)``, ``K_4 = B_3 (I + dt K_3)`` and
+      ``M = I + dt/6 (K_1 + 2 K_2 + 2 K_3 + K_4)``.  The Jacobians of a
+      block of steps come from one batched
+      :meth:`~repro.population.PopulationModel.jacobian_x_batch` call
+      over every lane, and the block's ``M`` are built in place from
+      them by three batched matmuls; a block holds as many steps as fit
+      in :data:`_JACOBIAN_BLOCK_BYTES`.
+    - A model that declares ``vjp_batch(x, theta, lam)``, the product
+      ``J(x, theta)^T lam`` per row, runs the four stage products through
+      it on step-major stage rows gathered once per sweep.  The master
+      equation (:class:`~repro.ctmc.KolmogorovSystem`) does, because its
+      dense ``d x d`` Jacobian is too large to build.
+
+    The step geometry is built once, as step-major tables.  A lane whose
+    grid is exhausted keeps stepping on its first interval, and those
+    steps are never stored: the costate of every step is kept in a
+    step-major trail, and the live steps are scattered onto the grid
+    once at the end.  Returns the costate stack in forward orientation,
     ``(L, n+1, d)``.
     """
     L, n_plus_1, d = states.shape
@@ -248,43 +269,80 @@ def _costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
     x_right = states[:, 1:]
     x_mid = x_left + w_mid[:, :, None] * (x_right - x_left)
     u_right = controls[lanes[:, None], idx_right]
-    block = max(1, _JACOBIAN_BLOCK_BYTES // (3 * L * d * d * states.itemsize))
     # Step i enters interval steps - 1 - i of each lane (interval 0 once
     # the lane has run out); dt is negative: backward in time.
     step_index = np.arange(n_sweep)[:, None]
     live = step_index < steps
     entered = np.maximum(steps - 1 - step_index, 0)
     dt = (T[lanes, entered] - T[lanes, entered + 1])[:, :, None]
-    half, sixth = 0.5 * dt, dt / 6.0
-    all_live = bool(np.all(steps == n_sweep))
 
-    p = C.copy()
-    trail = np.empty((n_sweep, L, d))
-    for i0 in range(0, n_sweep, block):
-        b = min(block, n_sweep - i0)
-        # Column c of lane l holds the interval lockstep step i0+b-1-c
-        # enters.
-        window = entered[i0:i0 + b][::-1].T
-        rows = lambda arr: arr[lanes[:, None], window].reshape(L * b, -1)  # noqa: E731
-        jacs = model.jacobian_x_batch(
-            np.concatenate([rows(x_right), rows(x_mid), rows(x_left)]),
-            np.concatenate([rows(u_right), rows(controls), rows(controls)]),
-        ).reshape(3, L, b, d, d)
-        for i in range(i0, i0 + b):
-            c = i0 + b - 1 - i
-            k1 = -np.einsum("lkj,lk->lj", jacs[0, :, c], p)
-            k2 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + half[i] * k1)
-            k3 = -np.einsum("lkj,lk->lj", jacs[1, :, c], p + half[i] * k2)
-            k4 = -np.einsum("lkj,lk->lj", jacs[2, :, c], p + dt[i] * k3)
-            p_new = p + sixth[i] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            p = p_new if all_live else np.where(live[i][:, None], p_new, p)
-            trail[i] = p
-        # Free this block before the next is built: two live blocks
-        # would double the budget.
-        del jacs
+    trail = np.empty((n_sweep, L, 1, d))
+    vjp = getattr(model, "vjp_batch", None)
+    if vjp is not None:
+        # (n_sweep, L, k) rows of every stage point, step-major.
+        x_r, x_m, x_l, u_r, u_j = (
+            arr[lanes, entered]
+            for arr in (x_right, x_mid, x_left, u_right, controls)
+        )
+        # The stage slopes are -vjp(...); their signs ride on the step
+        # sizes (negation is exact, so no bit depends on where it sits).
+        half, sixth = 0.5 * dt, dt / 6.0
+        p = C.copy()
+        for i in range(n_sweep):
+            k1 = vjp(x_r[i], u_r[i], p)
+            k2 = vjp(x_m[i], u_j[i], p - half[i] * k1)
+            k3 = vjp(x_m[i], u_j[i], p - half[i] * k2)
+            k4 = vjp(x_l[i], u_j[i], p - dt[i] * k3)
+            p = p - sixth[i] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            trail[i, :, 0] = p
+    else:
+        # Costates as (L, 1, d) rows: p^T <- p^T M^T is one matmul
+        # into the trail.
+        p = C[:, None, :].copy()
+        eye = np.eye(d)
+        block = max(1, _JACOBIAN_BLOCK_BYTES
+                    // (5 * L * d * d * states.itemsize))
+        for i0 in range(0, n_sweep, block):
+            i1 = min(i0 + block, n_sweep)
+            window = entered[i0:i1]
+            rows = lambda arr: arr[lanes, window].reshape(-1, arr.shape[2])  # noqa: E731
+            a = model.jacobian_x_batch(
+                np.concatenate([rows(x_right), rows(x_mid), rows(x_left)]),
+                np.concatenate([rows(u_right), rows(controls),
+                                rows(controls)]),
+            ).reshape(3, i1 - i0, L, d, d)
+            # a holds -J, the transposes of the stage matrices B, so
+            # every product is a left multiplication and the block
+            # builds M^T in a[0]: K_1^T = -J_1, K_2^T = (I + dt/2 K_1^T)
+            # (-J_2), ...  Two work stacks, w and k, are reused.
+            np.negative(a, out=a)
+            a1, a2, a3 = a
+            h, full = 0.5 * dt[i0:i1, :, :, None], dt[i0:i1, :, :, None]
+            w = h * a1
+            w += eye
+            k = np.matmul(w, a2)                  # K_2^T
+            np.multiply(h, k, out=w)
+            w += eye
+            k *= 2.0
+            a1 += k
+            np.matmul(w, a2, out=k)               # K_3^T
+            np.multiply(full, k, out=w)
+            w += eye
+            k *= 2.0
+            a1 += k
+            np.matmul(w, a3, out=k)               # K_4^T
+            a1 += k
+            a1 *= full / 6.0
+            a1 += eye                             # M^T
+            del w, k
+            for c, i in enumerate(range(i0, i1)):
+                p = np.matmul(p, a1[c], out=trail[i])
+            # Free this block before the next is built: two live blocks
+            # would double the budget.
+            del a, a1, a2, a3
     costates = np.tile(C[:, None, :], (1, n_plus_1, 1))
     step_of, lane_of = np.nonzero(live)
-    costates[lane_of, entered[step_of, lane_of]] = trail[step_of, lane_of]
+    costates[lane_of, entered[step_of, lane_of]] = trail[step_of, lane_of, 0]
     return costates
 
 
@@ -329,9 +387,11 @@ def _extremal_trajectories_batch_impl(
     describing one extremal-trajectory problem; all of them advance in
     lockstep through the batched RK4 kernels: per iteration the forward
     state sweep is *one* :func:`~repro.ode.rk4_integrate_controlled_batch`
-    call, the backward costate sweep one lockstep RK4 recursion over
-    batched analytic Jacobians (built a block of steps per
-    :meth:`~repro.population.PopulationModel.jacobian_x_batch` call), and the
+    call, the backward costate sweep one lockstep recursion with one
+    costate product per step (:func:`_costate_sweep_batch`: per-step RK4
+    transfer matrices built from a block of steps per
+    :meth:`~repro.population.PopulationModel.jacobian_x_batch` call, or
+    the model's sparse ``vjp_batch`` hook), and the
     Hamiltonian re-maximisation one extremiser call over every active
     lane's every grid interval.  Per-lane convergence masks let converged
     lanes retire — they stop consuming forward/backward work — while the

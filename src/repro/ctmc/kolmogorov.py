@@ -11,9 +11,10 @@ drift, the whole Section IV toolbox applies verbatim: the
 :class:`KolmogorovSystem` adapter exposes the master equation through
 the same duck-typed interface as a population model (``drift_batch``
 / ``affine_parts_batch``, one sparse product of the stacked generator
-parts ``[Q_0^T; Q_1^T; ...]`` per call; ``jacobian_x_batch``, the
-dense ``Q(theta)^T`` per row; their one-row views ``drift`` /
-``affine_parts`` / ``jacobian_x``; ``theta_set``), so
+parts ``[Q_0^T; Q_1^T; ...]`` per call; ``vjp_batch``, the costate
+product ``J(P, theta)^T lam = Q(theta) lam`` as one sparse product of
+``[Q_0 | Q_1 | ...]``, in place of a dense ``Q(theta)^T`` Jacobian;
+their one-row views ``drift`` / ``affine_parts``; ``theta_set``), so
 
 - :func:`imprecise_reward_bounds` runs the Pontryagin lane engine on
   the master equation, giving the *exact* extreme of any expected
@@ -28,7 +29,6 @@ limit.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from scipy import sparse
 from repro.bounds.pontryagin import PontryaginResult, extremal_trajectory
 from repro.ctmc.chain import ImpreciseCTMC
 from repro.ode import solve_ode
+from repro.population.model import _checked_stacks
 
 
 def _csr_transpose(matrix) -> sparse.csr_matrix:
@@ -75,7 +76,12 @@ class KolmogorovSystem:
     (:func:`~repro.bounds.extremal_trajectories_batch`):
     the "state" is the probability vector ``P`` and the "drift" is
     ``f(P, theta) = Q(theta)^T P``, affine in ``theta`` through the
-    generator decomposition.
+    generator decomposition.  Its Jacobian ``Q(theta)^T`` is ``d x d``
+    (0.94 MB at 343 states), so the adapter never builds it: it answers
+    the costate sweep's vector–Jacobian hook, :meth:`vjp_batch`, with
+    the sparse generator parts instead.  Every kernel takes the stacks
+    of :meth:`~repro.population.PopulationModel.drift_batch` and raises
+    ``ValueError`` naming both shapes on any other.
     """
 
     def __init__(self, chain: ImpreciseCTMC):
@@ -88,6 +94,9 @@ class KolmogorovSystem:
         self._stacked_t = sparse.vstack(
             [_csr_transpose(part) for part in [q0, *parts]], format="csr"
         )
+        # [Q0 | Q1 | ...]: its product with [lam; theta_1 lam; ...] is
+        # Q(theta) lam, with no per-part products to combine.
+        self._stacked = self._stacked_t.T.tocsr()
         self.theta_set = chain.model.theta_set
         self.state_names = tuple(
             "p_" + "_".join(str(v) for v in row) for row in chain.states
@@ -106,18 +115,16 @@ class KolmogorovSystem:
     def is_affine(self) -> bool:
         return True
 
-    @cached_property
-    def _dense_parts(self):
-        """``[Q0^T, Q_1^T, ...]`` as one dense ``(1 + p, d, d)`` stack."""
-        d = self.dim
-        return self._stacked_t.toarray().reshape(-1, d, d)
+    def _stacks(self, p, theta=None):
+        """The checked ``(n, d)`` / ``(n, p)`` stacks of a kernel call."""
+        return _checked_stacks(self.name, self.dim, self.theta_dim, p, theta)
 
     def _part_products(self, p):
-        """``[Q0^T P, Q_1^T P, ...]`` for a stack ``P``: ``(1 + p, n, d)``.
+        """``[Q0^T P, Q_1^T P, ...]`` for a checked ``(n, d)`` stack ``P``:
+        ``(1 + p, n, d)``.
 
         One sparse product of the stacked parts, sliced per part.
         """
-        p = np.atleast_2d(np.asarray(p, dtype=float))
         products = self._stacked_t @ p.T
         return products.reshape(-1, self.dim, p.shape[0]).transpose(0, 2, 1)
 
@@ -140,7 +147,7 @@ class KolmogorovSystem:
 
     def drift_batch(self, p, theta) -> np.ndarray:
         """Row-wise master-equation drift for ``(n, d)`` / ``(n, p)`` stacks."""
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        p, theta = self._stacks(p, theta)
         products = self._part_products(p)
         out = products[0]
         for k in range(self.theta_dim):
@@ -155,26 +162,30 @@ class KolmogorovSystem:
         the batched bound computations (Pontryagin re-maximisation over
         all grid intervals) need no per-row Python loop at all.
         """
+        p, _ = self._stacks(p)
         products = self._part_products(p)
         return products[0], np.stack(products[1:], axis=2)
 
-    def jacobian_x(self, p, theta) -> np.ndarray:
-        """One-row view of :meth:`jacobian_x_batch`."""
-        return self.jacobian_x_batch(p, theta)[0]
+    def vjp_batch(self, p, theta, lam) -> np.ndarray:
+        """``J(P, theta)^T lam = Q(theta) lam`` per row, shape ``(n, d)``.
 
-    def jacobian_x_batch(self, p, theta) -> np.ndarray:
-        """The dense ``Q(theta)^T`` per row, shape ``(n, d, d)``.
-
-        The master equation is linear, so the Jacobian depends on the
-        ``(n, p)`` parameter stack only.  Each row is ``d * d`` floats
-        (0.94 MB at 343 states); the costate sweep asks for blocks that
-        fit its byte budget, not for a whole sweep at once.  One einsum
-        of the dense generator stack against ``(1, theta)`` writes the
-        output once, with no ``(n, d, d)`` temporaries.
+        The costate sweep's vector–Jacobian hook.  The master equation
+        is linear, so the product depends on the parameter rows and the
+        costate rows ``lam`` (the shape of the state stack) only.  It is
+        one product of the horizontally stacked parts
+        ``[Q_0 | Q_1 | ...]`` with ``[lam; theta_1 lam; ...]``.
         """
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        weights = np.hstack([np.ones((theta.shape[0], 1)), theta])
-        return np.einsum("nk,kij->nij", weights, self._dense_parts)
+        states, theta = self._stacks(p, theta)
+        lam = np.asarray(lam, dtype=float)
+        if np.atleast_2d(lam).shape != states.shape:
+            raise ValueError(
+                f"model {self.name!r}: costates of shape {lam.shape} do not "
+                f"fit states of shape {np.shape(p)}"
+            )
+        n = states.shape[0]
+        lam = lam.reshape(n, 1, self.dim)
+        rhs = np.concatenate((lam, theta[:, :, None] * lam), axis=1)
+        return (self._stacked @ rhs.reshape(n, -1).T).T
 
 
 def imprecise_reward_bounds(

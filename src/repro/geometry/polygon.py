@@ -7,6 +7,7 @@ order, which is the orientation assumed by :class:`ConvexPolygon`.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -21,17 +22,48 @@ __all__ = [
 ]
 
 
+# Shewchuk's first error bound for the floating-point 2-D orientation
+# determinant, (3 + 16 eps) eps with eps = 2**-53: a computed determinant
+# larger than this times |left| + |right| has the sign of the exact one.
+_ORIENT_RELATIVE_ERROR = 3.3306690738754716e-16
+# The bound assumes no underflow; a product below the normal range can
+# lose its low bits, so determinants this small are always recomputed.
+_ORIENT_ABSOLUTE_ERROR = 1e-300
+
+
 def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Z-component of the cross product (a - o) x (b - o)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _orientation(o, a, b) -> int:
+    """Exact sign of (a - o) x (b - o): 1 for a left turn, -1 right, 0 none.
+
+    The floating-point determinant decides when it clears its rounding
+    error bound; otherwise (near-collinear points, underflow, overflow)
+    the sign is taken from the determinant in exact rational arithmetic,
+    so a hull built on it never drops a true vertex to rounding.
+    """
+    left = (a[0] - o[0]) * (b[1] - o[1])
+    right = (a[1] - o[1]) * (b[0] - o[0])
+    det = left - right
+    if abs(det) > (_ORIENT_RELATIVE_ERROR * (abs(left) + abs(right))
+                   + _ORIENT_ABSOLUTE_ERROR):
+        return 1 if det > 0.0 else -1
+    ox, oy = Fraction(o[0]), Fraction(o[1])
+    exact = ((Fraction(a[0]) - ox) * (Fraction(b[1]) - oy)
+             - (Fraction(a[1]) - oy) * (Fraction(b[0]) - ox))
+    return (exact > 0) - (exact < 0)
+
+
 def convex_hull(points) -> np.ndarray:
     """Return the convex hull of a point cloud in CCW order.
 
-    Implements Andrew's monotone-chain algorithm, O(n log n).  Collinear
-    points on the hull boundary are dropped, so the result is a *strictly*
-    convex vertex list.  Degenerate inputs (all points collinear) return
+    Implements Andrew's monotone-chain algorithm, O(n log n), on exact
+    orientation signs (:func:`_orientation`).  Collinear points on the
+    hull boundary are dropped, so the result is a *strictly* convex
+    vertex list, and a superset of a non-collinear set never hulls to a
+    segment.  Degenerate inputs (all points collinear) return
     the two extreme points; a single point returns itself.  A NaN or
     infinite coordinate raises ``ValueError`` (it would otherwise corrupt
     the lexicographic sort into a non-convex vertex list).
@@ -63,13 +95,14 @@ def convex_hull(points) -> np.ndarray:
     def half_hull(points_sorted):
         stack = []
         for p in points_sorted:
-            while len(stack) >= 2 and _cross(stack[-2], stack[-1], p) <= 0:
+            while len(stack) >= 2 and _orientation(stack[-2], stack[-1], p) <= 0:
                 stack.pop()
             stack.append(p)
         return stack
 
-    lower = half_hull(pts)
-    upper = half_hull(pts[::-1])
+    rows = pts.tolist()
+    lower = half_hull(rows)
+    upper = half_hull(rows[::-1])
     hull = np.array(lower[:-1] + upper[:-1])
     if hull.shape[0] < 3:
         # All points collinear: return the extreme pair.

@@ -33,6 +33,43 @@ _PROBE_STATE_FRACTIONS = np.array([0.2, 0.45, 0.7])
 _PROBE_THETA_FRACTIONS = np.array([0.5, 0.75, 0.25])
 
 
+def _checked_stacks(name: str, dim: int, theta_dim: int, x,
+                    theta=None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(n, d)`` states and ``(n, p)`` parameters of one batch call.
+
+    ``x`` must be ``(n, d)`` or one state ``(d,)``; ``theta`` must be
+    ``(n, p)``, or one row ``(p,)`` / ``(1, p)`` that is broadcast to
+    every state (a read-only view).  Anything else raises ``ValueError``
+    naming both shapes.  ``theta=None`` checks the states alone and
+    returns ``None`` for the parameters.  This is the input contract of
+    every batch kernel of a model: the rate kernel, the affine
+    decomposition, the Jacobians and the master equation's kernels.
+    """
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim == 1:
+        xs = xs[None, :]
+    thetas = None if theta is None else np.asarray(theta, dtype=float)
+    if thetas is not None and thetas.ndim == 1:
+        thetas = thetas[None, :]
+    if (xs.ndim != 2 or xs.shape[1] != dim
+            or (thetas is not None
+                and (thetas.ndim != 2 or thetas.shape[1] != theta_dim
+                     or thetas.shape[0] not in (1, xs.shape[0])))):
+        given = f"states of shape {np.shape(x)}"
+        expected = f"states (n, {dim}) or ({dim},)"
+        if theta is not None:
+            given += f" and parameters of shape {np.shape(theta)}"
+            expected += (f" and parameters (n, {theta_dim}) with as many "
+                         f"rows as states, or (1, {theta_dim}) / "
+                         f"({theta_dim},) for every state")
+        raise ValueError(
+            f"model {name!r}: {given} do not fit; expected {expected}"
+        )
+    if thetas is not None and thetas.shape[0] != xs.shape[0]:
+        thetas = np.broadcast_to(thetas, (xs.shape[0], theta_dim))
+    return xs, thetas
+
+
 def _checked_rate(tr: Transition, x_probe: np.ndarray,
                   theta_probe: np.ndarray) -> Callable:
     """``tr.rate`` as the batch kernel calls it, checked on probe rows.
@@ -112,7 +149,8 @@ class PopulationModel:
     drift_jacobian_batch:
         Optional analytic Jacobian of the drift in ``x``: a callable
         ``(X, Theta) -> (n, d, d)`` mapping row-major state and
-        parameter stacks to the stack of Jacobians.
+        parameter stacks to a new stack of Jacobians (the caller may
+        overwrite it).
         :meth:`jacobian_x_batch` — the inner loop of the batched
         Pontryagin costate sweep — calls it, and :meth:`jacobian_x` is
         its one-row view.  Without the declaration the Jacobian is the
@@ -279,29 +317,11 @@ class PopulationModel:
     def _rate_stack(self, x, theta) -> np.ndarray:
         """Raw rates of every transition on a batch, shape ``(K, n)``.
 
-        ``x`` must be ``(n, d)`` or ``(d,)``; ``theta`` must be
-        ``(n, p)``, or ``(p,)`` / ``(1, p)`` for every row.  Anything
-        else raises ``ValueError`` naming both shapes.  Each checked
+        The stacks are checked by :func:`_checked_stacks`.  Each checked
         rate is called once, coordinate-major.
         """
-        xs = np.asarray(x, dtype=float)
-        thetas = np.asarray(theta, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[None, :]
-        if thetas.ndim == 1:
-            thetas = thetas[None, :]
-        if (xs.ndim != 2 or xs.shape[1] != self.dim or thetas.ndim != 2
-                or thetas.shape[1] != self.theta_dim
-                or thetas.shape[0] not in (1, xs.shape[0])):
-            raise ValueError(
-                f"model {self.name!r}: states of shape {np.shape(x)} and "
-                f"parameters of shape {np.shape(theta)} do not fit; expected "
-                f"states (n, {self.dim}) or ({self.dim},) and parameters "
-                f"(n, {self.theta_dim}), (1, {self.theta_dim}) or "
-                f"({self.theta_dim},)"
-            )
-        if thetas.shape[0] != xs.shape[0]:
-            thetas = np.broadcast_to(thetas, (xs.shape[0], self.theta_dim))
+        xs, thetas = _checked_stacks(self.name, self.dim, self.theta_dim,
+                                     x, theta)
         x_t, theta_t = xs.T, thetas.T
         return np.array([rate(x_t, theta_t) for rate in self._rates],
                         dtype=float)
@@ -341,10 +361,18 @@ class PopulationModel:
         This is Equation (3) of the paper specialised to transition-class
         models.  Note the drift uses the *raw* (unclamped) rates so it is
         smooth across the state-space boundary, which the mean-field
-        integrators rely on.
+        integrators rely on.  ``x`` must have shape ``(d,)`` and
+        ``theta`` shape ``(p,)``; anything else raises ``ValueError``
+        naming both shapes (stacks go to :meth:`drift_batch`).
         """
         x = np.asarray(x, dtype=float)
         theta = np.asarray(theta, dtype=float)
+        if x.shape != (self.dim,) or theta.shape != (self.theta_dim,):
+            raise ValueError(
+                f"model {self.name!r}: state of shape {x.shape} and "
+                f"parameters of shape {theta.shape} do not fit; expected "
+                f"({self.dim},) and ({self.theta_dim},)"
+            )
         out = np.zeros(self.dim)
         for tr in self.transitions:
             out += tr.change * float(tr.rate(x, theta))
@@ -405,7 +433,9 @@ class PopulationModel:
         Parameters
         ----------
         x:
-            Row-major batch of states, shape ``(n, d)``.
+            Row-major batch of states, shape ``(n, d)``, or one state
+            ``(d,)``; any other shape raises ``ValueError``, on every
+            call.
 
         Returns
         -------
@@ -421,9 +451,7 @@ class PopulationModel:
         """
         if self._affine_drift_batch is None:
             raise ValueError(f"model {self.name!r} declares no affine decomposition")
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
+        x, _ = _checked_stacks(self.name, self.dim, self.theta_dim, x)
         if self._affine_batch_checked:
             return self._affine_drift_batch(x)
         n = x.shape[0]
@@ -465,26 +493,22 @@ class PopulationModel:
         Parameters
         ----------
         x:
-            Row-major batch of states, shape ``(n, d)``.
+            Row-major batch of states, shape ``(n, d)``, or one state
+            ``(d,)``.
         theta:
-            Matching batch of parameters, shape ``(n, p)`` (one per
-            row — Pontryagin lanes carry different controls).
+            Batch of parameters, shape ``(n, p)`` (one per row —
+            Pontryagin lanes carry different controls), or one vector
+            ``(p,)`` / ``(1, p)`` for every row.
 
-        Uses the declared ``drift_jacobian_batch`` when available (one
-        vectorized call).  Falls back to the central finite difference
-        of :meth:`drift`, row by row, otherwise.
+        The stacks are those of :meth:`drift_batch`; other shapes raise
+        ``ValueError`` naming both.  Uses the declared
+        ``drift_jacobian_batch`` when available (one vectorized call).
+        Falls back to the central finite difference of :meth:`drift`,
+        row by row, otherwise.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            theta = theta[None, :]
+        x, theta = _checked_stacks(self.name, self.dim, self.theta_dim,
+                                   x, theta)
         n = x.shape[0]
-        if theta.shape[0] != n:
-            raise ValueError(
-                f"theta batch has {theta.shape[0]} rows for {n} states"
-            )
         if self._drift_jacobian_batch is None:
             out = np.empty((n, self.dim, self.dim))
             for r in range(n):
@@ -498,7 +522,8 @@ class PopulationModel:
                 f"batched Jacobian has shape {jacs.shape}, "
                 f"expected ({n}, {self.dim}, {self.dim})"
             )
-        return jacs
+        # The costate sweep builds its transfer matrices in this stack.
+        return jacs if jacs.flags.writeable else jacs.copy()
 
     def backend_kernels(self) -> SimpleNamespace:
         """The batch kernels by role: ``drift``, ``rates``, ``affine``,

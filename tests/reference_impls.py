@@ -18,6 +18,7 @@ tolerance where the batched path shares one adaptive step sequence).
 """
 
 import time
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -525,6 +526,29 @@ def kolmogorov_drift_batch(chain, p, theta):
     return out
 
 
+class DenseKolmogorovSystem(KolmogorovSystem):
+    """The master equation with its dense Jacobian ``Q(theta)^T`` per row.
+
+    The library's adapter builds no Jacobian: the costate sweep runs on
+    its sparse ``vjp_batch``.  The oracles' costate passes
+    (:func:`extremal_trajectory`, :func:`costate_sweep_batch`) call
+    ``jacobian_x`` / ``jacobian_x_batch``, which this subclass builds
+    from the dense generator parts, one einsum against ``(1, theta)``.
+    """
+
+    @cached_property
+    def _dense_parts(self):
+        return self._stacked_t.toarray().reshape(-1, self.dim, self.dim)
+
+    def jacobian_x(self, p, theta):
+        return self.jacobian_x_batch(p, theta)[0]
+
+    def jacobian_x_batch(self, p, theta):
+        _, theta = self._stacks(p, theta)
+        weights = np.hstack([np.ones((theta.shape[0], 1)), theta])
+        return np.einsum("nk,kij->nij", weights, self._dense_parts)
+
+
 def kolmogorov_affine_parts_batch(chain, p):
     """``(g0s, Gs)`` of the master equation, one product per part."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
@@ -826,6 +850,28 @@ def costate_sweep_batch(model, T, steps, states, controls, C, w_mid,
             p = np.where(live[:, None], p_new, p)
             costates[lanes[live], j[live]] = p[live]
     return costates
+
+
+#: Relative costate tolerance of the library sweep against the stage
+#: loop of :func:`costate_sweep_batch`: the library folds a step's four
+#: RK4 stages into one transfer matrix (population models) or sums the
+#: stage products of a sparse vector–Jacobian product (master equation),
+#: so its costates differ from the stage loop's in float64 rounding only.
+COSTATE_RTOL = 1e-12
+
+
+def assert_costates_close(got, want):
+    """Costates within ``COSTATE_RTOL`` times each lane's max ``|p|``.
+
+    Takes one lane's ``(n+1, d)`` costates or an ``(L, n+1, d)`` stack.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    got, want = got.reshape(-1, *want.shape[-2:]), \
+        want.reshape(-1, *want.shape[-2:])
+    gap = np.max(np.abs(got - want), axis=(1, 2))
+    scale = np.max(np.abs(want), axis=(1, 2))
+    assert np.all(gap <= COSTATE_RTOL * scale), (gap / scale).tolist()
 
 
 def extremal_trajectories_batch(model, x0, specs, max_iter=100, tol=1e-7,

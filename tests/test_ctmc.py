@@ -199,26 +199,19 @@ class TestKolmogorovSystem:
             g0 + big_g @ theta, system.drift(p, theta), atol=1e-12
         )
 
-    def test_jacobian_is_generator_transpose(self, bike_chain, rng):
+    def test_vjp_is_generator_product(self, bike_chain, rng):
+        # The costate hook J(P, theta)^T lam = Q(theta) lam, one row per
+        # (state, parameter, costate) row, against the dense generator.
         system = KolmogorovSystem(bike_chain)
-        theta = np.array([1.0, 1.0])
-        jac = system.jacobian_x(bike_chain.initial_distribution, theta)
-        np.testing.assert_allclose(
-            jac, bike_chain.generator(theta).T.toarray(), atol=1e-12
-        )
-        # The batched form: one dense Q(theta_r)^T per row.
         thetas = np.array([[1.0, 1.0], [0.9, 1.1], [1.1, 0.95]])
-        jacs = system.jacobian_x_batch(rng.dirichlet(np.ones(11), size=3),
-                                       thetas)
-        assert jacs.shape == (3, 11, 11)
-        for jac_row, theta_row in zip(jacs, thetas):
+        lams = rng.normal(size=(3, 11))
+        got = system.vjp_batch(rng.dirichlet(np.ones(11), size=3), thetas,
+                               lams)
+        assert got.shape == (3, 11)
+        for row, theta_row, lam in zip(got, thetas, lams):
             np.testing.assert_allclose(
-                jac_row, bike_chain.generator(theta_row).T.toarray(),
-                atol=1e-12,
-            )
-            np.testing.assert_array_equal(
-                system.jacobian_x(bike_chain.initial_distribution, theta_row),
-                jac_row,
+                row, bike_chain.generator(theta_row).toarray() @ lam,
+                rtol=1e-12, atol=1e-12,
             )
 
     def test_probability_conserved_by_drift(self, bike_chain, rng):
@@ -249,14 +242,12 @@ class TestKolmogorovSystem:
         np.testing.assert_array_equal(
             dense.drift(p, theta), sparse_sys.drift(p, theta)
         )
-        np.testing.assert_array_equal(
-            dense.jacobian_x(p, theta), sparse_sys.jacobian_x(p, theta)
-        )
         ps = rng.dirichlet(np.ones(11), size=2)
         thetas = np.array([[1.05, 0.95], [0.9, 1.1]])
+        lams = rng.normal(size=(2, 11))
         np.testing.assert_array_equal(
-            dense.jacobian_x_batch(ps, thetas),
-            sparse_sys.jacobian_x_batch(ps, thetas),
+            dense.vjp_batch(ps, thetas, lams),
+            sparse_sys.vjp_batch(ps, thetas, lams),
         )
 
 
@@ -362,7 +353,8 @@ class TestRewardBoundsMatchScalarSweep:
             lane = imprecise_reward_bounds(chain, reward, horizon,
                                            maximize=maximize, n_steps=n_steps)
             scalar = ref.extremal_trajectory(
-                KolmogorovSystem(chain), chain.initial_distribution, horizon,
+                ref.DenseKolmogorovSystem(chain), chain.initial_distribution,
+                horizon,
                 reward, maximize=maximize, n_steps=n_steps,
             )
             assert lane.iterations == scalar.iterations
@@ -370,29 +362,34 @@ class TestRewardBoundsMatchScalarSweep:
             assert lane.value == pytest.approx(scalar.value, rel=1e-12)
 
     def test_343_state_lane_matches_phased_oracle(self, monkeypatch):
-        # The lane engine's one forward call per iteration against the
-        # oracle's call per phase, on the dense master equation, with
-        # the Jacobian budget below one step (one step per block).
+        # The lane engine's one forward call per iteration and sparse
+        # costate products against the oracle's call per phase and
+        # dense stage loop, with the oracle's Jacobian budget below one
+        # step (one step per block).
         chain, reward, horizon, n_steps = catalog_reward_problem(
             "load-balancing-dtmc")
         monkeypatch.setattr(pontryagin, "_JACOBIAN_BLOCK_BYTES", 1 << 20)
         system = KolmogorovSystem(chain)
+        dense = ref.DenseKolmogorovSystem(chain)
         for maximize in (False, True):
             spec = [(reward, maximize, horizon, n_steps)]
             lane, = extremal_trajectories_batch(
                 system, chain.initial_distribution, spec)
             want, = ref.extremal_trajectories_batch(
-                system, chain.initial_distribution, spec)
+                dense, chain.initial_distribution, spec)
             assert lane.value == want.value
             assert (lane.iterations, lane.converged) == \
                 (want.iterations, want.converged)
-            for name in ("states", "costates", "controls"):
+            for name in ("states", "controls"):
                 np.testing.assert_array_equal(getattr(lane, name),
                                               getattr(want, name))
+            ref.assert_costates_close(lane.costates, want.costates)
 
-    def test_dense_jacobians_stay_in_budget(self):
-        # One dense Jacobian per stage and interval would be 282 MB on
-        # the 343-state chain; the costate sweep builds them in blocks.
+    def test_sparse_costate_stays_in_budget(self):
+        # The costate sweep multiplies by the sparse generator parts and
+        # builds no dense Q(theta)^T: one dense Jacobian per stage and
+        # interval would be 282 MB on the 343-state chain, and the dense
+        # blocks of a byte-budgeted sweep peaked at 6.45 MB here.
         chain, reward, horizon, _ = catalog_reward_problem(
             "load-balancing-dtmc")
         assert chain.n_states == 343
@@ -402,4 +399,4 @@ class TestRewardBoundsMatchScalarSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert peak <= 5 * 2**20

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import reference_impls as ref
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -43,6 +43,15 @@ class TestConvexHull:
     def test_duplicates_dropped(self):
         hull = convex_hull(UNIT_SQUARE + UNIT_SQUARE)
         assert hull.shape == (4, 2)
+
+    def test_near_collinear_sign_is_exact(self):
+        # In floats every turn through (-1, 1) here rounds to zero; the
+        # exact signs keep the sliver a triangle and its superset too.
+        sliver = [(0.0, 0.0), (8e-266, -8e-237), (-1.0, 1.0)]
+        assert convex_hull(sliver).shape == (3, 2)
+        grown = convex_hull(sliver + [(1e-51, 0.0)])
+        np.testing.assert_array_equal(
+            grown, [[-1.0, 1.0], [8e-266, -8e-237], [1e-51, 0.0]])
 
     def test_all_collinear_returns_extremes(self):
         hull = convex_hull([(0, 0), (1, 1), (2, 2), (0.3, 0.3)])
@@ -251,6 +260,12 @@ class TestConvexPolygonMatchesLoopReference:
                     poly, p, tol=tol)
 
     @given(cloud=point_clouds(3, 30), extra=point_clouds(1, 30))
+    # A sliver whose float orientation signs cancel against (-1, 1): the
+    # grown hull once collapsed to a segment and raised.
+    @example(cloud=np.array([(0.0, 0.0),
+                             (8.11222477485464e-266, -8.23160345326986e-237),
+                             (-1.0, 1.0)]),
+             extra=np.array([(1.32136918e-51, 0.0)]))
     def test_expanded_with_matches_unfiltered_hull(self, cloud, extra):
         assume(convex_hull(cloud).shape[0] >= 3)
         poly = ConvexPolygon(cloud)

@@ -274,6 +274,8 @@ def _warm_sir():
     model = make_sir_model()
     model.drift_batch(SIR_STATES, np.full((6, 1), 3.0))
     model.transition_rates_batch(SIR_STATES, np.full((6, 1), 3.0))
+    model.affine_parts_batch(SIR_STATES[:2])
+    model.jacobian_x_batch(SIR_STATES[:2], np.full((2, 1), 3.0))
     return model
 
 
@@ -283,6 +285,21 @@ def sir(request):
 
 
 KERNELS = ["drift_batch", "transition_rates_batch"]
+
+#: Stacks no batch kernel takes, with the defects they used to hit.
+MISSHAPEN = [
+    (SIR_STATES, np.linspace(1.0, 6.0, 6)),
+    (np.hstack([SIR_STATES, SIR_STATES[:, :1]]), np.full((6, 1), 5.0)),
+    (SIR_STATES[:, :1], np.full((6, 1), 5.0)),
+    (SIR_STATES, np.full((4, 1), 5.0)),
+    (SIR_STATES, np.full((6, 2), 5.0)),
+    (SIR_STATES[None], np.full((6, 1), 5.0)),
+    (0.5, [5.0]),
+    (SIR_STATES[0], np.full((6, 1), 5.0)),
+]
+MISSHAPEN_IDS = ["1-D-per-row-theta", "(6,3)-states", "(6,1)-states",
+                 "theta-row-count", "theta-width", "3-D-states", "0-D-state",
+                 "one-state-many-thetas"]
 
 
 class TestInputStacks:
@@ -298,22 +315,12 @@ class TestInputStacks:
         oracle = getattr(ref, kernel)(sir, SIR_STATES, np.full((6, 1), 5.0))
         assert_same_rates(got, oracle)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("x, theta", [
-        (SIR_STATES, np.linspace(1.0, 6.0, 6)),
-        (np.hstack([SIR_STATES, SIR_STATES[:, :1]]), np.full((6, 1), 5.0)),
-        (SIR_STATES[:, :1], np.full((6, 1), 5.0)),
-        (SIR_STATES, np.full((4, 1), 5.0)),
-        (SIR_STATES, np.full((6, 2), 5.0)),
-        (SIR_STATES[None], np.full((6, 1), 5.0)),
-        (0.5, [5.0]),
-        (SIR_STATES[0], np.full((6, 1), 5.0)),
-    ], ids=["1-D-per-row-theta", "(6,3)-states", "(6,1)-states",
-            "theta-row-count", "theta-width", "3-D-states", "0-D-state",
-            "one-state-many-thetas"])
+    @pytest.mark.parametrize("kernel", KERNELS + ["jacobian_x_batch"])
+    @pytest.mark.parametrize("x, theta", MISSHAPEN, ids=MISSHAPEN_IDS)
     def test_misshapen_stacks_raise(self, sir, kernel, x, theta):
         # A 1-D theta of per-row values silently used theta[0] on every
-        # row, and a third state column was ignored.
+        # row, and a third state column was ignored (by jacobian_x_batch
+        # too, which returned (6, 2, 2) Jacobians for (6, 3) states).
         with pytest.raises(ValueError) as info:
             getattr(sir, kernel)(x, theta)
         message = str(info.value)
@@ -332,6 +339,76 @@ class TestInputStacks:
         got = getattr(sir, kernel)(x, theta)
         assert got.dtype == np.float64
         assert_same_rates(got, getattr(ref, kernel)(sir, x, theta))
+
+
+class TestJacobianAndAffineStacks:
+    """``jacobian_x_batch`` and ``affine_parts_batch`` take the stacks of
+    the rate kernel, on every call: the costate sweep's transfer
+    matrices and the Hamiltonian re-maximisation rely on it."""
+
+    @pytest.mark.parametrize("theta", [[[5.0]], [5.0], np.array([5.0])],
+                             ids=["(1,p)", "list-(p,)", "(p,)"])
+    def test_one_theta_row_applies_to_every_row(self, sir, theta):
+        # [[5.0]] with six states raised "theta batch has 1 rows for 6
+        # states" although drift_batch applies it to every row.
+        got = sir.jacobian_x_batch(SIR_STATES, theta)
+        want = sir.jacobian_x_batch(SIR_STATES, np.full((6, 1), 5.0))
+        assert got.shape == (6, 2, 2)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("x", [
+        np.hstack([SIR_STATES, SIR_STATES[:, :1]]), SIR_STATES[:, :1],
+        SIR_STATES[None], 0.5,
+    ], ids=["(6,3)-states", "(6,1)-states", "3-D-states", "0-D-state"])
+    def test_affine_parts_misshapen_states_raise(self, sir, x):
+        # After one 2-row call a (6, 3) stack returned a (6, 3) g0; a
+        # fresh model raised on the kernel's output shape instead.
+        with pytest.raises(ValueError) as info:
+            sir.affine_parts_batch(x)
+        assert f"states of shape {np.shape(x)}" in str(info.value)
+
+    def test_affine_parts_take_one_state(self, sir):
+        g0s, big_gs = sir.affine_parts_batch(SIR_STATES)
+        g0, big_g = sir.affine_parts(SIR_STATES[3])
+        assert_same_bits(g0, g0s[3])
+        assert_same_bits(big_g, big_gs[3])
+
+    def test_read_only_jacobians_are_copied(self):
+        # The costate sweep builds its transfer matrices in the returned
+        # stack, so a kernel's read-only output is handed out as a copy.
+        base = make_sir_model()
+        jac = np.array([[-1.0, 0.5], [0.25, -2.0]])
+        model = PopulationModel(
+            "ro", base.state_names, base.transitions, base.theta_set,
+            drift_jacobian_batch=lambda xs, ths: np.broadcast_to(
+                jac, (xs.shape[0], 2, 2)),
+        )
+        got = model.jacobian_x_batch(SIR_STATES, [5.0])
+        assert got.flags.writeable
+        np.testing.assert_array_equal(got, np.broadcast_to(jac, (6, 2, 2)))
+
+
+class TestScalarDrift:
+    @pytest.mark.parametrize("x, theta", [
+        ([0.7, 0.3, 0.9], [2.0]), ([0.7, 0.3], [2.0, 9.0]),
+        ([[0.7, 0.3]], [2.0]), ([0.7, 0.3], [[2.0]]), ([0.7], [2.0]),
+        ([0.7, 0.3], 2.0),
+    ], ids=["extra-coordinate", "extra-parameter", "(1,d)-state",
+            "(1,p)-parameters", "short-state", "0-D-parameter"])
+    def test_misshapen_inputs_raise(self, x, theta):
+        # The first two returned the drift at (0.7, 0.3; theta = 2),
+        # silently dropping the extra coordinate or parameter.
+        with pytest.raises(ValueError) as info:
+            make_sir_model().drift(x, theta)
+        message = str(info.value)
+        assert f"state of shape {np.shape(x)}" in message
+        assert f"parameters of shape {np.shape(theta)}" in message
+
+    def test_any_array_like(self):
+        model = make_sir_model()
+        want = model.drift(np.array([0.7, 0.3]), np.array([2.0]))
+        assert_same_bits(model.drift([0.7, 0.3], [2.0]), want)
+        assert_same_bits(model.drift((0.7, 0.3), np.array([2])), want)
 
 
 class TestStageSum:
