@@ -3,7 +3,8 @@
 Every benchmark regenerates one figure (or numeric result) of the paper
 as an :class:`~repro.reporting.ExperimentResult`, renders it to stdout
 and archives both the text and the JSON payload under
-``benchmarks/results/``.  EXPERIMENTS.md is written from those archives.
+``benchmarks/results/`` (the README's "Benchmarks" section says how to
+run the benches).
 
 Wall-clock timings of every harnessed experiment are additionally
 accumulated in ``benchmarks/results/BENCH_scenarios.json`` (one entry

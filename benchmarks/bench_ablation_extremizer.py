@@ -1,4 +1,4 @@
-"""Ablation — extremiser strategies (DESIGN.md: affine fast path).
+"""Ablation — extremiser strategies (the affine fast path).
 
 Compares the three Hamiltonian-maximisation strategies on the SIR model:
 the closed-form bang-bang rule for affine-in-theta drifts, corner

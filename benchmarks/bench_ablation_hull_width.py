@@ -1,4 +1,4 @@
-"""Ablation — bound tightness vs parameter-interval width (DESIGN.md).
+"""Ablation — bound tightness vs parameter-interval width.
 
 The quantitative version of the Figure 4/5 accuracy discussion: sweep
 ``theta_max`` and record, for the infected coordinate at ``T = 6``, the

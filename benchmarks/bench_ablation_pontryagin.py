@@ -1,4 +1,4 @@
-"""Ablation — Pontryagin sweep design choices (DESIGN.md).
+"""Ablation — Pontryagin sweep design choices.
 
 Three studies on the SIR ``max x_I(3)`` problem of Figure 2:
 

@@ -23,7 +23,7 @@ Typical usage::
                                             observables=["I"])
     uncertain = uncertain_envelope(model, x0, np.insert(horizons, 0, 0.0))
 
-Package map (see DESIGN.md for the full inventory):
+Package map (the README's Layout table lists every package):
 
 - ``repro.params`` / ``repro.population`` / ``repro.models`` — model
   definitions;
@@ -55,8 +55,6 @@ from repro.bounds import (
     extremal_trajectory,
     octagon_directions,
     pontryagin_transient_bounds,
-    reachable_polytope_2d,
-    switching_times,
     switching_times_from_costate,
     template_reachable_bounds,
     uncertain_envelope,
@@ -64,12 +62,7 @@ from repro.bounds import (
 from repro.ctmc import ImpreciseCTMC, IntervalDTMC, imprecise_reward_bounds
 from repro.engine import simulate_ensemble, sweep_constant_ensembles
 from repro.inclusion import DriftExtremizer, ParametricInclusion
-from repro.meanfield import (
-    mean_field_accuracy,
-    mean_field_inclusion,
-    mean_field_ode,
-    verify_population_scaling,
-)
+from repro.meanfield import mean_field_accuracy, verify_population_scaling
 from repro.models import (
     GPS_PAPER_PARAMS,
     SIR_PAPER_PARAMS,
@@ -132,14 +125,12 @@ __all__ = [
     "make_power_of_d_model", "make_gossip_model",
     "make_repairable_queue_model", "make_cdn_cache_model",
     # mean-field limits
-    "mean_field_inclusion", "mean_field_ode", "verify_population_scaling",
-    "mean_field_accuracy",
+    "verify_population_scaling", "mean_field_accuracy",
     "ParametricInclusion", "DriftExtremizer",
     # bounds
     "uncertain_envelope", "differential_hull_bounds",
     "extremal_trajectory", "pontryagin_transient_bounds",
-    "switching_times", "switching_times_from_costate",
-    "reachable_polytope_2d", "template_reachable_bounds",
+    "switching_times_from_costate", "template_reachable_bounds",
     "TemplatePolytope", "box_directions", "octagon_directions",
     # steady state
     "birkhoff_centre_2d", "uncertain_fixed_points", "hull_steady_rectangle",

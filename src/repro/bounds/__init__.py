@@ -27,9 +27,7 @@ from repro.bounds.pontryagin import (
     extremal_trajectories_batch,
     extremal_trajectory,
     pontryagin_transient_bounds,
-    reachable_polytope_2d,
     switching_function,
-    switching_times,
     switching_times_from_costate,
 )
 from repro.bounds.sweep import UncertainEnvelope, uncertain_envelope
@@ -49,8 +47,6 @@ __all__ = [
     "extremal_trajectory",
     "extremal_trajectories_batch",
     "pontryagin_transient_bounds",
-    "reachable_polytope_2d",
-    "switching_times",
     "switching_function",
     "switching_times_from_costate",
     "PontryaginResult",

@@ -15,18 +15,17 @@ ODEs:
 (Theorem 4 of the paper, after Ramdani et al. / Tschaikowski &
 Tribastone).  The inner extremisation over ``theta`` is exact through the
 :class:`~repro.inclusion.DriftExtremizer`; the extremisation over the box
-slice in ``x`` is performed over the slice corners plus an optional
-interior grid, with an optional L-BFGS-B polish.  For rate functions
+slice in ``x`` is performed over the slice corners.  For rate functions
 monotone in each coordinate — all models in the paper — the slice optimum
-is attained at a corner, so the default is exact.
+is attained at a corner, so the corner extremisation is exact; for rates
+that are not, it can miss an interior optimum.
 
 The hull is sound but can be arbitrarily loose: the two bounding
 trajectories follow *different* velocity selections in each coordinate,
 so they may leave the physical state space entirely.  Figure 4 of the
 paper shows exactly this (``X_I`` bounds reaching 1.17 for
 ``theta_max = 5`` and the vacuous ``[0, 1]`` for ``theta_max = 6``); the
-raw (unclipped) bounds are what this module returns, with
-:meth:`HullBounds.clipped` available for presentation.
+raw (unclipped) bounds are what this module returns.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import minimize
 
 from repro import telemetry
 from repro.inclusion import DriftExtremizer
@@ -75,60 +73,6 @@ class HullBounds:
             and self.upper[at_index, index] >= state_upper
         )
 
-    def clipped(self, state_lower, state_upper) -> "HullBounds":
-        """Intersect the hull with static state bounds (presentation only)."""
-        lo = np.asarray(state_lower, dtype=float)
-        hi = np.asarray(state_upper, dtype=float)
-        return HullBounds(
-            times=self.times.copy(),
-            lower=np.clip(self.lower, lo, hi),
-            upper=np.clip(self.upper, lo, hi),
-            state_names=self.state_names,
-        )
-
-    def observable_bounds(self, weights) -> Tuple[np.ndarray, np.ndarray]:
-        """Interval bounds of a linear observable ``w . x`` over time.
-
-        Uses interval arithmetic: each weight contributes its
-        sign-matching hull side.  The matmuls only see the columns whose
-        weight actually has the matching sign: a diverged hull carries
-        ``±inf`` bounds, and the zero entries of the sign-split weight
-        vectors would otherwise poison every diverged row with
-        ``inf * 0 = NaN`` (and a ``RuntimeWarning``).  With the masks,
-        diverged rows honestly report ``(-inf, +inf)``.
-        """
-        w = np.asarray(weights, dtype=float)
-        positive = w > 0.0
-        negative = w < 0.0
-        lo = (self.lower[:, positive] @ w[positive]
-              + self.upper[:, negative] @ w[negative])
-        hi = (self.upper[:, positive] @ w[positive]
-              + self.lower[:, negative] @ w[negative])
-        return lo, hi
-
-
-def _slice_candidates(lower: np.ndarray, upper: np.ndarray, pin_index: int,
-                      pin_value: float, samples_per_axis: int) -> np.ndarray:
-    """Points of the box ``[lower, upper]`` with coordinate ``pin_index`` pinned.
-
-    Enumerates the corners of the (d-1)-dimensional slice, plus an
-    interior grid when ``samples_per_axis > 2``.
-    """
-    d = lower.shape[0]
-    axes = []
-    for j in range(d):
-        if j == pin_index:
-            axes.append(np.array([pin_value]))
-            continue
-        lo, hi = lower[j], upper[j]
-        if hi <= lo:
-            axes.append(np.array([lo]))
-        elif samples_per_axis <= 2:
-            axes.append(np.array([lo, hi]))
-        else:
-            axes.append(np.linspace(lo, hi, samples_per_axis))
-    return np.array(list(itertools.product(*axes)))
-
 
 def _corner_masks(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Precomputed slice-corner structure for the batched hull RHS.
@@ -156,12 +100,7 @@ def _corner_masks(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return masks, lo_sel, hi_sel
 
 
-def hull_vector_field(
-    model,
-    x_samples_per_axis: int = 2,
-    refine: bool = False,
-    theta_method: str = "auto",
-):
+def hull_vector_field(model, theta_method: str = "auto"):
     """The autonomous hull pair field ``(t, z) -> dz`` on ``z = (xlo, xhi)``.
 
     This is the right-hand side :func:`differential_hull_bounds`
@@ -172,51 +111,17 @@ def hull_vector_field(
     """
     d = model.dim
     extremizer = DriftExtremizer(model, method=theta_method)
-
-    use_masks = x_samples_per_axis <= 2
-    if use_masks:
-        corner_bits, lo_sel, hi_sel = _corner_masks(d)
-        columns = np.arange(d)[:, None]
+    corner_bits, lo_sel, hi_sel = _corner_masks(d)
+    columns = np.arange(d)[:, None]
 
     def hull_field(t, z):
         lower, upper = z[:d], z[d:]
         # Keep the slice box well-ordered under round-off.
         upper = np.maximum(upper, lower)
-        if use_masks:
-            corners = np.where(corner_bits, upper[None, :], lower[None, :])
-            env_lo, env_hi = extremizer.velocity_envelope_batch(corners)
-            dlo = env_lo[lo_sel, columns].min(axis=1)
-            dhi = env_hi[hi_sel, columns].max(axis=1)
-        else:
-            blocks = []
-            probes = []
-            sizes = []
-            for i in range(d):
-                e = np.zeros(d)
-                e[i] = 1.0
-                for pin, sign in ((lower[i], -1.0), (upper[i], 1.0)):
-                    pts = _slice_candidates(lower, upper, i, pin,
-                                            x_samples_per_axis)
-                    blocks.append(pts)
-                    probes.append(np.tile(sign * e, (pts.shape[0], 1)))
-                    sizes.append(pts.shape[0])
-            values = extremizer.support_batch(np.vstack(blocks),
-                                              np.vstack(probes))
-            splits = np.split(values, np.cumsum(sizes)[:-1])
-            dlo = np.array([-splits[2 * i].max() for i in range(d)])
-            dhi = np.array([splits[2 * i + 1].max() for i in range(d)])
-        if refine:
-            for i in range(d):
-                dlo[i] = min(
-                    dlo[i],
-                    _refined_extremum(extremizer, lower, upper, i, lower[i],
-                                      minimise=True),
-                )
-                dhi[i] = max(
-                    dhi[i],
-                    _refined_extremum(extremizer, lower, upper, i, upper[i],
-                                      minimise=False),
-                )
+        corners = np.where(corner_bits, upper[None, :], lower[None, :])
+        env_lo, env_hi = extremizer.velocity_envelope_batch(corners)
+        dlo = env_lo[lo_sel, columns].min(axis=1)
+        dhi = env_hi[hi_sel, columns].max(axis=1)
         return np.concatenate([dlo, dhi])
 
     return hull_field
@@ -226,8 +131,6 @@ def differential_hull_bounds(
     model,
     x0,
     t_eval,
-    x_samples_per_axis: int = 2,
-    refine: bool = False,
     theta_method: str = "auto",
     rtol: float = 1e-7,
     atol: float = 1e-9,
@@ -244,13 +147,8 @@ def differential_hull_bounds(
         Initial state; the hull starts from the degenerate rectangle
         ``[x0, x0]``.
     t_eval:
-        Output time grid.
-    x_samples_per_axis:
-        Sampling of each free coordinate of the box slice during the
-        inner extremisation (2 = corners only, exact for monotone rates).
-    refine:
-        Polish each slice extremum with a bounded L-BFGS-B run; only
-        useful for rates that are non-monotone in the state.
+        Output time grid: a 1-D array of at least two finite, strictly
+        increasing times (anything else raises ``ValueError``).
     theta_method:
         Extremiser strategy over ``Theta`` (see
         :class:`~repro.inclusion.DriftExtremizer`).
@@ -262,22 +160,23 @@ def differential_hull_bounds(
         ``-inf`` / ``+inf``, which is the honest reading of a diverged
         hull.
 
-    The RHS goes through the batched extremiser: with corner sampling
-    the slice-corner masks are precomputed once and every evaluation
-    issues a *single*
+    The RHS goes through the batched extremiser: the slice-corner masks
+    are precomputed once and every evaluation issues a *single*
     :meth:`~repro.inclusion.DriftExtremizer.velocity_envelope_batch`
     call over the ``2^d`` rectangle corners, instead of ``O(d 2^(d-1))``
     Python-level extremisations.
     """
     t_eval = np.asarray(t_eval, dtype=float)
+    if (t_eval.ndim != 1 or t_eval.shape[0] < 2
+            or not np.all(np.isfinite(t_eval))
+            or not np.all(np.diff(t_eval) > 0.0)):
+        raise ValueError(
+            "t_eval must be a 1-D grid of at least 2 finite, strictly "
+            f"increasing times, got {t_eval.tolist()}"
+        )
     x0 = np.asarray(x0, dtype=float)
     d = model.dim
-    hull_field = hull_vector_field(
-        model,
-        x_samples_per_axis=x_samples_per_axis,
-        refine=refine,
-        theta_method=theta_method,
-    )
+    hull_field = hull_vector_field(model, theta_method=theta_method)
 
     z0 = np.concatenate([x0, x0])
 
@@ -312,32 +211,3 @@ def differential_hull_bounds(
         upper=upper,
         state_names=model.state_names,
     )
-
-
-def _refined_extremum(extremizer: DriftExtremizer, lower, upper, pin_index,
-                      pin_value, minimise: bool) -> float:
-    """L-BFGS-B polish of the slice extremisation (free coordinates only)."""
-    d = lower.shape[0]
-    free = [j for j in range(d) if j != pin_index]
-    if not free:
-        value = extremizer.coordinate_range(
-            np.array([pin_value]), pin_index
-        )
-        return value[0] if minimise else value[1]
-
-    def assemble(free_values):
-        x = np.empty(d)
-        x[pin_index] = pin_value
-        x[free] = free_values
-        return x
-
-    def objective(free_values):
-        x = assemble(free_values)
-        lo, hi = extremizer.coordinate_range(x, pin_index)
-        return lo if minimise else -hi
-
-    start = np.array([0.5 * (lower[j] + upper[j]) for j in free])
-    bounds = [(lower[j], upper[j]) for j in free]
-    result = minimize(objective, start, method="L-BFGS-B", bounds=bounds)
-    value = float(result.fun)
-    return value if minimise else -value

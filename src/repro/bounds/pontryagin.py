@@ -42,9 +42,10 @@ the exact Kolmogorov reward bounds of :mod:`repro.ctmc` run.
 
 :func:`pontryagin_transient_bounds` evaluates the bounds over a grid of
 horizons (the curves of Figures 1 and 7), running every (observable,
-side, horizon) sweep as one lane of :func:`extremal_trajectories_batch`.
-:func:`reachable_polytope_2d` assembles the convex template polyhedron of
-the remark in Section IV-C.
+side, horizon) sweep as one lane of :func:`extremal_trajectories_batch`;
+:func:`switching_times_from_costate` reads the bang-bang switches of
+Figure 2 off the costate.  The convex template polyhedron of the remark
+in Section IV-C is :func:`repro.bounds.template_reachable_bounds`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.inclusion import DriftExtremizer
-from repro.ode import Trajectory, pad_grids, rk4_integrate_controlled_batch
+from repro.ode import pad_grids, rk4_integrate_controlled_batch
 
 __all__ = [
     "PontryaginResult",
@@ -66,8 +67,6 @@ __all__ = [
     "extremal_trajectory",
     "extremal_trajectories_batch",
     "pontryagin_transient_bounds",
-    "switching_times",
-    "reachable_polytope_2d",
 ]
 
 
@@ -103,11 +102,6 @@ class PontryaginResult:
     value: float
     converged: bool
     iterations: int
-
-    @property
-    def trajectory(self) -> Trajectory:
-        """The extremal state trajectory."""
-        return Trajectory(self.times, self.states)
 
     def control_at(self, t: float) -> np.ndarray:
         """The parameter applied at time ``t`` (left-continuous lookup).
@@ -871,58 +865,6 @@ def _pontryagin_transient_bounds_impl(
 pontryagin_transient_bounds.__doc__ = _pontryagin_transient_bounds_impl.__doc__
 
 
-def switching_times(result: PontryaginResult, param_index: int = 0,
-                    atol: float = 1e-9, min_dwell: float = 0.0) -> List[float]:
-    """Times where the extremal control switches value (bang-bang knots).
-
-    Returns the left grid times of the intervals where parameter
-    coordinate ``param_index`` changes; Figure 2's commentary (switch at
-    ``t ~ 2.25`` for the maximising control) is recovered this way.
-
-    ``min_dwell`` consolidates numerical chattering: near a switching
-    time the Hamiltonian's switching function is close to zero and the
-    discrete control can flip back and forth across a few cells without
-    affecting the objective.  Segments shorter than ``min_dwell`` are
-    merged into their predecessor before switches are read off, so only
-    the macroscopic bang-bang structure is reported.
-    """
-    signal = result.controls[:, param_index]
-    times = result.times
-    if min_dwell <= 0.0:
-        jumps = np.nonzero(np.abs(np.diff(signal)) > atol)[0]
-        return [float(times[j + 1]) for j in jumps]
-    # Build (value, t_start, t_end) segments of the piecewise signal.
-    segments: List[List[float]] = []
-    for i, value in enumerate(signal):
-        if segments and abs(value - segments[-1][0]) <= atol:
-            segments[-1][2] = times[i + 1]
-        else:
-            segments.append([float(value), float(times[i]), float(times[i + 1])])
-    # Merge short segments into their predecessor until all dwell times
-    # are macroscopic (the first segment merges forward instead).
-    changed = True
-    while changed and len(segments) > 1:
-        changed = False
-        for k, seg in enumerate(segments):
-            if seg[2] - seg[1] >= min_dwell:
-                continue
-            if k == 0:
-                segments[1][1] = seg[1]
-            else:
-                segments[k - 1][2] = seg[2]
-            del segments[k]
-            changed = True
-            break
-    # Re-merge neighbours that ended up with equal values.
-    merged: List[List[float]] = []
-    for seg in segments:
-        if merged and abs(seg[0] - merged[-1][0]) <= atol:
-            merged[-1][2] = seg[2]
-        else:
-            merged.append(seg)
-    return [float(seg[1]) for seg in merged[1:]]
-
-
 def switching_function(result: PontryaginResult, model,
                        param_index: int = 0) -> np.ndarray:
     """The Hamiltonian switching function ``sigma_k(t) = p(t) . G(x(t))_k``.
@@ -962,49 +904,3 @@ def switching_times_from_costate(result: PontryaginResult, model,
             t_root = times[i] + (times[i + 1] - times[i]) * a / (a - b)
             roots.append(float(t_root))
     return roots
-
-
-def reachable_polytope_2d(
-    model,
-    x0,
-    horizon: float,
-    n_directions: int = 16,
-    n_steps: int = 300,
-    max_iter: int = 100,
-    extremizer: Optional[DriftExtremizer] = None,
-) -> np.ndarray:
-    """Convex template over-approximation of the reachable set at ``T``.
-
-    Runs one Pontryagin sweep per template direction ``c_k`` on the unit
-    circle — all of them as lanes of one
-    :func:`extremal_trajectories_batch` call — and intersects the
-    halfspaces ``c_k . x <= h_k`` — the
-    "convex template polyhedron" refinement noted at the end of
-    Section IV-C.  Returns the polygon vertices (CCW).  Only implemented
-    for 2-D models.
-    """
-    if model.dim != 2:
-        raise ValueError("template polytopes are implemented for 2-D models")
-    if n_directions < 3:
-        raise ValueError("need at least 3 template directions")
-    angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
-    normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    results = extremal_trajectories_batch(
-        model, x0, [(c, True, horizon, n_steps) for c in normals],
-        max_iter=max_iter, extremizer=extremizer,
-    )
-    offsets = np.array([result.value for result in results])
-    # Vertices of the halfspace intersection: adjacent constraint pairs.
-    vertices = []
-    for k in range(n_directions):
-        a1, b1 = normals[k], offsets[k]
-        a2, b2 = normals[(k + 1) % n_directions], offsets[(k + 1) % n_directions]
-        matrix = np.array([a1, a2])
-        det = np.linalg.det(matrix)
-        if abs(det) < 1e-12:
-            continue
-        vertex = np.linalg.solve(matrix, np.array([b1, b2]))
-        # Keep only vertices satisfying all constraints (non-redundant).
-        if np.all(normals @ vertex <= offsets + 1e-7):
-            vertices.append(vertex)
-    return np.array(vertices)

@@ -4,9 +4,7 @@ The remark closing Section IV-C: the Pontryagin iteration extends from
 coordinate bounds to any **convex template polyhedron** — pick a set of
 directions ``c_k``, compute ``h_k = max c_k . x(T)`` with one sweep per
 direction, and intersect the halfspaces ``c_k . x <= h_k``.  This module
-provides that machinery for models of any dimension (the 2-D
-vertex-enumeration convenience lives in
-:func:`repro.bounds.reachable_polytope_2d`):
+provides that machinery for models of any dimension:
 
 - :class:`TemplatePolytope` — a halfspace intersection with membership,
   support and box-projection queries;

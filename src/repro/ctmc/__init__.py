@@ -6,9 +6,7 @@ Definition 1 can be analysed exactly:
 - :func:`enumerate_lattice` — breadth-first enumeration of the reachable
   count lattice of a :class:`~repro.population.FinitePopulation`.
 - :class:`ImpreciseCTMC` — the explicit chain: parametrised generator
-  matrices ``Q(theta)`` (with their affine-in-theta decomposition),
-  transient distributions by uniformization or matrix exponential, and
-  stationary distributions by linear solve.
+  matrices ``Q(theta)`` with their affine-in-theta decomposition.
 - :mod:`repro.ctmc.kolmogorov` — the imprecise Kolmogorov equations
   (Eq. 2): the probability mass evolves in the *linear* differential
   inclusion ``P' in {Q(theta)^T P}``, so the same Pontryagin sweep that

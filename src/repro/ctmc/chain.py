@@ -1,13 +1,12 @@
 """Explicit finite imprecise CTMCs.
 
 :class:`ImpreciseCTMC` materialises the chain of Definition 1 for an
-enumerable population: generator matrices ``Q(theta)``, transient
-distributions (uniformization and matrix-exponential solvers) and
-stationary distributions.  The affine-in-theta decomposition
-``Q(theta) = Q_0 + sum_k theta_k Q_k`` is extracted automatically when
-the underlying rate functions are affine in ``theta`` (verified by
-residual check), which is what the imprecise Kolmogorov machinery in
-:mod:`repro.ctmc.kolmogorov` builds on.
+enumerable population: its states and generator matrices ``Q(theta)``.
+The affine-in-theta decomposition ``Q(theta) = Q_0 + sum_k theta_k Q_k``
+is extracted automatically when the underlying rate functions are affine
+in ``theta`` (verified by residual check), which is what the imprecise
+Kolmogorov machinery in :mod:`repro.ctmc.kolmogorov` and the interval
+DTMC of :mod:`repro.ctmc.interval_dtmc` build on.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from repro.ctmc.enumeration import enumerate_lattice
 from repro.population import FinitePopulation
@@ -53,13 +51,6 @@ class ImpreciseCTMC:
         p0 = np.zeros(self.n_states)
         p0[0] = 1.0
         return p0
-
-    def state_row(self, counts) -> int:
-        """Row index of a count vector."""
-        key = tuple(int(v) for v in counts)
-        if key not in self.index:
-            raise KeyError(f"state {key} is not reachable")
-        return self.index[key]
 
     def densities(self) -> np.ndarray:
         """Normalised states, shape ``(n_states, d)``."""
@@ -159,88 +150,6 @@ class ImpreciseCTMC:
             )
         self._affine_cache = (q0, parts)
         return self._affine_cache
-
-    # ------------------------------------------------------------------
-    # Transient analysis (precise theta)
-    # ------------------------------------------------------------------
-
-    def transient_distribution(self, theta, t: float,
-                               p0: Optional[np.ndarray] = None,
-                               method: str = "expm") -> np.ndarray:
-        """Distribution at time ``t`` under a constant parameter.
-
-        ``method="expm"`` uses scipy's Krylov ``expm_multiply``;
-        ``method="uniformization"`` uses the Poisson-weighted power
-        series, a second implementation kept as a cross-check.
-        """
-        if t < 0:
-            raise ValueError("t must be non-negative")
-        p0 = self.initial_distribution if p0 is None else np.asarray(p0, float)
-        if abs(p0.sum() - 1.0) > 1e-9 or np.any(p0 < -1e-12):
-            raise ValueError("p0 must be a probability distribution")
-        if t == 0:
-            return p0.copy()
-        q = self.generator(theta)
-        if method == "expm":
-            return expm_multiply(q.T * t, p0)
-        if method == "uniformization":
-            return self._uniformization(q, p0, t)
-        raise ValueError(f"unknown method {method!r}")
-
-    @staticmethod
-    def _uniformization(q: sparse.csr_matrix, p0: np.ndarray, t: float,
-                        tol: float = 1e-12) -> np.ndarray:
-        """Uniformization: ``P(t) = sum_k Poisson(k; Lt) (I + Q/L)^k p0``."""
-        rate = float(-q.diagonal().min())
-        if rate <= 0.0:
-            return p0.copy()
-        lam = 1.05 * rate
-        transition = sparse.identity(q.shape[0], format="csr") + q / lam
-        # Number of terms: mean + wide safety band (Poisson tail bound).
-        mean = lam * t
-        n_terms = int(np.ceil(mean + 10.0 * np.sqrt(mean + 1.0) + 10.0))
-        weight = np.exp(-mean)
-        vec = p0.copy()
-        result = weight * vec
-        accumulated = weight
-        for k in range(1, n_terms + 1):
-            vec = transition.T @ vec
-            weight *= mean / k
-            result += weight * vec
-            accumulated += weight
-            if 1.0 - accumulated < tol:
-                break
-        return result
-
-    # ------------------------------------------------------------------
-    # Stationary analysis (precise theta)
-    # ------------------------------------------------------------------
-
-    def stationary_distribution(self, theta) -> np.ndarray:
-        """Stationary distribution ``pi Q = 0`` (dense solve).
-
-        Requires the chain to have a unique stationary distribution on
-        the enumerated lattice (irreducibility over the reachable set);
-        the normalisation-augmented least-squares solve will surface a
-        warning residual otherwise.
-        """
-        q = self.generator(theta).toarray()
-        n = q.shape[0]
-        # Solve pi Q = 0 with sum(pi) = 1: replace one balance equation.
-        a = np.vstack([q.T, np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        pi, residual, _, _ = np.linalg.lstsq(a, b, rcond=None)
-        pi = np.maximum(pi, 0.0)
-        total = pi.sum()
-        if total <= 0:
-            raise RuntimeError("stationary solve produced a zero vector")
-        return pi / total
-
-    def expected_observable(self, distribution: np.ndarray, weights) -> float:
-        """Expectation of a linear state observable under a distribution."""
-        values = self.densities() @ np.asarray(weights, dtype=float)
-        return float(distribution @ values)
 
     def __repr__(self) -> str:
         return (

@@ -12,24 +12,16 @@ machinery that construction needs:
   also work for non-convex polygons (used in tests and diagnostics).
 """
 
-from repro.geometry.clip import clip_convex, intersection_area, overlap_metrics
 from repro.geometry.polygon import (
     ConvexPolygon,
     convex_hull,
     point_in_polygon,
     polygon_area,
-    polygon_centroid,
-    segment_midpoints,
 )
 
 __all__ = [
     "convex_hull",
     "ConvexPolygon",
     "polygon_area",
-    "polygon_centroid",
     "point_in_polygon",
-    "segment_midpoints",
-    "clip_convex",
-    "intersection_area",
-    "overlap_metrics",
 ]

@@ -15,9 +15,7 @@ import numpy as np
 __all__ = [
     "convex_hull",
     "polygon_area",
-    "polygon_centroid",
     "point_in_polygon",
-    "segment_midpoints",
     "ConvexPolygon",
 ]
 
@@ -119,20 +117,6 @@ def polygon_area(vertices) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygon_centroid(vertices) -> np.ndarray:
-    """Centroid of a polygon; falls back to the vertex mean when degenerate."""
-    verts = np.asarray(vertices, dtype=float)
-    area = polygon_area(verts)
-    if abs(area) < 1e-15:
-        return verts.mean(axis=0)
-    x, y = verts[:, 0], verts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
-    return np.array([cx, cy])
-
-
 def point_in_polygon(point, vertices, tol: float = 1e-12) -> bool:
     """Ray-casting membership test; boundary points count as inside.
 
@@ -172,12 +156,6 @@ def point_in_polygon(point, vertices, tol: float = 1e-12) -> bool:
     return inside
 
 
-def segment_midpoints(vertices) -> np.ndarray:
-    """Midpoints of the edges of a closed polygon, shape ``(n, 2)``."""
-    verts = np.asarray(vertices, dtype=float)
-    return 0.5 * (verts + np.roll(verts, -1, axis=0))
-
-
 class ConvexPolygon:
     """A convex region of the plane, stored as CCW hull vertices.
 
@@ -205,10 +183,6 @@ class ConvexPolygon:
     def area(self) -> float:
         """Area of the region (always positive: vertices are CCW)."""
         return polygon_area(self.vertices)
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return polygon_centroid(self.vertices)
 
     def contains(self, point, tol: float = 1e-9) -> bool:
         """Membership with a tolerance measured as distance to the region."""

@@ -7,23 +7,16 @@ differential inclusion whose right-hand side is the *parametric* family
 - :class:`DriftExtremizer` — extremises linear functionals of the drift
   over ``Theta`` (the primitive every numerical method reduces to), with
   a closed-form bang-bang fast path for affine-in-theta models and a
-  corner/grid/refined fallback otherwise.
-- :class:`ParametricInclusion` — the inclusion object: support functions,
-  velocity envelopes, solutions under explicit parameter signals
-  (constant, piecewise-constant, or state-feedback selections).
-- :func:`euler_selection_solve` — a one-step-selection Euler scheme that
-  follows an arbitrary measurable selector, used to produce *witness*
-  solutions of the inclusion.
+  corner/grid fallback otherwise.
+- :class:`ParametricInclusion` — the inclusion object: witness solutions
+  under state-feedback selections, among them the greedy extreme-velocity
+  solution the Pontryagin ablation compares against.
 """
 
 from repro.inclusion.extremizers import DriftExtremizer
-from repro.inclusion.parametric import (
-    ParametricInclusion,
-    euler_selection_solve,
-)
+from repro.inclusion.parametric import ParametricInclusion
 
 __all__ = [
     "DriftExtremizer",
     "ParametricInclusion",
-    "euler_selection_solve",
 ]

@@ -16,9 +16,8 @@ and the Hamiltonian maximiser of the Pontryagin sweep, Eq. 8).  The
 - ``"corners"``: evaluate the corners of ``Theta`` only.  Exact for
   affine models (where the optimum sits at a corner), an approximation
   otherwise.
-- ``"grid"``: evaluate a uniform grid (plus corners), optionally followed
-  by a local L-BFGS-B refinement (``refine=True``).  The general-purpose
-  fallback for non-affine dependence.
+- ``"grid"``: evaluate a uniform grid (plus corners).  The
+  general-purpose fallback for non-affine dependence.
 
 ``method="auto"`` picks ``"affine"`` when the model declares the
 decomposition and ``"grid"`` otherwise.
@@ -55,7 +54,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.params import Box, DiscreteSet, Interval
 
@@ -75,13 +73,9 @@ class DriftExtremizer:
         One of ``"auto"``, ``"affine"``, ``"corners"``, ``"grid"``.
     grid_resolution:
         Points per parameter axis for the ``"grid"`` strategy.
-    refine:
-        Whether the grid strategy polishes its best point with a bounded
-        L-BFGS-B run (only meaningful for non-affine models).
     """
 
-    def __init__(self, model, method: str = "auto", grid_resolution: int = 9,
-                 refine: bool = False):
+    def __init__(self, model, method: str = "auto", grid_resolution: int = 9):
         if method not in _VALID_METHODS:
             raise ValueError(f"method must be one of {_VALID_METHODS}, got {method!r}")
         if grid_resolution < 2:
@@ -98,7 +92,6 @@ class DriftExtremizer:
             raise ValueError("affine strategy needs a box, interval or discrete Theta")
         self.method = method
         self.grid_resolution = int(grid_resolution)
-        self.refine = bool(refine)
         self._cached_grid: Optional[np.ndarray] = None
         # The box bounds are immutable per extremizer; materialise them
         # once so the bang-bang kernel does no per-call allocation.
@@ -124,15 +117,6 @@ class DriftExtremizer:
         thetas, values = self.maximize_direction_batch(x[None, :],
                                                        direction[None, :])
         return thetas[0], float(values[0])
-
-    def minimize_direction(self, x, direction) -> Tuple[np.ndarray, float]:
-        """Return ``(theta*, value)`` minimising ``direction . f(x, theta)``."""
-        theta, value = self.maximize_direction(x, -np.asarray(direction, dtype=float))
-        return theta, -value
-
-    def support(self, x, direction) -> float:
-        """The support function ``h(x, p) = max_theta p . f(x, theta)``."""
-        return self.maximize_direction(x, direction)[1]
 
     # ------------------------------------------------------------------
     # Batched primitives (the hot path of every bound computation)
@@ -168,35 +152,12 @@ class DriftExtremizer:
             return self._maximize_enumerate_batch(
                 states, directions, self.model.theta_set.corners()
             )
-        return self._maximize_grid_batch(states, directions)
-
-    def minimize_direction_batch(self, states, directions
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Row-wise minimisers: ``(thetas, values)`` minimising each row."""
-        directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        thetas, values = self.maximize_direction_batch(states, -directions)
-        return thetas, -values
+        return self._maximize_enumerate_batch(states, directions,
+                                              self._theta_grid())
 
     def support_batch(self, states, directions) -> np.ndarray:
         """Support values ``h(x_r, p_r)`` for a stack, shape ``(n,)``."""
         return self.maximize_direction_batch(states, directions)[1]
-
-    def coordinate_range_batch(self, states, index: int
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Range of drift coordinate ``index`` per row: ``(lower, upper)``.
-
-        Equivalent to calling :meth:`coordinate_range` on each row;
-        both extremisations of the whole stack are answered by a single
-        doubled batch call.
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        n = states.shape[0]
-        e = np.zeros((n, states.shape[1]))
-        e[:, index] = 1.0
-        values = self.support_batch(
-            np.concatenate([states, states]), np.concatenate([e, -e])
-        )
-        return -values[n:], values[:n]
 
     def velocity_envelope_batch(self, states
                                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -250,19 +211,6 @@ class DriftExtremizer:
         _, lower_neg = self.maximize_direction(x, -direction)
         return -lower_neg, upper
 
-    def velocity_envelope(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """Coordinate-wise bounds of ``F(x)``: arrays ``(f_min, f_max)``.
-
-        This is the tight rectangular enclosure of the velocity set used
-        by the differential-hull construction (with the state part of the
-        extremisation handled separately by the hull).  Delegates to
-        :meth:`velocity_envelope_batch` with a one-row stack.
-        """
-        lower, upper = self.velocity_envelope_batch(
-            np.asarray(x, dtype=float)[None, :]
-        )
-        return lower[0], upper[0]
-
     # ------------------------------------------------------------------
     # Batched strategies
     # ------------------------------------------------------------------
@@ -298,19 +246,6 @@ class DriftExtremizer:
         thetas = candidates[best].copy()
         return thetas, values[np.arange(n), best]
 
-    def _maximize_grid_batch(self, states, directions
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-        thetas, values = self._maximize_enumerate_batch(
-            states, directions, self._theta_grid()
-        )
-        if not self.refine or isinstance(self.model.theta_set, DiscreteSet):
-            return thetas, values
-        for r in range(states.shape[0]):
-            thetas[r], values[r] = self._polish(
-                states[r], directions[r], thetas[r], values[r]
-            )
-        return thetas, values
-
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
@@ -327,19 +262,3 @@ class DriftExtremizer:
             corners = self.model.theta_set.corners()
             self._cached_grid = np.vstack([grid, corners])
         return self._cached_grid
-
-    def _polish(self, x, direction, theta, value) -> Tuple[np.ndarray, float]:
-        """Shared L-BFGS-B refinement step of the grid strategy."""
-        lowers, uppers = self._box_bounds(self.model.theta_set)
-        objective = lambda th: -float(  # noqa: E731 - tiny adapter
-            direction @ self.model.drift(x, th)
-        )
-        result = minimize(
-            objective,
-            theta,
-            method="L-BFGS-B",
-            bounds=list(zip(lowers, uppers)),
-        )
-        if result.success and -result.fun > value:
-            return np.asarray(result.x, dtype=float), float(-result.fun)
-        return theta, value

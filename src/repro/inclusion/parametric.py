@@ -9,21 +9,21 @@ mean-field limit of Theorem 1:
 The set ``F(x)`` is never materialised; all queries go through the model
 drift and the :class:`~repro.inclusion.extremizers.DriftExtremizer`.
 Witness solutions (elements of the solution set ``S_{F, x0}``) are
-produced by following explicit parameter signals — constant parameters,
-piecewise-constant schedules, or state-feedback selectors — which is
-exactly how the paper produces the trajectories of Figures 2 and 6.
+produced by following state-feedback selectors ``theta = g(t, x)`` —
+which covers replaying a time signal, such as the extremal control of
+Figure 2, through a selector that ignores the state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.inclusion.extremizers import DriftExtremizer
-from repro.ode import Trajectory, rk4_integrate, rk4_step, solve_ode
+from repro.ode import Trajectory, rk4_step
 
-__all__ = ["ParametricInclusion", "euler_selection_solve"]
+__all__ = ["ParametricInclusion"]
 
 
 class ParametricInclusion:
@@ -42,110 +42,6 @@ class ParametricInclusion:
     def __init__(self, model, extremizer: Optional[DriftExtremizer] = None):
         self.model = model
         self.extremizer = extremizer or DriftExtremizer(model)
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
-
-    # ------------------------------------------------------------------
-    # Set-valued right-hand side queries
-    # ------------------------------------------------------------------
-
-    def velocity(self, x, theta) -> np.ndarray:
-        """One element of ``F(x)``: the drift at an admissible ``theta``."""
-        theta = np.asarray(theta, dtype=float)
-        if not self.model.theta_set.contains(theta, tol=1e-9):
-            raise ValueError(f"theta {theta.tolist()} is outside Theta")
-        return self.model.drift(x, theta)
-
-    def support(self, x, direction) -> float:
-        """Support function ``h(x, p) = max_{v in F(x)} p . v``."""
-        return self.extremizer.support(x, direction)
-
-    def velocity_envelope(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """Coordinate-wise min/max of ``F(x)``.
-
-        Delegates to the extremiser, which answers all ``2 d``
-        extremisations through one batched envelope evaluation.
-        """
-        return self.extremizer.velocity_envelope(x)
-
-    def velocity_envelope_batch(self, states) -> Tuple[np.ndarray, np.ndarray]:
-        """Coordinate-wise min/max of ``F(x_r)`` for an ``(n, d)`` stack."""
-        return self.extremizer.velocity_envelope_batch(states)
-
-    def contains_velocity(self, x, v, tol: float = 1e-9) -> bool:
-        """Whether ``v`` lies in the *convex hull* of ``F(x)``.
-
-        Checked through support functions along coordinate axes and
-        diagonal probe directions — a necessary condition that is also
-        sufficient when ``F(x)`` is convex (the mean-field limit takes the
-        convex closure of the velocity set, Eq. 4 of the paper).  All
-        probe directions are answered by a single batched support call.
-        """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        rng = np.random.default_rng(12345)
-        extra = rng.normal(size=(4 * self.dim, self.dim))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        directions = np.vstack([np.eye(self.dim), -np.eye(self.dim), extra])
-        supports = self.extremizer.support_batch(
-            np.tile(x, (directions.shape[0], 1)), directions
-        )
-        return bool(np.all(directions @ v <= supports + tol))
-
-    # ------------------------------------------------------------------
-    # Witness solutions
-    # ------------------------------------------------------------------
-
-    def solve_constant(self, theta, x0, t_span, t_eval=None,
-                       rtol: float = 1e-8, atol: float = 1e-10) -> Trajectory:
-        """Solution with a frozen parameter — the *uncertain* scenario.
-
-        Integrates the ODE ``x' = f(x, theta)`` (Corollary 1 of the
-        paper).
-        """
-        theta = np.asarray(theta, dtype=float)
-        if not self.model.theta_set.contains(theta, tol=1e-9):
-            raise ValueError(f"theta {theta.tolist()} is outside Theta")
-        return solve_ode(self.model.vector_field(theta), x0, t_span,
-                         t_eval=t_eval, rtol=rtol, atol=atol)
-
-    def solve_piecewise(self, schedule: Sequence[Tuple[float, np.ndarray]],
-                        x0, t_final: float, steps_per_unit: int = 200) -> Trajectory:
-        """Solution under a piecewise-constant parameter schedule.
-
-        ``schedule`` is a list of ``(start_time, theta)`` pairs sorted by
-        start time; each theta applies from its start time until the next
-        entry (the last one until ``t_final``).  This is how the bang-bang
-        trajectories of Figure 2 are re-simulated once their switching
-        times are known.
-        """
-        if not schedule:
-            raise ValueError("schedule must contain at least one (time, theta) pair")
-        starts = [float(s) for s, _ in schedule]
-        if starts != sorted(starts):
-            raise ValueError("schedule start times must be non-decreasing")
-        thetas = [np.asarray(th, dtype=float) for _, th in schedule]
-        for th in thetas:
-            if not self.model.theta_set.contains(th, tol=1e-9):
-                raise ValueError(f"theta {th.tolist()} is outside Theta")
-
-        pieces_t = [np.array([starts[0]])]
-        pieces_x = [np.asarray(x0, dtype=float)[None, :]]
-        x_current = np.asarray(x0, dtype=float)
-        for k, theta in enumerate(thetas):
-            t_start = starts[k]
-            t_end = starts[k + 1] if k + 1 < len(starts) else float(t_final)
-            if t_end <= t_start:
-                continue
-            n_steps = max(2, int(np.ceil((t_end - t_start) * steps_per_unit)))
-            grid = np.linspace(t_start, t_end, n_steps + 1)
-            piece = rk4_integrate(self.model.vector_field(theta), x_current, grid)
-            pieces_t.append(piece.times[1:])
-            pieces_x.append(piece.states[1:])
-            x_current = piece.final_state
-        return Trajectory(np.concatenate(pieces_t), np.vstack(pieces_x))
 
     def solve_feedback(self, selector: Callable, x0, t_span,
                        steps_per_unit: int = 400) -> Trajectory:
@@ -184,33 +80,3 @@ class ParametricInclusion:
             x, direction
         )[0]
         return self.solve_feedback(selector, x0, t_span, steps_per_unit=steps_per_unit)
-
-    def __repr__(self) -> str:
-        return f"ParametricInclusion({self.model.name!r}, dim={self.dim})"
-
-
-def euler_selection_solve(inclusion: ParametricInclusion, selector: Callable,
-                          x0, t_grid) -> Trajectory:
-    """Explicit-Euler solution following an arbitrary selection.
-
-    ``selector(t, x) -> theta`` chooses the parameter (and hence the
-    velocity ``f(x, theta) in F(x)``) at every grid point.  Euler with
-    one-step selections is the classical constructive scheme for
-    differential inclusions (Aubin & Cellina); it is first-order accurate
-    but places no continuity demands on the selector, so it doubles as
-    the reference implementation the RK4-based solvers are tested
-    against.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.shape[0] < 2:
-        raise ValueError("t_grid must be 1-D with at least two points")
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((t_grid.shape[0], x.shape[0]))
-    states[0] = x
-    for i in range(t_grid.shape[0] - 1):
-        theta = np.asarray(selector(t_grid[i], x), dtype=float)
-        theta = inclusion.model.theta_set.project(theta)
-        velocity = inclusion.model.drift(x, theta)
-        x = x + (t_grid[i + 1] - t_grid[i]) * velocity
-        states[i + 1] = x
-    return Trajectory(t_grid.copy(), states)

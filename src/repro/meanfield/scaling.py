@@ -13,7 +13,10 @@ closed-form expressions in ``N`` (jump norms are ``|change| / N`` and
 aggregate rates are ``N * rate``), but checking them *numerically* on the
 instantiated chains guards against mis-scaled rate functions — the most
 common modelling bug.  :func:`verify_population_scaling` probes states
-and parameter corners and reports the three supremum statistics per size.
+and parameter corners and reports the three supremum statistics per size;
+the conformance harness
+(:meth:`repro.testing.ScenarioConformance.check_population_scaling`) runs
+it on every catalog model.
 """
 
 from __future__ import annotations
@@ -103,6 +106,15 @@ def verify_population_scaling(
     states_per_axis:
         Grid resolution of the probed states per state coordinate (keep
         small for high-dimensional models: cost is ``per_axis ** dim``).
+
+    Each corner of ``Theta`` costs one
+    :meth:`~repro.population.PopulationModel.transition_rates_batch` and
+    one :meth:`~repro.population.PopulationModel.drift_batch` call over
+    the whole probe grid, with the sizes broadcast against the rates.  A
+    rate that is infinite at a probed state (say, one that blows up on
+    the boundary of the state box) is reported, not raised: its size's
+    ``max_exit_rate`` is ``inf`` and :meth:`ScalingReport.uniformizable`
+    fails.
     """
     sizes = sorted(int(n) for n in sizes)
     if len(sizes) < 2:
@@ -110,35 +122,33 @@ def verify_population_scaling(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     states = _probe_states(model, states_per_axis)
-    corners = model.theta_set.corners()
-    report = ScalingReport(model_name=model.name, epsilon=float(epsilon))
-
-    change_norms = np.array(
-        [float(np.linalg.norm(tr.change)) for tr in model.transitions]
+    n = np.array(sizes, dtype=float)[:, None, None]
+    change_norms = np.linalg.norm(
+        np.array([tr.change for tr in model.transitions]), axis=1
     )
-    for n in sizes:
-        max_exit = 0.0
-        max_jump_moment = 0.0
-        max_drift = 0.0
-        for theta in corners:
-            for x in states:
-                rates = model.transition_rates(x, theta)
-                # Aggregate exit rate of the size-n chain at this state.
-                max_exit = max(max_exit, n * float(np.sum(rates)))
-                # sum_y Q_xy |y - x|^(1+eps) with |y - x| = |change| / n.
-                moment = float(
-                    np.sum(n * rates * (change_norms / n) ** (1.0 + epsilon))
-                )
-                max_jump_moment = max(max_jump_moment, moment)
-                max_drift = max(
-                    max_drift, float(np.linalg.norm(model.drift(x, theta)))
-                )
+    # sum_y Q_xy |y - x|^(1+eps) with |y - x| = |change| / n.
+    jump_weights = (change_norms / n) ** (1.0 + epsilon)
+    max_exit = np.zeros(len(sizes))
+    max_jump_moment = np.zeros(len(sizes))
+    max_drift = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for theta in model.theta_set.corners():
+            rates = model.transition_rates_batch(states, theta)
+            # Aggregate exit rate of the size-n chain at each probe state.
+            exits = n[:, :, 0] * rates.sum(axis=1)
+            moments = np.sum(n * rates * jump_weights, axis=2)
+            drifts = np.linalg.norm(model.drift_batch(states, theta), axis=1)
+            max_exit = np.maximum(max_exit, exits.max(axis=1))
+            max_jump_moment = np.maximum(max_jump_moment, moments.max(axis=1))
+            max_drift = np.maximum(max_drift, drifts.max())
+    report = ScalingReport(model_name=model.name, epsilon=float(epsilon))
+    for k, size in enumerate(sizes):
         report.samples.append(
             ScalingSample(
-                population_size=n,
-                max_exit_rate=max_exit,
-                jump_moment=max_jump_moment,
-                drift_norm=max_drift,
+                population_size=size,
+                max_exit_rate=float(max_exit[k]),
+                jump_moment=float(max_jump_moment[k]),
+                drift_norm=float(max_drift),
             )
         )
     return report

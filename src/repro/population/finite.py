@@ -119,30 +119,6 @@ class FinitePopulation:
         rates[bad] = 0.0
         return rates
 
-    def uniformization_constant(self, theta_corners=None) -> float:
-        """An upper bound on the total exit rate over the lattice.
-
-        Scans the parameter corners and a coarse grid of lattice states
-        for the largest total aggregate rate, then pads by 10%.  Used by
-        uniformization-based exact solvers; condition (i) of Definition 4
-        (uniformizability) guarantees this is finite.
-        """
-        if theta_corners is None:
-            theta_corners = self.model.theta_set.corners()
-        best = 0.0
-        probe_axis = np.linspace(0.0, 1.0, 5)
-        lower = self.model.state_lower
-        upper = self.model.state_upper
-        if lower is None:
-            lower = np.zeros(self.dim)
-            upper = np.ones(self.dim)
-        for theta in theta_corners:
-            for frac in probe_axis:
-                x = lower + frac * (upper - lower)
-                total = self.population_size * self.model.total_exit_rate(x, theta)
-                best = max(best, total)
-        return 1.1 * best + 1e-9
-
     def __repr__(self) -> str:
         return (
             f"FinitePopulation({self.model.name!r}, N={self.population_size}, "

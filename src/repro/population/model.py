@@ -164,7 +164,8 @@ class PopulationModel:
     conservations:
         Optional list of ``(weights, value)`` pairs declaring linear
         invariants ``weights @ x == value`` (e.g. ``S + I + R == 1``);
-        checked by the simulator and by the test-suites.
+        :meth:`check_conservations` tests a state against them (the
+        test-suites use it; the simulator does not check them).
     observables:
         Optional mapping ``name -> weights`` declaring named linear
         observables ``weights @ x`` (e.g. the per-class queue fraction of
@@ -309,10 +310,6 @@ class PopulationModel:
         x = np.asarray(x, dtype=float)
         theta = np.asarray(theta, dtype=float)
         return np.array([tr.rate_at(x, theta) for tr in self.transitions])
-
-    def total_exit_rate(self, x, theta) -> float:
-        """Sum of all density-scaled transition rates (the SSA race total)."""
-        return float(np.sum(self.transition_rates(x, theta)))
 
     def _rate_stack(self, x, theta) -> np.ndarray:
         """Raw rates of every transition on a batch, shape ``(K, n)``.

@@ -58,12 +58,14 @@ class ExperimentResult:
     Attributes
     ----------
     experiment_id:
-        Identifier matching DESIGN.md (``"fig1"``, ``"fig7"``,
-        ``"gps_weights"``).
+        Identifier of the figure or result (``"fig1"``, ``"fig7"``,
+        ``"gps_weights"``); it names the bench's archive files under
+        ``benchmarks/results/``.
     title:
         Human-readable description.
     parameters:
-        The parameter record used (for EXPERIMENTS.md provenance).
+        The parameter record used, archived with the result as its
+        provenance.
     series:
         The regenerated curves keyed by name.
     findings:

@@ -150,6 +150,10 @@ def _run_pontryagin(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     horizons = opts.get("horizons")
     if horizons is None:
         n = int(opts.get("n_horizons", 8))
+        if n < 1:
+            raise ValueError(
+                f"pontryagin option n_horizons must be >= 1, got {n}"
+            )
         horizons = np.linspace(spec.horizon / n, spec.horizon, n)
     horizons = np.asarray(horizons, dtype=float)
     kwargs = {}
@@ -186,8 +190,7 @@ def _run_hull(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
         times = np.linspace(0.0, spec.horizon, int(opts.get("n_times", 13)))
     times = np.asarray(times, dtype=float)
     kwargs = {}
-    for key in ("x_samples_per_axis", "blowup_threshold", "rtol", "atol",
-                "theta_method"):
+    for key in ("blowup_threshold", "rtol", "atol", "theta_method"):
         if key in opts:
             kwargs[key] = opts[key]
     hull = differential_hull_bounds(model, spec.x0, times, **kwargs)
@@ -415,10 +418,42 @@ _BACKENDS = {
     "dtmc_reward": _run_dtmc_reward,
 }
 
+#: The options each backend reads, per question kind.  ``run_question``
+#: rejects any other key before the backend runs: a misspelt or retired
+#: option would otherwise be dropped silently and the question answered
+#: on the backend's defaults.
+_QUESTION_OPTIONS = {
+    "envelope": ("times", "n_times", "resolution", *ENVELOPE_INTEGRATOR_KEYS),
+    "pontryagin": ("horizons", "n_horizons", "steps_per_unit", "min_steps",
+                   "max_iter", "tol", "deadline_seconds", "sides"),
+    "hull": ("times", "n_times", "blowup_threshold", "rtol", "atol",
+             "theta_method"),
+    "template": ("family", "n_steps", "max_iter", "horizon"),
+    "steadystate": ("horizon", "settle", "birkhoff", "x0_guess",
+                    "max_rounds", "fp_resolution", "rect_tol"),
+    "ensemble": ("resolution", "population_size", "n_samples", "horizon",
+                 "n_runs", "seed"),
+    "dtmc_reward": ("population_size", "max_states", "safety", "horizon",
+                    "steps", "stationary", "stationary_max_iter",
+                    "compare_exact", "n_steps", "soundness_tol"),
+}
+
 
 def run_question(spec: ScenarioSpec, question: Question,
                  model=None) -> QuestionOutcome:
-    """Run one question of a spec (building the model when not supplied)."""
+    """Run one question of a spec (building the model when not supplied).
+
+    Raises ``ValueError`` naming the key, the question kind and the
+    accepted keys when the question carries an option its backend does
+    not read.
+    """
+    accepted = _QUESTION_OPTIONS[question.kind]
+    unknown = sorted(set(question.opts) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{question.kind} question: unknown option(s) {unknown}; "
+            f"accepted options are {sorted(accepted)}"
+        )
     if model is None:
         model = spec.build_model()
     attrs = {"scenario": spec.name, "kind": question.kind}

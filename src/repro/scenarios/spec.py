@@ -127,7 +127,9 @@ class Question:
     options:
         Backend options (horizon grids, sweep resolutions, template
         families, ensemble sizes ...), given as a mapping; stored in a
-        canonical sorted-tuple form so questions are hashable.
+        canonical sorted-tuple form so questions are hashable.  A key
+        the kind's backend does not read raises ``ValueError`` when the
+        question runs (:func:`~repro.scenarios.run_question`).
     label:
         Optional prefix for the series/findings this question emits;
         required when a scenario asks the same kind twice.

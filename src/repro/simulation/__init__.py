@@ -27,10 +27,6 @@ exact direct-method kernel, :func:`repro.engine.simulate_ensemble`,
 whose module documents the scheme and why it is exact.
 """
 
-from repro.simulation.adversarial import (
-    policy_from_controls,
-    validate_bound_by_simulation,
-)
 from repro.simulation.batch import BatchResult, batch_simulate
 from repro.simulation.policies import (
     ConstantPolicy,
@@ -53,6 +49,4 @@ __all__ = [
     "SimulationResult",
     "batch_simulate",
     "BatchResult",
-    "policy_from_controls",
-    "validate_bound_by_simulation",
 ]

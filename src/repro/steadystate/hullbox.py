@@ -73,8 +73,8 @@ def hull_steady_rectangle(
         fixed point.  A settle that finds no equilibrium (slowly
         diverging hull) leaves the integration result untouched.
     hull_kwargs:
-        Forwarded to the hull integrator (sampling, refinement, blow-up
-        threshold, ...).
+        Forwarded to the hull integrator (``theta_method``, tolerances,
+        blow-up threshold).
     """
     t_eval = np.linspace(0.0, float(horizon), 401)
     bounds = differential_hull_bounds(model, x0, t_eval, **hull_kwargs)
@@ -97,14 +97,13 @@ def hull_steady_rectangle(
     upper = bounds.upper[-1].copy()
     converged = finite and residual <= residual_tol
     if settle and finite:
-        # Forward only the kwargs the field builder owns, so its own
-        # defaults stay the single source of truth and the settled field
+        # Forward only the kwarg the field builder owns, so its own
+        # default stays the single source of truth and the settled field
         # is exactly the field that was integrated.
         field = hull_vector_field(
             model,
             **{key: hull_kwargs[key]
-               for key in ("x_samples_per_axis", "refine", "theta_method")
-               if key in hull_kwargs},
+               for key in ("theta_method",) if key in hull_kwargs},
         )
 
         def field_batch(Z):

@@ -46,6 +46,12 @@ per-model test code required beyond registration:
     RK4 solution per corner of ``Theta`` plus its centre), kept where
     they lie at least ``1e-3`` inside the declared state box.
 
+``check_population_scaling``
+    The model satisfies the three conditions of Definition 4
+    (uniformizable, vanishing jumps, bounded drift) on a probe grid of
+    its state box at sizes 10 to 10,000, through
+    :func:`repro.meanfield.verify_population_scaling`.
+
 ``check_perturbation``
     The structural checks survive perturbing factory kwargs inside the
     spec's declared :attr:`~repro.scenarios.ScenarioSpec.validity`
@@ -81,6 +87,7 @@ from repro.bounds import (
     uncertain_envelope,
 )
 from repro.inclusion import DriftExtremizer
+from repro.meanfield import verify_population_scaling
 from repro.ode import rk4_integrate_batch
 from repro.params import DiscreteSet
 from repro.scenarios import list_scenarios
@@ -533,6 +540,28 @@ class ScenarioConformance:
         )
         return int(states.shape[0])
 
+    def check_population_scaling(self) -> int:
+        """The model is a population process in the sense of Definition 4.
+
+        Runs :func:`~repro.meanfield.verify_population_scaling` with its
+        defaults (``5 ** d`` probe states of the declared state box, every
+        corner of ``Theta``, sizes 10 to 10,000) and requires
+        :meth:`~repro.meanfield.ScalingReport.all_conditions_hold`: finite
+        exit rates, jump moments falling with ``N`` and drift suprema
+        that do not grow with it.  Returns the number of sizes probed.
+        """
+        report = verify_population_scaling(self.model)
+        _require(
+            report.all_conditions_hold(),
+            f"{self.spec.name}: model {self.model.name!r} violates "
+            f"Definition 4 at sizes "
+            f"{[s.population_size for s in report.samples]}: max exit rates "
+            f"{[s.max_exit_rate for s in report.samples]}, jump moments "
+            f"{report.jump_moments.tolist()}, drift norms "
+            f"{report.drift_norms.tolist()}",
+        )
+        return len(report.samples)
+
     # ------------------------------------------------------------------
     # (e) kwargs/theta-box perturbation within declared validity
     # ------------------------------------------------------------------
@@ -699,6 +728,7 @@ class ScenarioConformance:
         record("ordering", self.check_ordering)
         record("batch-consistency", self.check_batch_consistency)
         record("jacobian", self.check_jacobian)
+        record("population-scaling", self.check_population_scaling)
         record(
             "ensemble",
             lambda: self.check_ensemble(

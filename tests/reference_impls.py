@@ -17,6 +17,7 @@ tolerance (exact equality where the arithmetic is the same, integrator
 tolerance where the batched path shares one adaptive step sequence).
 """
 
+import itertools
 import time
 from functools import cached_property
 
@@ -25,7 +26,6 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from repro.bounds import UncertainEnvelope, pontryagin
-from repro.bounds.hull import _refined_extremum, _slice_candidates
 from repro.bounds.pontryagin import (
     PontryaginResult,
     TransientBounds,
@@ -97,7 +97,7 @@ def maximize_direction(extremizer, x, direction):
     """``(theta*, value)`` maximising ``direction . f(x, theta)``, one query.
 
     Follows the extremizer's configured strategy (``affine`` bang-bang,
-    ``corners`` or ``grid`` enumeration with optional L-BFGS-B polish).
+    ``corners`` or ``grid`` enumeration).
     """
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -107,11 +107,7 @@ def maximize_direction(extremizer, x, direction):
     if extremizer.method == "corners":
         return _maximize_enumerate(model, x, direction,
                                    model.theta_set.corners())
-    theta, value = _maximize_enumerate(model, x, direction,
-                                       extremizer._theta_grid())
-    if not extremizer.refine or isinstance(model.theta_set, DiscreteSet):
-        return theta, value
-    return extremizer._polish(x, direction, theta, value)
+    return _maximize_enumerate(model, x, direction, extremizer._theta_grid())
 
 
 def _maximize_affine(extremizer, x, direction):
@@ -144,12 +140,6 @@ def maximize_direction_rows(extremizer, states, directions):
             np.array([value for _, value in pairs]))
 
 
-def minimize_direction(extremizer, x, direction):
-    theta, value = maximize_direction(extremizer, x,
-                                      -np.asarray(direction, dtype=float))
-    return theta, -value
-
-
 def support(extremizer, x, direction):
     return maximize_direction(extremizer, x, direction)[1]
 
@@ -175,37 +165,29 @@ def velocity_envelope(extremizer, x):
 # ----------------------------------------------------------------------
 
 
-def hull_field(model, x_samples_per_axis=2, refine=False,
-               theta_method="auto"):
-    """The hull pair field, one coordinate range per slice candidate."""
+def hull_field(model):
+    """The hull pair field, one coordinate range per slice corner."""
     d = model.dim
-    extremizer = DriftExtremizer(model, method=theta_method)
+    extremizer = DriftExtremizer(model)
+
+    def slice_corners(lower, upper, i, pin):
+        axes = [[pin] if j == i else [lower[j], upper[j]] for j in range(d)]
+        return [np.array(corner) for corner in itertools.product(*axes)]
 
     def field(t, z):
         lower, upper = z[:d], np.maximum(z[d:], z[:d])
         dlo, dhi = np.empty(d), np.empty(d)
         for i in range(d):
-            dlo[i] = min(
-                coordinate_range(extremizer, x, i)[0]
-                for x in _slice_candidates(lower, upper, i, lower[i],
-                                           x_samples_per_axis)
-            )
-            dhi[i] = max(
-                coordinate_range(extremizer, x, i)[1]
-                for x in _slice_candidates(lower, upper, i, upper[i],
-                                           x_samples_per_axis)
-            )
-            if refine:
-                dlo[i] = min(dlo[i], _refined_extremum(
-                    extremizer, lower, upper, i, lower[i], minimise=True))
-                dhi[i] = max(dhi[i], _refined_extremum(
-                    extremizer, lower, upper, i, upper[i], minimise=False))
+            dlo[i] = min(coordinate_range(extremizer, x, i)[0]
+                         for x in slice_corners(lower, upper, i, lower[i]))
+            dhi[i] = max(coordinate_range(extremizer, x, i)[1]
+                         for x in slice_corners(lower, upper, i, upper[i]))
         return np.concatenate([dlo, dhi])
 
     return field
 
 
-def hull_bounds(model, x0, t_eval, rtol=1e-7, atol=1e-9, **field_kwargs):
+def hull_bounds(model, x0, t_eval, rtol=1e-7, atol=1e-9):
     """``(lower, upper)`` of the hull integrated with the reference field.
 
     Same scipy integrator and tolerances as the library, without the
@@ -213,7 +195,7 @@ def hull_bounds(model, x0, t_eval, rtol=1e-7, atol=1e-9, **field_kwargs):
     """
     x0 = np.asarray(x0, dtype=float)
     t_eval = np.asarray(t_eval, dtype=float)
-    sol = solve_ivp(hull_field(model, **field_kwargs),
+    sol = solve_ivp(hull_field(model),
                     (float(t_eval[0]), float(t_eval[-1])),
                     np.concatenate([x0, x0]), t_eval=t_eval,
                     rtol=rtol, atol=atol)

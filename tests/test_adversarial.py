@@ -1,14 +1,21 @@
-"""Tests for the Pontryagin-to-simulation bridge and stationary DTMC bounds."""
+"""Replays of an extremal control: through the inclusion and at finite N.
+
+The Pontryagin sweep's bang-bang control is the adversarial environment
+of the bound.  Re-integrating it through the inclusion must reproduce
+the bound (the optimise-then-simulate check), and by Theorem 1 a
+finite-``N`` chain driven by the same schedule concentrates on it as
+``N`` grows.
+"""
 
 import numpy as np
 import pytest
 
 from repro.bounds import extremal_trajectory
-from repro.ctmc import IntervalDTMC
-from repro.simulation import policy_from_controls, validate_bound_by_simulation
+from repro.inclusion import ParametricInclusion
+from repro.simulation import PiecewiseConstantPolicy, batch_simulate
 
 
-class TestPolicyFromControls:
+class TestExtremalControlReplay:
     @pytest.fixture(scope="class")
     def sir_extremal(self):
         from repro.models import make_sir_model
@@ -18,95 +25,29 @@ class TestPolicyFromControls:
                                      n_steps=300)
         return model, result
 
-    def test_bang_bang_collapses_to_few_pieces(self, sir_extremal):
-        _, result = sir_extremal
-        policy = policy_from_controls(result)
-        assert len(policy._thetas) <= 5
-
-    def test_policy_replays_control_signal(self, sir_extremal):
-        _, result = sir_extremal
-        policy = policy_from_controls(result)
-        # Probe strictly inside each schedule piece, where the policy's
-        # right-continuous lookup and control_at's left-continuous one
-        # must agree (exact switch knots are the documented exception).
-        starts = list(policy._starts) + [float(result.times[-1])]
-        for left, right in zip(starts[:-1], starts[1:]):
-            t = 0.5 * (left + right)
-            np.testing.assert_allclose(
-                policy.theta(t, None), result.control_at(t), atol=1e-9
-            )
-
-    def test_policy_and_control_at_conventions_at_knots(self, sir_extremal):
-        """At a switch knot the policy applies the *new* piece while
-        control_at reports the left limit — pin both sides explicitly."""
-        _, result = sir_extremal
-        policy = policy_from_controls(result)
-        assert len(policy._starts) >= 2, "expected at least one switch"
-        for k in range(1, len(policy._starts)):
-            t_switch = float(policy._starts[k])
-            np.testing.assert_allclose(policy.theta(t_switch, None),
-                                       policy._thetas[k])
-            np.testing.assert_allclose(result.control_at(t_switch),
-                                       policy._thetas[k - 1])
-
     def test_replay_through_inclusion_attains_value(self, sir_extremal):
-        from repro.inclusion import ParametricInclusion
-
         model, result = sir_extremal
-        policy = policy_from_controls(result)
-        inclusion = ParametricInclusion(model)
-        schedule = list(zip(policy._starts, policy._thetas))
-        replay = inclusion.solve_piecewise(schedule, [0.7, 0.3], 3.0)
+        replay = ParametricInclusion(model).solve_feedback(
+            lambda t, x: result.control_at(t), [0.7, 0.3], (0.0, 3.0)
+        )
         assert replay.final_state[1] == pytest.approx(result.value, abs=2e-3)
 
     @pytest.mark.slow
     def test_simulation_approaches_bound(self, sir_extremal):
         model, result = sir_extremal
-        out = validate_bound_by_simulation(model, result,
-                                           population_size=5000, n_runs=4,
-                                           seed=11)
+        # One schedule piece per control change of the bang-bang signal.
+        knots = np.flatnonzero(
+            np.any(np.diff(result.controls, axis=0) != 0.0, axis=1)) + 1
+        schedule = [(result.times[k], result.controls[k])
+                    for k in np.concatenate([[0], knots])]
+        batch = batch_simulate(
+            model.instantiate(5000, [0.7, 0.3]),
+            lambda: PiecewiseConstantPolicy(schedule), 3.0,
+            n_runs=4, seed=11, n_samples=50,
+        )
+        finals = batch.final_states() @ result.direction
+        gap = result.value - float(np.mean(finals))
         # The bound is approached from below, within a CLT-scale gap.
-        assert out["gap"] > -0.01
-        assert out["gap"] < 0.05
-        assert out["simulated_std"] < 0.05
-
-    def test_validation_rejects_bad_sizes(self, sir_extremal):
-        model, result = sir_extremal
-        with pytest.raises(ValueError):
-            validate_bound_by_simulation(model, result, population_size=0)
-
-
-class TestStationaryExpectationBounds:
-    def test_precise_chain_matches_stationary_distribution(self):
-        p = np.array([[0.7, 0.3], [0.4, 0.6]])
-        dtmc = IntervalDTMC(p, p)
-        # pi = (4/7, 3/7) for this chain.
-        lo, hi = dtmc.stationary_expectation_bounds([1.0, 0.0])
-        assert lo == pytest.approx(4.0 / 7.0, abs=1e-8)
-        assert hi == pytest.approx(4.0 / 7.0, abs=1e-8)
-
-    def test_interval_chain_brackets_corner_chains(self):
-        lower = np.array([[0.65, 0.25], [0.35, 0.55]])
-        upper = np.array([[0.75, 0.35], [0.45, 0.65]])
-        dtmc = IntervalDTMC(lower, upper)
-        lo, hi = dtmc.stationary_expectation_bounds([1.0, 0.0])
-        assert lo < hi
-        # Stationary prob of state 0 for precise members must fall inside.
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            rows = []
-            for i in range(2):
-                p0 = rng.uniform(lower[i, 0], upper[i, 0])
-                rows.append([p0, 1.0 - p0])
-            p = np.array(rows)
-            if np.any(p < lower - 1e-12) or np.any(p > upper + 1e-12):
-                continue
-            # stationary of 2-state chain: pi_0 = p10 / (p01 + p10)
-            pi0 = p[1, 0] / (p[0, 1] + p[1, 0])
-            assert lo - 1e-8 <= pi0 <= hi + 1e-8
-
-    def test_periodic_chain_detected(self):
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-        dtmc = IntervalDTMC(flip, flip)
-        with pytest.raises(RuntimeError):
-            dtmc.stationary_expectation_bounds([1.0, 0.0], max_iter=500)
+        assert gap > -0.01
+        assert gap < 0.05
+        assert float(np.std(finals)) < 0.05

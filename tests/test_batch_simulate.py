@@ -1,74 +1,10 @@
-"""Tests for batch simulation statistics and polygon clipping."""
+"""Tests for batch simulation statistics."""
 
 import numpy as np
 import pytest
 
 import reference_impls as ref
-from repro.geometry import (
-    ConvexPolygon,
-    clip_convex,
-    intersection_area,
-    overlap_metrics,
-    polygon_area,
-)
 from repro.simulation import ConstantPolicy, batch_simulate
-
-UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
-class TestClipConvex:
-    def test_self_intersection_identity(self):
-        clipped = clip_convex(UNIT_SQUARE, UNIT_SQUARE)
-        assert abs(abs(polygon_area(clipped)) - 1.0) < 1e-9
-
-    def test_half_overlap(self):
-        shifted = UNIT_SQUARE + np.array([0.5, 0.0])
-        assert intersection_area(UNIT_SQUARE, shifted) == pytest.approx(0.5)
-
-    def test_disjoint(self):
-        far = UNIT_SQUARE + np.array([5.0, 0.0])
-        assert intersection_area(UNIT_SQUARE, far) == 0.0
-
-    def test_contained(self):
-        small = 0.5 * UNIT_SQUARE + np.array([0.25, 0.25])
-        assert intersection_area(UNIT_SQUARE, small) == pytest.approx(0.25)
-
-    def test_triangle_corner(self):
-        triangle = np.array([[0.5, 0.5], [2.0, 0.5], [2.0, 2.0]])
-        assert intersection_area(UNIT_SQUARE, triangle) == pytest.approx(0.125)
-
-    def test_symmetry(self):
-        shifted = UNIT_SQUARE + np.array([0.3, 0.4])
-        a = intersection_area(UNIT_SQUARE, shifted)
-        b = intersection_area(shifted, UNIT_SQUARE)
-        assert a == pytest.approx(b)
-
-    def test_accepts_convex_polygon_objects(self):
-        poly = ConvexPolygon(UNIT_SQUARE)
-        assert intersection_area(poly, poly) == pytest.approx(1.0)
-
-    def test_degenerate_inputs(self):
-        assert clip_convex(UNIT_SQUARE[:2], UNIT_SQUARE).shape == (0, 2)
-
-    def test_overlap_metrics(self):
-        shifted = UNIT_SQUARE + np.array([0.5, 0.0])
-        metrics = overlap_metrics(UNIT_SQUARE, shifted)
-        assert metrics["intersection"] == pytest.approx(0.5)
-        assert metrics["jaccard"] == pytest.approx(0.5 / 1.5)
-        assert metrics["a_inside_b"] == pytest.approx(0.5)
-
-    def test_overlap_metrics_identical(self):
-        metrics = overlap_metrics(UNIT_SQUARE, UNIT_SQUARE)
-        assert metrics["jaccard"] == pytest.approx(1.0)
-
-    def test_random_containment_property(self, rng):
-        # Intersection area never exceeds either operand's area.
-        for _ in range(10):
-            a = ConvexPolygon(rng.normal(size=(12, 2))).vertices
-            b = ConvexPolygon(rng.normal(size=(12, 2))).vertices
-            inter = intersection_area(a, b)
-            assert inter <= abs(polygon_area(a)) + 1e-9
-            assert inter <= abs(polygon_area(b)) + 1e-9
 
 
 class TestBatchSimulate:

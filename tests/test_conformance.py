@@ -11,6 +11,7 @@ the suite.  (The bound-family ordering check has its own file,
   hypothesis-drawn points,
 - every declared Jacobian against central differences of the drift
   along the spec's own trajectories,
+- Definition 4's population-scaling conditions on every catalog model,
 - kwarg perturbation inside declared validity ranges,
 - plus the registration-time validation that makes a typo'd factory
   kwarg fail at import instead of minutes into a sweep.
@@ -102,6 +103,31 @@ def test_jacobian_check_flags_a_wrong_kernel():
     )
     with pytest.raises(ConformanceViolation, match="Jacobian column 0"):
         ScenarioConformance(spec, model=wrong).check_jacobian()
+
+
+@pytest.mark.parametrize("spec", MODEL_CASES)
+def test_population_scaling_holds(spec):
+    assert ScenarioConformance(spec).check_population_scaling() == 4
+
+
+def _blowup_model():
+    """A rate unbounded on the state box: ``1 / x`` at ``x = 0``."""
+    return PopulationModel(
+        "blowup", ("x",),
+        [Transition("blow", [1.0], lambda x, th: 1.0 / x[0])],
+        Interval(1.0, 2.0), state_bounds=([0.0], [1.0]),
+    )
+
+
+def test_population_scaling_flags_an_unbounded_rate():
+    spec = ScenarioSpec(
+        name="blowup-probe", title="rate unbounded at x = 0",
+        model_factory=_blowup_model, x0=(0.5,), horizon=1.0,
+        questions=(Question("hull"),),
+    )
+    with pytest.raises(ConformanceViolation,
+                       match="violates Definition 4.*max exit rates.*inf"):
+        ScenarioConformance(spec).check_population_scaling()
 
 
 @pytest.mark.parametrize("spec", MODEL_CASES)
@@ -299,8 +325,9 @@ def test_run_all_report_lists_every_check():
         ensemble=False
     )
     names = {o.name for o in report.outcomes}
-    assert names == {"ordering", "batch-consistency", "jacobian", "ensemble",
-                     "dtmc-conservative", "perturbation", "golden"}
+    assert names == {"ordering", "batch-consistency", "jacobian",
+                     "population-scaling", "ensemble", "dtmc-conservative",
+                     "perturbation", "golden"}
     assert {o.status for o in report.outcomes} <= {
         "passed", "not-applicable"
     }

@@ -94,10 +94,6 @@ class TestGenerators:
     def test_malformed_theta_rejected(self, bike_chain, theta):
         with pytest.raises(ValueError, match="theta"):
             bike_chain.generator(theta)
-        with pytest.raises(ValueError, match="theta"):
-            bike_chain.transient_distribution(theta, 1.0)
-        with pytest.raises(ValueError, match="theta"):
-            bike_chain.stationary_distribution(theta)
 
     def test_affine_parts_verified(self, bike_chain):
         q0, parts = bike_chain.affine_generator_parts()
@@ -115,65 +111,6 @@ class TestGenerators:
         chain = ImpreciseCTMC(model.instantiate(5, [0.4]))
         with pytest.raises(ValueError):
             chain.affine_generator_parts()
-
-
-class TestTransient:
-    def test_distribution_normalised(self, bike_chain):
-        p = bike_chain.transient_distribution([1.0, 1.0], 2.0)
-        assert p.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(p >= -1e-12)
-
-    def test_t_zero_identity(self, bike_chain):
-        p = bike_chain.transient_distribution([1.0, 1.0], 0.0)
-        np.testing.assert_allclose(p, bike_chain.initial_distribution)
-
-    def test_uniformization_matches_expm(self, bike_chain):
-        for t in (0.5, 2.0, 5.0):
-            a = bike_chain.transient_distribution([1.0, 0.9], t, method="expm")
-            b = bike_chain.transient_distribution([1.0, 0.9], t,
-                                                  method="uniformization")
-            np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_unknown_method_rejected(self, bike_chain):
-        with pytest.raises(ValueError):
-            bike_chain.transient_distribution([1.0, 1.0], 1.0, method="magic")
-
-    def test_invalid_p0_rejected(self, bike_chain):
-        bad = np.ones(bike_chain.n_states)
-        with pytest.raises(ValueError):
-            bike_chain.transient_distribution([1.0, 1.0], 1.0, p0=bad)
-
-    def test_negative_time_rejected(self, bike_chain):
-        with pytest.raises(ValueError):
-            bike_chain.transient_distribution([1.0, 1.0], -1.0)
-
-
-class TestStationary:
-    def test_balanced_birth_death_uniform(self, bike_chain):
-        # Equal arrival/return rates -> uniform stationary distribution.
-        pi = bike_chain.stationary_distribution([1.0, 1.0])
-        np.testing.assert_allclose(pi, np.full(11, 1.0 / 11.0), atol=1e-9)
-
-    def test_detailed_balance_geometric(self, bike_chain):
-        # Birth-death with ratio rho: pi_k proportional to rho^k.
-        theta = [1.0, 0.5]  # departures at 1, returns at 0.5 -> rho = 0.5
-        pi = bike_chain.stationary_distribution(theta)
-        # Order pi by state count.
-        order = np.argsort(bike_chain.states[:, 0])
-        ordered = pi[order]
-        ratios = ordered[1:] / ordered[:-1]
-        np.testing.assert_allclose(ratios, 0.5, atol=1e-6)
-
-    def test_transient_converges_to_stationary(self, bike_chain):
-        theta = [0.8, 1.0]
-        pi = bike_chain.stationary_distribution(theta)
-        p = bike_chain.transient_distribution(theta, 200.0)
-        np.testing.assert_allclose(p, pi, atol=1e-6)
-
-    def test_expected_observable(self, bike_chain):
-        pi = bike_chain.stationary_distribution([1.0, 1.0])
-        mean_occ = bike_chain.expected_observable(pi, [1.0])
-        assert mean_occ == pytest.approx(0.5, abs=1e-9)
 
 
 class TestKolmogorovSystem:

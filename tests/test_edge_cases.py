@@ -149,16 +149,3 @@ class TestMiscellaneousEdges:
         np.testing.assert_allclose(
             system.drift_fn(theta)(p0), system.vector_field(theta)(0.0, p0)
         )
-
-    def test_switching_min_dwell_all_same_value(self):
-        from repro.bounds import PontryaginResult, switching_times
-
-        times = np.linspace(0.0, 1.0, 6)
-        controls = np.full((5, 1), 3.0)
-        res = PontryaginResult(
-            times=times, states=np.zeros((6, 1)), costates=np.zeros((6, 1)),
-            controls=controls, direction=np.array([1.0]), maximize=True,
-            value=0.0, converged=True, iterations=1,
-        )
-        assert switching_times(res, min_dwell=0.5) == []
-        assert switching_times(res) == []

@@ -11,8 +11,6 @@ from repro.geometry import (
     convex_hull,
     point_in_polygon,
     polygon_area,
-    polygon_centroid,
-    segment_midpoints,
 )
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -87,7 +85,7 @@ class TestConvexHull:
             assert poly.contains(p, tol=1e-9)
 
 
-class TestAreaCentroid:
+class TestPolygonArea:
     def test_unit_square_area(self):
         assert polygon_area(UNIT_SQUARE) == pytest.approx(1.0)
 
@@ -99,14 +97,6 @@ class TestAreaCentroid:
 
     def test_degenerate_area_zero(self):
         assert polygon_area([(0, 0), (1, 1)]) == 0.0
-
-    def test_square_centroid(self):
-        np.testing.assert_allclose(polygon_centroid(UNIT_SQUARE), [0.5, 0.5])
-
-    def test_degenerate_centroid_is_mean(self):
-        np.testing.assert_allclose(
-            polygon_centroid([(0, 0), (2, 2)]), [1.0, 1.0]
-        )
 
 
 class TestPointInPolygon:
@@ -134,14 +124,6 @@ class TestPointInPolygon:
         assert not point_in_polygon((1.1, 1.0), [(1.0, 1.0)])
 
 
-class TestSegmentMidpoints:
-    def test_square_midpoints(self):
-        mids = segment_midpoints(UNIT_SQUARE)
-        assert mids.shape == (4, 2)
-        np.testing.assert_allclose(mids[0], [0.5, 0.0])
-        np.testing.assert_allclose(mids[-1], [0.0, 0.5])
-
-
 class TestConvexPolygon:
     def test_construction_hulls_input(self):
         poly = ConvexPolygon(UNIT_SQUARE + [(0.5, 0.5)])
@@ -155,10 +137,9 @@ class TestConvexPolygon:
         with pytest.raises(ValueError, match="non-finite"):
             ConvexPolygon(UNIT_SQUARE + [(np.nan, 0.5)])
 
-    def test_area_and_centroid(self):
+    def test_area(self):
         poly = ConvexPolygon(UNIT_SQUARE)
         assert poly.area == pytest.approx(1.0)
-        np.testing.assert_allclose(poly.centroid, [0.5, 0.5])
 
     def test_contains(self):
         poly = ConvexPolygon(UNIT_SQUARE)
@@ -183,10 +164,10 @@ class TestConvexPolygon:
         poly = ConvexPolygon(UNIT_SQUARE)
         normals = poly.outward_normals()
         np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0)
-        mids = segment_midpoints(poly.vertices)
-        centroid = poly.centroid
+        mids = poly.vertices + 0.5 * poly.edges()
+        inner = poly.vertices.mean(axis=0)
         for mid, n in zip(mids, normals):
-            assert (mid - centroid) @ n > 0
+            assert (mid - inner) @ n > 0
 
     def test_boundary_points_on_boundary(self):
         poly = ConvexPolygon(UNIT_SQUARE)

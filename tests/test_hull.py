@@ -1,6 +1,7 @@
 """Tests for the differential hull (repro.bounds.hull)."""
 
 import numpy as np
+import pytest
 
 from repro.bounds import differential_hull_bounds, uncertain_envelope
 from repro.models import make_sir_model
@@ -74,58 +75,6 @@ class TestHullLooseness:
 
 
 class TestHullHelpers:
-    def test_clipped(self, sir_narrow):
-        hull = differential_hull_bounds(sir_narrow, [0.7, 0.3],
-                                        np.linspace(0, 10, 21))
-        clipped = hull.clipped([0.0, 0.0], [1.0, 1.0])
-        assert np.all(clipped.lower >= 0.0)
-        assert np.all(clipped.upper <= 1.0)
-
-    def test_observable_bounds_interval_arithmetic(self, sir_narrow):
-        hull = differential_hull_bounds(sir_narrow, [0.7, 0.3],
-                                        np.linspace(0, 3, 13))
-        lo, hi = hull.observable_bounds([1.0, -1.0])  # S - I
-        expected_lo = hull.lower[:, 0] - hull.upper[:, 1]
-        expected_hi = hull.upper[:, 0] - hull.lower[:, 1]
-        np.testing.assert_allclose(lo, expected_lo)
-        np.testing.assert_allclose(hi, expected_hi)
-
-    def test_observable_bounds_zero_weight_on_diverged_rows(self):
-        """Regression: ``±inf · 0`` must not poison diverged rows with NaN.
-
-        Any weight vector with a zero entry used to produce NaN bounds
-        (and a RuntimeWarning) on every row past the hull blowup; the
-        honest answer is ``(-inf, +inf)`` there.
-        """
-        import warnings
-
-        from repro.bounds import HullBounds
-
-        bounds = HullBounds(
-            times=np.array([0.0, 1.0]),
-            lower=np.array([[0.2, 0.1], [-np.inf, -np.inf]]),
-            upper=np.array([[0.4, 0.3], [np.inf, np.inf]]),
-            state_names=("S", "I"),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            lo, hi = bounds.observable_bounds([1.0, 0.0])
-        np.testing.assert_allclose(lo[0], 0.2)
-        np.testing.assert_allclose(hi[0], 0.4)
-        assert lo[1] == -np.inf and hi[1] == np.inf
-
-    def test_observable_bounds_after_blowup_end_to_end(self):
-        """The confirmed repro: coordinate observables of a diverged hull."""
-        model = make_sir_model(theta_max=10.0)
-        hull = differential_hull_bounds(model, [0.7, 0.3],
-                                        np.linspace(0, 10, 41),
-                                        blowup_threshold=5.0)
-        for weights in ([1.0, 0.0], [0.0, 1.0]):
-            lo, hi = hull.observable_bounds(weights)
-            assert not np.isnan(lo).any()
-            assert not np.isnan(hi).any()
-            assert lo[-1] == -np.inf and hi[-1] == np.inf
-
     def test_width_helper(self, sir_narrow):
         hull = differential_hull_bounds(sir_narrow, [0.7, 0.3],
                                         np.linspace(0, 2, 9))
@@ -140,21 +89,30 @@ class TestHullHelpers:
         assert hull.lower.shape == (9, 4)
         assert np.all(hull.lower <= hull.upper + 1e-9)
 
-    def test_refine_never_tightens(self, sir_narrow):
-        """L-BFGS-B polish can only widen (more thorough extremisation)."""
-        t = np.linspace(0, 3, 7)
-        plain = differential_hull_bounds(sir_narrow, [0.7, 0.3], t)
-        refined = differential_hull_bounds(sir_narrow, [0.7, 0.3], t,
-                                           refine=True)
-        assert np.all(refined.lower <= plain.lower + 1e-6)
-        assert np.all(refined.upper >= plain.upper - 1e-6)
 
-    def test_corner_exactness_for_monotone_rates(self, sir_narrow):
-        """Extra slice samples change nothing for monotone-rate models."""
-        t = np.linspace(0, 3, 7)
-        corners = differential_hull_bounds(sir_narrow, [0.7, 0.3], t,
-                                           x_samples_per_axis=2)
-        sampled = differential_hull_bounds(sir_narrow, [0.7, 0.3], t,
-                                           x_samples_per_axis=5)
-        np.testing.assert_allclose(corners.lower, sampled.lower, atol=1e-7)
-        np.testing.assert_allclose(corners.upper, sampled.upper, atol=1e-7)
+class TestTimeGridValidation:
+    """A hull grid must be 1-D, at least 2 finite and strictly increasing
+    times; anything else raises ``ValueError`` naming ``t_eval``."""
+
+    @pytest.mark.parametrize("t_eval", [
+        [1.0],
+        [0.0, np.inf],
+        [0.0, np.nan],
+        [0.0, 1.0, 1.0],
+        [1.0, 0.0],
+        [[0.0, 1.0]],
+    ], ids=["single-time", "inf", "nan", "repeated", "decreasing", "two-d"])
+    def test_bad_grid_rejected(self, sir_narrow, t_eval):
+        # A single time used to raise AttributeError, and an infinite or
+        # NaN end time to hang inside the integrator or return a
+        # rectangle of -inf / +inf.
+        with pytest.raises(ValueError, match="t_eval"):
+            differential_hull_bounds(sir_narrow, [0.7, 0.3], t_eval)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_steady_rectangle_inherits_the_check(self, sir_narrow, horizon):
+        from repro.steadystate import hull_steady_rectangle
+
+        with pytest.raises(ValueError, match="t_eval"):
+            hull_steady_rectangle(sir_narrow, [0.7, 0.3], horizon=horizon)

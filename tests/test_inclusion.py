@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.inclusion import ParametricInclusion, euler_selection_solve
-from repro.meanfield import mean_field_inclusion
+from repro.inclusion import ParametricInclusion
+from repro.ode import solve_ode
 
 
 @pytest.fixture
@@ -12,81 +12,7 @@ def sir_inclusion(sir_model):
     return ParametricInclusion(sir_model)
 
 
-class TestVelocityQueries:
-    def test_velocity_requires_admissible_theta(self, sir_inclusion):
-        with pytest.raises(ValueError):
-            sir_inclusion.velocity([0.5, 0.2], [99.0])
-
-    def test_velocity_matches_drift(self, sir_inclusion, sir_model):
-        x = np.array([0.5, 0.2])
-        np.testing.assert_allclose(
-            sir_inclusion.velocity(x, [4.0]), sir_model.drift(x, [4.0])
-        )
-
-    def test_support_dominates_members(self, sir_inclusion, sir_model, rng):
-        x = np.array([0.5, 0.2])
-        p = np.array([0.3, -0.9])
-        h = sir_inclusion.support(x, p)
-        for theta in sir_model.theta_set.sample(rng, 30):
-            assert p @ sir_model.drift(x, theta) <= h + 1e-9
-
-    def test_contains_velocity_accepts_members(self, sir_inclusion, sir_model, rng):
-        x = np.array([0.5, 0.2])
-        for theta in sir_model.theta_set.sample(rng, 10):
-            assert sir_inclusion.contains_velocity(x, sir_model.drift(x, theta))
-
-    def test_contains_velocity_accepts_convex_combinations(
-        self, sir_inclusion, sir_model
-    ):
-        x = np.array([0.5, 0.2])
-        v = 0.5 * sir_model.drift(x, [1.0]) + 0.5 * sir_model.drift(x, [10.0])
-        assert sir_inclusion.contains_velocity(x, v)
-
-    def test_contains_velocity_rejects_outsiders(self, sir_inclusion):
-        x = np.array([0.5, 0.2])
-        assert not sir_inclusion.contains_velocity(x, np.array([10.0, 10.0]))
-
-    def test_velocity_envelope(self, sir_inclusion):
-        lo, hi = sir_inclusion.velocity_envelope(np.array([0.5, 0.2]))
-        assert np.all(lo <= hi)
-
-
 class TestWitnessSolutions:
-    def test_solve_constant_requires_admissible_theta(self, sir_inclusion):
-        with pytest.raises(ValueError):
-            sir_inclusion.solve_constant([0.0], [0.7, 0.3], (0, 1))
-
-    def test_solve_constant_matches_ode(self, sir_inclusion, sir_model):
-        traj = sir_inclusion.solve_constant([5.0], [0.7, 0.3], (0, 2))
-        # residual check: derivative along trajectory equals drift.
-        mid = traj(1.0)
-        assert np.isfinite(mid).all()
-        assert traj.final_state[1] < 0.3  # infection declines for theta=5
-
-    def test_solve_piecewise_continuity(self, sir_inclusion):
-        schedule = [(0.0, [1.0]), (1.0, [10.0])]
-        traj = sir_inclusion.solve_piecewise(schedule, [0.7, 0.3], 2.0)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(2.0)
-        # times strictly increasing
-        assert np.all(np.diff(traj.times) > 0)
-
-    def test_solve_piecewise_matches_constant(self, sir_inclusion):
-        a = sir_inclusion.solve_piecewise([(0.0, [5.0])], [0.7, 0.3], 2.0)
-        b = sir_inclusion.solve_constant([5.0], [0.7, 0.3], (0, 2),
-                                         t_eval=a.times)
-        np.testing.assert_allclose(a.final_state, b.final_state, atol=1e-6)
-
-    def test_solve_piecewise_validation(self, sir_inclusion):
-        with pytest.raises(ValueError):
-            sir_inclusion.solve_piecewise([], [0.7, 0.3], 1.0)
-        with pytest.raises(ValueError):
-            sir_inclusion.solve_piecewise(
-                [(1.0, [5.0]), (0.0, [5.0])], [0.7, 0.3], 2.0
-            )
-        with pytest.raises(ValueError):
-            sir_inclusion.solve_piecewise([(0.0, [50.0])], [0.7, 0.3], 1.0)
-
     def test_solve_feedback_projects_theta(self, sir_inclusion):
         # Selector returns inadmissible values; solver must project.
         traj = sir_inclusion.solve_feedback(
@@ -94,52 +20,19 @@ class TestWitnessSolutions:
         )
         assert np.isfinite(traj.states).all()
 
-    def test_feedback_matches_constant_for_constant_selector(self, sir_inclusion):
+    def test_feedback_matches_constant_for_constant_selector(
+        self, sir_inclusion, sir_model
+    ):
         a = sir_inclusion.solve_feedback(lambda t, x: [5.0], [0.7, 0.3], (0, 2))
-        b = sir_inclusion.solve_constant([5.0], [0.7, 0.3], (0, 2))
+        b = solve_ode(sir_model.vector_field([5.0]), [0.7, 0.3], (0, 2))
         np.testing.assert_allclose(a.final_state, b.final_state, atol=1e-5)
 
-    def test_extreme_velocity_solution_upper_bounds_constant(self, sir_inclusion):
+    def test_extreme_velocity_solution_upper_bounds_constant(
+        self, sir_inclusion, sir_model
+    ):
         greedy = sir_inclusion.extreme_velocity_solution(
             [0.0, 1.0], [0.7, 0.3], (0.0, 1.0)
         )
-        const = sir_inclusion.solve_constant([10.0], [0.7, 0.3], (0, 1))
+        const = solve_ode(sir_model.vector_field([10.0]), [0.7, 0.3], (0, 1))
         # Greedy maximising I pointwise dominates any constant at small t.
         assert greedy(0.2)[1] >= const(0.2)[1] - 1e-6
-
-
-class TestEulerSelection:
-    def test_matches_rk4_for_smooth_selector(self, sir_inclusion):
-        grid = np.linspace(0.0, 1.0, 2001)
-        euler = euler_selection_solve(
-            sir_inclusion, lambda t, x: [5.0], [0.7, 0.3], grid
-        )
-        rk4 = sir_inclusion.solve_constant([5.0], [0.7, 0.3], (0, 1))
-        np.testing.assert_allclose(euler.final_state, rk4.final_state, atol=2e-3)
-
-    def test_grid_validation(self, sir_inclusion):
-        with pytest.raises(ValueError):
-            euler_selection_solve(sir_inclusion, lambda t, x: [5.0],
-                                  [0.7, 0.3], [0.0])
-
-    def test_selector_projection(self, sir_inclusion):
-        grid = np.linspace(0.0, 0.5, 101)
-        traj = euler_selection_solve(
-            sir_inclusion, lambda t, x: [-5.0], [0.7, 0.3], grid
-        )
-        assert np.isfinite(traj.states).all()
-
-
-class TestMeanFieldConstruction:
-    def test_mean_field_inclusion_roundtrip(self, sir_model):
-        inc = mean_field_inclusion(sir_model)
-        assert isinstance(inc, ParametricInclusion)
-        assert inc.dim == 2
-        assert inc.extremizer.method == "affine"
-
-    def test_mean_field_inclusion_method_override(self, sir_model):
-        inc = mean_field_inclusion(sir_model, method="grid", grid_resolution=5)
-        assert inc.extremizer.method == "grid"
-
-    def test_repr(self, sir_inclusion):
-        assert "sir_reduced" in repr(sir_inclusion)

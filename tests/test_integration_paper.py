@@ -13,7 +13,7 @@ from repro.bounds import (
     differential_hull_bounds,
     extremal_trajectory,
     pontryagin_transient_bounds,
-    switching_times,
+    switching_times_from_costate,
     uncertain_envelope,
 )
 from repro.inclusion import ParametricInclusion
@@ -24,6 +24,7 @@ from repro.models import (
     make_gps_poisson_model,
     make_sir_model,
 )
+from repro.ode import solve_ode
 from repro.simulation import HysteresisPolicy, RandomJumpPolicy, simulate
 from repro.steadystate import birkhoff_centre_2d, uncertain_fixed_points
 
@@ -53,12 +54,12 @@ class TestFigure2:
     def test_replay_of_bang_bang_control_attains_value(self, sir_model, sir_x0):
         result = extremal_trajectory(sir_model, sir_x0, 3.0, [0.0, 1.0],
                                      n_steps=300)
-        switches = switching_times(result)
+        switches = switching_times_from_costate(result, sir_model)
         assert len(switches) == 1
-        # Re-simulate through the inclusion with the recovered schedule.
+        # Re-simulate through the inclusion under the extremal control.
         inclusion = ParametricInclusion(sir_model)
-        schedule = [(0.0, [1.0]), (switches[0], [10.0])]
-        replay = inclusion.solve_piecewise(schedule, sir_x0, 3.0)
+        replay = inclusion.solve_feedback(lambda t, x: result.control_at(t),
+                                          sir_x0, (0.0, 3.0))
         assert replay.final_state[1] == pytest.approx(result.value, abs=2e-3)
 
 
@@ -157,9 +158,8 @@ class TestFigure7:
         'the higher lambda, the more congested' intuition)."""
         model = make_gps_poisson_model()
         x0 = gps_initial_state_poisson()
-        inclusion = ParametricInclusion(model)
-        low = inclusion.solve_constant(model.theta_set.lowers, x0, (0, 5))
-        high = inclusion.solve_constant(model.theta_set.uppers, x0, (0, 5))
+        low = solve_ode(model.vector_field(model.theta_set.lowers), x0, (0, 5))
+        high = solve_ode(model.vector_field(model.theta_set.uppers), x0, (0, 5))
         assert high.final_state[0] > low.final_state[0]
         assert high.final_state[1] > low.final_state[1]
 

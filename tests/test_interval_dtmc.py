@@ -205,6 +205,42 @@ class TestStationary:
         assert ref.stationary_expectation_bounds(dtmc, [1.0, 0.0]) == (lo, hi)
 
 
+class TestStationaryExpectationBounds:
+    def test_precise_chain_matches_stationary_distribution(self):
+        p = np.array([[0.7, 0.3], [0.4, 0.6]])
+        dtmc = IntervalDTMC(p, p)
+        # pi = (4/7, 3/7) for this chain.
+        lo, hi = dtmc.stationary_expectation_bounds([1.0, 0.0])
+        assert lo == pytest.approx(4.0 / 7.0, abs=1e-8)
+        assert hi == pytest.approx(4.0 / 7.0, abs=1e-8)
+
+    def test_interval_chain_brackets_corner_chains(self):
+        lower = np.array([[0.65, 0.25], [0.35, 0.55]])
+        upper = np.array([[0.75, 0.35], [0.45, 0.65]])
+        dtmc = IntervalDTMC(lower, upper)
+        lo, hi = dtmc.stationary_expectation_bounds([1.0, 0.0])
+        assert lo < hi
+        # Stationary prob of state 0 for precise members must fall inside.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            rows = []
+            for i in range(2):
+                p0 = rng.uniform(lower[i, 0], upper[i, 0])
+                rows.append([p0, 1.0 - p0])
+            p = np.array(rows)
+            if np.any(p < lower - 1e-12) or np.any(p > upper + 1e-12):
+                continue
+            # stationary of 2-state chain: pi_0 = p10 / (p01 + p10)
+            pi0 = p[1, 0] / (p[0, 1] + p[1, 0])
+            assert lo - 1e-8 <= pi0 <= hi + 1e-8
+
+    def test_periodic_chain_detected(self):
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        dtmc = IntervalDTMC(flip, flip)
+        with pytest.raises(RuntimeError):
+            dtmc.stationary_expectation_bounds([1.0, 0.0], max_iter=500)
+
+
 class TestUniformizedBounds:
     def test_zero_horizon_is_reward_range(self):
         dtmc = two_state_dtmc()

@@ -1,34 +1,13 @@
-"""Tests for mean-field limit construction and scaling diagnostics."""
+"""Tests for the Definition 4 scaling diagnostics and the mean-field limit."""
 
 import numpy as np
 import pytest
 
-from repro.meanfield import (
-    mean_field_inclusion,
-    mean_field_ode,
-    verify_population_scaling,
-)
-from repro.models import make_sir_model
+from repro.meanfield import verify_population_scaling
+from repro.ode import solve_ode
 from repro.params import Singleton
 from repro.population import PopulationModel, Transition
 from repro.simulation import ConstantPolicy, simulate
-
-
-class TestMeanFieldOde:
-    def test_field_evaluates_drift(self, sir_model):
-        f = mean_field_ode(sir_model, [5.0])
-        np.testing.assert_allclose(
-            f(0.0, np.array([0.7, 0.3])), sir_model.drift([0.7, 0.3], [5.0])
-        )
-
-    def test_inadmissible_theta_rejected(self, sir_model):
-        with pytest.raises(ValueError):
-            mean_field_ode(sir_model, [0.0])
-
-    def test_singleton_theta_is_kurtz_limit(self):
-        model = make_sir_model(theta_min=5.0, theta_max=5.0)
-        f = mean_field_ode(model, [5.0])
-        assert callable(f)
 
 
 class TestScalingDiagnostics:
@@ -80,9 +59,8 @@ class TestConvergenceToMeanField:
     @pytest.mark.slow
     def test_ssa_converges_to_ode_for_constant_theta(self, sir_model):
         # Uncertain scenario: SSA with frozen theta vs the Kurtz ODE.
-        inc = mean_field_inclusion(sir_model)
-        ode = inc.solve_constant([5.0], [0.7, 0.3], (0.0, 2.0),
-                                 t_eval=np.linspace(0, 2, 21))
+        ode = solve_ode(sir_model.vector_field([5.0]), [0.7, 0.3], (0.0, 2.0),
+                        t_eval=np.linspace(0, 2, 21))
         errors = []
         for n in (100, 10000):
             rng = np.random.default_rng(42)

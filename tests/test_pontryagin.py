@@ -5,15 +5,12 @@ import pytest
 
 import reference_impls as ref
 from repro.bounds import (
-    PontryaginResult,
     box_directions,
     extremal_trajectories_batch,
     extremal_trajectory,
     pontryagin,
     pontryagin_transient_bounds,
-    reachable_polytope_2d,
     switching_function,
-    switching_times,
     switching_times_from_costate,
     uncertain_envelope,
 )
@@ -98,7 +95,7 @@ class TestSIRPaperValues:
         res = extremal_trajectory(sir_model, sir_x0, 3.0, [0.0, 1.0],
                                   n_steps=300)
         assert res.converged
-        switches = switching_times(res)
+        switches = switching_times_from_costate(res, sir_model)
         # Paper: theta_min for t < ~2.25 then theta_max.
         assert len(switches) == 1
         assert 2.0 < switches[0] < 2.5
@@ -111,7 +108,7 @@ class TestSIRPaperValues:
     def test_min_infected_at_3_two_switches(self, sir_model, sir_x0):
         res = extremal_trajectory(sir_model, sir_x0, 3.0, [0.0, 1.0],
                                   maximize=False, n_steps=300)
-        switches = switching_times(res)
+        switches = switching_times_from_costate(res, sir_model)
         # Paper: theta_min until ~0.7, theta_max until ~2.2, theta_min after.
         assert len(switches) == 2
         assert 0.4 < switches[0] < 1.0
@@ -255,12 +252,6 @@ class TestSweepMechanics:
         np.testing.assert_allclose(res.control_at(res.times[-1]),
                                    res.controls[-1])
 
-    def test_trajectory_property(self, sir_model, sir_x0):
-        res = extremal_trajectory(sir_model, sir_x0, 1.0, [0.0, 1.0],
-                                  n_steps=60)
-        traj = res.trajectory
-        np.testing.assert_allclose(traj.final_state, res.states[-1])
-
     def test_value_reported_in_objective_units(self, sir_model, sir_x0):
         res_min = extremal_trajectory(sir_model, sir_x0, 1.0, [0.0, 1.0],
                                       maximize=False, n_steps=60)
@@ -400,10 +391,13 @@ class TestSwitchingExtraction:
     def test_costate_switch_matches_control_switch(self, sir_model, sir_x0):
         res = extremal_trajectory(sir_model, sir_x0, 3.0, [0.0, 1.0],
                                   n_steps=300)
-        from_control = switching_times(res, min_dwell=0.3)
         from_costate = switching_times_from_costate(res, sir_model)
         assert len(from_costate) == 1
-        assert abs(from_control[0] - from_costate[0]) < 0.3
+        # The control switches theta_min -> theta_max within 0.3 of the
+        # costate's zero crossing.
+        switch = from_costate[0]
+        assert res.control_at(switch - 0.3)[0] == pytest.approx(1.0)
+        assert res.control_at(switch + 0.3)[0] == pytest.approx(10.0)
 
     def test_switching_function_sign_matches_control(self, sir_model, sir_x0):
         res = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
@@ -429,33 +423,6 @@ class TestSwitchingExtraction:
         )
         with pytest.raises(ValueError):
             switching_function(res, nonaffine)
-
-    def test_min_dwell_consolidates_chatter(self):
-        # Synthetic result with a chattering band: 1 structural switch.
-        times = np.linspace(0.0, 1.0, 11)
-        controls = np.array([1, 1, 1, 10, 1, 10, 10, 10, 10, 10],
-                            dtype=float)[:, None]
-        res = PontryaginResult(
-            times=times, states=np.zeros((11, 2)), costates=np.zeros((11, 2)),
-            controls=controls, direction=np.array([0.0, 1.0]),
-            maximize=True, value=0.0, converged=True, iterations=1,
-        )
-        raw = switching_times(res)
-        consolidated = switching_times(res, min_dwell=0.25)
-        assert len(raw) == 3
-        assert len(consolidated) == 1
-
-    def test_min_dwell_keeps_clean_signal(self):
-        times = np.linspace(0.0, 1.0, 11)
-        controls = np.array([1, 1, 1, 1, 1, 10, 10, 10, 10, 10],
-                            dtype=float)[:, None]
-        res = PontryaginResult(
-            times=times, states=np.zeros((11, 2)), costates=np.zeros((11, 2)),
-            controls=controls, direction=np.array([0.0, 1.0]),
-            maximize=True, value=0.0, converged=True, iterations=1,
-        )
-        assert switching_times(res, min_dwell=0.25) == [pytest.approx(0.5)]
-
 
 class TestTransientBounds:
     def test_monotone_horizons_required(self, sir_model, sir_x0):
@@ -529,45 +496,3 @@ class TestTransientBounds:
         )
         assert len(tb.upper_results["I"]) == 2
         assert tb.upper_results["I"][0].maximize
-
-
-class TestReachablePolytope:
-    def test_2d_only(self, gps_map):
-        from repro.models import gps_initial_state_map
-
-        with pytest.raises(ValueError):
-            reachable_polytope_2d(gps_map, gps_initial_state_map(), 1.0)
-
-    def test_min_directions(self, sir_model, sir_x0):
-        with pytest.raises(ValueError):
-            reachable_polytope_2d(sir_model, sir_x0, 1.0, n_directions=2)
-
-    def test_lanes_match_scalar_sweeps(self, sir_model, sir_x0):
-        n = 6
-        vertices = reachable_polytope_2d(sir_model, sir_x0, 1.0,
-                                         n_directions=n, n_steps=60)
-        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        offsets = np.array([
-            ref.extremal_trajectory(sir_model, sir_x0, 1.0, c,
-                                    n_steps=60).value
-            for c in normals
-        ])
-        slack = vertices @ normals.T - offsets
-        assert np.all(slack <= 1e-12)
-        # Every vertex is tight on two of the scalar sweeps' halfspaces.
-        assert np.all(np.sum(np.abs(slack) <= 1e-12, axis=1) >= 2)
-
-    @pytest.mark.slow
-    def test_polytope_contains_uncertain_endpoints(self, sir_model, sir_x0):
-        from repro.geometry import ConvexPolygon
-        from repro.ode import solve_ode
-
-        horizon = 1.0
-        vertices = reachable_polytope_2d(sir_model, sir_x0, horizon,
-                                         n_directions=12, n_steps=120)
-        poly = ConvexPolygon(vertices)
-        for theta in (1.0, 4.0, 10.0):
-            traj = solve_ode(sir_model.vector_field([theta]), sir_x0,
-                             (0, horizon))
-            assert poly.contains(traj.final_state, tol=1e-3)

@@ -90,10 +90,6 @@ class TestPopulationModel:
         rates = model.transition_rates([0.25], [2.0])
         np.testing.assert_allclose(rates, [1.5, 0.25])
 
-    def test_total_exit_rate(self):
-        model = two_state_model()
-        assert model.total_exit_rate([0.25], [2.0]) == pytest.approx(1.75)
-
     def test_affine_parts_match_drift(self):
         model = two_state_model()
         assert check_affine_decomposition(model, np.array([0.3]))
@@ -266,14 +262,6 @@ class TestFinitePopulation:
         rates = pop.aggregate_rates(pop.initial_counts, [2.0])
         assert rates[0] == 0.0  # "up" would leave the lattice
         assert rates[1] > 0.0
-
-    def test_uniformization_constant_bounds_rates(self):
-        model = two_state_model()
-        pop = model.instantiate(50, [0.5])
-        c = pop.uniformization_constant()
-        for frac in np.linspace(0, 1, 11):
-            total = 50 * model.total_exit_rate([frac], [2.0])
-            assert total <= c
 
     def test_repr(self):
         model = two_state_model()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import reference_impls as ref
 from repro.ctmc import IntervalDTMC
-from repro.geometry import ConvexPolygon, intersection_area, polygon_area
 from repro.models import make_power_of_d_model
 
 FAST = settings(max_examples=40, deadline=None,
@@ -129,52 +128,6 @@ class TestIntervalDTMCProperties:
         np.testing.assert_allclose(
             dtmc.upper_operator(r + c), dtmc.upper_operator(r) + c, atol=1e-9
         )
-
-
-def random_convex(data, n: int) -> np.ndarray:
-    pts = np.array(
-        [[data.draw(small_floats), data.draw(small_floats)] for _ in range(n)]
-    )
-    try:
-        return ConvexPolygon(pts).vertices
-    except ValueError:
-        return None
-
-
-class TestClippingProperties:
-    @FAST
-    @given(data=st.data())
-    def test_intersection_bounded_by_operands(self, data):
-        a = random_convex(data, 8)
-        b = random_convex(data, 8)
-        if a is None or b is None:
-            return
-        inter = intersection_area(a, b)
-        assert inter >= -1e-12
-        assert inter <= abs(polygon_area(a)) + 1e-9
-        assert inter <= abs(polygon_area(b)) + 1e-9
-
-    @FAST
-    @given(data=st.data())
-    def test_intersection_symmetric(self, data):
-        a = random_convex(data, 7)
-        b = random_convex(data, 7)
-        if a is None or b is None:
-            return
-        scale = max(abs(polygon_area(a)), abs(polygon_area(b)), 1.0)
-        assert intersection_area(a, b) == pytest.approx(
-            intersection_area(b, a), abs=1e-7 * scale
-        )
-
-    @FAST
-    @given(data=st.data())
-    def test_self_intersection_is_identity(self, data):
-        a = random_convex(data, 9)
-        if a is None:
-            return
-        area = abs(polygon_area(a))
-        assert intersection_area(a, a) == pytest.approx(area, rel=1e-6,
-                                                        abs=1e-9)
 
 
 class TestLoadBalancerProperties:

@@ -395,6 +395,83 @@ class TestRunScenario:
         assert rebuilt.findings == pytest.approx(run.result.findings)
 
 
+class TestQuestionOptions:
+    """An option no backend reads raises instead of being ignored."""
+
+    # These used to be dropped or mis-reported: the hull answered on its
+    # default 13-point grid, the misspelt steps_per_unit fell back to 100
+    # steps per unit (minimum 0.0209694 at T = 1 instead of 0.0209852),
+    # n_horizons = 0 raised ZeroDivisionError, and x_samples_per_axis
+    # selected a slice-sampling path that no catalog question used.
+    BAD = [
+        pytest.param("hull", {"n_time": 4}, "n_time", id="hull-n_time"),
+        pytest.param("pontryagin", {"horizons": [1.0], "steps_per_units": 5},
+                     "steps_per_units", id="pontryagin-steps_per_units"),
+        pytest.param("pontryagin", {"n_horizons": 0}, "n_horizons",
+                     id="pontryagin-n_horizons-0"),
+        pytest.param("hull", {"x_samples_per_axis": 3}, "x_samples_per_axis",
+                     id="hull-x_samples_per_axis"),
+    ]
+
+    @pytest.mark.parametrize("kind, options, key", BAD)
+    def test_direct_call_raises_naming_the_key(self, kind, options, key):
+        spec = get_scenario("sir-transient")
+        with pytest.raises(ValueError, match=key) as excinfo:
+            run_question(spec, Question(kind, options=options))
+        if key != "n_horizons":
+            assert kind in str(excinfo.value)
+            assert "accepted options" in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind, options, key", BAD)
+    def test_partial_run_reports_a_typed_failure(self, kind, options, key):
+        spec = get_scenario("sir-transient").with_overrides(
+            name="bad-question-option",
+            questions=[Question("envelope", options={"n_times": 4}),
+                       Question(kind, options=options, label="bad")],
+        )
+        run = run_scenario(spec, use_cache=False, on_error="partial")
+        assert [f.question for f in run.failures] == [f"{kind}[bad]"]
+        assert run.failures[0].error_type == "ValueError"
+        assert key in run.failures[0].message
+        assert "I_uncertain_max_final" in run.result.findings
+
+    @pytest.mark.parametrize("kind", ["dtmc_reward", "ensemble", "envelope",
+                                      "hull", "pontryagin", "steadystate",
+                                      "template"])
+    def test_every_kind_rejects_an_unknown_key(self, kind):
+        from repro.scenarios.runner import _QUESTION_OPTIONS
+
+        spec = get_scenario("sir-transient")
+        with pytest.raises(ValueError) as excinfo:
+            run_question(spec, Question(kind, options={"not_an_option": 1}))
+        message = str(excinfo.value)
+        assert message.startswith(
+            f"{kind} question: unknown option(s) ['not_an_option']")
+        assert str(sorted(_QUESTION_OPTIONS[kind])) in message
+
+    @pytest.mark.parametrize("options", [
+        {"times": [0.0, float("nan")]},
+        {"times": [0.0, float("inf")]},
+        {"times": [1.0, 0.5]},
+        {"n_times": 1},
+    ], ids=["times-nan", "times-inf", "times-decreasing", "n_times-1"])
+    def test_hull_question_rejects_a_bad_time_grid(self, options):
+        # A NaN end time used to hang the hull integrator, an infinite
+        # one to answer a rectangle of -inf / +inf, and a one-point grid
+        # to raise AttributeError.
+        spec = get_scenario("sir-transient")
+        with pytest.raises(ValueError, match="t_eval"):
+            run_question(spec, Question("hull", options=options))
+
+    def test_every_catalog_option_is_read(self):
+        from repro.scenarios.runner import _QUESTION_OPTIONS
+
+        for spec in list_scenarios():
+            for q in spec.questions:
+                assert set(q.opts) <= set(_QUESTION_OPTIONS[q.kind]), (
+                    spec.name, q.kind, q.opts)
+
+
 class TestCLI:
     def test_list_shows_catalog(self, capsys):
         assert cli_main(["list"]) == 0
