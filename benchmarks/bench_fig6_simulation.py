@@ -48,11 +48,11 @@ def compute_fig6() -> ExperimentResult:
     result.add_finding("region_area", region.polygon.area)
 
     policies = {
-        "theta1": lambda: HysteresisPolicy(
+        "theta1": HysteresisPolicy(
             [1.0], [10.0], coordinate=0,
             low_threshold=0.5, high_threshold=0.85,
         ),
-        "theta2": lambda: RandomJumpPolicy(
+        "theta2": RandomJumpPolicy(
             model.theta_set, rate_fn=lambda t, x: 5.0 * x[1],
         ),
     }

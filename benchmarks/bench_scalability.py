@@ -71,7 +71,7 @@ def compute_scalability() -> ExperimentResult:
         x0[0] = 0.5
         population = model.instantiate(ENSEMBLE_POPULATION, x0)
         batch, seconds = timed(
-            simulate_ensemble, population, lambda: ConstantPolicy([0.9]),
+            simulate_ensemble, population, ConstantPolicy([0.9]),
             ENSEMBLE_HORIZON, n_runs=ENSEMBLE_RUNS, seed=7,
             n_samples=40,
         )

@@ -103,9 +103,8 @@ def main():
     # demand policy that always drains the station (max arrivals, min
     # returns) should approach the imprecise P(empty) upper bound.
     n_runs = 400
-    ensemble = simulate_ensemble(population,
-                                 lambda: ConstantPolicy([1.4, 0.8]), HORIZON,
-                                 n_runs=n_runs, seed=0, n_samples=2)
+    ensemble = simulate_ensemble(population, ConstantPolicy([1.4, 0.8]),
+                                 HORIZON, n_runs=n_runs, seed=0, n_samples=2)
     estimate = float(np.mean(ensemble.final_states()[:, 0] == 0.0))
     stderr = np.sqrt(estimate * (1.0 - estimate) / n_runs)
     res_max = imprecise_reward_bounds(chain, empty, HORIZON,

@@ -30,10 +30,11 @@ Package map (the README's Layout table lists every package):
 - ``repro.meanfield`` / ``repro.inclusion`` — the limit objects;
 - ``repro.bounds`` — transient bounds (sweep / hull / Pontryagin);
 - ``repro.steadystate`` — Birkhoff centres and stationary rectangles;
-- ``repro.simulation`` / ``repro.ctmc`` — finite-``N`` stochastic and
-  exact analysis;
-- ``repro.engine`` — vectorized multi-trajectory SSA ensembles and
-  multiprocessing parameter sweeps;
+- ``repro.simulation`` / ``repro.ctmc`` — control policies (each
+  answers for a batch of SSA rows), finite-``N`` stochastic and exact
+  analysis;
+- ``repro.engine`` — the vectorized SSA ensemble every simulation runs
+  on, and multiprocessing parameter sweeps;
 - ``repro.analysis`` / ``repro.reporting`` — robust design, convergence
   studies and harness output;
 - ``repro.scenarios`` — the declarative scenario catalog, unified
@@ -92,11 +93,9 @@ from repro.scenarios import (
 )
 from repro.simulation import (
     ConstantPolicy,
-    FeedbackPolicy,
     HysteresisPolicy,
     PiecewiseConstantPolicy,
     RandomJumpPolicy,
-    batch_simulate,
     simulate,
 )
 from repro.steadystate import (
@@ -136,9 +135,9 @@ __all__ = [
     "birkhoff_centre_2d", "uncertain_fixed_points", "hull_steady_rectangle",
     "asymptotic_reachable_hull",
     # stochastic / exact
-    "simulate", "batch_simulate", "simulate_ensemble",
-    "sweep_constant_ensembles", "ConstantPolicy", "PiecewiseConstantPolicy",
-    "FeedbackPolicy", "HysteresisPolicy", "RandomJumpPolicy",
+    "simulate", "simulate_ensemble", "sweep_constant_ensembles",
+    "ConstantPolicy", "PiecewiseConstantPolicy", "HysteresisPolicy",
+    "RandomJumpPolicy",
     "ImpreciseCTMC", "IntervalDTMC", "imprecise_reward_bounds",
     # studies & reporting
     "robust_minimize_scalar", "birkhoff_inclusion_fraction",

@@ -14,8 +14,8 @@ centre.  This module quantifies the picture:
 - :func:`convergence_study` — run the measurement over a ladder of
   population sizes and policies, producing the numbers behind the
   "as N grows, the simulation gets included in the Birkhoff centre"
-  claim.  Ensembles run on the vectorized engine by default
-  (``n_runs`` independent chains per size/policy cell).
+  claim.  Each size/policy cell is one ensemble of ``n_runs``
+  independent chains on the vectorized engine.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.simulation import ControlPolicy, SimulationResult, batch_simulate
+from repro.engine import simulate_ensemble
+from repro.simulation import ControlPolicy, SimulationResult
 from repro.steadystate.birkhoff import BirkhoffResult
 
 __all__ = [
@@ -143,7 +144,7 @@ class ConvergenceStudy:
 def convergence_study(
     model,
     region: BirkhoffResult,
-    policies: Dict[str, Callable[[], ControlPolicy]],
+    policies: Dict[str, ControlPolicy],
     sizes: Sequence[int],
     x0,
     t_final: float,
@@ -159,8 +160,9 @@ def convergence_study(
     Parameters
     ----------
     policies:
-        Mapping from a policy label to a *factory* returning a fresh
-        policy instance (policies are stateful).
+        Mapping from a policy label to the policy instance that drives
+        that label's ensemble at every size (``reset`` rebuilds its
+        per-row state for each one).
     epsilon_fn:
         Inclusion tolerance per population size; defaults to
         ``3 / sqrt(N)`` (the CLT-scale fluctuation band around the
@@ -176,13 +178,13 @@ def convergence_study(
     if epsilon_fn is None:
         epsilon_fn = lambda n: 3.0 / np.sqrt(n)  # noqa: E731
     study = ConvergenceStudy(region=region)
-    for name, factory in policies.items():
+    for name, policy in policies.items():
         study.stats[name] = {}
         name_salt = zlib.crc32(name.encode()) % 1000
         for k, n in enumerate(sizes):
             population = model.instantiate(int(n), x0)
-            batch = batch_simulate(
-                population, factory, t_final,
+            batch = simulate_ensemble(
+                population, policy, t_final,
                 n_runs=n_runs, seed=seed + 1000 * k + name_salt,
                 n_samples=n_samples,
             )

@@ -6,8 +6,8 @@ registry, so it can check contracts no AST can see:
 - **REG001** — every registered model declares an affine decomposition
   (``affine_drift_batch``, so :attr:`is_affine`) and an analytic
   Jacobian (``drift_jacobian_batch``); without them the Hamiltonian
-  maximiser falls back to its grid search and the costate sweep to
-  finite-difference Jacobians of the drift.
+  maximiser falls back to its grid search and the costate sweep has no
+  Jacobian (``jacobian_x_batch`` raises).
 - **REG002** — ``Question.kind`` values and the runner's backend table
   are in bijection: a kind without a backend fails at dispatch, a
   backend without a kind is dead code.
@@ -118,9 +118,9 @@ def _audit_models(findings: List[Finding]) -> None:
             findings.append(Finding(
                 file=_REGISTRY_FILE, line=1, code="REG001",
                 message=f"scenario {spec.name!r}: model {model.name!r} does "
-                        f"not declare {', '.join(missing)} — the bounds "
-                        "layers fall back to the extremizer's grid search "
-                        "and finite-difference Jacobians",
+                        f"not declare {', '.join(missing)} — the "
+                        "extremizer falls back to its grid search and the "
+                        "costate sweep has no Jacobian",
             ))
 
 

@@ -4,14 +4,12 @@
   ``n_runs`` trajectories step together as ``(n_runs, d)`` arrays,
   with batched rate evaluation, batched exponential clocks/event
   selection from a single generator, and per-row policy state held in
-  vectorized :mod:`~repro.engine.lanes`.
-  :func:`~repro.simulation.batch_simulate` is an ensemble view of it
-  and :func:`~repro.simulation.simulate` a one-row view.
+  the :class:`~repro.simulation.ControlPolicy` as arrays.
+  :func:`~repro.simulation.simulate` is a one-row view of it.
 - :func:`sweep_constant_ensembles` — multiprocessing sharding of
   parameter sweeps, one vectorized ensemble per ``theta`` grid point.
 """
 
-from repro.engine.lanes import PolicyLane, build_lane
 from repro.engine.sharding import map_shards, sweep_constant_ensembles
 from repro.engine.vectorized import simulate_ensemble
 
@@ -19,6 +17,4 @@ __all__ = [
     "simulate_ensemble",
     "sweep_constant_ensembles",
     "map_shards",
-    "PolicyLane",
-    "build_lane",
 ]

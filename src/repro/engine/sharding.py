@@ -28,6 +28,7 @@ from repro.engine.vectorized import simulate_ensemble
 from repro.resilience.execution import run_shards
 from repro.resilience.policy import RetryPolicy
 from repro.simulation.batch import BatchResult
+from repro.simulation.policies import ConstantPolicy
 
 __all__ = ["FAIL_FAST", "map_shards", "sweep_constant_ensembles"]
 
@@ -132,13 +133,11 @@ def _init_sweep_worker(shared) -> None:
 
 def _run_shard(payload) -> BatchResult:
     theta, seed_seq = payload
-    from repro.simulation.policies import ConstantPolicy
-
     population, shared = _SWEEP_CONTEXT
     (_, _, _, _, t_final, n_runs, n_samples, t_start, max_events) = shared
     return simulate_ensemble(
         population,
-        lambda: ConstantPolicy(theta),
+        ConstantPolicy(theta),
         t_final,
         n_runs=n_runs,
         rng=np.random.default_rng(seed_seq),
@@ -214,14 +213,20 @@ def sweep_constant_ensembles(
         raise ValueError("thetas must contain at least one grid point")
     if not callable(model_factory):
         raise TypeError("model_factory must be callable")
-    n_runs = operator.index(n_runs)  # reject silent float truncation
+    counts = []
+    for name, value in (("population_size", population_size),
+                        ("n_runs", n_runs), ("n_samples", n_samples),
+                        ("max_events", max_events)):
+        try:  # a fractional count raises instead of being truncated
+            counts.append(operator.index(value))
+        except TypeError as exc:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from exc
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
     seed_seqs = root.spawn(theta_grid.shape[0])
     shared = (model_factory, dict(model_kwargs or {}),
-              np.asarray(x0, dtype=float), int(population_size),
-              float(t_final), n_runs, int(n_samples), float(t_start),
-              int(max_events))
+              np.asarray(x0, dtype=float), counts[0], float(t_final),
+              counts[1], counts[2], float(t_start), counts[3])
     payloads = [
         (theta_grid[i], seed_seqs[i]) for i in range(theta_grid.shape[0])
     ]

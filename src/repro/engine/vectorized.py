@@ -1,8 +1,7 @@
 """Vectorized multi-trajectory SSA: the one direct-method kernel.
 
-Every stochastic simulation in the library runs here:
-:func:`~repro.simulation.batch_simulate` is an ensemble of ``n_runs``
-rows and :func:`~repro.simulation.simulate` is a one-row view.
+Every stochastic simulation in the library runs here, and
+:func:`~repro.simulation.simulate` is a one-row view.
 :func:`simulate_ensemble` steps all ``n_runs`` trajectories together as
 ``(n_runs, d)`` arrays:
 
@@ -13,7 +12,7 @@ rows and :func:`~repro.simulation.simulate` is a one-row view.
 - **batched clocks** — the per-row exponential holding times and the
   event-selection uniforms are drawn from a single
   :class:`numpy.random.Generator` with one vectorized call each;
-- **per-row policies** — a :class:`~repro.engine.lanes.PolicyLane`
+- **per-row policies** — the :class:`~repro.simulation.ControlPolicy`
   answers ``theta`` / ``jump_rate`` / ``next_switch_after`` for all rows
   at once, keeping per-row internal state (hysteresis modes, current
   random-jump parameters) as arrays.
@@ -56,21 +55,21 @@ rows leave the active set, so late finishers never pay for early ones.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro import telemetry
-from repro.engine.lanes import build_lane
 from repro.population import FinitePopulation
 from repro.simulation.batch import BatchResult, validate_ensemble_args
+from repro.simulation.policies import ControlPolicy
 
 __all__ = ["simulate_ensemble"]
 
 
 def simulate_ensemble(
     population: FinitePopulation,
-    policy_factory: Callable,
+    policy: ControlPolicy,
     t_final: float,
     n_runs: int,
     seed: Union[int, np.random.SeedSequence] = 0,
@@ -82,7 +81,7 @@ def simulate_ensemble(
     with telemetry.span("engine.ensemble", runs=n_runs) as sp:
         t0 = time.perf_counter()
         batch = _simulate_ensemble_impl(
-            population, policy_factory, t_final, n_runs,
+            population, policy, t_final, n_runs,
             seed=seed, rng=rng, n_samples=n_samples, t_start=t_start,
             max_events=max_events,
         )
@@ -101,7 +100,7 @@ def simulate_ensemble(
 
 def _simulate_ensemble_impl(
     population: FinitePopulation,
-    policy_factory: Callable,
+    policy: ControlPolicy,
     t_final: float,
     n_runs: int,
     seed: Union[int, np.random.SeedSequence] = 0,
@@ -117,11 +116,10 @@ def _simulate_ensemble_impl(
     population:
         The instantiated finite-``N`` chain (all rows start from its
         initial state).
-    policy_factory:
-        Zero-argument callable producing a fresh
-        :class:`~repro.simulation.ControlPolicy`; known policy classes
-        are vectorized into a single lane, unknown ones fall back to one
-        instance per row.
+    policy:
+        The :class:`~repro.simulation.ControlPolicy` driving every row;
+        its ``reset`` rebuilds the state of all rows before the first
+        step, so one instance may drive several ensembles in turn.
     t_final:
         Simulation horizon.
     n_runs:
@@ -142,8 +140,8 @@ def _simulate_ensemble_impl(
     ``(n_runs, n_samples, d)`` and ``thetas`` of shape
     ``(n_runs, n_samples, p)``.
     """
-    n_runs = validate_ensemble_args(policy_factory, n_runs, t_final,
-                                    t_start, n_samples)
+    n_runs = validate_ensemble_args(policy, n_runs, t_final, t_start,
+                                    n_samples)
     rng = rng if rng is not None else np.random.default_rng(seed)
 
     model = population.model
@@ -152,8 +150,7 @@ def _simulate_ensemble_impl(
     size = population.population_size
     changes = population.change_matrix
 
-    lane = build_lane(policy_factory, n_runs)
-    lane.reset(rng, population.initial_density)
+    policy.reset(rng, population.initial_density, n_runs)
 
     counts = np.tile(population.initial_counts, (n_runs, 1))
     t = np.full(n_runs, float(t_start))
@@ -183,11 +180,11 @@ def _simulate_ensemble_impl(
                 f"shorten the horizon"
             )
         x = counts[rows] / size
-        theta = model.theta_set.project_batch(lane.theta(rows, t[rows], x))
+        theta = model.theta_set.project_batch(policy.theta(rows, t[rows], x))
         rates = population.aggregate_rates_batch(counts[rows], theta)
-        policy_rate = lane.jump_rate(rows, t[rows], x)
+        policy_rate = policy.jump_rate(rows, t[rows], x)
         total = rates.sum(axis=1) + policy_rate
-        switch_at = lane.next_switch_after(rows, t[rows])
+        switch_at = policy.next_switch_after(rows, t[rows])
 
         # Per-row holding times; absorbed rows (no enabled event) get an
         # infinite draw, which routes them to their next policy switch
@@ -226,7 +223,7 @@ def _simulate_ensemble_impl(
             is_policy = u < policy_rate[firing]
             jumping = firing[is_policy]
             if jumping.size:
-                lane.on_jump(rows[jumping], t_next[jumping], x[jumping], rng)
+                policy.on_jump(rows[jumping], t_next[jumping], x[jumping], rng)
                 n_policy_jumps[rows[jumping]] += 1
             transitioning = firing[~is_policy]
             if transitioning.size:

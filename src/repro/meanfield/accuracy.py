@@ -26,8 +26,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.engine import simulate_ensemble
 from repro.ode import solve_ode
-from repro.simulation import ConstantPolicy, batch_simulate
+from repro.simulation import ConstantPolicy
 
 __all__ = ["AccuracyStudy", "mean_field_accuracy"]
 
@@ -105,10 +106,11 @@ def mean_field_accuracy(
         reference_states = np.stack([np.asarray(reference(t)) for t in t_eval])
 
     study = AccuracyStudy(sizes=sizes, n_replications=n_replications)
+    policy = ConstantPolicy(theta)
     for k, n in enumerate(sizes):
         population = model.instantiate(int(n), x0)
-        batch = batch_simulate(
-            population, lambda: ConstantPolicy(theta), float(t_final),
+        batch = simulate_ensemble(
+            population, policy, float(t_final),
             n_runs=n_replications, seed=seed + 10_000 * k,
             n_samples=n_samples,
         )

@@ -15,11 +15,11 @@ vector (in population counts) and a density-scaled rate function
 - :class:`FinitePopulation` — the concrete finite-``N`` CTMC obtained by
   instantiating the model at a population size, ready for stochastic
   simulation or exact CTMC analysis.
-- :func:`numeric_jacobian` — central finite differences, the fallback
-  when a model carries no analytic Jacobian.
+- :func:`check_affine_decomposition` — checks a declared affine
+  decomposition against the drift (the model test-suites use it).
 """
 
-from repro.population.calculus import check_affine_decomposition, numeric_jacobian
+from repro.population.calculus import check_affine_decomposition
 from repro.population.finite import FinitePopulation
 from repro.population.model import PopulationModel
 from repro.population.transitions import Transition
@@ -28,6 +28,5 @@ __all__ = [
     "Transition",
     "PopulationModel",
     "FinitePopulation",
-    "numeric_jacobian",
     "check_affine_decomposition",
 ]

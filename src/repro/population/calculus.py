@@ -2,36 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-__all__ = [
-    "numeric_jacobian",
-    "check_affine_decomposition",
-]
-
-
-def numeric_jacobian(f: Callable, x, eps: float = 1e-7) -> np.ndarray:
-    """Central finite-difference Jacobian of ``f`` at ``x``.
-
-    ``f`` maps an ``(d,)`` vector to an ``(m,)`` vector; the result has
-    shape ``(m, d)``.  Used as the fallback for the Pontryagin costate
-    equation when a model does not provide an analytic Jacobian.
-    """
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    jac = np.empty((f0.shape[0], x.shape[0]))
-    for j in range(x.shape[0]):
-        step = eps * max(1.0, abs(float(x[j])))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += step
-        xm[j] -= step
-        jac[:, j] = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (
-            2.0 * step
-        )
-    return jac
+__all__ = ["check_affine_decomposition"]
 
 
 def check_affine_decomposition(model, x, rng=None, n_samples: int = 16,

@@ -17,7 +17,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.params import ParameterSet, Singleton
-from repro.population.calculus import numeric_jacobian
 from repro.population.transitions import Transition
 
 __all__ = ["PopulationModel"]
@@ -31,6 +30,9 @@ _PROBE_STATE_FRACTIONS = np.array([0.2, 0.45, 0.7])
 #: How far each probe parameter row moves from the centre of ``Theta``
 #: towards one of its corners.
 _PROBE_THETA_FRACTIONS = np.array([0.5, 0.75, 0.25])
+_RATE_CONTRACT = ("rates must be coordinate-wise array arithmetic: x of "
+                  "shape (d, n) and theta of shape (p, n) in, (n,) values or "
+                  "a constant out")
 
 
 def _checked_stacks(name: str, dim: int, theta_dim: int, x,
@@ -70,47 +72,50 @@ def _checked_stacks(name: str, dim: int, theta_dim: int, x,
     return xs, thetas
 
 
-def _checked_rate(tr: Transition, x_probe: np.ndarray,
-                  theta_probe: np.ndarray) -> Callable:
-    """``tr.rate`` as the batch kernel calls it, checked on probe rows.
+def probe_states(lower: np.ndarray, span=1.0) -> np.ndarray:
+    """Three probe states in the box ``lower + [0, span]``, shape
+    ``(3, d)``: they differ in every coordinate and in their sums."""
+    skew = 0.1 * np.arange(lower.shape[0]) / lower.shape[0]
+    return lower + (_PROBE_STATE_FRACTIONS[:, None] + skew) * span
 
-    The rate is evaluated once on the coordinate-major probe batch and
-    once per row; it must return ``(n,)`` values (or a constant, which
-    is wrapped to broadcast to ``(n,)``) equal to the per-row ones.
-    Raises ``ValueError`` naming the transition otherwise.
+
+def checked_rate(rate: Callable, what: str, probes: Tuple[np.ndarray, ...],
+                 contract: str) -> Callable:
+    """``rate`` as a batch kernel calls it, checked on probe rows.
+
+    ``probes`` are the coordinate-major arguments of one batched call:
+    the last axis of each runs over the ``n`` probe rows.  The rate is
+    evaluated once on them and once per row; it must return ``(n,)``
+    values (or a constant, which is wrapped to broadcast to ``(n,)``)
+    equal to the per-row ones.  Raises ``ValueError`` naming ``what``
+    and ``contract`` otherwise.  Transition rates and the jump rates of
+    :class:`~repro.simulation.RandomJumpPolicy` are checked here.
     """
-    n = x_probe.shape[0]
-    contract = ("rates must be coordinate-wise array arithmetic: x of shape "
-                "(d, n) and theta of shape (p, n) in, (n,) values or a "
-                "constant out")
+    n = probes[0].shape[-1]
     try:
         with np.errstate(all="ignore"):
-            batched = np.asarray(tr.rate(x_probe.T, theta_probe.T),
-                                 dtype=float)
-            per_row = np.array([float(tr.rate(x_probe[r], theta_probe[r]))
+            batched = np.asarray(rate(*probes), dtype=float)
+            per_row = np.array([float(rate(*(a[..., r] for a in probes)))
                                 for r in range(n)])
     except Exception as exc:
         raise ValueError(
-            f"transition {tr.name!r}: rate raises {type(exc).__name__} "
-            f"({exc}); {contract}"
+            f"{what} raises {type(exc).__name__} ({exc}); {contract}"
         ) from exc
     if batched.shape not in ((n,), ()):
         raise ValueError(
-            f"transition {tr.name!r}: rate returns shape {batched.shape} "
-            f"for {n} states; {contract}"
+            f"{what} returns shape {batched.shape} for {n} states; "
+            f"{contract}"
         )
     if not np.allclose(batched, per_row, rtol=1e-9, atol=1e-12,
                        equal_nan=True):
         raise ValueError(
-            f"transition {tr.name!r}: rate on a batch of {n} states "
-            f"returns {batched.tolist()}, one state at a time "
-            f"{per_row.tolist()}; {contract}"
+            f"{what} on a batch of {n} states returns {batched.tolist()}, "
+            f"one state at a time {per_row.tolist()}; {contract}"
         )
     if batched.ndim == 0:
-        rate = tr.rate
-        return lambda x, theta: np.full(x.shape[1], rate(x, theta),
-                                        dtype=float)
-    return tr.rate
+        return lambda *args: np.full(args[0].shape[-1], rate(*args),
+                                     dtype=float)
+    return rate
 
 
 class PopulationModel:
@@ -153,10 +158,10 @@ class PopulationModel:
         overwrite it).
         :meth:`jacobian_x_batch` — the inner loop of the batched
         Pontryagin costate sweep — calls it, and :meth:`jacobian_x` is
-        its one-row view.  Without the declaration the Jacobian is the
-        central finite difference of the drift, row by row.  The
-        conformance suite checks declared Jacobians against that finite
-        difference along the spec's own mean-field trajectories.
+        its one-row view.  Without the declaration they raise
+        ``ValueError``, so the Pontryagin bounds need it.  The
+        conformance suite checks declared Jacobians against central
+        finite differences along the spec's own mean-field trajectories.
     state_bounds:
         Optional ``(lower, upper)`` vectors bounding the admissible
         normalised state space (e.g. ``([0, 0], [1, 1])``); used by the
@@ -235,8 +240,11 @@ class PopulationModel:
         # The rate kernel: one checked rate per transition, and the
         # (K, 1, d) change stack drift_batch weights their values with.
         x_probe, theta_probe = self._probe_rows()
-        self._rates = tuple(_checked_rate(tr, x_probe, theta_probe)
-                            for tr in self.transitions)
+        self._rates = tuple(
+            checked_rate(tr.rate, f"transition {tr.name!r}: rate",
+                         (x_probe.T, theta_probe.T), _RATE_CONTRACT)
+            for tr in self.transitions
+        )
         self._changes = np.array([tr.change for tr in self.transitions])[
             :, None, :]
 
@@ -260,9 +268,8 @@ class PopulationModel:
 
         Catalog models must, and must be :attr:`is_affine`: the registry
         audit (``python -m repro lint``) fails on registered models
-        without either, because the costate sweep then runs on
-        finite-difference Jacobians and the Hamiltonian maximiser on
-        its grid search.
+        without either, because the costate sweep then has no Jacobian
+        and the Hamiltonian maximiser runs its grid search.
         """
         return self._drift_jacobian_batch is not None
 
@@ -287,8 +294,7 @@ class PopulationModel:
             lower, span = np.zeros(self.dim), np.ones(self.dim)
         else:
             lower, span = self.state_lower, self.state_upper - self.state_lower
-        skew = 0.1 * np.arange(self.dim) / self.dim
-        x_probe = lower + (_PROBE_STATE_FRACTIONS[:, None] + skew) * span
+        x_probe = probe_states(lower, span)
         centre = self.theta_set.center()
         corners = self.theta_set.corners()
         towards = corners[np.arange(x_probe.shape[0]) % corners.shape[0]]
@@ -499,20 +505,17 @@ class PopulationModel:
 
         The stacks are those of :meth:`drift_batch`; other shapes raise
         ``ValueError`` naming both.  Uses the declared
-        ``drift_jacobian_batch`` when available (one vectorized call).
-        Falls back to the central finite difference of :meth:`drift`,
-        row by row, otherwise.
+        ``drift_jacobian_batch`` (one vectorized call); a model that
+        declares none raises ``ValueError`` naming it.
         """
         x, theta = _checked_stacks(self.name, self.dim, self.theta_dim,
                                    x, theta)
         n = x.shape[0]
         if self._drift_jacobian_batch is None:
-            out = np.empty((n, self.dim, self.dim))
-            for r in range(n):
-                out[r] = numeric_jacobian(
-                    lambda y: self.drift(y, theta[r]), x[r]
-                )
-            return out
+            raise ValueError(
+                f"model {self.name!r} declares no drift_jacobian_batch; "
+                f"the costate sweep needs its analytic Jacobian"
+            )
         jacs = np.asarray(self._drift_jacobian_batch(x, theta), dtype=float)
         if jacs.shape != (n, self.dim, self.dim):
             raise ValueError(

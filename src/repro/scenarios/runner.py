@@ -37,6 +37,7 @@ cache-hit counter.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -121,17 +122,30 @@ def _resolve_observables(model, spec: ScenarioSpec) -> Dict[str, np.ndarray]:
     return _resolve_weights(model, list(spec.observables) or None)
 
 
+def _count(q: Question, key: str, default: Optional[int] = None) -> int:
+    """The count option ``key`` of ``q`` (``default`` when absent) as an
+    ``int``.  An integral float such as ``3.0`` reads as 3; any value
+    that is not a finite integer raises ``ValueError`` naming the key,
+    the question kind and the value, instead of being truncated."""
+    value = q.opts.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"{q.kind} option {key} must be a finite integer, "
+                         f"got {value!r}")
+    return int(value)
+
+
 def _run_envelope(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     times = opts.get("times")
     if times is None:
-        times = np.linspace(0.0, spec.horizon, int(opts.get("n_times", 9)))
+        times = np.linspace(0.0, spec.horizon, _count(q, "n_times", 9))
     times = np.asarray(times, dtype=float)
     observables = list(spec.observables) or None
     kwargs = envelope_integrator_options(opts)
     env = uncertain_envelope(
         model, spec.x0, times,
-        resolution=int(opts.get("resolution", 7)),
+        resolution=_count(q, "resolution", 7),
         observables=observables,
         **kwargs,
     )
@@ -149,7 +163,7 @@ def _run_pontryagin(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     horizons = opts.get("horizons")
     if horizons is None:
-        n = int(opts.get("n_horizons", 8))
+        n = _count(q, "n_horizons", 8)
         if n < 1:
             raise ValueError(
                 f"pontryagin option n_horizons must be >= 1, got {n}"
@@ -157,10 +171,11 @@ def _run_pontryagin(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
         horizons = np.linspace(spec.horizon / n, spec.horizon, n)
     horizons = np.asarray(horizons, dtype=float)
     kwargs = {}
-    for key in ("steps_per_unit", "min_steps", "max_iter", "tol",
-                "deadline_seconds"):
+    for key in ("steps_per_unit", "min_steps", "tol", "deadline_seconds"):
         if key in opts:
             kwargs[key] = opts[key]
+    if "max_iter" in opts:
+        kwargs["max_iter"] = _count(q, "max_iter")
     if "sides" in opts:
         kwargs["sides"] = tuple(opts["sides"])
     observables = list(spec.observables) or None
@@ -187,7 +202,7 @@ def _run_hull(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     opts = q.opts
     times = opts.get("times")
     if times is None:
-        times = np.linspace(0.0, spec.horizon, int(opts.get("n_times", 13)))
+        times = np.linspace(0.0, spec.horizon, _count(q, "n_times", 13))
     times = np.asarray(times, dtype=float)
     kwargs = {}
     for key in ("blowup_threshold", "rtol", "atol", "theta_method"):
@@ -218,7 +233,7 @@ def _run_template(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     kwargs = {}
     for key in ("n_steps", "max_iter"):
         if key in opts:
-            kwargs[key] = int(opts[key])
+            kwargs[key] = _count(q, key)
     polytope = template_reachable_bounds(
         model, spec.x0, float(opts.get("horizon", spec.horizon)),
         directions=directions, **kwargs
@@ -237,6 +252,8 @@ def _run_template(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
 def _run_steadystate(model, spec: ScenarioSpec,
                      q: Question) -> QuestionOutcome:
     opts = q.opts
+    max_rounds = _count(q, "max_rounds", 120)
+    fp_resolution = _count(q, "fp_resolution", 11)
     out = QuestionOutcome()
     rect = hull_steady_rectangle(
         model, spec.x0,
@@ -256,14 +273,14 @@ def _run_steadystate(model, spec: ScenarioSpec,
         region = birkhoff_centre_2d(
             model,
             x0_guess=opts.get("x0_guess"),
-            max_rounds=int(opts.get("max_rounds", 120)),
+            max_rounds=max_rounds,
         )
         area = 0.0 if region.polygon is None else float(region.polygon.area)
         out.findings[q.prefixed("birkhoff_area")] = area
         out.findings[q.prefixed("birkhoff_certified")] = float(region.certified)
         out.findings[q.prefixed("birkhoff_rounds")] = float(region.rounds)
         curve = uncertain_fixed_points(
-            model, resolution=int(opts.get("fp_resolution", 11)),
+            model, resolution=fp_resolution,
             x0_guess=opts.get("x0_guess"),
         )
         inside = sum(region.contains(fp, tol=1e-3) for fp in curve)
@@ -284,17 +301,17 @@ def _run_ensemble(model, spec: ScenarioSpec, q: Question) -> QuestionOutcome:
     if resolution is None:
         thetas = model.theta_set.corners()
     else:
-        thetas = model.theta_set.grid(int(resolution))
-    population_size = int(opts.get("population_size", 200))
-    n_samples = int(opts.get("n_samples", 50))
+        thetas = model.theta_set.grid(_count(q, "resolution"))
+    population_size = _count(q, "population_size", 200)
+    n_samples = _count(q, "n_samples", 50)
     results = sweep_constant_ensembles(
         spec.model_factory,
         spec.x0,
         population_size,
         thetas,
         t_final=float(opts.get("horizon", spec.horizon)),
-        n_runs=int(opts.get("n_runs", 16)),
-        seed=int(opts.get("seed", 2016)),
+        n_runs=_count(q, "n_runs", 16),
+        seed=_count(q, "seed", 2016),
         n_samples=n_samples,
         model_kwargs=spec.kwargs,
     )
@@ -329,16 +346,18 @@ def _run_dtmc_reward(model, spec: ScenarioSpec,
     the quantity the interval-DTMC scenarios exist to expose.
     """
     opts = q.opts
-    population_size = int(opts.get("population_size", 10))
+    population_size = _count(q, "population_size", 10)
+    stationary_max_iter = _count(q, "stationary_max_iter", 50_000)
+    n_steps = _count(q, "n_steps", 150)
     chain = ImpreciseCTMC(
         model.instantiate(population_size, spec.x0),
-        max_states=int(opts.get("max_states", 20_000)),
+        max_states=_count(q, "max_states", 20_000),
     )
     dtmc, rate = IntervalDTMC.from_imprecise_ctmc(
         chain, safety=float(opts.get("safety", 1.05))
     )
     horizon = float(opts.get("horizon", spec.horizon))
-    steps = int(opts["steps"]) if "steps" in opts else int(np.ceil(horizon * rate))
+    steps = _count(q, "steps") if "steps" in opts else int(np.ceil(horizon * rate))
     weights = _resolve_observables(model, spec)
     names = list(weights)
     n_obs = len(names)
@@ -370,12 +389,11 @@ def _run_dtmc_reward(model, spec: ScenarioSpec,
         for j, name in enumerate(names):
             lo, hi = dtmc.stationary_expectation_bounds(
                 rewards[j],
-                max_iter=int(opts.get("stationary_max_iter", 50_000)),
+                max_iter=stationary_max_iter,
             )
             out.findings[q.prefixed(f"dtmc_{name}_stationary_lower")] = lo
             out.findings[q.prefixed(f"dtmc_{name}_stationary_upper")] = hi
     if bool(opts.get("compare_exact", True)):
-        n_steps = int(opts.get("n_steps", 150))
         tol = float(opts.get("soundness_tol", 1e-6))
         # The raw k-step power carries an O(1/rate) time-discretization
         # bias, so soundness is pinned on the Poisson-mixed bounds,

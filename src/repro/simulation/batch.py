@@ -1,16 +1,14 @@
-"""Batch stochastic simulation with ensemble statistics.
+"""Ensemble statistics of batch stochastic simulation.
 
 Single SSA paths (Figure 6) show *where* the process lives; ensemble
-statistics quantify it.  :func:`batch_simulate` runs many independent
-replications of an imprecise chain under a policy factory and aggregates
-them on a common time grid: means, standard deviations, quantile bands
-and the final-state empirical cloud.  Used by the convergence studies
-and by users estimating fluctuation bands around the mean-field bounds
-(the CLT-scale ``O(1/sqrt(N))`` band of Theorem 2's ``eps_N``).
-
-Every call, a single run included, delegates to
-:func:`repro.engine.simulate_ensemble`, which steps the whole ensemble
-as ``(n_runs, d)`` arrays from one ``default_rng(seed)``.
+statistics quantify it.  :func:`repro.engine.simulate_ensemble` runs
+many independent replications of an imprecise chain under one policy,
+stepping the whole ensemble as ``(n_runs, d)`` arrays, and returns a
+:class:`BatchResult` that aggregates them on a common time grid: means,
+standard deviations, quantile bands and the final-state empirical
+cloud.  Used by the convergence studies and by users estimating
+fluctuation bands around the mean-field bounds (the CLT-scale
+``O(1/sqrt(N))`` band of Theorem 2's ``eps_N``).
 """
 
 from __future__ import annotations
@@ -21,22 +19,24 @@ from typing import Callable
 
 import numpy as np
 
-from repro.population import FinitePopulation
+from repro.simulation.policies import ControlPolicy
 
-__all__ = ["BatchResult", "batch_simulate"]
+__all__ = ["BatchResult"]
 
 
-def validate_ensemble_args(policy_factory, n_runs, t_final: float,
+def validate_ensemble_args(policy, n_runs, t_final: float,
                            t_start: float, n_samples: int) -> int:
     """Up-front validation of every SSA call.
 
-    :func:`repro.engine.simulate_ensemble` runs it before any policy is
-    built, so :func:`batch_simulate`, :func:`~repro.simulation.simulate`
-    and the parameter sweeps fail the same way; returns the
-    index-normalised ``n_runs``.
+    :func:`repro.engine.simulate_ensemble` runs it before the policy is
+    reset, so :func:`~repro.simulation.simulate` and the parameter
+    sweeps fail the same way; returns the index-normalised ``n_runs``.
     """
-    if not callable(policy_factory):
-        raise TypeError("policy_factory must be a zero-argument callable")
+    if not isinstance(policy, ControlPolicy):
+        raise TypeError(
+            f"policy must be a ControlPolicy instance, got "
+            f"{type(policy).__name__}"
+        )
     try:
         n_runs = operator.index(n_runs)
     except TypeError as exc:
@@ -128,36 +128,3 @@ class BatchResult:
             for r in range(self.n_runs)
         )
         return hits / self.n_runs
-
-
-def batch_simulate(
-    population: FinitePopulation,
-    policy_factory: Callable,
-    t_final: float,
-    n_runs: int,
-    seed: int = 0,
-    n_samples: int = 200,
-    t_start: float = 0.0,
-) -> BatchResult:
-    """Run ``n_runs`` independent replications and aggregate them.
-
-    Parameters
-    ----------
-    policy_factory:
-        Zero-argument callable producing a *fresh* policy per run
-        (policies are stateful; sharing one instance across runs would
-        leak mode state even though ``reset`` is called).
-    seed:
-        Seed of the single ``default_rng(seed)`` that drives every
-        replication.
-
-    All inputs are validated before any simulation work starts, so a
-    bad call fails fast with a specific error instead of surfacing as a
-    downstream crash mid-ensemble.
-    """
-    from repro.engine import simulate_ensemble
-
-    return simulate_ensemble(
-        population, policy_factory, t_final, n_runs=n_runs, seed=seed,
-        n_samples=n_samples, t_start=t_start,
-    )

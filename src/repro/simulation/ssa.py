@@ -106,7 +106,7 @@ def simulate(
     from repro.engine import simulate_ensemble
 
     batch = simulate_ensemble(
-        population, lambda: policy, t_final, n_runs=1, rng=rng,
+        population, policy, t_final, n_runs=1, rng=rng,
         n_samples=n_samples, t_start=t_start, max_events=max_events,
     )
     return SimulationResult(

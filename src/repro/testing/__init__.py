@@ -32,6 +32,7 @@ from repro.testing.conformance import (
     ScenarioConformance,
     dtmc_cases,
     golden_cases,
+    numeric_jacobian,
     perturbation_cases,
     unique_model_cases,
 )
@@ -47,4 +48,5 @@ __all__ = [
     "dtmc_cases",
     "perturbation_cases",
     "golden_cases",
+    "numeric_jacobian",
 ]

@@ -105,6 +105,7 @@ __all__ = [
     "dtmc_cases",
     "perturbation_cases",
     "golden_cases",
+    "numeric_jacobian",
 ]
 
 #: Slack for envelope-vs-template (Pontryagin time discretisation).
@@ -146,6 +147,28 @@ class ConformanceReport:
                 f"  {o.name}: {o.status} ({o.seconds:.3f}s){detail}"
             )
         return "\n".join(lines)
+
+
+def numeric_jacobian(f, x, eps: float = 1e-7) -> np.ndarray:
+    """Central finite-difference Jacobian of ``f`` at ``x``.
+
+    ``f`` maps an ``(d,)`` vector to an ``(m,)`` vector; the result has
+    shape ``(m, d)``.  The model test-suites pin declared
+    ``drift_jacobian_batch`` kernels against it.
+    """
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(f(x), dtype=float)
+    jac = np.empty((f0.shape[0], x.shape[0]))
+    for j in range(x.shape[0]):
+        step = eps * max(1.0, abs(float(x[j])))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += step
+        xm[j] -= step
+        jac[:, j] = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (
+            2.0 * step
+        )
+    return jac
 
 
 def _require(condition: bool, message: str) -> None:

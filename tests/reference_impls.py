@@ -20,6 +20,7 @@ tolerance where the batched path shares one adaptive step sequence).
 import itertools
 import time
 from functools import cached_property
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -1084,6 +1085,183 @@ def warm_started_bounds(model, x0, horizons, observables=None,
 
 
 # ----------------------------------------------------------------------
+# Control policies: repro.simulation's batched policy classes
+# ----------------------------------------------------------------------
+# The scalar policies the oracle SSA loop below queries once per event:
+# each answers for one trajectory and keeps its state in scalars.  A
+# one-row ensemble under the library's batched twin reproduces them bit
+# for bit.
+
+
+class ControlPolicy:
+    """Base class: a deterministic, constant-free policy interface."""
+
+    def reset(self, rng: np.random.Generator, x0: np.ndarray) -> None:
+        """Prepare internal state for a fresh simulation run."""
+
+    def theta(self, t: float, x: np.ndarray) -> np.ndarray:
+        """The parameter in force at time ``t`` in state ``x``."""
+        raise NotImplementedError
+
+    def jump_rate(self, t: float, x: np.ndarray) -> float:
+        """Rate of autonomous policy events (0 for deterministic policies)."""
+        return 0.0
+
+    def on_jump(self, t: float, x: np.ndarray, rng: np.random.Generator) -> None:
+        """React to one autonomous policy event."""
+
+    def next_switch_after(self, t: float) -> float:
+        """Next deterministic discontinuity of ``theta`` strictly after ``t``."""
+        return np.inf
+
+
+class ConstantPolicy(ControlPolicy):
+    """The uncertain scenario: a frozen parameter for the whole run."""
+
+    def __init__(self, theta):
+        self._theta = np.atleast_1d(np.asarray(theta, dtype=float))
+
+    def theta(self, t: float, x: np.ndarray) -> np.ndarray:
+        return self._theta
+
+    def __repr__(self) -> str:
+        return f"ConstantPolicy({self._theta.tolist()})"
+
+
+class PiecewiseConstantPolicy(ControlPolicy):
+    """A deterministic schedule of ``(start_time, theta)`` pieces."""
+
+    def __init__(self, schedule: Sequence[Tuple[float, Sequence[float]]]):
+        if not schedule:
+            raise ValueError("schedule must be non-empty")
+        starts = [float(s) for s, _ in schedule]
+        if starts != sorted(starts):
+            raise ValueError("schedule start times must be sorted")
+        self._starts = np.asarray(starts)
+        self._thetas = [np.atleast_1d(np.asarray(th, dtype=float)) for _, th in schedule]
+
+    def theta(self, t: float, x: np.ndarray) -> np.ndarray:
+        index = int(np.searchsorted(self._starts, t, side="right") - 1)
+        index = max(index, 0)
+        return self._thetas[index]
+
+    def next_switch_after(self, t: float) -> float:
+        later = self._starts[self._starts > t + 1e-15]
+        return float(later[0]) if later.size else np.inf
+
+    def __repr__(self) -> str:
+        return f"PiecewiseConstantPolicy({len(self._thetas)} pieces)"
+
+
+class HysteresisPolicy(ControlPolicy):
+    """The paper's policy ``theta_1`` (Section V-E): threshold switching.
+
+    Watches one state coordinate and oscillates between two parameter
+    vectors: in *high* mode, switch to *low* mode when the coordinate
+    drops below ``low_threshold``; in *low* mode, switch back when it
+    rises above ``high_threshold``.  For the SIR example the coordinate
+    is ``X_S``, the modes are ``theta_max``/``theta_min``, and the
+    thresholds are 0.5 / 0.85, inducing the near-periodic oscillation of
+    Figure 6(a).
+
+    Parameters
+    ----------
+    theta_low, theta_high:
+        Parameter vectors of the two modes.
+    coordinate:
+        Index of the watched state coordinate.
+    low_threshold, high_threshold:
+        Switching thresholds (``low_threshold < high_threshold``).
+    start_high:
+        Initial mode.
+    """
+
+    def __init__(self, theta_low, theta_high, coordinate: int,
+                 low_threshold: float, high_threshold: float,
+                 start_high: bool = True):
+        if low_threshold >= high_threshold:
+            raise ValueError("low_threshold must be below high_threshold")
+        self._theta_low = np.atleast_1d(np.asarray(theta_low, dtype=float))
+        self._theta_high = np.atleast_1d(np.asarray(theta_high, dtype=float))
+        self._coordinate = int(coordinate)
+        self._low_threshold = float(low_threshold)
+        self._high_threshold = float(high_threshold)
+        self._start_high = bool(start_high)
+        self._high_mode = self._start_high
+
+    def reset(self, rng: np.random.Generator, x0: np.ndarray) -> None:
+        self._high_mode = self._start_high
+
+    @property
+    def in_high_mode(self) -> bool:
+        """Whether the policy currently applies ``theta_high``."""
+        return self._high_mode
+
+    def theta(self, t: float, x: np.ndarray) -> np.ndarray:
+        value = float(x[self._coordinate])
+        if self._high_mode and value < self._low_threshold:
+            self._high_mode = False
+        elif not self._high_mode and value > self._high_threshold:
+            self._high_mode = True
+        return self._theta_high if self._high_mode else self._theta_low
+
+    def __repr__(self) -> str:
+        return (
+            f"HysteresisPolicy(coord={self._coordinate}, "
+            f"thresholds=({self._low_threshold}, {self._high_threshold}))"
+        )
+
+
+class RandomJumpPolicy(ControlPolicy):
+    """The paper's policy ``theta_2`` (Section V-E): random re-draws.
+
+    The parameter jumps to a fresh value at a state-dependent rate; for
+    the SIR example the rate is ``5 * X_I`` and the new value is drawn
+    uniformly from ``Theta``.  The jumps are autonomous events competing
+    in the SSA race.
+
+    Parameters
+    ----------
+    theta_set:
+        The domain to sample from (usually ``model.theta_set``).
+    rate_fn:
+        State-dependent jump rate ``r(t, x)`` in *absolute* events per
+        unit time (the paper's ``5 X_I`` is such a rate: it does not
+        scale with ``N``).  The SSA adds it unscaled to the event race.
+    initial:
+        Starting parameter; defaults to the centre of the domain.
+    """
+
+    def __init__(self, theta_set, rate_fn: Callable, initial=None):
+        self._theta_set = theta_set
+        if not callable(rate_fn):
+            raise TypeError("rate_fn must be callable")
+        self._rate_fn = rate_fn
+        if initial is None:
+            self._initial = theta_set.center()
+        else:
+            self._initial = np.atleast_1d(np.asarray(initial, dtype=float))
+            if not theta_set.contains(self._initial, tol=1e-9):
+                raise ValueError("initial theta is outside the domain")
+        self._current = self._initial.copy()
+
+    def reset(self, rng: np.random.Generator, x0: np.ndarray) -> None:
+        self._current = self._initial.copy()
+
+    def theta(self, t: float, x: np.ndarray) -> np.ndarray:
+        return self._current
+
+    def jump_rate(self, t: float, x: np.ndarray) -> float:
+        return max(float(self._rate_fn(t, x)), 0.0)
+
+    def on_jump(self, t: float, x: np.ndarray, rng: np.random.Generator) -> None:
+        self._current = self._theta_set.sample(rng, 1)[0]
+
+    def __repr__(self) -> str:
+        return "RandomJumpPolicy(...)"
+
+
+# ----------------------------------------------------------------------
 # SSA: repro.engine.simulate_ensemble (and its one-row view simulate)
 # ----------------------------------------------------------------------
 
@@ -1195,11 +1373,12 @@ def simulate(population, policy, t_final, rng=None, n_samples=1000,
     )
 
 
-def simulate_runs(population, policy_factory, t_final, n_runs, seed=0,
+def simulate_runs(population, policy, t_final, n_runs, seed=0,
                   n_samples=200, t_start=0.0):
-    """``n_runs`` oracle SSA replications, replication ``r`` seeded ``seed + r``."""
+    """``n_runs`` oracle SSA replications of one scalar policy (reset
+    before each), replication ``r`` seeded ``seed + r``."""
     runs = [
-        simulate(population, policy_factory(), t_final,
+        simulate(population, policy, t_final,
                  rng=np.random.default_rng(seed + r), n_samples=n_samples,
                  t_start=t_start)
         for r in range(n_runs)

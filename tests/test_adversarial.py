@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.bounds import extremal_trajectory
+from repro.engine import simulate_ensemble
 from repro.inclusion import ParametricInclusion
-from repro.simulation import PiecewiseConstantPolicy, batch_simulate
+from repro.simulation import PiecewiseConstantPolicy
 
 
 class TestExtremalControlReplay:
@@ -40,9 +41,9 @@ class TestExtremalControlReplay:
             np.any(np.diff(result.controls, axis=0) != 0.0, axis=1)) + 1
         schedule = [(result.times[k], result.controls[k])
                     for k in np.concatenate([[0], knots])]
-        batch = batch_simulate(
+        batch = simulate_ensemble(
             model.instantiate(5000, [0.7, 0.3]),
-            lambda: PiecewiseConstantPolicy(schedule), 3.0,
+            PiecewiseConstantPolicy(schedule), 3.0,
             n_runs=4, seed=11, n_samples=50,
         )
         finals = batch.final_states() @ result.direction

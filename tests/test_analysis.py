@@ -68,12 +68,12 @@ class TestInclusionFraction:
     def test_ensemble_stats_match_pooled_runs(self, sir_region):
         """ensemble_inclusion_fraction pools all runs' stationary samples."""
         from repro.analysis import ensemble_inclusion_fraction
-        from repro.simulation import batch_simulate
+        from repro.engine import simulate_ensemble
 
         model, region = sir_region
         pop = model.instantiate(500, [0.7, 0.3])
-        batch = batch_simulate(pop, lambda: ConstantPolicy([5.0]), 30.0,
-                               n_runs=4, seed=9, n_samples=120)
+        batch = simulate_ensemble(pop, ConstantPolicy([5.0]), 30.0,
+                                  n_runs=4, seed=9, n_samples=120)
         stats = ensemble_inclusion_fraction(batch, region, burn_in=12.0,
                                             epsilon=3.0 / np.sqrt(500))
         kept = int(np.count_nonzero(batch.times >= 12.0))
@@ -118,7 +118,7 @@ class TestConvergenceStudy:
         study = convergence_study(
             model,
             region,
-            policies={"const": lambda: ConstantPolicy([5.0])},
+            policies={"const": ConstantPolicy([5.0])},
             sizes=(100, 2000),
             x0=[0.7, 0.3],
             t_final=50.0,

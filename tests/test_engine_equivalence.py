@@ -32,27 +32,21 @@ import pytest
 from scipy.stats import ks_2samp
 
 import reference_impls as ref
+from repro import simulation
 from repro.engine import simulate_ensemble
 from repro.models import make_power_of_d_model, make_sir_model
 from repro.params import Interval
 from repro.population import PopulationModel, Transition
 from repro.scenarios import list_scenarios
-from repro.simulation import (
-    ConstantPolicy,
-    FeedbackPolicy,
-    HysteresisPolicy,
-    PiecewiseConstantPolicy,
-    RandomJumpPolicy,
-    batch_simulate,
-    simulate,
-)
+from repro.simulation import ConstantPolicy, simulate
 
 
-def run_both_engines(population, policy_factory, t_final, n_runs, seed,
-                     n_samples=21):
-    vec = simulate_ensemble(population, policy_factory, t_final,
+def run_both_engines(population, make, t_final, n_runs, seed, n_samples=21):
+    """An ensemble under the library policy ``make(repro.simulation)``
+    and oracle runs under its scalar twin ``make(ref)``."""
+    vec = simulate_ensemble(population, make(simulation), t_final,
                             n_runs=n_runs, seed=seed, n_samples=n_samples)
-    sca = ref.simulate_runs(population, policy_factory, t_final,
+    sca = ref.simulate_runs(population, make(ref), t_final,
                             n_runs=n_runs, seed=seed, n_samples=n_samples)
     return vec, sca
 
@@ -81,20 +75,31 @@ def assert_ks_equivalent(vec, sca, alpha=0.01):
         )
 
 
-class SubclassedConstant(ConstantPolicy):
-    """A subclass the engine must not vectorize: it runs on the generic
-    one-policy-per-row lane."""
+class StateFeedback(ConstantPolicy):
+    """A subclass that overrides ``theta``: ``1 + 9 x_I`` on every row."""
+
+    def theta(self, rows, t, x):
+        return 1.0 + 9.0 * x[:, 1:2]
 
 
-def assert_direct_method(population, policy_factory, t_final, seed,
+class ScalarStateFeedback(ref.ControlPolicy):
+    """The oracle twin of :class:`StateFeedback`, one state at a time."""
+
+    def theta(self, t, x):
+        return np.atleast_1d(1.0 + 9.0 * x[1])
+
+
+def assert_direct_method(population, policy, oracle_policy, t_final, seed,
                          **kwargs):
-    """``simulate`` and a one-row ``simulate_ensemble`` both reproduce
-    the oracle run bit for bit; returns the oracle run."""
-    oracle = ref.simulate(population, policy_factory(), t_final,
+    """``simulate`` and a one-row ``simulate_ensemble`` under ``policy``
+    both reproduce the oracle run under its scalar twin bit for bit (the
+    one instance drives both, reset in between); returns the oracle
+    run."""
+    oracle = ref.simulate(population, oracle_policy, t_final,
                           rng=np.random.default_rng(seed), **kwargs)
-    view = simulate(population, policy_factory(), t_final,
+    view = simulate(population, policy, t_final,
                     rng=np.random.default_rng(seed), **kwargs)
-    row = simulate_ensemble(population, policy_factory, t_final, n_runs=1,
+    row = simulate_ensemble(population, policy, t_final, n_runs=1,
                             rng=np.random.default_rng(seed), **kwargs)
     for states, thetas, n_events, n_jumps in (
         (view.states, view.thetas, view.n_events, view.n_policy_jumps),
@@ -117,18 +122,25 @@ def _death_model():
 
 SIR = make_sir_model()
 
-POLICY_FACTORIES = {
-    "constant": lambda: ConstantPolicy([5.0]),
-    "piecewise": lambda: PiecewiseConstantPolicy(
+#: Each policy class, built from ``repro.simulation`` or from its scalar
+#: twin in ``reference_impls``, with the same arguments.
+POLICIES = {
+    "constant": lambda m: m.ConstantPolicy([5.0]),
+    "piecewise": lambda m: m.PiecewiseConstantPolicy(
         [(0.0, [1.0]), (0.37, [10.0]), (0.8, [3.0])]),
-    "feedback": lambda: FeedbackPolicy(lambda t, x: [1.0 + 9.0 * x[1]]),
-    "hysteresis": lambda: HysteresisPolicy(
+    "hysteresis": lambda m: m.HysteresisPolicy(
         [1.0], [10.0], coordinate=0, low_threshold=0.5,
         high_threshold=0.85),
-    "random-jump": lambda: RandomJumpPolicy(
+    "random-jump": lambda m: m.RandomJumpPolicy(
         SIR.theta_set, rate_fn=lambda t, x: 20.0 * x[1]),
-    "constant-subclass": lambda: SubclassedConstant([5.0]),
+    "constant-rate-jump": lambda m: m.RandomJumpPolicy(
+        SIR.theta_set, rate_fn=lambda t, x: 50.0),
 }
+
+
+def twins(name):
+    """The library policy ``name`` and its scalar oracle twin."""
+    return POLICIES[name](simulation), POLICIES[name](ref)
 
 
 class TestOneRowIsTheDirectMethod:
@@ -138,23 +150,35 @@ class TestOneRowIsTheDirectMethod:
         model = spec.build_model()
         theta = model.theta_set.center()
         oracle = assert_direct_method(
-            model.instantiate(200, spec.x0), lambda: ConstantPolicy(theta),
-            1.0, seed=2016, n_samples=37,
+            model.instantiate(200, spec.x0), ConstantPolicy(theta),
+            ref.ConstantPolicy(theta), 1.0, seed=2016, n_samples=37,
         )
         assert oracle.n_events > 0
 
     @pytest.mark.parametrize("t_start", [0.0, 0.6])
-    @pytest.mark.parametrize("name", list(POLICY_FACTORIES))
+    @pytest.mark.parametrize("name", list(POLICIES))
     def test_every_policy_class(self, name, t_start):
         assert_direct_method(
-            SIR.instantiate(200, [0.7, 0.3]), POLICY_FACTORIES[name],
+            SIR.instantiate(200, [0.7, 0.3]), *twins(name),
             t_start + 1.5, seed=7, n_samples=53, t_start=t_start,
         )
 
+    @pytest.mark.parametrize("t_start", [0.0, 0.6])
+    def test_subclass_overriding_theta(self, t_start):
+        """The engine asks the instance, so an overridden hook is the
+        one that runs: the thetas follow the state, not the constant."""
+        oracle = assert_direct_method(
+            SIR.instantiate(200, [0.7, 0.3]), StateFeedback([5.0]),
+            ScalarStateFeedback(), t_start + 1.5, seed=7, n_samples=53,
+            t_start=t_start,
+        )
+        np.testing.assert_array_equal(oracle.thetas[:, 0],
+                                      1.0 + 9.0 * oracle.states[:, 1])
+
     def test_random_jumps_fire(self):
         oracle = assert_direct_method(
-            SIR.instantiate(1000, [0.7, 0.3]),
-            POLICY_FACTORIES["random-jump"], 3.0, seed=5, n_samples=200,
+            SIR.instantiate(1000, [0.7, 0.3]), *twins("random-jump"), 3.0,
+            seed=5, n_samples=200,
         )
         assert oracle.n_policy_jumps > 0
 
@@ -165,14 +189,15 @@ class TestOneRowIsTheDirectMethod:
     def test_absorbing_chain(self, x0, schedule):
         oracle = assert_direct_method(
             _death_model().instantiate(20, x0),
-            lambda: PiecewiseConstantPolicy(schedule), 30.0, seed=3,
+            simulation.PiecewiseConstantPolicy(schedule),
+            ref.PiecewiseConstantPolicy(schedule), 30.0, seed=3,
             n_samples=40,
         )
         assert oracle.states[-1, 0] == 0.0
 
     def test_default_generator(self):
         population = SIR.instantiate(100, [0.7, 0.3])
-        oracle = ref.simulate(population, ConstantPolicy([5.0]), 1.0,
+        oracle = ref.simulate(population, ref.ConstantPolicy([5.0]), 1.0,
                               n_samples=30)
         view = simulate(population, ConstantPolicy([5.0]), 1.0,
                         n_samples=30)
@@ -186,31 +211,29 @@ class TestSIREquivalence:
     def test_constant_policy(self, sir_model):
         population = sir_model.instantiate(200, [0.7, 0.3])
         vec, sca = run_both_engines(
-            population, lambda: ConstantPolicy([5.0]), 2.0,
+            population, lambda m: m.ConstantPolicy([5.0]), 2.0,
             n_runs=self.N_RUNS, seed=11,
         )
         assert_clt_equivalent(vec, sca, self.N_RUNS, 200)
         assert_ks_equivalent(vec, sca)
 
     def test_hysteresis_policy_theta1(self, sir_model):
-        factory = lambda: HysteresisPolicy(  # noqa: E731
-            [1.0], [10.0], coordinate=0,
-            low_threshold=0.5, high_threshold=0.85,
-        )
         population = sir_model.instantiate(200, [0.7, 0.3])
         vec, sca = run_both_engines(
-            population, factory, 2.0, n_runs=self.N_RUNS, seed=12,
+            population, lambda m: m.HysteresisPolicy(
+                [1.0], [10.0], coordinate=0,
+                low_threshold=0.5, high_threshold=0.85,
+            ), 2.0, n_runs=self.N_RUNS, seed=12,
         )
         assert_clt_equivalent(vec, sca, self.N_RUNS, 200)
         assert_ks_equivalent(vec, sca)
 
     def test_random_jump_policy_theta2(self, sir_model):
-        factory = lambda: RandomJumpPolicy(  # noqa: E731
-            sir_model.theta_set, rate_fn=lambda t, x: 5.0 * x[1],
-        )
         population = sir_model.instantiate(200, [0.7, 0.3])
         vec, sca = run_both_engines(
-            population, factory, 2.0, n_runs=self.N_RUNS, seed=13,
+            population, lambda m: m.RandomJumpPolicy(
+                sir_model.theta_set, rate_fn=lambda t, x: 5.0 * x[1],
+            ), 2.0, n_runs=self.N_RUNS, seed=13,
         )
         assert_clt_equivalent(vec, sca, self.N_RUNS, 200)
         assert_ks_equivalent(vec, sca)
@@ -232,7 +255,7 @@ class TestPowerOfDEquivalence:
     def test_constant_policy(self, pod_population):
         model, population = pod_population
         vec, sca = run_both_engines(
-            population, lambda: ConstantPolicy([0.9]), 1.5,
+            population, lambda m: m.ConstantPolicy([0.9]), 1.5,
             n_runs=self.N_RUNS, seed=21,
         )
         assert_clt_equivalent(vec, sca, self.N_RUNS, 150)
@@ -257,21 +280,34 @@ class TestPowerOfDEquivalence:
             )
 
 
-class TestBatchedRateFallback:
-    def test_reduction_jump_rate_falls_back(self, sir_model):
+class TestJumpRateContract:
+    def test_pooling_jump_rate_raises(self, sir_model):
         """A RandomJumpPolicy rate written as a reduction (np.sum over
-        the state) must take the lane's per-row fallback, never be
-        broadcast batch-pooled.  (Model rates that pool are refused when
-        the model is built: see test_rate_kernel.py.)"""
-        factory = lambda: RandomJumpPolicy(  # noqa: E731
+        the batch) would pool every row's jump rate; it raises before the
+        first step, like a pooling model rate when the model is built
+        (test_rate_kernel.py)."""
+        policy = simulation.RandomJumpPolicy(
             sir_model.theta_set, rate_fn=lambda t, x: 4.0 * np.sum(x),
         )
         population = sir_model.instantiate(100, [0.7, 0.3])
-        vec, sca = run_both_engines(population, factory, 1.0, n_runs=40,
-                                    seed=31, n_samples=11)
-        # With the pooled-broadcast bug the vectorized jump rate is
-        # ~n_runs times too large; jump counts expose that immediately.
-        assert vec.n_policy_jumps < 5 * max(sca.n_policy_jumps, 1)
+        with pytest.raises(ValueError, match="jump rates must be "
+                                             "coordinate-wise array"):
+            simulate_ensemble(population, policy, 1.0, n_runs=40, seed=31,
+                              n_samples=11)
+
+    def test_constant_jump_rate_runs(self, sir_model):
+        """A constant rate broadcasts to every row and keeps the
+        oracle's law."""
+        population = sir_model.instantiate(100, [0.7, 0.3])
+        vec, sca = run_both_engines(
+            population, lambda m: m.RandomJumpPolicy(
+                sir_model.theta_set, rate_fn=lambda t, x: 4.0,
+            ), 1.0, n_runs=40, seed=31, n_samples=11,
+        )
+        assert_clt_equivalent(vec, sca, 40, 100)
+        # About 4 jumps per unit time on each row.
+        assert 80 < vec.n_policy_jumps < 250
+        assert 80 < sca.n_policy_jumps < 250
 
 
 class TestShardedSweep:
@@ -298,8 +334,7 @@ class TestShardedSweep:
         """Shard ``i`` consumes exactly the ``i``-th spawn of
         ``SeedSequence(seed)`` — the contract that makes sweeps
         reproducible for a fixed seed regardless of worker count."""
-        from repro.engine import simulate_ensemble, sweep_constant_ensembles
-        from repro.simulation import ConstantPolicy
+        from repro.engine import sweep_constant_ensembles
 
         grid = np.array([[2.0], [8.0]])
         seed = 99
@@ -312,7 +347,7 @@ class TestShardedSweep:
         for i, theta in enumerate(grid):
             direct = simulate_ensemble(
                 model.instantiate(120, [0.7, 0.3]),
-                lambda: ConstantPolicy(theta), 0.8, n_runs=3,
+                ConstantPolicy(theta), 0.8, n_runs=3,
                 rng=np.random.default_rng(spawned[i]), n_samples=9,
             )
             np.testing.assert_array_equal(sweep[i].states, direct.states)
@@ -363,16 +398,16 @@ class TestShardedSweep:
 class TestEngineDeterminism:
     def test_same_seed_same_ensemble(self, sir_model):
         population = sir_model.instantiate(100, [0.7, 0.3])
-        a = batch_simulate(population, lambda: ConstantPolicy([5.0]), 1.0,
-                           n_runs=10, seed=5, n_samples=11)
-        b = batch_simulate(population, lambda: ConstantPolicy([5.0]), 1.0,
-                           n_runs=10, seed=5, n_samples=11)
+        a = simulate_ensemble(population, ConstantPolicy([5.0]), 1.0,
+                              n_runs=10, seed=5, n_samples=11)
+        b = simulate_ensemble(population, ConstantPolicy([5.0]), 1.0,
+                              n_runs=10, seed=5, n_samples=11)
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_different_seeds_differ(self, sir_model):
         population = sir_model.instantiate(100, [0.7, 0.3])
-        a = batch_simulate(population, lambda: ConstantPolicy([5.0]), 1.0,
-                           n_runs=10, seed=5, n_samples=11)
-        b = batch_simulate(population, lambda: ConstantPolicy([5.0]), 1.0,
-                           n_runs=10, seed=6, n_samples=11)
+        a = simulate_ensemble(population, ConstantPolicy([5.0]), 1.0,
+                              n_runs=10, seed=5, n_samples=11)
+        b = simulate_ensemble(population, ConstantPolicy([5.0]), 1.0,
+                              n_runs=10, seed=6, n_samples=11)
         assert not np.array_equal(a.states, b.states)

@@ -6,7 +6,8 @@ import pytest
 from repro.bounds import extremal_trajectory, uncertain_envelope
 from repro.models import make_power_of_d_model
 from repro.ode import solve_ode
-from repro.population import check_affine_decomposition, numeric_jacobian
+from repro.population import check_affine_decomposition
+from repro.testing import numeric_jacobian
 
 
 @pytest.fixture(scope="module")

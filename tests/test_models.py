@@ -15,7 +15,8 @@ from repro.models import (
     poisson_rate_from_map,
 )
 from repro.models.sir import sir_recovered
-from repro.population import check_affine_decomposition, numeric_jacobian
+from repro.population import check_affine_decomposition
+from repro.testing import numeric_jacobian
 
 
 class TestSIRReduced:

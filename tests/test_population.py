@@ -8,8 +8,8 @@ from repro.population import (
     PopulationModel,
     Transition,
     check_affine_decomposition,
-    numeric_jacobian,
 )
+from repro.testing import numeric_jacobian
 
 
 def two_state_model(theta_set=None):
@@ -113,9 +113,22 @@ class TestPopulationModel:
         )
         x, theta = np.array([0.3]), np.array([1.5])
         np.testing.assert_allclose(
-            with_jac.jacobian_x(x, theta), analytic.jacobian_x(x, theta),
+            with_jac.jacobian_x(x, theta),
+            numeric_jacobian(lambda y: analytic.drift(y, theta), x),
             atol=1e-6,
         )
+
+    def test_jacobian_requires_a_declared_kernel(self):
+        """No finite-difference fallback: a model without
+        drift_jacobian_batch raises, naming itself."""
+        model = two_state_model()
+        assert not model.declares_drift_jacobian_batch
+        for call in (lambda: model.jacobian_x([0.3], [1.5]),
+                     lambda: model.jacobian_x_batch([[0.3], [0.6]], [1.5])):
+            with pytest.raises(ValueError,
+                               match="model 'toy' declares no "
+                                     "drift_jacobian_batch"):
+                call()
 
     def test_dimension_mismatch_rejected(self):
         up = Transition("up", [1.0, 0.0], lambda x, th: 1.0)

@@ -472,6 +472,80 @@ class TestQuestionOptions:
                     spec.name, q.kind, q.opts)
 
 
+class TestCountOptions:
+    """A count option is a finite integer: a fractional or non-finite
+    value raises instead of being truncated, and an integral float such
+    as 3.0 reads as 3."""
+
+    # Each used to be truncated by int(): n_horizons 2.9 answered at the
+    # two horizons 1.5 and 3.0, n_times 3.7 at three envelope times,
+    # population_size 10.5 built the N = 10 chain (66 states); max_iter
+    # 2.5 (and even 3.0) failed deep in the sweep with a TypeError.
+    COUNTS = [
+        pytest.param(kind, key, id=f"{kind}-{key}")
+        for kind, keys in (
+            ("envelope", ("n_times", "resolution")),
+            ("pontryagin", ("n_horizons", "max_iter")),
+            ("hull", ("n_times",)),
+            ("template", ("n_steps", "max_iter")),
+            ("steadystate", ("max_rounds", "fp_resolution")),
+            ("ensemble", ("resolution", "population_size", "n_samples",
+                          "n_runs", "seed")),
+            ("dtmc_reward", ("population_size", "max_states", "steps",
+                             "stationary_max_iter", "n_steps")),
+        )
+        for key in keys
+    ]
+
+    @pytest.mark.parametrize("value", [2.9, 10.5, np.nan, np.inf, "3"])
+    @pytest.mark.parametrize("kind, key", COUNTS)
+    def test_direct_call_raises_naming_the_key(self, kind, key, value):
+        spec = get_scenario("sir-transient")
+        with pytest.raises(ValueError) as excinfo:
+            run_question(spec, Question(kind, options={key: value}))
+        assert str(excinfo.value) == (
+            f"{kind} option {key} must be a finite integer, got {value!r}")
+
+    @pytest.mark.parametrize("kind, key", COUNTS)
+    def test_partial_run_reports_a_typed_failure(self, kind, key):
+        spec = get_scenario("sir-transient").with_overrides(
+            name="fractional-count-option",
+            questions=[Question("envelope", options={"n_times": 4}),
+                       Question(kind, options={key: 2.5}, label="bad")],
+        )
+        run = run_scenario(spec, use_cache=False, on_error="partial")
+        assert [f.question for f in run.failures] == [f"{kind}[bad]"]
+        assert run.failures[0].error_type == "ValueError"
+        assert f"option {key} must be a finite integer" in (
+            run.failures[0].message)
+        assert "I_uncertain_max_final" in run.result.findings
+
+    def test_integral_floats_read_as_integers(self):
+        spec = get_scenario("sir-transient")
+        as_float = run_question(spec, Question(
+            "pontryagin", options={"horizons": [0.5], "max_iter": 3.0}))
+        as_int = run_question(spec, Question(
+            "pontryagin", options={"horizons": [0.5], "max_iter": 3}))
+        assert as_float.findings == as_int.findings
+        envelope = run_question(spec, Question("envelope",
+                                               options={"n_times": 3.0}))
+        times, _ = envelope.series["I_uncertain_upper"]
+        np.testing.assert_array_equal(times, [0.0, 1.5, 3.0])
+
+    @pytest.mark.parametrize("key, value", [("population_size", 200.7),
+                                            ("n_samples", 10.9),
+                                            ("max_events", 1e6 + 0.5),
+                                            ("n_runs", 4.0)])
+    def test_sweep_rejects_fractional_counts(self, key, value):
+        from repro.engine import sweep_constant_ensembles
+
+        kwargs = dict(x0=[0.7, 0.3], population_size=200, thetas=[3.0],
+                      t_final=0.5, n_runs=2, n_samples=10)
+        kwargs[key] = value
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            sweep_constant_ensembles(make_sir_model, **kwargs)
+
+
 class TestCLI:
     def test_list_shows_catalog(self, capsys):
         assert cli_main(["list"]) == 0

@@ -3,33 +3,40 @@
 import numpy as np
 import pytest
 
+from repro.engine import simulate_ensemble
 from repro.simulation import (
     ConstantPolicy,
-    FeedbackPolicy,
     HysteresisPolicy,
     PiecewiseConstantPolicy,
     RandomJumpPolicy,
     simulate,
 )
 
+#: Row indices of a three-row ensemble, as the engine passes them.
+ROWS = np.arange(3)
+
 
 class TestPolicies:
     def test_constant(self):
         p = ConstantPolicy([5.0])
-        np.testing.assert_allclose(p.theta(0.0, np.zeros(2)), [5.0])
-        assert p.jump_rate(0.0, np.zeros(2)) == 0.0
-        assert p.next_switch_after(0.0) == np.inf
+        np.testing.assert_allclose(p.theta(ROWS, np.zeros(3), np.zeros((3, 2))),
+                                   [[5.0]] * 3)
+        np.testing.assert_array_equal(
+            p.jump_rate(ROWS, np.zeros(3), np.zeros((3, 2))), 0.0)
+        np.testing.assert_array_equal(
+            p.next_switch_after(ROWS, np.zeros(3)), np.inf)
 
     def test_piecewise_lookup(self):
         p = PiecewiseConstantPolicy([(0.0, [1.0]), (2.0, [3.0])])
-        np.testing.assert_allclose(p.theta(1.0, None), [1.0])
-        np.testing.assert_allclose(p.theta(2.0, None), [3.0])
-        np.testing.assert_allclose(p.theta(5.0, None), [3.0])
+        np.testing.assert_allclose(
+            p.theta(ROWS, np.array([1.0, 2.0, 5.0]), None),
+            [[1.0], [3.0], [3.0]])
 
     def test_piecewise_next_switch(self):
         p = PiecewiseConstantPolicy([(0.0, [1.0]), (2.0, [3.0])])
-        assert p.next_switch_after(0.0) == 2.0
-        assert p.next_switch_after(2.0) == np.inf
+        np.testing.assert_array_equal(
+            p.next_switch_after(ROWS[:2], np.array([0.0, 2.0])),
+            [2.0, np.inf])
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
@@ -37,56 +44,138 @@ class TestPolicies:
         with pytest.raises(ValueError):
             PiecewiseConstantPolicy([(1.0, [1.0]), (0.0, [2.0])])
 
-    def test_feedback(self):
-        p = FeedbackPolicy(lambda t, x: [x[0] + t])
-        np.testing.assert_allclose(p.theta(1.0, np.array([2.0])), [3.0])
-        with pytest.raises(TypeError):
-            FeedbackPolicy(42)
+    @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
+    def test_piecewise_start_times_must_be_finite(self, start):
+        # A NaN start used to be accepted and never applied.
+        with pytest.raises(ValueError, match="schedule start times must "
+                                             "be finite"):
+            PiecewiseConstantPolicy([(0.0, [1.0]), (start, [10.0])])
+
+    def test_piecewise_pieces_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="schedule pieces must have "
+                                             "equal lengths"):
+            PiecewiseConstantPolicy([(0.0, [1.0]), (1.0, [10.0, 2.0])])
 
     def test_hysteresis_switching(self):
-        # Paper theta_1: high mode until coord drops below 0.5, back above 0.85.
+        # Paper theta_1: high mode until coord drops below 0.5, back above
+        # 0.85; each row keeps its own mode.
         p = HysteresisPolicy([1.0], [10.0], coordinate=0,
                              low_threshold=0.5, high_threshold=0.85)
-        p.reset(np.random.default_rng(0), np.array([0.7]))
-        assert p.in_high_mode
-        np.testing.assert_allclose(p.theta(0.0, np.array([0.7])), [10.0])
-        # Drop below low threshold -> switch to low mode.
-        np.testing.assert_allclose(p.theta(1.0, np.array([0.4])), [1.0])
-        assert not p.in_high_mode
-        # Stay low in the hysteresis band.
-        np.testing.assert_allclose(p.theta(2.0, np.array([0.7])), [1.0])
-        # Rise above high threshold -> back to high mode.
-        np.testing.assert_allclose(p.theta(3.0, np.array([0.9])), [10.0])
+        p.reset(np.random.default_rng(0), np.array([0.7]), 3)
+        t = np.zeros(3)
+
+        def theta(*xs):
+            return p.theta(ROWS, t, np.array(xs)[:, None])[:, 0]
+
+        np.testing.assert_allclose(theta(0.7, 0.7, 0.7), [10.0] * 3)
+        # Rows 1 and 2 drop below the low threshold -> low mode.
+        np.testing.assert_allclose(theta(0.7, 0.4, 0.4), [10.0, 1.0, 1.0])
+        # Row 1 stays low in the hysteresis band; row 2 rises above the
+        # high threshold -> back to high mode.
+        np.testing.assert_allclose(theta(0.7, 0.7, 0.9), [10.0, 1.0, 10.0])
+        # A subset of rows leaves the others' modes alone.
+        np.testing.assert_allclose(
+            p.theta(ROWS[:1], t[:1], np.array([[0.4]])), [[1.0]])
+        np.testing.assert_allclose(theta(0.7, 0.7, 0.7), [1.0, 1.0, 10.0])
 
     def test_hysteresis_reset(self):
         p = HysteresisPolicy([1.0], [10.0], 0, 0.5, 0.85, start_high=True)
-        p.theta(0.0, np.array([0.4]))  # flips to low
-        p.reset(np.random.default_rng(0), np.array([0.7]))
-        assert p.in_high_mode
+        p.reset(np.random.default_rng(0), np.array([0.7]), 2)
+        p.theta(ROWS[:2], np.zeros(2), np.array([[0.4], [0.4]]))  # -> low
+        p.reset(np.random.default_rng(0), np.array([0.7]), 3)
+        np.testing.assert_allclose(
+            p.theta(ROWS, np.zeros(3), np.full((3, 1), 0.7)), [[10.0]] * 3)
 
     def test_hysteresis_validation(self):
         with pytest.raises(ValueError):
             HysteresisPolicy([1.0], [10.0], 0, 0.9, 0.5)
 
+    @pytest.mark.parametrize("low, high", [(np.nan, 0.85), (0.5, np.nan),
+                                           (-np.inf, 0.85), (0.5, np.inf)])
+    def test_hysteresis_thresholds_must_be_finite(self, low, high):
+        # A NaN low threshold used to keep every row in high mode.
+        with pytest.raises(ValueError, match="low_threshold and "
+                                             "high_threshold must be finite"):
+            HysteresisPolicy([1.0], [10.0], 0, low, high)
+
+    def test_hysteresis_modes_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="theta_low and theta_high "
+                                             "must have equal lengths"):
+            HysteresisPolicy([1.0], [10.0, 2.0], 0, 0.5, 0.85)
+
+    @pytest.mark.parametrize("coordinate", [-1, 2, 5])
+    def test_hysteresis_coordinate_checked_at_reset(self, sir_model,
+                                                    coordinate):
+        # coordinate=-1 used to watch the last coordinate silently.
+        policy = HysteresisPolicy([1.0], [10.0], coordinate, 0.5, 0.85)
+        pop = sir_model.instantiate(200, [0.7, 0.3])
+        with pytest.raises(ValueError, match=r"coordinate must lie in "
+                                             r"\[0, 2\)"):
+            simulate_ensemble(pop, policy, 1.0, n_runs=2)
+
     def test_random_jump_policy(self, sir_model, rng):
         p = RandomJumpPolicy(sir_model.theta_set,
                              rate_fn=lambda t, x: 5.0 * x[1])
-        p.reset(rng, np.array([0.7, 0.3]))
-        assert p.jump_rate(0.0, np.array([0.7, 0.3])) == pytest.approx(1.5)
-        before = p.theta(0.0, None).copy()
-        p.on_jump(0.0, np.array([0.7, 0.3]), rng)
-        after = p.theta(0.0, None)
-        assert sir_model.theta_set.contains(after)
-        assert not np.allclose(before, after) or True  # may coincide rarely
+        p.reset(rng, np.array([0.7, 0.3]), 3)
+        x = np.array([[0.7, 0.3], [0.6, 0.1], [0.5, 0.0]])
+        np.testing.assert_allclose(p.jump_rate(ROWS, np.zeros(3), x),
+                                   [1.5, 0.5, 0.0])
+        before = p.theta(ROWS, np.zeros(3), x).copy()
+        np.testing.assert_array_equal(before, [sir_model.theta_set.center()] * 3)
+        p.on_jump(ROWS[1:2], np.zeros(1), x[1:2], rng)
+        after = p.theta(ROWS, np.zeros(3), x)
+        assert sir_model.theta_set.contains(after[1])
+        # Only the jumping row re-draws.
+        np.testing.assert_array_equal(after[[0, 2]], before[[0, 2]])
 
-    def test_random_jump_negative_rate_clamped(self, sir_model):
+    def test_random_jump_negative_rate_clamped(self, sir_model, rng):
         p = RandomJumpPolicy(sir_model.theta_set, rate_fn=lambda t, x: -1.0)
-        assert p.jump_rate(0.0, None) == 0.0
+        p.reset(rng, np.array([0.7, 0.3]), 2)
+        np.testing.assert_array_equal(
+            p.jump_rate(ROWS[:2], np.zeros(2), np.zeros((2, 2))), [0.0, 0.0])
 
     def test_random_jump_initial_validated(self, sir_model):
         with pytest.raises(ValueError):
             RandomJumpPolicy(sir_model.theta_set, lambda t, x: 1.0,
                              initial=[99.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_random_jump_non_finite_rate_raises(self, sir_model, bad):
+        # A NaN rate used to freeze every row at x0 (0 events); an
+        # infinite one raised numpy's bare OverflowError.
+        policy = RandomJumpPolicy(sir_model.theta_set,
+                                  rate_fn=lambda t, x: bad * x[1])
+        pop = sir_model.instantiate(200, [0.7, 0.3])
+        with pytest.raises(ValueError, match="RandomJumpPolicy: rate_fn "
+                                             "returns the non-finite"):
+            simulate_ensemble(pop, policy, 2.0, n_runs=4, seed=1)
+
+    @pytest.mark.parametrize("rate_fn", [
+        lambda t, x: max(x[1], 0.1),
+        lambda t, x: 5.0 * float(x[1]),
+        lambda t, x: 4.0 * np.mean(x),
+        lambda t, x: x[1][:, None],
+    ], ids=["max", "float", "mean", "column"])
+    def test_random_jump_rate_must_take_batches(self, sir_model, rate_fn):
+        policy = RandomJumpPolicy(sir_model.theta_set, rate_fn=rate_fn)
+        pop = sir_model.instantiate(200, [0.7, 0.3])
+        with pytest.raises(ValueError, match="RandomJumpPolicy: rate_fn"):
+            simulate(pop, policy, 1.0)
+
+    def test_one_instance_drives_ensembles_in_turn(self, sir_model):
+        """reset rebuilds every row's state, so reusing an instance
+        replays the ensemble a fresh instance gives."""
+        def make():
+            return HysteresisPolicy([1.0], [10.0], coordinate=0,
+                                    low_threshold=0.5, high_threshold=0.85)
+
+        pop = sir_model.instantiate(500, [0.7, 0.3])
+        shared = make()
+        simulate_ensemble(pop, shared, 8.0, n_runs=5, seed=1)
+        again = simulate_ensemble(pop, shared, 8.0, n_runs=3, seed=2)
+        fresh = simulate_ensemble(pop, make(), 8.0, n_runs=3, seed=2)
+        np.testing.assert_array_equal(again.states, fresh.states)
+        np.testing.assert_array_equal(again.thetas, fresh.thetas)
 
 
 class TestSSA:
@@ -170,7 +259,7 @@ class TestSSA:
 
     def test_theta_projected_into_domain(self, sir_model, rng):
         pop = sir_model.instantiate(50, [0.7, 0.3])
-        run = simulate(pop, FeedbackPolicy(lambda t, x: [99.0]), 0.5,
+        run = simulate(pop, ConstantPolicy([99.0]), 0.5,
                        rng=rng, n_samples=10)
         assert np.all(run.thetas <= 10.0 + 1e-12)
 
