@@ -8,9 +8,10 @@ run the benches).
 
 Wall-clock timings of every harnessed experiment are additionally
 accumulated in ``benchmarks/results/BENCH_scenarios.json`` (one entry
-per experiment id, overwritten in place), so the performance trajectory
-of the scenario pipeline is tracked across commits alongside the
-figures themselves.
+per experiment id, overwritten in place): a local record of the machine
+the benches ran on.  Like everything under ``benchmarks/results/`` it
+is gitignored, so bench runs leave the working tree clean; timings are
+compared across commits with the repo benchmark (``benchmarks/catalog``).
 """
 
 from __future__ import annotations

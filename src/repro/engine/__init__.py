@@ -3,11 +3,13 @@
 - :func:`simulate_ensemble` — the library's one SSA kernel: all
   ``n_runs`` trajectories step together as ``(n_runs, d)`` arrays,
   with batched rate evaluation, batched exponential clocks/event
-  selection from a single generator, and per-row policy state held in
-  the :class:`~repro.simulation.ControlPolicy` as arrays.
+  selection from one generator per block of rows, and per-row policy
+  state held in the :class:`~repro.simulation.ControlPolicy` as arrays.
   :func:`~repro.simulation.simulate` is a one-row view of it.
-- :func:`sweep_constant_ensembles` — multiprocessing sharding of
-  parameter sweeps, one vectorized ensemble per ``theta`` grid point.
+- :func:`sweep_constant_ensembles` — parameter sweeps, one ensemble per
+  ``theta`` grid point on its own stream, run as chunks of consecutive
+  points (one per worker process), each chunk as the row blocks of one
+  :func:`simulate_ensemble` call.
 """
 
 from repro.engine.sharding import map_shards, sweep_constant_ensembles

@@ -3,21 +3,26 @@
 The vectorized engine removes the per-event Python overhead *within*
 one ensemble; parameter sweeps (one ensemble per ``theta`` grid point,
 the uncertain-scenario workload of Definition 2) are embarrassingly
-parallel *across* ensembles.  :func:`sweep_constant_ensembles` shards a
-sweep one-grid-point-per-task through :func:`map_shards`.
+parallel *across* ensembles.  :func:`sweep_constant_ensembles` splits
+its grid into chunks of consecutive points, one :func:`map_shards` task
+per chunk (one chunk per worker), and a task runs its chunk as the row
+blocks of a single :func:`~repro.engine.simulate_ensemble` call, so the
+engine steps every point of the chunk in each loop iteration.
+
+Each grid point keeps its own stream: point ``i`` draws from the
+``i``-th spawn of one :class:`numpy.random.SeedSequence`, and its block
+reproduces the standalone ensemble on that stream bit for bit, so the
+sweep is reproducible for a fixed ``seed`` regardless of how the points
+are chunked or how many processes run them.
 
 Because population models carry closures (rate lambdas) they do not
-pickle; each shard therefore rebuilds its model in the worker from a
-*module-level factory* (``make_sir_model`` et al.) plus keyword
-arguments, which is also what keeps the sharding compatible with spawn
-start methods.  Shard seeds are spawned from one
-:class:`numpy.random.SeedSequence`, so streams are independent and the
-sweep is reproducible for a fixed ``seed`` regardless of process count.
+pickle; each worker therefore rebuilds the model from a *module-level
+factory* (``make_sir_model`` et al.) plus keyword arguments, which is
+also what keeps the sharding compatible with spawn start methods.
 """
 
 from __future__ import annotations
 
-import operator
 import pickle
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -26,9 +31,9 @@ import numpy as np
 from repro import telemetry
 from repro.engine.vectorized import simulate_ensemble
 from repro.resilience.execution import run_shards
-from repro.resilience.policy import RetryPolicy
-from repro.simulation.batch import BatchResult
-from repro.simulation.policies import ConstantPolicy
+from repro.resilience.policy import RetryPolicy, ShardFailure
+from repro.simulation.batch import BatchResult, as_count
+from repro.simulation.policies import ControlPolicy
 
 __all__ = ["FAIL_FAST", "map_shards", "sweep_constant_ensembles"]
 
@@ -118,11 +123,12 @@ _SWEEP_CONTEXT = None
 def _init_sweep_worker(shared) -> None:
     """Build the shard-invariant sweep state once per worker process.
 
-    ``shared`` carries the model factory and every shard-invariant
-    sweep argument.  The factory runs *here*, so each worker constructs
-    (and each pool pickles) the model exactly once, no matter how many
-    ``theta`` grid points it processes; per-shard payloads shrink to
-    ``(theta, seed_seq)``.
+    ``shared`` carries the model factory, every shard-invariant sweep
+    argument, the grid and the spawned seed sequences.  The factory
+    runs *here*, so each worker constructs (and each pool pickles) the
+    model exactly once, no matter how many chunks it processes;
+    per-shard payloads shrink to a ``(start, stop)`` range of grid
+    points.
     """
     global _SWEEP_CONTEXT
     (model_factory, model_kwargs, x0, population_size, *_) = shared
@@ -131,20 +137,53 @@ def _init_sweep_worker(shared) -> None:
     _SWEEP_CONTEXT = (population, shared)
 
 
-def _run_shard(payload) -> BatchResult:
-    theta, seed_seq = payload
+class _GridPolicy(ControlPolicy):
+    """Grid point ``r // n_runs`` frozen on row ``r``: one constant
+    ``theta`` per block of ``n_runs`` rows."""
+
+    def __init__(self, grid: np.ndarray, n_runs: int):
+        self._grid = grid
+        self._n_runs = n_runs
+
+    def theta(self, rows, t, x):
+        return self._grid[rows // self._n_runs]
+
+
+def _run_chunk(span) -> List[BatchResult]:
+    """Grid points ``start`` to ``stop`` as the blocks of one ensemble,
+    point ``i`` on its own spawned stream; one result per point."""
+    start, stop = span
     population, shared = _SWEEP_CONTEXT
-    (_, _, _, _, t_final, n_runs, n_samples, t_start, max_events) = shared
-    return simulate_ensemble(
-        population,
-        ConstantPolicy(theta),
-        t_final,
-        n_runs=n_runs,
-        rng=np.random.default_rng(seed_seq),
-        n_samples=n_samples,
-        t_start=t_start,
-        max_events=max_events,
-    )
+    (*_, t_final, n_runs, n_samples, t_start, max_events, grid,
+     seed_seqs) = shared
+    try:
+        batch = simulate_ensemble(
+            population,
+            _GridPolicy(grid[start:stop], n_runs),
+            t_final,
+            n_runs=(stop - start) * n_runs,
+            rng=[np.random.default_rng(s) for s in seed_seqs[start:stop]],
+            n_samples=n_samples,
+            t_start=t_start,
+            max_events=max_events,
+        )
+    except RuntimeError as exc:
+        if not start:
+            raise
+        # The engine numbers this call's blocks from 0.
+        raise RuntimeError(
+            f"{exc} (block b is grid point {start} + b)"
+        ) from exc
+    return [batch.runs(k * n_runs, (k + 1) * n_runs)
+            for k in range(stop - start)]
+
+
+def _fails_fast(policy: Optional[RetryPolicy]) -> bool:
+    """One attempt, no timeout, and the first error aborts the fan-out:
+    a failing grid point sinks the sweep whatever task it shares."""
+    return policy is None or (policy.max_attempts == 1
+                              and policy.on_error == "raise"
+                              and policy.timeout_seconds is None)
 
 
 def sweep_constant_ensembles(
@@ -164,6 +203,15 @@ def sweep_constant_ensembles(
 ) -> List[BatchResult]:
     """Run one vectorized ensemble per ``theta`` grid point.
 
+    The grid is split into ``min(processes or 1, n_points)`` chunks of
+    consecutive points, one :func:`map_shards` task each; a task runs
+    its chunk as the row blocks of one
+    :func:`~repro.engine.simulate_ensemble` call, each point's block on
+    that point's own stream.  Under a ``policy`` other than the
+    default fail-fast one (retries, a timeout or ``on_error="partial"``)
+    every point is a task of its own, so retries, timeouts and
+    failure slots stay per grid point.
+
     Parameters
     ----------
     model_factory:
@@ -178,16 +226,19 @@ def sweep_constant_ensembles(
         ``(n_points, 1)``); multi-dimensional parameter sets must pass
         the 2-D form.
     t_final, n_runs, n_samples, t_start, max_events:
-        Forwarded to :func:`~repro.engine.simulate_ensemble` per shard.
+        Forwarded to :func:`~repro.engine.simulate_ensemble`; ``n_runs``
+        rows per grid point.
     seed:
         Root seed (or a pre-built :class:`numpy.random.SeedSequence`);
-        shard ``i`` draws from the ``i``-th spawn of the root sequence,
-        so for a fixed seed the per-shard streams — and therefore the
-        results — are identical regardless of ``processes``.
+        grid point ``i`` draws from the ``i``-th spawn of the root
+        sequence, so its ensemble equals a standalone
+        ``simulate_ensemble`` call on that stream bit for bit, and for
+        a fixed seed the results are identical regardless of
+        ``processes``.
     processes:
-        ``None`` or ``1`` runs the shards serially in-process (no pool
-        overhead — the right choice on single-core boxes and inside
-        tests); larger values fan the shards out over a pool.
+        ``None`` or ``1`` runs the whole grid in-process as one chunk
+        (no pool overhead — the right choice on single-core boxes and
+        inside tests); larger values fan the chunks out over a pool.
     policy:
         Optional :class:`repro.resilience.RetryPolicy` handed to
         :func:`map_shards` (default :data:`FAIL_FAST`); with
@@ -201,35 +252,38 @@ def sweep_constant_ensembles(
     """
     theta_grid = np.asarray(thetas, dtype=float)
     if theta_grid.ndim == 1:
-        # A flat sequence is a list of scalar grid points, one shard
-        # each — not a single multi-dimensional point.
+        # A flat sequence is a list of scalar grid points, not a single
+        # multi-dimensional point.
         theta_grid = theta_grid[:, None]
     if theta_grid.ndim != 2:
         raise ValueError(
             f"thetas must be (n_points, p) or a 1-D sequence of scalars, "
             f"got shape {theta_grid.shape}"
         )
-    if theta_grid.shape[0] == 0:
+    n_points = theta_grid.shape[0]
+    if n_points == 0:
         raise ValueError("thetas must contain at least one grid point")
     if not callable(model_factory):
         raise TypeError("model_factory must be callable")
-    counts = []
-    for name, value in (("population_size", population_size),
-                        ("n_runs", n_runs), ("n_samples", n_samples),
-                        ("max_events", max_events)):
-        try:  # a fractional count raises instead of being truncated
-            counts.append(operator.index(value))
-        except TypeError as exc:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from exc
+    counts = [as_count(name, value) for name, value in (
+        ("population_size", population_size), ("n_runs", n_runs),
+        ("n_samples", n_samples), ("max_events", max_events))]
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
-    seed_seqs = root.spawn(theta_grid.shape[0])
     shared = (model_factory, dict(model_kwargs or {}),
               np.asarray(x0, dtype=float), counts[0], float(t_final),
-              counts[1], counts[2], float(t_start), counts[3])
-    payloads = [
-        (theta_grid[i], seed_seqs[i]) for i in range(theta_grid.shape[0])
-    ]
-    return map_shards(_run_shard, payloads, processes,
-                      initializer=_init_sweep_worker, initargs=(shared,),
-                      policy=policy)
+              counts[1], counts[2], float(t_start), counts[3], theta_grid,
+              tuple(root.spawn(n_points)))
+    n_chunks = (min(max(processes or 1, 1), n_points) if _fails_fast(policy)
+                else n_points)
+    cuts = [n_points * k // n_chunks for k in range(n_chunks + 1)]
+    spans = list(zip(cuts, cuts[1:]))
+    chunks = map_shards(_run_chunk, spans, processes,
+                        initializer=_init_sweep_worker, initargs=(shared,),
+                        policy=policy)
+    results: List = []
+    for (start, stop), chunk in zip(spans, chunks):
+        # A failed task (under on_error="partial") fills its points' slots.
+        results.extend([chunk] * (stop - start)
+                       if isinstance(chunk, ShardFailure) else chunk)
+    return results

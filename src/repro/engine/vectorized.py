@@ -10,12 +10,17 @@ Every stochastic simulation in the library runs here, and
   evaluates every transition for every row (each rate lambda is invoked
   once per *step*, not once per row);
 - **batched clocks** — the per-row exponential holding times and the
-  event-selection uniforms are drawn from a single
-  :class:`numpy.random.Generator` with one vectorized call each;
+  event-selection uniforms are drawn with one vectorized call per block
+  of rows (below) and scaled with one array operation;
 - **per-row policies** — the :class:`~repro.simulation.ControlPolicy`
   answers ``theta`` / ``jump_rate`` / ``next_switch_after`` for all rows
   at once, keeping per-row internal state (hysteresis modes, current
-  random-jump parameters) as arrays.
+  random-jump parameters) as arrays;
+- **blocks** — ``rng`` may be a sequence of ``B`` generators: the rows
+  then form ``B`` equal consecutive blocks, and generator ``b`` makes
+  every draw for block ``b``'s rows.  The parameter sweep
+  (:func:`~repro.engine.sweep_constant_ensembles`) runs a chunk of its
+  grid points this way, one block per point, in one call.
 
 Exactness
 ---------
@@ -46,6 +51,13 @@ oracle run of any particular seed; the equivalence tests pin the two
 together through ensemble statistics (CLT bands on mean/std, two-sample
 KS on final-state clouds).
 
+A block is its standalone ensemble bit for bit: each loop iteration
+advances every active row by at most one event, so block ``b``'s active
+rows at iteration ``k`` are those of a one-block call with generator
+``b`` at its iteration ``k``, and generator ``b`` is asked for the same
+holding times, selection uniforms and policy re-draws in the same
+order.  Everything else is elementwise per row.
+
 States are recorded on a fixed output grid (piecewise-constant sampling
 of the jump process), so memory stays bounded for large ``N`` and long
 horizons.  Rows hit their horizons at different step counts; finished
@@ -55,7 +67,7 @@ rows leave the active set, so late finishers never pay for early ones.
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -73,7 +85,8 @@ def simulate_ensemble(
     t_final: float,
     n_runs: int,
     seed: Union[int, np.random.SeedSequence] = 0,
-    rng: Optional[np.random.Generator] = None,
+    rng: Union[None, np.random.Generator,
+               Sequence[np.random.Generator]] = None,
     n_samples: int = 200,
     t_start: float = 0.0,
     max_events: int = 50_000_000,
@@ -98,13 +111,33 @@ def simulate_ensemble(
     return batch
 
 
+def _block_spans(generators: List[np.random.Generator], edges: np.ndarray,
+                 rows: np.ndarray) -> list:
+    """``(generator, lo, hi)`` for each block that has rows in the
+    sorted row indices ``rows``: ``rows[lo:hi]`` are that block's rows
+    and ``generator`` makes every draw for them."""
+    cuts = np.searchsorted(rows, edges).tolist()
+    return [(g, lo, hi) for g, lo, hi in zip(generators, cuts, cuts[1:])
+            if lo < hi]
+
+
+def _block_draws(generators, edges, rows, draw) -> np.ndarray:
+    """One ``draw`` per row of ``rows``, each block filling its own rows
+    from its own generator with one call, as a one-block run would."""
+    out = np.empty(rows.shape[0])
+    for generator, lo, hi in _block_spans(generators, edges, rows):
+        draw(generator, out=out[lo:hi])
+    return out
+
+
 def _simulate_ensemble_impl(
     population: FinitePopulation,
     policy: ControlPolicy,
     t_final: float,
     n_runs: int,
     seed: Union[int, np.random.SeedSequence] = 0,
-    rng: Optional[np.random.Generator] = None,
+    rng: Union[None, np.random.Generator,
+               Sequence[np.random.Generator]] = None,
     n_samples: int = 200,
     t_start: float = 0.0,
     max_events: int = 50_000_000,
@@ -119,7 +152,8 @@ def _simulate_ensemble_impl(
     policy:
         The :class:`~repro.simulation.ControlPolicy` driving every row;
         its ``reset`` rebuilds the state of all rows before the first
-        step, so one instance may drive several ensembles in turn.
+        step (it is handed the first generator and draws nothing), so
+        one instance may drive several ensembles in turn.
     t_final:
         Simulation horizon.
     n_runs:
@@ -128,21 +162,40 @@ def _simulate_ensemble_impl(
         Seed (or :class:`numpy.random.SeedSequence`) for the single
         generator driving every row; ignored when ``rng`` is given.
     rng:
-        Explicit generator, for callers composing streams.
+        Explicit generator, for callers composing streams; or a sequence
+        of ``B`` generators, which splits the rows into ``B`` equal
+        consecutive blocks (``n_runs`` must be a multiple of ``B``,
+        else ``ValueError``).  Generator ``b`` makes every draw for
+        block ``b`` — holding times, selection uniforms and the policy's
+        ``on_jump`` re-draws — so rows ``b * n_runs // B`` up to
+        ``(b + 1) * n_runs // B`` equal, bit for bit, the ensemble of
+        ``n_runs // B`` rows that a call with generator ``b`` alone
+        returns (cut it out with
+        :meth:`~repro.simulation.BatchResult.runs`).  The policy sees
+        the global row indices.
     n_samples:
-        Equally spaced output samples on ``[t_start, t_final]``.
+        Equally spaced output samples on ``[t_start, t_final]`` (an
+        integer, at least 2).
     max_events:
-        Safety cap on the events of any single row.
+        Safety cap on the events of any single row (a positive
+        integer); a row that reaches it raises ``RuntimeError`` naming
+        its block and its row within the block.
 
     Returns
     -------
     A :class:`~repro.simulation.BatchResult` with ``states`` of shape
-    ``(n_runs, n_samples, d)`` and ``thetas`` of shape
-    ``(n_runs, n_samples, p)``.
+    ``(n_runs, n_samples, d)``, ``thetas`` of shape
+    ``(n_runs, n_samples, p)`` and per-run event counts.
     """
-    n_runs = validate_ensemble_args(policy, n_runs, t_final, t_start,
-                                    n_samples)
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    generators = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    n_runs, n_samples, max_events = validate_ensemble_args(
+        policy, n_runs, t_final, t_start, n_samples, max_events, generators
+    )
+    block_runs = n_runs // len(generators)
+    # Row index of each block's first row, then one past the last row.
+    edges = np.arange(len(generators) + 1) * block_runs
 
     model = population.model
     dim = model.dim
@@ -150,7 +203,7 @@ def _simulate_ensemble_impl(
     size = population.population_size
     changes = population.change_matrix
 
-    policy.reset(rng, population.initial_density, n_runs)
+    policy.reset(generators[0], population.initial_density, n_runs)
 
     counts = np.tile(population.initial_counts, (n_runs, 1))
     t = np.full(n_runs, float(t_start))
@@ -166,34 +219,43 @@ def _simulate_ensemble_impl(
     chunk_hist = telemetry.live_histogram("engine.ssa.chunk_rows")
 
     active = np.arange(n_runs)
+    iteration = 0
     while active.size:
         rows = active
         if chunk_hist is not None:
             chunk_hist.observe(rows.shape[0])
-        if np.any(n_events[rows] + n_policy_jumps[rows] >= max_events):
-            worst = rows[
-                np.argmax(n_events[rows] + n_policy_jumps[rows])
-            ]
-            raise RuntimeError(
-                f"SSA row {worst} exceeded max_events={max_events} before "
-                f"t_final (reached t={t[worst]:.4g}); raise the cap or "
-                f"shorten the horizon"
-            )
+        # A row gains at most one event per iteration, so none can have
+        # reached the cap before iteration max_events.
+        if iteration >= max_events:
+            done = n_events[rows] + n_policy_jumps[rows]
+            if done.max() >= max_events:
+                worst = int(rows[np.argmax(done)])
+                block, row = divmod(worst, block_runs)
+                raise RuntimeError(
+                    f"SSA row {row} of block {block} exceeded "
+                    f"max_events={max_events} before t_final (reached "
+                    f"t={t[worst]:.4g}); raise the cap or shorten the "
+                    f"horizon"
+                )
+        iteration += 1
+        t_rows = t[rows]
         x = counts[rows] / size
-        theta = model.theta_set.project_batch(policy.theta(rows, t[rows], x))
+        theta = model.theta_set.project_batch(policy.theta(rows, t_rows, x))
         rates = population.aggregate_rates_batch(counts[rows], theta)
-        policy_rate = policy.jump_rate(rows, t[rows], x)
+        policy_rate = policy.jump_rate(rows, t_rows, x)
         total = rates.sum(axis=1) + policy_rate
-        switch_at = policy.next_switch_after(rows, t[rows])
+        switch_at = policy.next_switch_after(rows, t_rows)
 
         # Per-row holding times; absorbed rows (no enabled event) get an
         # infinite draw, which routes them to their next policy switch
-        # or to the horizon.
+        # or to the horizon.  ``Generator.exponential(scale)`` is
+        # ``scale * standard_exponential()``, so this is its draw.
         t_next = np.full(rows.shape[0], np.inf)
-        racing = total > 0.0
-        if racing.any():
-            t_next[racing] = t[rows[racing]] + rng.exponential(
-                1.0 / total[racing]
+        racing = np.flatnonzero(total > 0.0)
+        if racing.size:
+            t_next[racing] = t_rows[racing] + (1.0 / total[racing]) * (
+                _block_draws(generators, edges, rows[racing],
+                             np.random.Generator.standard_exponential)
             )
 
         crosses_switch = t_next > switch_at
@@ -219,11 +281,17 @@ def _simulate_ensemble_impl(
 
         if fires.any():
             firing = np.nonzero(fires)[0]
-            u = rng.uniform(0.0, total[firing])
+            # ``Generator.uniform(0.0, high)`` is ``high * random()``.
+            u = total[firing] * _block_draws(
+                generators, edges, rows[firing], np.random.Generator.random
+            )
             is_policy = u < policy_rate[firing]
             jumping = firing[is_policy]
             if jumping.size:
-                policy.on_jump(rows[jumping], t_next[jumping], x[jumping], rng)
+                for generator, lo, hi in _block_spans(generators, edges,
+                                                      rows[jumping]):
+                    own = jumping[lo:hi]
+                    policy.on_jump(rows[own], t_next[own], x[own], generator)
                 n_policy_jumps[rows[jumping]] += 1
             transitioning = firing[~is_policy]
             if transitioning.size:
@@ -250,8 +318,8 @@ def _simulate_ensemble_impl(
         states=states,
         thetas=thetas,
         population_size=size,
-        n_events=int(n_events.sum()),
-        n_policy_jumps=int(n_policy_jumps.sum()),
+        events_per_run=n_events,
+        policy_jumps_per_run=n_policy_jumps,
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -24,25 +24,34 @@ from repro.simulation.policies import ControlPolicy
 __all__ = ["BatchResult"]
 
 
-def validate_ensemble_args(policy, n_runs, t_final: float,
-                           t_start: float, n_samples: int) -> int:
+def as_count(name: str, value) -> int:
+    """``value`` as an integer; a fractional or non-numeric count raises
+    ``TypeError`` naming ``name`` instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise TypeError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        ) from exc
+
+
+def validate_ensemble_args(policy, n_runs, t_final: float, t_start: float,
+                           n_samples, max_events,
+                           generators: Sequence) -> Tuple[int, int, int]:
     """Up-front validation of every SSA call.
 
     :func:`repro.engine.simulate_ensemble` runs it before the policy is
     reset, so :func:`~repro.simulation.simulate` and the parameter
-    sweeps fail the same way; returns the index-normalised ``n_runs``.
+    sweeps fail the same way.  ``generators`` are the row blocks'
+    generators, which must split ``n_runs`` evenly.  Returns the
+    index-normalised ``(n_runs, n_samples, max_events)``.
     """
     if not isinstance(policy, ControlPolicy):
         raise TypeError(
             f"policy must be a ControlPolicy instance, got "
             f"{type(policy).__name__}"
         )
-    try:
-        n_runs = operator.index(n_runs)
-    except TypeError as exc:
-        raise TypeError(
-            f"n_runs must be an integer, got {type(n_runs).__name__}"
-        ) from exc
+    n_runs = as_count("n_runs", n_runs)
     if n_runs < 1:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
     if not (np.isfinite(t_start) and np.isfinite(t_final)):
@@ -52,9 +61,22 @@ def validate_ensemble_args(policy, n_runs, t_final: float,
         )
     if t_final <= t_start:
         raise ValueError("t_final must exceed t_start")
+    n_samples = as_count("n_samples", n_samples)
     if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    return n_runs
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    max_events = as_count("max_events", max_events)
+    if max_events < 1:
+        raise ValueError(f"max_events must be positive, got {max_events}")
+    if not all(isinstance(g, np.random.Generator) for g in generators):
+        raise TypeError(
+            "rng must be a numpy Generator or a sequence of Generators"
+        )
+    if not generators or n_runs % len(generators):
+        raise ValueError(
+            f"n_runs={n_runs} does not split into {len(generators)} equal "
+            f"blocks, one per generator"
+        )
+    return n_runs, n_samples, max_events
 
 
 @dataclass
@@ -72,22 +94,49 @@ class BatchResult:
         shape ``(n_runs, n, p)``.
     population_size:
         The ``N`` of the simulated chains.
-    n_events:
-        Total model transitions executed across all runs.
-    n_policy_jumps:
-        Total autonomous policy events across all runs.
+    events_per_run:
+        Model transitions executed by each run, shape ``(n_runs,)``.
+    policy_jumps_per_run:
+        Autonomous policy events of each run, shape ``(n_runs,)``.
     """
 
     times: np.ndarray
     states: np.ndarray
     thetas: np.ndarray
     population_size: int
-    n_events: int
-    n_policy_jumps: int
+    events_per_run: np.ndarray
+    policy_jumps_per_run: np.ndarray
 
     @property
     def n_runs(self) -> int:
         return self.states.shape[0]
+
+    @property
+    def n_events(self) -> int:
+        """Total model transitions executed across all runs."""
+        return int(self.events_per_run.sum())
+
+    @property
+    def n_policy_jumps(self) -> int:
+        """Total autonomous policy events across all runs."""
+        return int(self.policy_jumps_per_run.sum())
+
+    def runs(self, start: int, stop: int) -> "BatchResult":
+        """Runs ``start`` up to ``stop`` as a result of their own (one
+        block of a blocked ensemble); its arrays are views of these."""
+        if not 0 <= start < stop <= self.n_runs:
+            raise ValueError(
+                f"runs({start}, {stop}) is not a non-empty range of the "
+                f"{self.n_runs} runs"
+            )
+        return BatchResult(
+            times=self.times,
+            states=self.states[start:stop],
+            thetas=self.thetas[start:stop],
+            population_size=self.population_size,
+            events_per_run=self.events_per_run[start:stop],
+            policy_jumps_per_run=self.policy_jumps_per_run[start:stop],
+        )
 
     @property
     def dim(self) -> int:

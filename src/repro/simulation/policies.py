@@ -12,6 +12,8 @@ queries it through five hooks, each answering for a vector of rows:
   re-draw events (zero for deterministic policies); these events join the
   SSA race exactly like model transitions;
 - :meth:`ControlPolicy.on_jump` — executed when a policy event fires;
+  it makes its draws from ``rng``, the generator of the rows' block
+  (a blocked ensemble calls it once per block);
 - :meth:`ControlPolicy.next_switch_after` — the next deterministic
   discontinuity of ``theta(t)`` (``inf`` when none), so the SSA can stop
   the exponential race at schedule boundaries and stay exact.
@@ -28,6 +30,7 @@ projects defensively.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +66,8 @@ class ControlPolicy:
 
     def on_jump(self, rows: np.ndarray, t: np.ndarray, x: np.ndarray,
                 rng: np.random.Generator) -> None:
-        """React to one autonomous policy event on each of ``rows``."""
+        """React to one autonomous policy event on each of ``rows``,
+        drawing from ``rng`` (all ``rows`` belong to its block)."""
 
     def next_switch_after(self, rows: np.ndarray,
                           t: np.ndarray) -> np.ndarray:
@@ -145,8 +149,8 @@ class HysteresisPolicy(ControlPolicy):
     theta_low, theta_high:
         Parameter vectors of the two modes, of equal lengths.
     coordinate:
-        Index of the watched state coordinate, in ``[0, d)`` (checked
-        when an ensemble starts).
+        Index of the watched state coordinate: an integer (else
+        ``TypeError``) in ``[0, d)`` (checked when an ensemble starts).
     low_threshold, high_threshold:
         Finite switching thresholds (``low_threshold < high_threshold``).
     start_high:
@@ -170,7 +174,12 @@ class HysteresisPolicy(ControlPolicy):
             )
         if low_threshold >= high_threshold:
             raise ValueError("low_threshold must be below high_threshold")
-        self._coordinate = int(coordinate)
+        try:  # a fractional index raises instead of being truncated
+            self._coordinate = operator.index(coordinate)
+        except TypeError as exc:
+            raise TypeError(
+                f"coordinate must be an integer, got {coordinate!r}"
+            ) from exc
         self._low_threshold = float(low_threshold)
         self._high_threshold = float(high_threshold)
         self._start_high = bool(start_high)

@@ -1388,6 +1388,6 @@ def simulate_runs(population, policy, t_final, n_runs, seed=0,
         states=np.stack([run.states for run in runs]),
         thetas=np.stack([run.thetas for run in runs]),
         population_size=population.population_size,
-        n_events=sum(run.n_events for run in runs),
-        n_policy_jumps=sum(run.n_policy_jumps for run in runs),
+        events_per_run=np.array([run.n_events for run in runs]),
+        policy_jumps_per_run=np.array([run.n_policy_jumps for run in runs]),
     )

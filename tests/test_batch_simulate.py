@@ -6,7 +6,9 @@ import pytest
 
 import reference_impls as ref
 from repro.engine import simulate_ensemble
-from repro.simulation import ConstantPolicy
+from repro.params import Interval
+from repro.population import PopulationModel, Transition
+from repro.simulation import ConstantPolicy, ControlPolicy, simulate
 
 
 class TestBatchSimulate:
@@ -63,6 +65,23 @@ class TestBatchSimulate:
         frac = batch.fraction_satisfying(lambda x: x[1] < 0.5)
         assert 0.0 <= frac <= 1.0
 
+    def test_runs_view_cuts_out_a_block(self, sir_model):
+        pop = sir_model.instantiate(100, [0.7, 0.3])
+        batch = simulate_ensemble(pop, ConstantPolicy([5.0]), 0.5,
+                                  n_runs=6, seed=2, n_samples=7)
+        assert batch.events_per_run.shape == (6,)
+        assert batch.n_events == int(batch.events_per_run.sum()) > 0
+        part = batch.runs(2, 5)
+        assert part.n_runs == 3
+        np.testing.assert_array_equal(part.states, batch.states[2:5])
+        np.testing.assert_array_equal(part.thetas, batch.thetas[2:5])
+        np.testing.assert_array_equal(part.times, batch.times)
+        assert part.n_events == int(batch.events_per_run[2:5].sum())
+        assert part.n_policy_jumps == 0
+        for start, stop in [(3, 3), (-1, 2), (4, 7)]:
+            with pytest.raises(ValueError, match="runs"):
+                batch.runs(start, stop)
+
     def test_invalid_n_runs(self, sir_model):
         pop = sir_model.instantiate(10, [0.7, 0.3])
         with pytest.raises(ValueError, match="n_runs"):
@@ -108,6 +127,50 @@ class TestBatchSimulateValidation:
         with pytest.raises(TypeError, match="ControlPolicy instance"):
             simulate_ensemble(pop, lambda: ConstantPolicy([5.0]), 1.0,
                               n_runs=2)
+
+    @pytest.mark.parametrize("entry", ["simulate_ensemble", "simulate"])
+    @pytest.mark.parametrize("key, value, error", [
+        ("max_events", float("nan"), TypeError),
+        ("max_events", 1.5, TypeError),
+        ("max_events", 0, ValueError),
+        ("max_events", -3, ValueError),
+        ("n_samples", 2.5, TypeError),
+        ("n_samples", 1, ValueError),
+    ])
+    def test_counts_are_integers_in_range(self, sir_model, entry, key,
+                                          value, error):
+        """A NaN cap used to switch the cap off, a cap below 1 or a
+        fractional one raised at t = 0 as if the run had exceeded it,
+        and a fractional sample count failed inside np.linspace."""
+        pop = sir_model.instantiate(100, [0.7, 0.3])
+        kwargs = {key: value}
+        with pytest.raises(error, match=key):
+            if entry == "simulate":
+                simulate(pop, ConstantPolicy([5.0]), 1.0,
+                         rng=np.random.default_rng(0), **kwargs)
+            else:
+                simulate_ensemble(pop, ConstantPolicy([5.0]), 1.0,
+                                  n_runs=2, **kwargs)
+
+    def test_max_events_names_the_block_and_its_row(self):
+        """Block 0 sits at theta = 0 (no enabled event) and finishes at
+        once; block 1's rows reach the cap."""
+        up = Transition("up", [1.0], lambda x, th: th[0] * (1.0 - x[0]))
+        down = Transition("down", [-1.0], lambda x, th: th[0] * x[0])
+        model = PopulationModel("flip", ("x",), [up, down],
+                                Interval(0.0, 1.0),
+                                state_bounds=([0.0], [1.0]))
+
+        class TwoBlocks(ControlPolicy):
+            def theta(self, rows, t, x):
+                return (rows[:, None] >= 2).astype(float)
+
+        with pytest.raises(RuntimeError, match="SSA row 0 of block 1 "
+                                               "exceeded max_events=50"):
+            simulate_ensemble(model.instantiate(100, [0.5]), TwoBlocks(),
+                              100.0, n_runs=4, max_events=50,
+                              rng=[np.random.default_rng(0),
+                                   np.random.default_rng(1)])
 
     @pytest.mark.parametrize("n_runs", [1, 2])
     def test_bad_horizon_rejected_before_running(self, sir_model, n_runs):

@@ -1,13 +1,18 @@
 """The one SSA kernel against the scalar direct-method oracle.
 
 ``tests/reference_impls.py`` keeps the scalar Gillespie loop as the
-oracle.  Two contracts pin :func:`repro.engine.simulate_ensemble` to it:
+oracle.  Three contracts pin :func:`repro.engine.simulate_ensemble` to it:
 
 - **one row is the direct method, bit for bit** — a one-row ensemble
   and its view :func:`repro.simulation.simulate` consume the generator
   exactly as the oracle does, so for the same generator they return the
   oracle's states, sampled parameters and event counts, on every
   registered model and every policy class;
+- **a block is its standalone ensemble, bit for bit** — with a sequence
+  of ``B`` generators the rows form ``B`` blocks, and block ``b`` equals
+  the ensemble that generator ``b`` drives alone (states, parameters
+  and per-run event counts), whichever policy re-draws and however far
+  apart the blocks finish; the chunked parameter sweep rests on it;
 - **an ensemble has the oracle's law** — the rows of a larger ensemble
   share one generator, so they are compared with a loop of oracle runs
   (replication ``r`` seeded ``seed + r``) through ensemble statistics.
@@ -205,6 +210,99 @@ class TestOneRowIsTheDirectMethod:
         assert view.n_events == oracle.n_events
 
 
+class BlockGrid(simulation.ControlPolicy):
+    """Grid point ``r // n_runs`` frozen on row ``r``: each block of a
+    blocked ensemble at its own constant parameter."""
+
+    def __init__(self, grid, n_runs):
+        self._grid = np.asarray(grid, dtype=float)
+        self._n_runs = n_runs
+
+    def theta(self, rows, t, x):
+        return self._grid[rows // self._n_runs]
+
+
+def assert_blocks_are_standalone(population, policy, block_policies,
+                                 t_final, n_runs, seeds, **kwargs):
+    """One call with a generator per seed (``n_runs`` rows per block)
+    equals, block by block, a standalone ensemble of ``block_policies[b]``
+    on a fresh generator seeded ``seeds[b]``; returns the blocked run."""
+    blocked = simulate_ensemble(
+        population, policy, t_final, n_runs=n_runs * len(seeds),
+        rng=[np.random.default_rng(s) for s in seeds], **kwargs,
+    )
+    for b, (seed, alone_policy) in enumerate(zip(seeds, block_policies)):
+        alone = simulate_ensemble(population, alone_policy, t_final,
+                                  n_runs=n_runs,
+                                  rng=np.random.default_rng(seed), **kwargs)
+        block = blocked.runs(b * n_runs, (b + 1) * n_runs)
+        np.testing.assert_array_equal(block.states, alone.states)
+        np.testing.assert_array_equal(block.thetas, alone.thetas)
+        np.testing.assert_array_equal(block.events_per_run,
+                                      alone.events_per_run)
+        np.testing.assert_array_equal(block.policy_jumps_per_run,
+                                      alone.policy_jumps_per_run)
+        assert (block.n_events, block.n_policy_jumps) == (
+            alone.n_events, alone.n_policy_jumps)
+    return blocked
+
+
+class TestBlocksAreStandaloneEnsembles:
+    def test_constant_grid_blocks_finishing_far_apart(self):
+        """Blocks at theta = 1 and 10 finish thousands of iterations
+        apart (a row fires at most one event per iteration), and the
+        late block's draws never shift once the early one is done."""
+        grid = [[1.0], [5.5], [10.0]]
+        blocked = assert_blocks_are_standalone(
+            SIR.instantiate(500, [0.7, 0.3]), BlockGrid(grid, 2),
+            [ConstantPolicy(th) for th in grid], 5.0, n_runs=2,
+            seeds=[11, 12, 13], n_samples=41,
+        )
+        events = blocked.events_per_run.reshape(3, 2).max(axis=1)
+        assert events[2] - events[0] > 2000
+
+    @pytest.mark.parametrize("name", ["piecewise", "hysteresis",
+                                      "random-jump", "constant-rate-jump"])
+    def test_every_policy_class(self, name):
+        """Each block's policy re-draws come from its own generator: one
+        policy instance drives the blocked run and every standalone one."""
+        policy = POLICIES[name](simulation)
+        blocked = assert_blocks_are_standalone(
+            SIR.instantiate(300, [0.7, 0.3]), policy, [policy] * 3, 2.0,
+            n_runs=3, seeds=[5, 6, 7], n_samples=31,
+        )
+        if "jump" in name:
+            assert (blocked.policy_jumps_per_run.reshape(3, 3).sum(axis=1)
+                    > 0).all()
+
+    def test_one_generator_is_one_block(self):
+        population = SIR.instantiate(200, [0.7, 0.3])
+        a = simulate_ensemble(population, ConstantPolicy([5.0]), 1.0,
+                              n_runs=4, rng=np.random.default_rng(3),
+                              n_samples=11)
+        b = simulate_ensemble(population, ConstantPolicy([5.0]), 1.0,
+                              n_runs=4, rng=[np.random.default_rng(3)],
+                              n_samples=11)
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.events_per_run, b.events_per_run)
+
+    @pytest.mark.parametrize("n_runs, n_generators", [(5, 2), (4, 3),
+                                                      (2, 3), (4, 0)])
+    def test_generators_must_split_the_runs_evenly(self, n_runs,
+                                                   n_generators):
+        rngs = [np.random.default_rng(i) for i in range(n_generators)]
+        with pytest.raises(ValueError, match="equal blocks"):
+            simulate_ensemble(SIR.instantiate(50, [0.7, 0.3]),
+                              ConstantPolicy([5.0]), 1.0, n_runs=n_runs,
+                              rng=rngs)
+
+    def test_generators_must_be_generators(self):
+        with pytest.raises(TypeError, match="sequence of Generators"):
+            simulate_ensemble(SIR.instantiate(50, [0.7, 0.3]),
+                              ConstantPolicy([5.0]), 1.0, n_runs=2,
+                              rng=[1, 2])
+
+
 class TestSIREquivalence:
     N_RUNS = 80
 
@@ -311,12 +409,13 @@ class TestJumpRateContract:
 
 
 class TestShardedSweep:
-    def test_serial_and_pooled_shards_agree(self):
+    @pytest.mark.parametrize("resolution", [3, 5])
+    def test_serial_and_pooled_shards_agree(self, resolution):
         """Shard results are a function of (seed, grid) only — the
-        process count must not change them."""
+        process count, and so the chunking, must not change them."""
         from repro.engine import sweep_constant_ensembles
 
-        grid = make_sir_model().theta_set.grid(3)
+        grid = make_sir_model().theta_set.grid(resolution)
         kwargs = dict(
             x0=[0.7, 0.3], population_size=150, thetas=grid,
             t_final=1.0, n_runs=4, seed=42, n_samples=11,
@@ -327,6 +426,9 @@ class TestShardedSweep:
         assert len(serial) == len(pooled) == grid.shape[0]
         for a, b in zip(serial, pooled):
             np.testing.assert_array_equal(a.states, b.states)
+            np.testing.assert_array_equal(a.thetas, b.thetas)
+            np.testing.assert_array_equal(a.events_per_run,
+                                          b.events_per_run)
         # Different grid points use independent streams.
         assert not np.array_equal(serial[0].states, serial[1].states)
 
@@ -351,6 +453,27 @@ class TestShardedSweep:
                 rng=np.random.default_rng(spawned[i]), n_samples=9,
             )
             np.testing.assert_array_equal(sweep[i].states, direct.states)
+            np.testing.assert_array_equal(sweep[i].thetas, direct.thetas)
+            assert (sweep[i].n_events, sweep[i].n_policy_jumps) == (
+                direct.n_events, direct.n_policy_jumps)
+
+    @pytest.mark.parametrize("processes, message", [
+        (None, "SSA row 0 of block 1 exceeded max_events=1200"),
+        (2, r"SSA row 0 of block 0 exceeded max_events=1200 .*\(block b "
+            r"is grid point 1 \+ b\)"),
+    ])
+    def test_max_events_error_locates_the_grid_point(self, processes,
+                                                     message):
+        """Theta = 1 stays under the cap and theta = 10 does not; an
+        error from a later chunk says which grid point its block 0 is."""
+        from repro.engine import sweep_constant_ensembles
+
+        with pytest.raises(RuntimeError, match=message):
+            sweep_constant_ensembles(
+                make_sir_model, x0=[0.7, 0.3], population_size=300,
+                thetas=[1.0, 10.0, 10.0], t_final=5.0, n_runs=2,
+                max_events=1200, processes=processes,
+            )
 
     def test_seed_accepts_a_seedsequence(self):
         from repro.engine import sweep_constant_ensembles

@@ -56,6 +56,20 @@ class TestPolicies:
                                              "equal lengths"):
             PiecewiseConstantPolicy([(0.0, [1.0]), (1.0, [10.0, 2.0])])
 
+    def test_hysteresis_coordinate_is_an_index(self):
+        # A fractional coordinate used to be truncated: 0.9 watched X_S.
+        with pytest.raises(TypeError, match="coordinate must be an "
+                                            "integer"):
+            HysteresisPolicy([1.0], [10.0], coordinate=0.9,
+                             low_threshold=0.5, high_threshold=0.85)
+        policy = HysteresisPolicy([1.0], [10.0], coordinate=np.int64(1),
+                                  low_threshold=0.5, high_threshold=0.85)
+        policy.reset(np.random.default_rng(0), np.array([0.7, 0.3]), 2)
+        with pytest.raises(ValueError, match="coordinate must lie"):
+            HysteresisPolicy([1.0], [10.0], coordinate=2, low_threshold=0.5,
+                             high_threshold=0.85).reset(
+                np.random.default_rng(0), np.array([0.7, 0.3]), 2)
+
     def test_hysteresis_switching(self):
         # Paper theta_1: high mode until coord drops below 0.5, back above
         # 0.85; each row keeps its own mode.

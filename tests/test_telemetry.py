@@ -151,8 +151,9 @@ def test_broken_subscriber_is_tallied_not_hidden():
 
 
 def test_sweep_payloads_exclude_shard_invariant_context():
-    """The model factory and sweep config ship once per worker (via the
-    pool initializer), so per-theta payloads hold (theta, seed) only."""
+    """The model factory, sweep config, grid and streams ship once per
+    worker (via the pool initializer), so a payload holds only the
+    ``(start, stop)`` range of its chunk of grid points."""
     import pickle
 
     import numpy as np
@@ -168,7 +169,8 @@ def test_sweep_payloads_exclude_shard_invariant_context():
     snap = telemetry.snapshot()
     payload = snap["histograms"]["engine.shard.payload_bytes"]
     shared = snap["histograms"]["engine.shard.shared_bytes"]
-    assert payload["count"] == 3
+    # A serial sweep runs its whole grid as one chunk: one payload.
+    assert payload["count"] == 1
     # Regression pin on the drop: the context is metered *once*, not per
     # shard, and every payload weighs less than the pre-refactor 11-tuple
     # (context + theta + seed) would.
@@ -180,6 +182,36 @@ def test_sweep_payloads_exclude_shard_invariant_context():
     ))
     assert payload["max"] < old_style
     assert payload["max"] < 1024
+
+
+@pytest.mark.parametrize("policy, processes, tasks", [
+    (None, None, 1),
+    (None, 2, 2),
+    ("retry", None, 3),
+    ("timeout", None, 3),
+    ("partial", None, 3),
+], ids=["serial", "two-processes", "retries", "timeout", "partial"])
+def test_sweep_chunks_only_under_fail_fast(policy, processes, tasks):
+    """A fail-fast sweep runs one chunk of grid points per process; a
+    policy with retries, a timeout or failure slots keeps one task per
+    point."""
+    from repro.engine import sweep_constant_ensembles
+    from repro.models import make_sir_model
+    from repro.resilience import RetryPolicy
+
+    policies = {"retry": RetryPolicy(max_attempts=2, on_error="raise"),
+                "timeout": RetryPolicy(max_attempts=1, on_error="raise",
+                                       timeout_seconds=60.0),
+                "partial": RetryPolicy(max_attempts=1, on_error="partial")}
+    telemetry.enable()
+    results = sweep_constant_ensembles(
+        make_sir_model, [0.7, 0.3], 30, [1.0, 2.0, 3.0], t_final=0.2,
+        n_runs=2, n_samples=5, processes=processes,
+        policy=policies.get(policy),
+    )
+    assert [r.n_runs for r in results] == [2, 2, 2]
+    payload = telemetry.snapshot()["histograms"]["engine.shard.payload_bytes"]
+    assert payload["count"] == tasks
 
 
 def test_unpicklable_payload_stamps_counter_and_stops_size_metering():
