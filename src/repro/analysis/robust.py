@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.bounds.pontryagin import extremal_trajectory
 from repro.inclusion import DriftExtremizer
@@ -98,6 +97,10 @@ def robust_minimize_scalar(
     xatol:
         Absolute tolerance of the bounded golden-section refinement.
     """
+    # Imported here, not at module level: scipy.optimize adds about half
+    # a second to every process's start-up, and only this search uses it.
+    from scipy.optimize import minimize_scalar
+
     lo, hi = float(bounds[0]), float(bounds[1])
     if lo >= hi:
         raise ValueError("bounds must satisfy lo < hi")

@@ -31,16 +31,23 @@ raw (unclipped) bounds are what this module returns.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro import telemetry
 from repro.inclusion import DriftExtremizer
+from repro.ode import dopri_batch
 
 __all__ = ["HullBounds", "differential_hull_bounds", "hull_vector_field"]
+
+#: Step budget of one hull integration.  A diverging hull turns stiff
+#: (its bounding fields contract at a rate that grows with the
+#: rectangle), so its explicit steps shrink as it grows; the catalog's
+#: hulls take at most a few hundred steps.
+_MAX_HULL_STEPS = 10_000
 
 
 @dataclass
@@ -152,13 +159,22 @@ def differential_hull_bounds(
     theta_method:
         Extremiser strategy over ``Theta`` (see
         :class:`~repro.inclusion.DriftExtremizer`).
+    rtol, atol:
+        Error control of the integration (one lane of
+        :func:`~repro.ode.dopri_batch`, the library's Dormand–Prince
+        5(4) integrator).
     blowup_threshold:
         The hull ODEs can diverge exponentially once the rectangle grows
         past the basin where the bounding fields are contracting (the
-        "trivial" regime of Figure 4c).  Integration stops when any bound
-        exceeds this magnitude and the remaining samples are filled with
-        ``-inf`` / ``+inf``, which is the honest reading of a diverged
-        hull.
+        "trivial" regime of Figure 4c).  Past this magnitude (finite and
+        positive, else ``ValueError``) the field reads as undefined, so
+        the integration stops at its last accepted step, as it does
+        when the state overflows first; the samples after that step are
+        filled with ``-inf`` / ``+inf``, which is the honest reading of
+        a diverged hull.  A hull that has not reached the threshold
+        after ``10_000`` steps (or whose step size collapses) stops the
+        same way, with a ``RuntimeWarning``: a large threshold is
+        reached only through ever smaller steps.
 
     The RHS goes through the batched extremiser: the slice-corner masks
     are precomputed once and every evaluation issues a *single*
@@ -174,40 +190,45 @@ def differential_hull_bounds(
             "t_eval must be a 1-D grid of at least 2 finite, strictly "
             f"increasing times, got {t_eval.tolist()}"
         )
+    if not (np.isfinite(blowup_threshold) and blowup_threshold > 0):
+        raise ValueError("blowup_threshold must be finite and positive, "
+                         f"got {blowup_threshold}")
     x0 = np.asarray(x0, dtype=float)
     d = model.dim
     hull_field = hull_vector_field(model, theta_method=theta_method)
+    blown = np.full((1, 2 * d), np.nan)
 
-    z0 = np.concatenate([x0, x0])
-
-    def blowup_event(t, z):
-        return blowup_threshold - float(np.max(np.abs(z)))
-
-    blowup_event.terminal = True
-    blowup_event.direction = -1.0
+    def lane_field(t, Z):
+        # A non-finite field retires the lane at its last accepted step.
+        if np.max(np.abs(Z)) > blowup_threshold:
+            return blown
+        return hull_field(t, Z[0])[None, :]
 
     with telemetry.span("hull.integrate") as sp:
-        sol = solve_ivp(
-            hull_field,
-            (float(t_eval[0]), float(t_eval[-1])),
-            z0,
-            t_eval=t_eval,
-            rtol=rtol,
-            atol=atol,
-            events=blowup_event,
+        sol = dopri_batch(
+            lane_field, np.concatenate([x0, x0])[None, :],
+            (float(t_eval[0]), float(t_eval[-1])), t_eval=t_eval,
+            rtol=rtol, atol=atol, max_steps=_MAX_HULL_STEPS,
+            retire_failed_lanes=True,
         )
-        sp.set("nfev", int(sol.nfev))
-    telemetry.inc("hull.rhs_evals", int(sol.nfev))
-    if not sol.success and sol.status != 1:
-        raise RuntimeError(f"hull integration failed: {sol.message}")
-    n_done = sol.t.shape[0]
-    lower = np.full((t_eval.shape[0], d), -np.inf)
-    upper = np.full((t_eval.shape[0], d), np.inf)
-    lower[:n_done] = sol.y[:d].T
-    upper[:n_done] = sol.y[d:].T
+        sp.set("nfev", sol.stats["nfev"])
+    telemetry.inc("hull.rhs_evals", sol.stats["nfev"])
+    z = sol.states[0]
+    for failure in sol.stats["lane_failures"]:
+        if failure["reason"] != "non-finite-state":
+            warnings.warn(
+                f"hull integration stopped ({failure['reason']}) at "
+                f"t = {failure['t']:.6g} after {failure['accepted']} "
+                f"steps, before any bound reached blowup_threshold = "
+                f"{blowup_threshold:g}; later samples read as diverged",
+                RuntimeWarning, stacklevel=2,
+            )
+        n_done = int(np.searchsorted(t_eval, failure["t"], side="right"))
+        z[n_done:, :d] = -np.inf
+        z[n_done:, d:] = np.inf
     return HullBounds(
         times=t_eval.copy(),
-        lower=lower,
-        upper=upper,
+        lower=z[:, :d],
+        upper=z[:, d:],
         state_names=model.state_names,
     )

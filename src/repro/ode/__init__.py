@@ -7,21 +7,24 @@ families:
   and the controlled :func:`rk4_integrate_controlled_batch`), used by the
   Pontryagin forward–backward sweep which needs the state, costate and
   control to live on one shared time grid, and
-- an adaptive integrator (:func:`solve_ode`) wrapping
-  :func:`scipy.integrate.solve_ivp`, used where accuracy per cost matters
-  (uncertain sweeps, fixed-point location, differential hulls).
+- one adaptive integrator, :func:`dopri_batch` (Dormand–Prince 5(4)
+  with per-lane error control and lane retirement), used where accuracy
+  per cost matters (uncertain sweeps, fixed-point location, differential
+  hulls, Birkhoff trajectories).  :func:`solve_ode` is its one-lane
+  view.
 
 Both produce :class:`Trajectory` objects with linear-interpolation
-evaluation, and :func:`find_fixed_point` locates equilibria by integrating
-to stationarity and polishing with a Newton solve.
+evaluation, and :func:`find_fixed_point` / :func:`find_fixed_point_batch`
+locate equilibria by integrating to stationarity; the point returned is
+the settle's end state, with no root-finding polish.  Nothing here
+imports ``scipy.integrate`` or ``scipy.optimize``.
 
-Each family also has a *batched* form in :mod:`repro.ode.batch` that
-advances an ``(n_lanes, d)`` stack of IVPs as one array program:
+:mod:`repro.ode.batch` holds the kernels that advance an
+``(n_lanes, d)`` stack of IVPs as one array program: ``dopri_batch``,
+``find_fixed_point_batch``, and the fixed-grid
 :func:`rk4_integrate_batch` (lockstep, bit-identical to the scalar loop
-lane by lane), :func:`rk4_integrate_controlled_batch` (the only
-controlled RK4: a scalar controlled solve is a one-lane batch),
-:func:`dopri_batch` (adaptive Dormand–Prince 5(4) with per-lane error
-control and lane retirement) and :func:`find_fixed_point_batch`.
+lane by lane) and :func:`rk4_integrate_controlled_batch` (the only
+controlled RK4: a scalar controlled solve is a one-lane batch).
 """
 
 from repro.ode.batch import (

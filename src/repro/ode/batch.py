@@ -3,8 +3,8 @@
 Every bound in the paper is produced by integrating small-dimension ODEs
 *many* times: one forward/backward RK4 pair per Pontryagin sweep lane,
 one adaptive solve per constant ``theta`` of an uncertain envelope, one
-settle per parameter of a steady-state scan.  The scalar integrators in
-:mod:`repro.ode.integrators` advance one IVP at a time through a Python
+settle per parameter of a steady-state scan.  The scalar RK4 loop in
+:mod:`repro.ode.integrators` advances one IVP at a time through a Python
 loop, so those workloads pay the interpreter once per lane per step.
 This module advances an entire *stack* of trajectories as a single array
 program:
@@ -15,14 +15,14 @@ program:
   controls.  The per-lane arithmetic is the *same expression* as the
   scalar kernels, so each lane is bit-identical to a scalar
   :func:`~repro.ode.rk4_integrate` run with the matching row field.
-- :func:`dopri_batch` — an adaptive Dormand–Prince 5(4) integrator with
-  per-lane error norms, PI step-size control, lane retirement at
-  per-lane end times and cubic-Hermite dense output.  It replaces ``m``
-  scipy ``solve_ivp`` dispatches with one vectorized solver loop.
+- :func:`dopri_batch` — the library's one adaptive integrator: a
+  Dormand–Prince 5(4) pair with per-lane error norms, PI step-size
+  control, lane retirement at per-lane end times and cubic-Hermite dense
+  output.  A stack of ``m`` IVPs is one vectorized solver loop, and
+  :func:`~repro.ode.solve_ode` is its one-lane view.
 - :func:`find_fixed_point_batch` — settles a stack of initial points (or
-  one point under a stack of parameters) to equilibria at once,
-  mirroring the round/polish structure of
-  :func:`~repro.ode.find_fixed_point`.
+  one point under a stack of parameters) to equilibria at once, with the
+  settle rounds of :func:`~repro.ode.find_fixed_point`.
 
 Lane retirement semantics: a lane whose grid (or end time) is exhausted
 stops updating — its state is frozen at its own final value while the
@@ -39,10 +39,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import fsolve
 
 from repro import telemetry
-from repro.ode.integrators import _SETTLE_ACCEPT_RESIDUAL, Trajectory
+from repro.ode.integrators import (
+    _SETTLE_ACCEPT_RESIDUAL,
+    Trajectory,
+    _check_settle_time,
+)
 from repro.resilience import faults
 
 __all__ = [
@@ -137,7 +140,7 @@ class FixedPointBatch:
     points:
         The located equilibria, shape ``(n_lanes, d)``.
     residuals:
-        Achieved ``|f(x*)|`` per lane (after polishing).
+        Achieved ``|f(x*)|`` per lane.
     converged:
         Whether each lane's residual met the requested tolerance.
     rounds:
@@ -387,22 +390,32 @@ _PI_BETA = 0.04
 _PI_ALPHA = 0.2 - 0.75 * _PI_BETA
 
 
+#: The tableau rows as ``(1, s)`` matrices, the shape
+#: :func:`_dp_stage_sum` multiplies.
+_DP_A_ROWS = [a.reshape(1, -1) for a in _DP_A]
+_DP_B_ROW = _DP_B.reshape(1, -1)
+_DP_E_ROW = _DP_E.reshape(1, -1)
+
+
 def _rms_norm(v: np.ndarray) -> np.ndarray:
-    """Row-wise RMS norm, shape ``(n,)`` for ``(n, d)`` input."""
-    return np.sqrt(np.mean(v * v, axis=1))
+    """Row-wise RMS norm, shape ``(n,)`` for ``(n, d)`` input.
+
+    ``np.mean``'s own arithmetic — one ``add.reduce`` over the row, then
+    a division by the count — without its Python-level wrapper.
+    """
+    return np.sqrt(np.add.reduce(v * v, axis=1) / v.shape[1])
 
 
-def _dp_stage_sum(coeffs: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """Tableau-weighted stage sum ``sum_j coeffs[j] * stages[j]``.
+def _dp_stage_sum(row: np.ndarray, stages: np.ndarray, n: int,
+                  d: int) -> np.ndarray:
+    """Tableau-weighted stage sum ``sum_j row[0, j] * stage_j``, ``(n, d)``.
 
-    ``coeffs`` has shape ``(s,)`` and ``stages`` ``(s, n, d)``.  This is
-    the one ``np.dot`` of a ``(1, s)`` row by an ``(s, n*d)`` matrix that
+    ``row`` is a ``(1, s)`` tableau row and ``stages`` the first ``s``
+    stages as one ``(s, n*d)`` matrix.  This is the one ``np.dot`` that
     ``np.tensordot(coeffs, stages, axes=(0, 0))`` makes, without its
     axis bookkeeping, so the result is the same bit for bit.
     """
-    s = coeffs.shape[0]
-    return np.dot(coeffs.reshape(1, s), stages.reshape(s, -1)).reshape(
-        stages.shape[1:])
+    return np.dot(row, stages).reshape(n, d)
 
 
 def _subset_args(lane_args, idx):
@@ -412,6 +425,18 @@ def _subset_args(lane_args, idx):
     if isinstance(lane_args, tuple):
         return tuple(a[idx] for a in lane_args)
     return lane_args[idx]
+
+
+def _lane_field(f, lane_args, idx):
+    """The field ``(t, X) -> dX`` of the lanes ``idx``.
+
+    With ``lane_args`` the lanes' rows are cut once here and passed as
+    ``f``'s third argument on every call.
+    """
+    if lane_args is None:
+        return f
+    args = _subset_args(lane_args, idx)
+    return lambda t, X: f(t, X, args)
 
 
 def _initial_steps(f, t0, y0, f0, direction, rtol, atol, h_abs_max):
@@ -503,12 +528,14 @@ def _dopri_batch_impl(
         of ``t0``).  Lanes *retire* — stop consuming steps and function
         evaluations — as they reach their own end time.
     t_eval:
-        Optional shared output grid (monotone, between ``t0`` and the
-        farthest end time).  Samples are produced by cubic-Hermite dense
-        output from the accepted steps, so accuracy does not depend on
-        where the solver happened to step.  Evaluation points beyond a
-        lane's own end time hold that lane's final state.  When omitted,
-        the result records only the initial and final states.
+        Optional shared output grid: finite, strictly monotone in the
+        integration direction, and between ``t0`` and the farthest end
+        time (anything else raises ``ValueError``).  Samples are
+        produced by cubic-Hermite dense output from the accepted steps,
+        so accuracy does not depend on where the solver happened to
+        step.  Evaluation points beyond a lane's own end time hold that
+        lane's final state.  When omitted, the result records each
+        lane's accepted steps.
     rtol, atol:
         Per-lane error control: a step is accepted when the RMS of the
         scaled 5(4) error estimate is below one.  Step sizes follow a
@@ -526,7 +553,10 @@ def _dopri_batch_impl(
         exactly like reaching an end time; only the usual sub-ULP
         BLAS reduction-order sensitivity to the active-stack shape
         remains), and with no failures the flag is bit-identical to the
-        default path.  The ``max_steps`` guard still raises regardless.
+        default path.  Lanes still stepping when ``max_steps`` iterations
+        are spent retire as well (``"max-steps"``), the way DOPRI5's
+        step limit ends with the solution so far; without the flag the
+        guard raises.
 
     Returns
     -------
@@ -534,7 +564,11 @@ def _dopri_batch_impl(
     *sampled* trajectory — its ``final_times`` / ``final_states`` refer
     to the last sample, which precedes a lane's end time when ``t_eval``
     stops short of it; the integration endpoints are always available
-    as ``stats["final_states"]``.  ``stats`` also records ``nfev`` plus
+    as ``stats["final_states"]``.  Without ``t_eval`` lane ``l`` holds
+    ``t0`` and its ``n_accepted[l]`` accepted steps (at least one
+    column past ``t0``; padded with its final time and state), so a
+    retired lane ends at its last accepted step.  ``stats`` also
+    records ``nfev`` plus
     per-lane accepted/rejected step counts, and (with
     ``retire_failed_lanes``) the ``lane_failures`` diagnostics — one
     ``{"lane", "reason", "t", "accepted", "rejected"}`` dict per
@@ -562,10 +596,20 @@ def _dopri_batch_impl(
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1 or t_eval.shape[0] < 1:
             raise ValueError("t_eval must be a non-empty 1-D array")
+        if not np.all(np.isfinite(t_eval)):
+            raise ValueError(f"t_eval must be finite, got {t_eval.tolist()}")
         s_eval = direction * t_eval
-        if np.any(np.diff(s_eval) <= 0) and t_eval.shape[0] > 1:
+        if np.any(np.diff(s_eval) <= 0):
             raise ValueError("t_eval must be strictly monotone in the "
                              "integration direction")
+        s_far = float(np.max(direction * t_end))
+        if s_eval[0] < direction * t0 or s_eval[-1] > s_far:
+            # Dense output exists only over the integrated span; a point
+            # outside it would be labelled with a state of another time.
+            raise ValueError(
+                f"t_eval must lie between t0 = {t0} and the farthest end "
+                f"time {direction * s_far}, got {t_eval.tolist()}"
+            )
         n_out = t_eval.shape[0]
         out = np.empty((L, n_out, d))
         # Points at or before t0 clamp to the initial state.
@@ -580,13 +624,12 @@ def _dopri_batch_impl(
     n_accepted = np.zeros(L, dtype=int)
     n_rejected = np.zeros(L, dtype=int)
     filled = np.full(L, 0 if out is None else n_init, dtype=int)
-
-    if lane_args is None:
-        fx = lambda tt, Y, idx: f(tt, Y)  # noqa: E731
-    else:
-        fx = lambda tt, Y, idx: f(tt, Y, _subset_args(lane_args, idx))  # noqa: E731
+    # Without t_eval: (lanes, their step numbers, times, states) of each
+    # iteration's accepted steps, scattered into place at the end.
+    steps: list = []
 
     act = np.nonzero(spans != 0.0)[0]
+    fx = _lane_field(f, lane_args, act)
     final_y = x0.copy()
     if out is not None and act.size < L:
         # Zero-span lanes never step: their whole output row is x0.
@@ -595,11 +638,11 @@ def _dopri_batch_impl(
         filled[idle] = n_out
     nfev = 0
     if act.size:
-        f0 = fx(t[act], y[act], act)
+        f0 = fx(t[act], y[act])
         nfev += 2 * act.size  # f0 plus the Euler probe in _initial_steps
         h = np.zeros(L)
         h[act] = _initial_steps(
-            lambda tt, Y: fx(tt, Y, act), t[act], y[act], f0,
+            fx, t[act], y[act], f0,
             np.full(act.size, direction), rtol, atol,
             min(max_step, float(np.max(np.abs(spans)))),
         )
@@ -633,10 +676,20 @@ def _dopri_batch_impl(
         poison = None
     poison_counted = False
 
+    # The loop runs on small stacks, where numpy's per-call overhead is
+    # the cost, so it keeps its calls few: the tableau rows are
+    # pre-shaped, the lane arguments are cut once per active set, and
+    # while every lane is active (and, below, every lane accepted) the
+    # stacks are used in place of gathers.  Each accepted step runs the
+    # same arithmetic either way.
+    field_of = (act, fx)
     iterations = 0
     while act.size:
         iterations += 1
         if iterations > max_steps:
+            if retire_failed_lanes:
+                retire(act, "max-steps")
+                break
             raise RuntimeError(
                 f"dopri_batch exceeded {max_steps} iterations; the step "
                 "size may have collapsed on a discontinuity (use the "
@@ -647,16 +700,27 @@ def _dopri_batch_impl(
             if not poison_counted:
                 poison_counted = True
                 faults.count_injection("poison-nan")
-        ta, ya, ka = t[act], y[act], fcur[act]
-        remaining = np.abs(t_end[act] - ta)
-        h_act = np.minimum(np.minimum(h[act], max_step), remaining)
+        if field_of[0] is not act:
+            field_of = (act, _lane_field(f, lane_args, act))
+        fa = field_of[1]
+        n = act.size
+        if n == L:
+            ta, ya, ka, h_prev = t, y, fcur, h
+            ends, errp = t_end, err_prev
+        else:
+            ta, ya, ka, h_prev = t[act], y[act], fcur[act], h[act]
+            ends, errp = t_end[act], err_prev[act]
+        remaining = np.abs(ends - ta)
+        h_act = np.minimum(np.minimum(h_prev, max_step), remaining)
         last = h_act >= remaining * (1.0 - 1e-12)
         tiny = 1e-14 * np.maximum(1.0, np.abs(ta))
         # A finishing lane may legitimately take a sub-round-off step to
         # land exactly on its end time; only a *non-final* step this
         # small means the controller has collapsed on a discontinuity.
-        underflow = (h_act < tiny) & ~last
-        if np.any(underflow):
+        underflow = h_act < tiny
+        if underflow.any():
+            underflow &= ~last
+        if underflow.any():
             if not retire_failed_lanes:
                 raise RuntimeError(
                     "dopri_batch step size collapsed below round-off; the "
@@ -668,65 +732,73 @@ def _dopri_batch_impl(
             act = act[~np.isin(act, dead)]
             continue
         h_signed = direction * h_act
+        h_col = h_signed[:, None]
+        t_stage = ta + _DP_C[1:6, None] * h_signed
 
-        K = np.empty((7, act.size, d))
+        K = np.empty((7, n, d))
+        K_rows = K.reshape(7, n * d)
         K[0] = ka
-        for i, (a_row, c_i) in enumerate(zip(_DP_A, _DP_C[1:]), start=1):
-            incr = _dp_stage_sum(a_row, K[:i])
-            K[i] = fx(ta + c_i * h_signed, ya + h_signed[:, None] * incr, act)
-        y_new = ya + h_signed[:, None] * _dp_stage_sum(_DP_B, K[:6])
-        t_new = np.where(last, t_end[act], ta + h_signed)
-        K[6] = fx(t_new, y_new, act)
-        nfev += 6 * act.size
+        for i in range(1, 6):
+            incr = _dp_stage_sum(_DP_A_ROWS[i - 1], K_rows[:i], n, d)
+            K[i] = fa(t_stage[i - 1], ya + h_col * incr)
+        y_new = ya + h_col * _dp_stage_sum(_DP_B_ROW, K_rows[:6], n, d)
+        t_new = np.where(last, ends, ta + h_signed)
+        K[6] = fa(t_new, y_new)
+        nfev += 6 * n
 
-        err_vec = h_signed[:, None] * _dp_stage_sum(_DP_E, K)
+        err_vec = h_col * _dp_stage_sum(_DP_E_ROW, K_rows, n, d)
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
         err = _rms_norm(err_vec / scale)
-        bad = ~np.isfinite(err)
-        err = np.where(bad, np.inf, err)
-        accept = err <= 1.0
         # Lane *values* of the non-finite lanes, captured before the
         # done-removal below mutates ``act`` — they are removed (and
         # retired) only at the end of the iteration.
-        failed = act[bad] if (retire_failed_lanes and np.any(bad)) else None
+        failed = None
+        bad = ~np.isfinite(err)
+        if bad.any():
+            err[bad] = np.inf
+            if retire_failed_lanes:
+                failed = act[bad]
+        accept = err <= 1.0
 
         # PI controller: accepted lanes grow by the error history pair,
-        # rejected lanes shrink on the current error alone.
-        with np.errstate(divide="ignore", over="ignore"):
-            grow = safety * err ** (-_PI_ALPHA) * err_prev[act] ** _PI_BETA
-            shrink = safety * err ** (-_PI_ALPHA)
-        grow = np.where(err == 0.0, max_factor, grow)
-        grow = np.clip(np.where(np.isfinite(grow), grow, min_factor),
-                       min_factor, max_factor)
-        shrink = np.clip(np.where(np.isfinite(shrink), shrink, min_factor),
-                         min_factor, 1.0)
+        # rejected lanes shrink on the current error alone.  A zero error
+        # takes the largest growth, so its infinite power is never formed.
+        scaled = safety * np.where(err > 0.0, err, 1.0) ** (-_PI_ALPHA)
+        grow = np.where(err == 0.0, max_factor, scaled * errp ** _PI_BETA)
+        grow = np.minimum(np.maximum(grow, min_factor), max_factor)
 
-        acc_idx = act[accept]
-        rej_idx = act[~accept]
-        h[rej_idx] = h_act[~accept] * shrink[~accept]
-        n_rejected[rej_idx] += 1
+        if accept.all():
+            acc, acc_idx = slice(None), act
+        else:
+            rej = ~accept
+            rej_idx = act[rej]
+            h[rej_idx] = h_act[rej] * np.minimum(
+                np.maximum(scaled[rej], min_factor), 1.0)
+            n_rejected[rej_idx] += 1
+            acc, acc_idx = accept, act[accept]
 
         if acc_idx.size:
+            t_acc, y_acc = t_new[acc], y_new[acc]
             if out is not None:
-                s_old = direction * ta[accept]
-                s_new = direction * t_new[accept]
+                s_old = direction * ta[acc]
+                s_new = direction * t_acc
                 i0 = np.searchsorted(s_eval, s_old, side="right")
                 i1 = np.searchsorted(s_eval, s_new, side="right")
                 _hermite_fill(
                     out, acc_idx, i0, i1, s_eval, s_old, s_new,
-                    ya[accept], y_new[accept],
-                    K[0][accept], K[6][accept],
-                    t_new[accept] - ta[accept],
+                    ya[acc], y_acc, K[0][acc], K[6][acc], t_acc - ta[acc],
                 )
                 filled[acc_idx] = i1
-            t[acc_idx] = t_new[accept]
-            y[acc_idx] = y_new[accept]
-            fcur[acc_idx] = K[6][accept]
-            err_prev[acc_idx] = np.maximum(err[accept], 1e-10)
-            h[acc_idx] = h_act[accept] * grow[accept]
+            t[acc_idx] = t_acc
+            y[acc_idx] = y_acc
+            fcur[acc_idx] = K[6][acc]
+            err_prev[acc_idx] = np.maximum(err[acc], 1e-10)
+            h[acc_idx] = h_act[acc] * grow[acc]
             n_accepted[acc_idx] += 1
+            if out is None:
+                steps.append((acc_idx, n_accepted[acc_idx], t_acc, y_acc))
 
-            done = acc_idx[last[accept]]
+            done = acc_idx[last[acc]]
             if done.size:
                 final_y[done] = y[done]
                 if out is not None:
@@ -752,9 +824,20 @@ def _dopri_batch_impl(
         states = out
         lane_steps = np.full(L, t_eval.shape[0] - 1, dtype=int)
     else:
-        times = np.stack([np.full(L, t0), t_end], axis=1)
-        states = np.stack([x0, final_y], axis=1)
-        lane_steps = np.full(L, 1, dtype=int)
+        # Every column starts as the lane's last accepted time and state
+        # (its padding); a lane that never stepped (zero span, or retired
+        # on its first step) records [t0, t0].
+        lane_steps = np.maximum(n_accepted, 1)
+        n_cols = int(lane_steps.max()) + 1
+        times = np.repeat(t[:, None], n_cols, axis=1)
+        states = np.repeat(y[:, None, :], n_cols, axis=1)
+        times[:, 0] = t0
+        states[:, 0] = x0
+        if steps:
+            lanes, cols, ts, ys = (np.concatenate(part)
+                                   for part in zip(*steps))
+            times[lanes, cols] = ts
+            states[lanes, cols] = ys
     return TrajectoryBatch(
         times=times,
         states=states,
@@ -827,8 +910,6 @@ def find_fixed_point_batch(
     settle_time: float = 200.0,
     tol: float = 1e-10,
     max_rounds: int = 6,
-    polish: bool = True,
-    jac: Optional[Callable] = None,
     lane_args=None,
 ) -> FixedPointBatch:
     """Settle a stack of initial points to stable equilibria at once.
@@ -837,9 +918,9 @@ def find_fixed_point_batch(
     lane integrates the autonomous field for ``settle_time`` through
     :func:`dopri_batch` (one solver loop for the whole stack), lanes
     whose residual ``|f(x)|`` drops below ``tol`` retire, and the rest
-    repeat for up to ``max_rounds``.  Lanes are then polished with a
-    per-lane Newton solve under the same acceptance rule as the scalar
-    routine.
+    repeat for up to ``max_rounds``.  Each point is the last settle's
+    end state as it stands: there is no root-finding polish, and
+    ``residuals`` / ``converged`` report what the settle reached.
 
     Parameters
     ----------
@@ -853,9 +934,9 @@ def find_fixed_point_batch(
         model.drift_batch(X, th)`` and ``lane_args=thetas``.
     x0:
         Initial stack ``(n_lanes, d)``.
-    jac:
-        Optional scalar Jacobian ``x -> (d, d)`` handed to the per-lane
-        polish.
+    settle_time:
+        Integration time of one round; must be finite and positive
+        (``ValueError`` otherwise).
     lane_args:
         Optional per-lane auxiliary data (array with leading dimension
         ``n_lanes``, or a tuple of such arrays).
@@ -869,6 +950,7 @@ def find_fixed_point_batch(
         acceptance level are reported via their ``residuals`` /
         ``converged`` diagnostics instead of a warning per lane.
     """
+    _check_settle_time(settle_time)
     x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     L = x.shape[0]
     if lane_args is None:
@@ -899,17 +981,6 @@ def find_fixed_point_batch(
             f"{max_rounds * settle_time:.0f} time units "
             f"(worst |f| = {worst:.2e}); the dynamics may have a limit cycle"
         )
-    if polish:
-        for l in range(L):
-            idx = np.array([l])
-            row = lambda v: f_at(v[None, :], idx)[0]  # noqa: E731
-            solution, _, ier, _ = fsolve(row, x[l], fprime=jac,
-                                         full_output=True)
-            if ier == 1 and np.linalg.norm(solution - x[l]) < 0.1 * (
-                1.0 + np.linalg.norm(x[l])
-            ):
-                x[l] = solution
-        residuals = np.linalg.norm(f_at(x, np.arange(L)), axis=1)
     return FixedPointBatch(
         points=x,
         residuals=residuals,

@@ -1,14 +1,12 @@
-"""Fixed-grid RK4 and adaptive ODE integrators, plus fixed-point location."""
+"""Fixed-grid RK4, the one-lane adaptive solve, and fixed-point location."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import fsolve
 
 __all__ = [
     "Trajectory",
@@ -22,6 +20,17 @@ __all__ = [
 #: the iterate is near an equilibrium but the requested tolerance was
 #: missed.  Above it the settle is considered to have found nothing.
 _SETTLE_ACCEPT_RESIDUAL = 1e-5
+
+
+def _check_settle_time(settle_time) -> None:
+    """Reject a settle time that is not finite and positive.
+
+    A settle integrates forward; a negative one would integrate backward
+    and read as a limit cycle, a zero one as no settle at all.
+    """
+    if not (np.isfinite(settle_time) and settle_time > 0):
+        raise ValueError(
+            f"settle_time must be finite and positive, got {settle_time}")
 
 
 @dataclass
@@ -168,37 +177,26 @@ def solve_ode(
     t_eval=None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    method: str = "RK45",
-    max_step: float = np.inf,
 ) -> Trajectory:
-    """Adaptive integration of ``x' = f(t, x)`` via scipy ``solve_ivp``.
+    """Adaptive integration of ``x' = f(t, x)``: one lane of ``dopri_batch``.
 
-    Returns a :class:`Trajectory` sampled at ``t_eval`` when given,
-    otherwise at the solver's own accepted steps.  A non-finite
-    ``t_span`` or ``t_eval`` raises ``ValueError`` before scipy sees it
-    (``solve_ivp`` never terminates on a NaN or infinite end time).
+    Runs the library's Dormand–Prince 5(4) integrator
+    (:func:`~repro.ode.dopri_batch`) on the single IVP and returns a
+    :class:`Trajectory` sampled at ``t_eval`` when given, otherwise at
+    the integrator's own accepted steps.  A non-finite ``t_span`` or
+    ``t_eval``, or a ``t_eval`` that is unsorted or leaves ``t_span``,
+    raises ``ValueError``; a failed integration (the step size collapsing
+    on a discontinuous or diverging field) raises ``RuntimeError``.
     """
+    # repro.ode.batch imports Trajectory from this module.
+    from repro.ode.batch import dopri_batch
+
+    def lane(t, X):
+        return np.asarray(f(t[0], X[0]), dtype=float).reshape(1, -1)
+
     x0 = np.asarray(x0, dtype=float)
-    t_span = tuple(float(t) for t in t_span)
-    if not np.all(np.isfinite(t_span)):
-        raise ValueError(f"t_span must be finite, got {t_span}")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if not np.all(np.isfinite(t_eval)):
-            raise ValueError(f"t_eval must be finite, got {t_eval.tolist()}")
-    sol = solve_ivp(
-        f,
-        t_span,
-        x0,
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-        method=method,
-        max_step=max_step,
-    )
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
-    return Trajectory(sol.t, sol.y.T)
+    return dopri_batch(lane, x0[None, :], t_span, t_eval=t_eval, rtol=rtol,
+                       atol=atol).lane(0)
 
 
 def find_fixed_point(
@@ -207,16 +205,16 @@ def find_fixed_point(
     settle_time: float = 200.0,
     tol: float = 1e-10,
     max_rounds: int = 6,
-    polish: bool = True,
-    jac: Optional[Callable] = None,
 ) -> np.ndarray:
     """Locate a stable equilibrium of ``x' = f(x)`` reachable from ``x0``.
 
-    Integrates for ``settle_time`` repeatedly until ``|f(x)|`` is below
-    ``tol`` (or ``max_rounds`` is exhausted), then optionally polishes the
-    result with a Newton solve of ``f(x) = 0``.  The drift ``f`` here takes
-    only the state (time-autonomous), matching the uncertain mean-field
-    ODEs ``x' = f(x, theta)`` for a frozen ``theta``.
+    Integrates for ``settle_time`` (finite and positive, else
+    ``ValueError``) through :func:`solve_ode`, repeatedly until
+    ``|f(x)|`` is below ``tol`` or ``max_rounds`` is exhausted, and
+    returns the last end state: there is no root-finding polish.  The
+    drift ``f`` here takes only the state (time-autonomous), matching the
+    uncertain mean-field ODEs ``x' = f(x, theta)`` for a frozen
+    ``theta``.
 
     Raises ``RuntimeError`` when no equilibrium is approached, which is the
     signal used by callers to fall back to limit-cycle handling.  A settle
@@ -225,6 +223,7 @@ def find_fixed_point(
     a ``RuntimeWarning`` reporting the achieved residual, so callers are
     never handed a silently-degraded fixed point.
     """
+    _check_settle_time(settle_time)
     x = np.asarray(x0, dtype=float).copy()
     wrapped = lambda t, y: f(y)  # noqa: E731 - tiny adapter
     for _ in range(max_rounds):
@@ -234,8 +233,8 @@ def find_fixed_point(
         if residual < tol:
             break
     else:
-        # Recomputed here so max_rounds=0 (skip straight to the Newton
-        # polish) judges the *actual* residual at x0, not a sentinel.
+        # Recomputed here so max_rounds=0 judges the *actual* residual
+        # at x0, not a sentinel.
         residual = float(np.linalg.norm(f(x)))
         if residual > _SETTLE_ACCEPT_RESIDUAL:
             raise RuntimeError(
@@ -253,8 +252,4 @@ def find_fixed_point(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    if polish:
-        solution, info, ier, _ = fsolve(f, x, fprime=jac, full_output=True)
-        if ier == 1 and np.linalg.norm(solution - x) < 0.1 * (1.0 + np.linalg.norm(x)):
-            x = solution
     return x

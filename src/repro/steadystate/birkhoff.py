@@ -336,8 +336,9 @@ def uncertain_fixed_points(
 
     The whole grid settles at once through
     :func:`~repro.ode.find_fixed_point_batch` — one vectorized
-    integrator loop, each lane started from ``x0_guess`` and
-    Newton-polished to the same tolerance.
+    integrator loop, each lane started from ``x0_guess`` and integrated
+    until its residual meets the same tolerance (no root-finding
+    polish).
     """
     if x0_guess is None:
         if model.state_lower is not None:

@@ -63,15 +63,16 @@ def hull_steady_rectangle(
     residual_tol:
         Maximum bound movement over the window for ``converged=True``.
     settle:
-        After a finite integration, polish the rectangle to the *exact*
-        zero of the hull field through
-        :func:`~repro.ode.find_fixed_point_batch` (settle + Newton
-        polish on the stacked ``(xlo, xhi)`` state).  The hull pair
-        approaches its stationary rectangle from the inside, so the
-        settled rectangle can only grow — soundness is preserved — and
-        the reported ``residual`` becomes the field residual at the
-        fixed point.  A settle that finds no equilibrium (slowly
-        diverging hull) leaves the integration result untouched.
+        After a finite integration, settle the rectangle onto a zero of
+        the hull field through :func:`~repro.ode.find_fixed_point_batch`
+        (further integration of the stacked ``(xlo, xhi)`` state until
+        the field residual meets the settle tolerance; there is no
+        root-finding polish).  The hull pair approaches its stationary
+        rectangle from the inside, so the settled rectangle can only
+        grow — soundness is preserved — and the reported ``residual``
+        becomes the field residual at the settled point.  A settle that
+        finds no equilibrium (slowly diverging hull) leaves the
+        integration result untouched.
     hull_kwargs:
         Forwarded to the hull integrator (``theta_method``, tolerances,
         blow-up threshold).
@@ -127,8 +128,8 @@ def hull_steady_rectangle(
             # Soundness gate: the hull pair approaches its stationary
             # rectangle from the inside, so a legitimate settle can only
             # *grow* the integrated rectangle (up to solver noise).  A
-            # Newton polish that jumped to a different, smaller zero of
-            # the field must be discarded, not served as a bound.
+            # settle that ended on a different, smaller zero of the
+            # field must be discarded, not served as a bound.
             grow_tol = 1e-7 * (1.0 + float(np.max(np.abs(z))))
             sound = (
                 np.all(z[d:] >= z[:d] - 1e-12)

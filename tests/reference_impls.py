@@ -12,6 +12,11 @@ trajectory, a scalar Gillespie loop per SSA run — kept only
 so the tests can pin the batched kernels against an independent
 computation.  Nothing under ``src/`` imports this module.
 
+Every adaptive solve here is scipy's ``solve_ivp`` (:func:`solve_ode`)
+and every equilibrium a scipy settle finished by ``fsolve``
+(:func:`find_fixed_point`), never the library's own Dormand–Prince, so
+no differential test compares the library integrator with itself.
+
 Each oracle documents what it is the reference for; the tests choose the
 tolerance (exact equality where the arithmetic is the same, integrator
 tolerance where the batched path shares one adaptive step sequence).
@@ -25,6 +30,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.optimize import fsolve
 
 from repro.bounds import UncertainEnvelope, pontryagin
 from repro.bounds.pontryagin import (
@@ -39,15 +45,53 @@ from repro.geometry import ConvexPolygon, convex_hull, point_in_polygon
 from repro.inclusion import DriftExtremizer
 from repro.ode import (
     Trajectory,
-    find_fixed_point,
     pad_grids,
     rk4_integrate,
     rk4_integrate_controlled_batch,
-    solve_ode,
 )
 from repro.params import DiscreteSet
 from repro.simulation import BatchResult, SimulationResult
 from repro.steadystate import BirkhoffResult
+
+# ----------------------------------------------------------------------
+# Adaptive solves and settles: repro.ode.solve_ode / find_fixed_point
+# ----------------------------------------------------------------------
+
+
+def solve_ode(f, x0, t_span, t_eval=None, rtol=1e-8, atol=1e-10):
+    """scipy's ``solve_ivp`` (RK45) as a :class:`Trajectory`.
+
+    The reference for :func:`repro.ode.solve_ode` and every other
+    ``dopri_batch`` lane: the same Dormand–Prince pair under scipy's own
+    step control, so the two agree to integration tolerance.
+    """
+    sol = solve_ivp(f, tuple(float(t) for t in t_span),
+                    np.asarray(x0, dtype=float), t_eval=t_eval,
+                    rtol=rtol, atol=atol)
+    if not sol.success:
+        raise RuntimeError(f"ODE integration failed: {sol.message}")
+    return Trajectory(sol.t, sol.y.T)
+
+
+def find_fixed_point(f, x0, settle_time=200.0, tol=1e-10, max_rounds=6):
+    """An equilibrium of ``x' = f(x)``: scipy settles, then ``fsolve``.
+
+    The reference for :func:`repro.ode.find_fixed_point` and
+    :func:`repro.ode.find_fixed_point_batch`: settle rounds of
+    :func:`solve_ode` until ``|f(x)| < tol``, then a Newton root from the
+    settled point, kept only if it stays within 10% of it.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    for _ in range(max_rounds):
+        x = solve_ode(lambda t, y: f(y), x, (0.0, settle_time),
+                      rtol=1e-10, atol=1e-12).final_state
+        if np.linalg.norm(f(x)) < tol:
+            break
+    root, _, ier, _ = fsolve(f, x, full_output=True)
+    if ier == 1 and np.linalg.norm(root - x) < 0.1 * (1.0 + np.linalg.norm(x)):
+        x = root
+    return x
+
 
 # ----------------------------------------------------------------------
 # Population rates: PopulationModel.drift_batch / transition_rates_batch
@@ -191,7 +235,7 @@ def hull_field(model):
 def hull_bounds(model, x0, t_eval, rtol=1e-7, atol=1e-9):
     """``(lower, upper)`` of the hull integrated with the reference field.
 
-    Same scipy integrator and tolerances as the library, without the
+    scipy's ``solve_ivp`` at the library's tolerances, without the
     blow-up cut-off (the tests compare hulls before any blow-up).
     """
     x0 = np.asarray(x0, dtype=float)

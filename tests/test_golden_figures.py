@@ -109,13 +109,16 @@ class TestFig4HullGolden:
                                    atol=1e-8)
 
     def test_hull_scalar_path_matches_batched_pin(self, fig4_hull):
-        """The scalar-extremization reference hull hits the same pins, and
-        agrees with the default batched path bit-for-bit."""
+        """The scalar-extremization reference hull (scipy's solve_ivp)
+        hits the same pins, and agrees with the library's hull (its own
+        Dormand–Prince lane) to integration tolerance."""
         lower, upper = ref.hull_bounds(make_sir_model(), X0, FIG4_T_EVAL)
         np.testing.assert_allclose(lower, FIG4_LOWER, rtol=1e-4, atol=1e-8)
         np.testing.assert_allclose(upper, FIG4_UPPER, rtol=1e-4, atol=1e-8)
-        np.testing.assert_array_equal(lower, fig4_hull.lower)
-        np.testing.assert_array_equal(upper, fig4_hull.upper)
+        np.testing.assert_allclose(lower, fig4_hull.lower, rtol=1e-5,
+                                   atol=1e-9)
+        np.testing.assert_allclose(upper, fig4_hull.upper, rtol=1e-5,
+                                   atol=1e-9)
 
     def test_hull_brackets_fig1_pins(self, fig4_hull):
         # The hull is a relaxation: at matching times its I-range must

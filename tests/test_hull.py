@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.bounds import differential_hull_bounds, uncertain_envelope
 from repro.models import make_sir_model
+from repro.scenarios import get_scenario
 
 
 class TestHullSoundness:
@@ -116,3 +118,87 @@ class TestTimeGridValidation:
 
         with pytest.raises(ValueError, match="t_eval"):
             hull_steady_rectangle(sir_narrow, [0.7, 0.3], horizon=horizon)
+
+
+def _catalog_hull_grid(name, kind):
+    """``(model, x0, times)`` of a catalog question's hull integration."""
+    spec = get_scenario(name)
+    (question,) = [q for q in spec.questions if q.kind == kind]
+    opts = question.opts
+    if kind == "steadystate":
+        horizon = float(opts.get("horizon", max(spec.horizon, 50.0)))
+        times = np.linspace(0.0, horizon, 401)
+    elif "times" in opts:
+        times = np.asarray(opts["times"], dtype=float)
+    else:
+        times = np.linspace(0.0, spec.horizon, int(opts["n_times"]))
+    return spec.build_model(), spec.x0, times
+
+
+CATALOG_HULLS = [
+    ("autoscaler", "hull", 3),
+    ("csma-contention", "hull", 3),
+    ("gossip-spread", "hull", 5),
+    ("seir-transient", "hull", 5),
+    ("sir-hull", "hull", 7),
+    ("gossip-spread", "steadystate", 27),
+    ("repairable-queue", "steadystate", 401),
+    ("sir-steadystate", "steadystate", 401),
+]
+
+
+class TestHullOnDormandPrince:
+    """The hull runs on one ``dopri_batch`` lane; scipy is the oracle."""
+
+    @pytest.mark.parametrize("name, kind, n_finite", CATALOG_HULLS,
+                             ids=[f"{n}-{k}" for n, k, _ in CATALOG_HULLS])
+    def test_catalog_hulls_match_solve_ivp(self, name, kind, n_finite):
+        model, x0, times = _catalog_hull_grid(name, kind)
+        hull = differential_hull_bounds(model, x0, times)
+        finite = np.isfinite(hull.lower).all(axis=1) & \
+            np.isfinite(hull.upper).all(axis=1)
+        # The same samples blow up as under scipy's terminal event.
+        assert int(finite.sum()) == n_finite
+        assert finite[:n_finite].all()
+        lower, upper = ref.hull_bounds(model, x0, times[:n_finite])
+        scale = 1e-5 * max(np.max(np.abs(lower)), np.max(np.abs(upper)))
+        np.testing.assert_allclose(hull.lower[:n_finite], lower,
+                                   rtol=1e-5, atol=scale)
+        np.testing.assert_allclose(hull.upper[:n_finite], upper,
+                                   rtol=1e-5, atol=scale)
+
+    def test_blowup_keeps_the_samples_before_the_threshold(self):
+        model = make_sir_model(theta_max=10.0)
+        t = np.linspace(0.0, 10.0, 41)
+        for threshold, n_finite in ((100.0, 8), (5.0, 5)):
+            hull = differential_hull_bounds(model, [0.7, 0.3], t,
+                                            blowup_threshold=threshold)
+            assert np.isfinite(hull.upper).all(axis=1).sum() == n_finite
+            assert np.all(np.abs(hull.upper[:n_finite]) <= threshold)
+            assert np.all(hull.upper[n_finite:] == np.inf)
+            assert np.all(hull.lower[n_finite:] == -np.inf)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_bad_blowup_threshold_rejected(self, sir_narrow, threshold):
+        # Regression: none of these could stop the integration, so a
+        # diverging hull crawled on for minutes.
+        with pytest.raises(ValueError, match="blowup_threshold"):
+            differential_hull_bounds(sir_narrow, [0.7, 0.3],
+                                     np.linspace(0.0, 1.0, 5),
+                                     blowup_threshold=threshold)
+
+    def test_unreachable_threshold_stops_on_the_step_budget(self):
+        # A diverging hull turns stiff, so a threshold of 1e300 is reached
+        # only through ever smaller steps: the integration stops on its
+        # step budget instead of crawling, and says so.
+        model = make_sir_model(theta_max=10.0)
+        t = np.linspace(0.0, 10.0, 41)
+        with pytest.warns(RuntimeWarning, match="max-steps"):
+            hull = differential_hull_bounds(model, [0.7, 0.3], t,
+                                            blowup_threshold=1e300)
+        finite = np.isfinite(hull.upper).all(axis=1)
+        n_finite = int(finite.sum())
+        assert 8 <= n_finite < 41 and finite[:n_finite].all()
+        assert np.all(hull.upper[n_finite:] == np.inf)
+        assert np.all(hull.lower[n_finite:] == -np.inf)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from repro.ode import (
     Trajectory,
     find_fixed_point,
@@ -209,6 +210,62 @@ class TestSolveOde:
                              settle_time=np.nan)
 
 
+class TestSolveOdeIsOneDopriLane:
+    """``solve_ode`` runs the library's Dormand–Prince; scipy is the oracle."""
+
+    def test_accepted_steps_without_t_eval(self, sir_model):
+        # Callers interpolate the returned steps (Trajectory.__call__),
+        # so the two end points alone are not enough.
+        f = sir_model.vector_field([10.0])
+        traj = solve_ode(f, [0.7, 0.3], (0.0, 1.0))
+        assert len(traj) > 2
+        assert np.all(np.diff(traj.times) > 0.0)
+        assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+        want = ref.solve_ode(f, [0.7, 0.3], (0.0, 1.0), t_eval=traj.times,
+                             rtol=1e-10, atol=1e-12).states
+        np.testing.assert_allclose(traj.states, want, rtol=0, atol=1e-6)
+        k = len(traj) // 2
+        np.testing.assert_allclose(traj(traj.times[k]), want[k], atol=1e-6)
+        # Between steps the interpolation is linear: |x''| h^2 / 8.
+        mid = 0.5 * (traj.times[k] + traj.times[k + 1])
+        np.testing.assert_allclose(
+            traj(mid), ref.solve_ode(f, [0.7, 0.3], (0.0, 1.0), t_eval=[mid],
+                                     rtol=1e-10, atol=1e-12).states[0],
+            atol=1e-3)
+
+    def test_sir_settle_matches_solve_ivp(self, sir_model):
+        f = sir_model.vector_field([5.0])
+        t_eval = np.linspace(0.0, 200.0, 41)
+        got = solve_ode(f, [0.7, 0.05], (0.0, 200.0), t_eval=t_eval,
+                        rtol=1e-10, atol=1e-12)
+        want = ref.solve_ode(f, [0.7, 0.05], (0.0, 200.0), t_eval=t_eval,
+                             rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got.states, want.states, rtol=0, atol=1e-7)
+
+    def test_harmonic_oscillator_matches_solve_ivp(self):
+        f = lambda t, x: np.array([x[1], -x[0]])
+        t_eval = np.linspace(0.0, 10.0, 51)
+        got = solve_ode(f, [1.0, 0.0], (0.0, 10.0), t_eval=t_eval,
+                        rtol=1e-10, atol=1e-12)
+        want = ref.solve_ode(f, [1.0, 0.0], (0.0, 10.0), t_eval=t_eval,
+                             rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got.states, want.states, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(got.states[:, 0], np.cos(t_eval),
+                                   atol=1e-7)
+
+    @pytest.mark.parametrize("t_eval", [[0.0, 0.5, 2.0], [-1.0, 0.5, 1.0],
+                                        [0.0, 0.7, 0.5]],
+                             ids=["past-end", "before-start", "unsorted"])
+    def test_t_eval_outside_span_or_unsorted_rejected(self, t_eval):
+        with pytest.raises(ValueError, match="t_eval"):
+            solve_ode(lambda t, x: -x, [1.0], (0.0, 1.0), t_eval=t_eval)
+
+    def test_failed_integration_raises_runtime_error(self):
+        # x' = x^2 from x = 1 blows up at t = 1: the step size collapses.
+        with pytest.raises(RuntimeError, match="step size"):
+            solve_ode(lambda t, x: x * x, [1.0], (0.0, 2.0))
+
+
 class TestFindFixedPoint:
     def test_linear_decay(self):
         fp = find_fixed_point(lambda x: -x + 3.0, np.array([0.0]))
@@ -247,37 +304,31 @@ class TestFindFixedPoint:
         f = lambda x: -x
         with pytest.warns(RuntimeWarning, match="residual"):
             fp = find_fixed_point(f, np.array([1.0]), settle_time=6.0,
-                                  max_rounds=2, tol=1e-12, polish=False)
+                                  max_rounds=2, tol=1e-12)
         # The returned point is the (near-equilibrium) final iterate.
         assert abs(fp[0]) <= 1e-5
 
-    def test_polish_rejects_faraway_fsolve_root(self):
-        # f has a root at x = 10, but the settle stalls near x = 0 (the
-        # drift is ~flat there); fsolve jumps to the far root and the
-        # polish must reject a solution that moved the iterate by more
-        # than 10% of its norm.  The flat region keeps |f| below the
-        # 1e-5 acceptance level, so no RuntimeError either.
-        def f(x):
-            return np.where(np.abs(x) < 1.0, 1e-7 * np.ones_like(x),
-                            10.0 - x)
-
-        with pytest.warns(RuntimeWarning):
-            fp = find_fixed_point(f, np.array([0.0]), settle_time=1.0,
-                                  max_rounds=1, polish=True)
-        assert abs(fp[0]) < 1.0  # not the x = 10 fsolve root
-
-    def test_max_rounds_zero_goes_straight_to_polish(self):
+    def test_max_rounds_zero_judges_x0(self):
         # Regression: max_rounds=0 with x0 already an equilibrium used
         # to raise on a sentinel infinite residual.
         fp = find_fixed_point(lambda x: -x, np.array([0.0]), max_rounds=0)
         np.testing.assert_allclose(fp, [0.0], atol=1e-12)
 
-    def test_polish_accepts_nearby_root(self):
+    def test_returns_the_settled_point_unpolished(self):
         # Slow decay toward x* = 1: the settle stops with |f| ~ 6e-8
-        # (warn band for tol = 1e-10), and fsolve finishes the job from
-        # nearby, so the polished point is kept.
+        # (warn band for tol = 1e-10).  No root-finder finishes the job:
+        # the point returned is the settle's end state, and the warning
+        # reports its residual.
         f = lambda x: 1e-2 * (1.0 - x)
-        with pytest.warns(RuntimeWarning):
-            fp = find_fixed_point(f, np.array([0.0]), tol=1e-10,
-                                  polish=True)
-        assert abs(fp[0] - 1.0) < 1e-9
+        with pytest.warns(RuntimeWarning, match="residual"):
+            fp = find_fixed_point(f, np.array([0.0]), tol=1e-10)
+        assert 1e-9 < abs(fp[0] - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("settle_time", [-5.0, 0.0, np.inf])
+    def test_non_positive_settle_time_rejected(self, settle_time):
+        # Regression: a negative settle integrated backwards and raised
+        # the limit-cycle RuntimeError ("no fixed point approached after
+        # -30 time units"), which callers read as "no equilibrium".
+        with pytest.raises(ValueError, match="settle_time"):
+            find_fixed_point(lambda x: -x + 3.0, np.array([0.0]),
+                             settle_time=settle_time)

@@ -7,8 +7,9 @@ Three layers of pins:
    the whole model catalog (ascending and descending grids, controlled
    and uncontrolled, padded heterogeneous lane lengths).
 2. **Adaptive accuracy** — ``dopri_batch`` must match scipy's
-   ``solve_ivp`` (same Dormand–Prince 5(4) pair) to integration
-   tolerance, including lane retirement and dense output.
+   ``solve_ivp`` (same Dormand–Prince 5(4) pair, called directly through
+   ``ref.solve_ode``) to integration tolerance, including lane
+   retirement and dense output.
 3. **Consumer equality** — the rewired consumers (lane-parallel
    Pontryagin bounds, adaptive envelope sweep, batched steady-state
    fixed points, hullbox settle) must agree with the scalar reference
@@ -38,13 +39,11 @@ from repro.ode import (
     FixedPointBatch,
     TrajectoryBatch,
     dopri_batch,
-    find_fixed_point,
     find_fixed_point_batch,
     pad_grids,
     rk4_integrate,
     rk4_integrate_batch,
     rk4_integrate_controlled_batch,
-    solve_ode,
 )
 from repro.steadystate import hull_steady_rectangle, uncertain_fixed_points
 
@@ -240,9 +239,10 @@ class TestDopriBatch:
             rtol=1e-8, atol=1e-10, lane_args=thetas,
         )
         for l in range(5):
-            ref = solve_ode(model.vector_field(thetas[l]), x0, (0.0, 2.0),
-                            t_eval=t_eval, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(sol.states[l], ref.states,
+            want = ref.solve_ode(model.vector_field(thetas[l]), x0,
+                                 (0.0, 2.0), t_eval=t_eval, rtol=1e-10,
+                                 atol=1e-12)
+            np.testing.assert_allclose(sol.states[l], want.states,
                                        rtol=1e-5, atol=1e-6)
 
     def test_per_lane_end_times_and_retirement(self):
@@ -318,6 +318,55 @@ class TestDopriBatch:
         np.testing.assert_allclose(sol.stats["final_states"][:, 0],
                                    np.exp(-2.0), rtol=1e-8)
 
+    @pytest.mark.parametrize("t_span, t_eval", [
+        ((0.0, 1.0), [0.0, 0.5, 2.0]),
+        ((0.0, 1.0), [-1.0, 0.5, 1.0]),
+        ((0.0, -1.0), [0.0, -0.5, -2.0]),
+        ((0.0, -1.0), [1.0, -0.5, -1.0]),
+        ((0.0, 1.0), [0.0, np.nan, 1.0]),
+    ], ids=["past-end", "before-start", "descending-past-end",
+            "descending-before-start", "nan"])
+    def test_t_eval_outside_the_span_rejected(self, t_span, t_eval):
+        # Regression: a point past the end came back holding the end
+        # state (e^-1 labelled t = 2), one before t0 holding x0.
+        with pytest.raises(ValueError, match="t_eval"):
+            dopri_batch(lambda t, X: -X, [[1.0]], t_span, t_eval=t_eval)
+
+    def test_accepted_steps_recorded_without_t_eval(self):
+        ends = np.array([1.0, 3.0])
+        sol = dopri_batch(lambda t, X: -X, np.ones((2, 1)), (0.0, ends),
+                          rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(sol.lane_steps,
+                                      sol.stats["n_accepted"])
+        for l in range(2):
+            lane = sol.lane(l)
+            assert len(lane) == sol.stats["n_accepted"][l] + 1 > 2
+            assert np.all(np.diff(lane.times) > 0.0)
+            assert lane.times[-1] == ends[l]
+            np.testing.assert_allclose(lane.states[:, 0], np.exp(-lane.times),
+                                       rtol=1e-9)
+        # The shorter lane's padding repeats its end time and state.
+        assert np.all(sol.times[0, sol.lane_steps[0]:] == 1.0)
+        np.testing.assert_array_equal(sol.final_states,
+                                      sol.stats["final_states"])
+
+    def test_max_steps_retires_lanes_when_asked(self):
+        # DOPRI5-style step limit: with retire_failed_lanes the solution
+        # so far comes back, without it the guard raises.
+        t_eval = np.linspace(0.0, 10.0, 11)
+        sol = dopri_batch(lambda t, X: -X, np.ones((1, 1)), (0.0, 10.0),
+                          t_eval=t_eval, rtol=1e-10, atol=1e-12,
+                          max_steps=20, retire_failed_lanes=True)
+        (failure,) = sol.stats["lane_failures"]
+        assert failure["reason"] == "max-steps"
+        assert 0.0 < failure["t"] < 10.0
+        done = t_eval <= failure["t"]
+        np.testing.assert_allclose(sol.states[0, done, 0],
+                                   np.exp(-t_eval[done]), rtol=1e-8)
+        with pytest.raises(RuntimeError, match="exceeded 20 iterations"):
+            dopri_batch(lambda t, X: -X, np.ones((1, 1)), (0.0, 10.0),
+                        rtol=1e-10, atol=1e-12, max_steps=20)
+
     def test_zero_span_lane(self):
         sol = dopri_batch(lambda t, X: -X, np.ones((2, 1)),
                           (0.0, np.array([0.0, 1.0])),
@@ -343,9 +392,9 @@ class TestFindFixedPointBatch:
         assert isinstance(batch, FixedPointBatch)
         assert batch.converged.all()
         for l, theta in enumerate(thetas):
-            scalar = find_fixed_point(sir_model.drift_fn(theta), guess,
-                                      settle_time=60.0)
-            np.testing.assert_allclose(batch.points[l], scalar, atol=1e-9)
+            root = ref.find_fixed_point(sir_model.drift_fn(theta), guess,
+                                        settle_time=60.0)
+            np.testing.assert_allclose(batch.points[l], root, atol=1e-9)
         assert np.all(batch.residuals < 1e-10)
 
     def test_limit_cycle_raises(self):
@@ -356,9 +405,9 @@ class TestFindFixedPointBatch:
             find_fixed_point_batch(rotate, np.array([[1.0, 0.0]]),
                                    settle_time=10.0, max_rounds=2)
 
-    def test_polish_rejection_keeps_settled_point(self):
-        # Flat plateau near 0 with the only root far away: the Newton
-        # polish must not yank the lane to the far root.
+    def test_unconverged_lane_reports_its_settled_residual(self):
+        # Flat plateau near 0 with the only root far away: the lane
+        # keeps its settled point, and its diagnostics say it missed tol.
         def f(X):
             return np.where(np.abs(X) < 1.0, 1e-7 * np.ones_like(X),
                             10.0 - X)
@@ -367,6 +416,13 @@ class TestFindFixedPointBatch:
                                     max_rounds=1)
         assert abs(fp.points[0, 0]) < 1.0
         assert not fp.converged[0]  # residual 1e-7 > default tol
+        assert fp.residuals[0] == pytest.approx(1e-7)
+
+    @pytest.mark.parametrize("settle_time", [-5.0, 0.0, np.nan])
+    def test_non_positive_settle_time_rejected(self, settle_time):
+        with pytest.raises(ValueError, match="settle_time"):
+            find_fixed_point_batch(lambda X: -X + 3.0, np.zeros((2, 1)),
+                                   settle_time=settle_time)
 
 
 # ----------------------------------------------------------------------
@@ -470,8 +526,9 @@ class TestConsumersMatchScalarPaths:
         integrated = hull_steady_rectangle(model, [0.7, 0.3], horizon=120.0,
                                            settle=False)
         assert settled.converged and integrated.converged
-        # The settled rectangle is the exact hull fixed point: its field
-        # residual is at Newton level, far below the integration tail's.
+        # The settled rectangle is the hull fixed point: its field
+        # residual meets the settle's tolerance, far below the
+        # integration tail's.
         assert settled.residual < 1e-10
         np.testing.assert_allclose(settled.lower, integrated.lower, atol=1e-5)
         np.testing.assert_allclose(settled.upper, integrated.upper, atol=1e-5)

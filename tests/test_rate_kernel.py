@@ -420,6 +420,7 @@ class TestStageSum:
         rng = np.random.default_rng(n * 31 + d)
         stack = rng.normal(size=(7, n, d)) * 10.0 ** rng.integers(
             -6, 7, size=(7, n, d))
-        stages = stack[:coeffs.shape[0]]
-        got = _dp_stage_sum(coeffs, stages)
+        s = coeffs.shape[0]
+        stages = stack[:s]
+        got = _dp_stage_sum(coeffs.reshape(1, s), stages.reshape(s, -1), n, d)
         assert_same_bits(got, np.tensordot(coeffs, stages, axes=(0, 0)))

@@ -28,12 +28,11 @@ class TestUncertainEnvelope:
         assert env.upper["I"][0] == pytest.approx(0.3)
 
     def test_envelope_contains_interior_theta_solution(self, sir_model):
-        from repro.ode import solve_ode
-
+        # scipy's solve_ivp, not the Dormand–Prince lanes under test.
         t = np.linspace(0, 3, 16)
         env = uncertain_envelope(sir_model, [0.7, 0.3], t, resolution=31)
-        traj = solve_ode(sir_model.vector_field([4.321]), [0.7, 0.3],
-                         (0, 3), t_eval=t)
+        traj = ref.solve_ode(sir_model.vector_field([4.321]), [0.7, 0.3],
+                             (0, 3), t_eval=t)
         assert np.all(env.lower["I"] - 1e-4 <= traj.states[:, 1])
         assert np.all(traj.states[:, 1] <= env.upper["I"] + 1e-4)
 
