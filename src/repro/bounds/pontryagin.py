@@ -28,10 +28,11 @@ is linear along the frozen state and control: a population model folds
 each backward step's four RK4 stages into one transfer matrix, so a
 step is one small matrix–vector product, and the master equation of a
 finite chain runs the stages through its sparse vector–Jacobian hook
-instead of a dense Jacobian.  Each iteration makes one forward call,
-and it also carries the lanes that are finishing (the
-final pass under a fixed-point control) or projecting (the pass under
-the bang-bang projection of a lane's best iterate).  For the
+instead of a dense Jacobian.  Each iteration makes at most one forward
+call, and it also carries the lanes that are finishing (the final pass
+under a fixed-point control) or projecting (the pass under the bang-bang
+projection of a lane's best iterate); each lane in it is re-integrated
+only from its first changed control interval.  For the
 affine-in-theta models the Hamiltonian maximiser is bang-bang, so the
 iteration converges in a handful of sweeps; the convergence test
 combines control stability with objective stability to tolerate
@@ -380,8 +381,9 @@ def _extremal_trajectories_batch_impl(
     Each spec is a ``(direction, maximize, horizon, n_steps)`` tuple
     describing one extremal-trajectory problem; all of them advance in
     lockstep through the batched RK4 kernels: per iteration the forward
-    state sweep is *one* :func:`~repro.ode.rk4_integrate_controlled_batch`
-    call, the backward costate sweep one lockstep recursion with one
+    state sweep is at most *one*
+    :func:`~repro.ode.rk4_integrate_controlled_batch` call, the backward
+    costate sweep one lockstep recursion with one
     costate product per step (:func:`_costate_sweep_batch`: per-step RK4
     transfer matrices built from a block of steps per
     :meth:`~repro.population.PopulationModel.jacobian_x_batch` call, or
@@ -407,16 +409,25 @@ def _extremal_trajectories_batch_impl(
 
     Neither the final pass nor the projection pass is a forward call of
     its own: each lane moves through the states active → finishing →
-    projecting → done, and the iteration's one forward call carries the
+    projecting → done, and the iteration's forward call carries the
     active lanes under their current controls, the finishing lanes under
     their fixed-point controls and the projecting lanes under the
     projection of their best iterate.  A lane at a fixed point finishes
     in the next call; a lane whose best iterate is final (after its
     final pass, on value patience, or when ``max_iter`` or the deadline
     stops the sweep) projects in the call after that, and drain turns
-    run the pending passes once no lane is active.  Lanes are
-    independent rows of every kernel call, so the schedule returns the
-    same bits as separate fixed-point and projection passes.
+    run the pending passes once no lane is active.
+
+    Under piecewise-constant controls the state at node ``j`` depends
+    only on ``x0`` and the controls of the intervals before ``j``.  Each
+    lane keeps its last forward pass (controls and state stack, whichever
+    group ran it), and the call integrates the lane only from the first
+    live interval whose control bits differ from that pass, starting
+    from that pass's state at the node, over the suffix of its grid.  A
+    lane whose controls did not change stays out of the call, and a turn
+    in which no lane changed makes none.  Lanes are independent rows of
+    every kernel call, so the schedule returns the same bits as separate
+    fixed-point and projection passes that each integrate from ``x0``.
 
     ``max_iter < 1``, a negative or non-finite ``tol`` / ``value_tol``
     and ``value_patience < 1`` raise ``ValueError``: each would return
@@ -487,10 +498,15 @@ def _extremal_trajectories_batch_impl(
                 f"initial_controls has shape {controls.shape[1:]}, "
                 f"expected ({n_max}, {p})"
             )
-    x0_stack = np.broadcast_to(x0, (L, d)).copy()
 
     def dynamics(t, X, U):
         return model.drift_batch(X, U)
+
+    # Each lane's last forward pass: its controls and its state stack.
+    pass_states = np.empty((L, n_max + 1, d))
+    pass_states[:, 0] = x0
+    pass_controls = np.empty_like(controls)
+    nodes = np.arange(n_max + 1)
 
     # Per-lane sweep state.
     best_value = np.full(L, -np.inf)
@@ -516,7 +532,7 @@ def _extremal_trajectories_batch_impl(
     )
 
     # Lanes move active -> (finishing ->) projecting -> done; each turn
-    # runs one forward pass over all three groups.
+    # makes at most one forward call over all three groups.
     no_lanes = lanes_all[:0]
     active, finishing, projecting = lanes_all, no_lanes, no_lanes
     sweep_start = time.perf_counter()
@@ -531,21 +547,43 @@ def _extremal_trajectories_batch_impl(
         # (7) forward state sweep: the active lanes under their current
         # controls, the finishing lanes under their fixed-point controls
         # (the final pass) and the projecting lanes under the pointwise
-        # Hamiltonian maximiser of their best iterate.
+        # Hamiltonian maximiser of their best iterate.  The state at node
+        # j depends only on x0 and the controls of intervals < j, so a
+        # lane runs only from the first live interval whose control bits
+        # differ from its last pass (node 0 on the first turn, which
+        # carries every lane), and a lane with no such interval stays
+        # out of the call.
         rows = np.concatenate([a, fin, proj])
         n_a, n_af = a.size, a.size + fin.size
-        fwd = rk4_integrate_controlled_batch(
-            dynamics, x0_stack[rows], T[rows],
-            np.concatenate([controls[rows[:n_af]], projected[proj]]),
-            lane_steps=steps[rows],
-        )
-        row_values = np.einsum("ld,ld->l", C[rows], fwd.final_states)
+        row_controls = np.concatenate([controls[rows[:n_af]], projected[proj]])
+        moved = (np.any(row_controls.view(np.int64)
+                        != pass_controls[rows].view(np.int64), axis=2)
+                 | (it == 1)) & interval_live[rows]
+        rerun = np.flatnonzero(np.any(moved, axis=1))
+        if rerun.size:
+            lanes = rows[rerun]
+            start = np.argmax(moved[rerun], axis=1)
+            # Each lane's suffix grid from node `start`, padded with its
+            # last node (the frozen-lane convention of pad_grids).  A
+            # suffix holds the frozen final state past its live steps, so
+            # the clipped columns also rewrite the padded tail.
+            cols = np.minimum(start[:, None] + nodes, n_max)
+            pass_states[lanes[:, None], cols] = rk4_integrate_controlled_batch(
+                dynamics, pass_states[lanes, start], T[lanes[:, None], cols],
+                row_controls[rerun[:, None],
+                             np.minimum(cols[:, :-1], n_max - 1)],
+                lane_steps=steps[lanes] - start,
+            ).states
+        pass_controls[rows] = row_controls
+        states = pass_states[rows]
+        row_values = np.einsum("ld,ld->l", C[rows],
+                               states[np.arange(rows.size), steps[rows]])
         finished = [fin]
         active = finishing = no_lanes
 
         if a.size:
             value = row_values[:n_a]
-            states_a = fwd.states[:n_a]
+            states_a = states[:n_a]
             improved = value > best_value[a]
             upd = a[improved]
             best_value[upd] = value[improved]
@@ -617,7 +655,7 @@ def _extremal_trajectories_batch_impl(
             better = fin_value >= best_value[fin]
             upd = fin[better]
             best_value[upd] = fin_value[better]
-            best_states[upd] = fwd.states[n_a:n_af][better]
+            best_states[upd] = states[n_a:n_af][better]
             best_costates[upd] = costates[upd]
             best_controls[upd] = controls[upd]
 
@@ -628,7 +666,7 @@ def _extremal_trajectories_batch_impl(
             keep = proj_value >= values - value_tol * np.maximum(
                 1.0, np.abs(values))
             kept = proj[keep]
-            best_states[kept] = fwd.states[n_af:][keep]
+            best_states[kept] = states[n_af:][keep]
             best_controls[kept] = projected[kept]
             best_value[proj] = np.where(
                 keep, np.maximum(values, proj_value), values)
@@ -786,7 +824,8 @@ def _pontryagin_transient_bounds_impl(
 
     *All* (observable, side, horizon) sweeps advance simultaneously
     through :func:`extremal_trajectories_batch`: each iteration issues
-    one batched forward RK4 call, one batched costate call and one
+    at most one batched forward RK4 call (each lane from its first
+    changed control interval), one batched costate call and one
     Hamiltonian re-maximisation for the whole lane set, and converged
     lanes retire early.  Every lane cold-starts from the centre of
     ``Theta``.

@@ -185,8 +185,10 @@ def _uncertain_envelope_impl(
     theta grid.  With the ``adaptive`` integrator the grid goes through
     :func:`~repro.ode.dopri_batch`: every lane keeps its *own* adaptive
     step size and error control inside one vectorized solver loop (the
-    Dormand–Prince 5(4) pair of scipy's ``RK45``).  A degenerate horizon
-    (``t_eval[0] == t_eval[-1]``) returns the constant ``x0`` envelope.
+    Dormand–Prince 5(4) pair of scipy's ``RK45``), at the distinct
+    times of ``t_eval``; a repeated time reads its time's sample, as on
+    the ``rk4`` grid.  A degenerate horizon (``t_eval[0] == t_eval[-1]``)
+    returns the constant ``x0`` envelope.
     """
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or t_eval.shape[0] < 1:
@@ -239,10 +241,14 @@ def _uncertain_envelope_impl(
         def field(t, state_stack, theta_stack):
             return model.drift_batch(state_stack, theta_stack)
 
-        sol = dopri_batch(field, x0_stack, t_span, t_eval=t_eval,
+        # dopri_batch takes strictly monotone times: solve at the
+        # distinct ones, then index each entry of t_eval back to its
+        # sample.
+        fresh = np.concatenate(([True], np.diff(t_eval) != 0))
+        sol = dopri_batch(field, x0_stack, t_span, t_eval=t_eval[fresh],
                           rtol=rtol, atol=atol, lane_args=thetas)
         for name, w in weights.items():
-            values[name] = sol.states @ w
+            values[name] = (sol.states @ w)[:, np.cumsum(fresh) - 1]
 
     result = UncertainEnvelope(times=t_eval.copy(), thetas=thetas)
     for name in weights:

@@ -228,9 +228,10 @@ def uncertain_reward_envelope(
 
     The master equation is linear in ``P``, so all grid parameters are
     stacked into one block ODE over an ``(m, n)`` state matrix and
-    integrated in a single ``solve_ode`` call.  A degenerate horizon
-    (``t_eval[0] == t_eval[-1]``) returns the constant ``p0 . r``
-    envelope, matching :func:`repro.bounds.uncertain_envelope`;
+    integrated in a single ``solve_ode`` call, at the distinct times of
+    ``t_eval`` (a repeated time reads its time's sample).  A degenerate
+    horizon (``t_eval[0] == t_eval[-1]``) returns the constant
+    ``p0 . r`` envelope, matching :func:`repro.bounds.uncertain_envelope`;
     descending grids are rejected — backward integration of a generator
     is exponentially unstable and used to mis-integrate silently.
     """
@@ -263,10 +264,13 @@ def uncertain_reward_envelope(
     def field(t, y):
         return system.drift_batch(y.reshape(m, n), thetas).ravel()
 
+    # The integrator takes strictly increasing times: solve at the
+    # distinct ones, then index each entry of t_eval back to its sample.
+    fresh = np.concatenate(([True], np.diff(t_eval) != 0))
     traj = solve_ode(
         field, np.tile(p0, m),
-        (float(t_eval[0]), float(t_eval[-1])), t_eval=t_eval,
+        (float(t_eval[0]), float(t_eval[-1])), t_eval=t_eval[fresh],
         rtol=1e-9, atol=1e-11,
     )
-    values = (traj.states.reshape(n_t, m, n) @ reward).T
+    values = (traj.states.reshape(-1, m, n) @ reward).T[:, np.cumsum(fresh) - 1]
     return t_eval.copy(), values.min(axis=0), values.max(axis=0)

@@ -12,8 +12,13 @@ concentrate (Theorem 3).  Section V-C gives a constructive algorithm for
 3. *grow*: while some boundary point admits a parameter whose drift
    points outward, integrate a trajectory with that parameter from that
    point and add it to the region (convex hull);
-4. terminate when the drift points inward everywhere on the boundary —
-   the region is then forward-invariant and no solution can leave it.
+4. stop when the drift points inward everywhere on the scanned
+   boundary (``certified``: up to the scan's samples the region is
+   forward-invariant), or when a round's escape trajectories extend the
+   region by at most ``spatial_tolerance`` (``converged`` only: the
+   region stopped growing, but its boundary may still carry outward
+   drift above ``tolerance``; the catalog's steady-state questions all
+   stop this way).
 
 Step 1–2 are generalised to multi-parameter ``Theta`` by seeding with
 trajectories between the fixed points of *all* corner parameters.
@@ -30,10 +35,10 @@ from the previous corner's equilibrium, and that continuation is what
 keeps every corner on the same attractor branch (a batched settle would
 start every lane from the one initial guess).
 
-The returned region is a convex *outer* shell of the Birkhoff centre
-built from trajectories that are themselves recurrent-set witnesses; the
-paper argues (and Figure 3 shows) that for the SIR model the grown convex
-region *is* the Birkhoff centre.
+The returned region is the convex hull of trajectories that are
+themselves recurrent-set witnesses, so it approaches the convex hull of
+the Birkhoff centre from inside; the paper argues (and Figure 3 shows)
+that for the SIR model the grown convex region *is* the Birkhoff centre.
 """
 
 from __future__ import annotations

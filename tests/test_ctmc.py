@@ -237,6 +237,19 @@ class TestRewardBounds:
         np.testing.assert_allclose(hi, expected)
         assert times.shape == (2,)
 
+    def test_uncertain_envelope_repeated_time(self, bike_chain):
+        # A repeated time passes the non-decreasing check, so it must
+        # read its time's sample (the integrator used to reject it as
+        # not strictly monotone).
+        reward = bike_chain.densities()[:, 0]
+        times, lo, hi = uncertain_reward_envelope(
+            bike_chain, reward, [0.0, 1.0, 1.0, 2.0], resolution=3)
+        _, want_lo, want_hi = uncertain_reward_envelope(
+            bike_chain, reward, [0.0, 1.0, 2.0], resolution=3)
+        np.testing.assert_array_equal(times, [0.0, 1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(lo, want_lo[[0, 1, 1, 2]])
+        np.testing.assert_array_equal(hi, want_hi[[0, 1, 1, 2]])
+
     def test_uncertain_envelope_descending_grid_rejected(self, bike_chain):
         """Regression: a descending grid used to integrate the master
         equation backward, silently exploding to astronomic values."""
@@ -299,10 +312,11 @@ class TestRewardBoundsMatchScalarSweep:
             assert lane.value == pytest.approx(scalar.value, rel=1e-12)
 
     def test_343_state_lane_matches_phased_oracle(self, monkeypatch):
-        # The lane engine's one forward call per iteration and sparse
-        # costate products against the oracle's call per phase and
-        # dense stage loop, with the oracle's Jacobian budget below one
-        # step (one step per block).
+        # The lane engine's forward calls (at most one per iteration,
+        # each lane from its first changed control interval) and sparse
+        # costate products against the oracle's call per phase (every
+        # pass from x0) and dense stage loop, with the oracle's Jacobian
+        # budget below one step (one step per block).
         chain, reward, horizon, n_steps = catalog_reward_problem(
             "load-balancing-dtmc")
         monkeypatch.setattr(pontryagin, "_JACOBIAN_BLOCK_BYTES", 1 << 20)

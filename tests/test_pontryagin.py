@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_impls as ref
+from repro import telemetry
 from repro.bounds import (
     box_directions,
     extremal_trajectories_batch,
@@ -338,11 +339,13 @@ def assert_lanes_identical(lanes, oracle):
 
 
 class TestSweepMatchesPhasedOracle:
-    """The sweep runs one forward call per iteration, which also carries
-    the finishing lanes' final passes and the projecting lanes'
-    projection passes; the oracle runs a separate call for each phase
-    and the costate stage loop.  Lanes are independent rows, so every
-    output must agree bit for bit, and the costates up to rounding."""
+    """The sweep runs at most one forward call per iteration, which also
+    carries the finishing lanes' final passes and the projecting lanes'
+    projection passes, and re-integrates each lane only from its first
+    changed control interval; the oracle runs a separate call for each
+    phase, every pass from ``x0``, and the costate stage loop.  Lanes are
+    independent rows, so every output must agree bit for bit, and the
+    costates up to rounding."""
 
     SIR_LADDER = [([0.0, 1.0], is_max, horizon, n_steps)
                   for horizon, n_steps in ((0.5, 60), (1.25, 125), (2.0, 200))
@@ -385,6 +388,120 @@ class TestSweepMatchesPhasedOracle:
             ref.extremal_trajectories_batch(sir_model, sir_x0, specs,
                                             initial_controls=warm),
         )
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _spy_forward(monkeypatch, module):
+    """Record each forward call ``module`` makes, as ``(x0, t_grid,
+    controls, lane_steps, states)`` with the states it returned."""
+    calls = []
+    kernel = module.rk4_integrate_controlled_batch
+
+    def spy(f, x0, t_grid, controls, lane_steps=None):
+        batch = kernel(f, x0, t_grid, controls, lane_steps=lane_steps)
+        calls.append((np.array(x0), np.array(t_grid), np.array(controls),
+                      batch.lane_steps.copy(), batch.states.copy()))
+        return batch
+
+    monkeypatch.setattr(module, "rk4_integrate_controlled_batch", spy)
+    return calls
+
+
+class TestForwardPassesReuseStates:
+    """A forward call integrates a lane only from the first live interval
+    whose control bits changed since the lane's last pass, starting from
+    that pass's state at the node, over the suffix of its grid; a lane
+    whose controls did not change is left out.  Each lane's passes come
+    from the phased oracle run on that lane alone, which integrates
+    every pass from ``x0`` over the whole grid."""
+
+    @staticmethod
+    def _changed_passes(monkeypatch, model, x0, spec):
+        """``(x_start, grid, controls, states)`` suffixes of each of the
+        lane's passes whose controls changed, from the first changed
+        interval on (the whole grid on its first pass)."""
+        with monkeypatch.context() as m:
+            calls = _spy_forward(m, ref)
+            ref.extremal_trajectories_batch(model, x0, [spec])
+        passes, last = [], None
+        for _, (grid,), (controls,), _, (states,) in calls:
+            if last is None:
+                start, x_start = 0, states[0]
+            else:
+                moved = np.flatnonzero(np.any(
+                    _bits(controls) != _bits(last[0]), axis=1))
+                if not moved.size:
+                    continue
+                start = moved[0]
+                x_start = last[1][start]
+            passes.append((x_start, grid[start:], controls[start:],
+                           states[start:]))
+            last = controls, states
+        return passes
+
+    @staticmethod
+    def _is_pass(expected, x0, grid, controls, steps, states):
+        x_start, want_grid, want_controls, want_states = expected
+        n = want_controls.shape[0]
+        return (steps == n
+                and np.array_equal(_bits(x0), _bits(x_start))
+                and np.array_equal(_bits(grid[:n + 1]), _bits(want_grid))
+                and np.all(grid[n:] == want_grid[-1])
+                and np.array_equal(_bits(controls[:n]), _bits(want_controls))
+                and np.array_equal(_bits(states[:n + 1]),
+                                   _bits(want_states)))
+
+    def _assert_reuses(self, monkeypatch, model, x0, specs):
+        pending = [self._changed_passes(monkeypatch, model, x0, spec)
+                   for spec in specs]
+        with monkeypatch.context() as m:
+            calls = _spy_forward(m, pontryagin)
+            extremal_trajectories_batch(model, x0, specs)
+        for k, call in enumerate(calls):
+            for r, row in enumerate(zip(*call)):
+                lane = next((i for i, todo in enumerate(pending)
+                             if todo and self._is_pass(todo[0], *row)), None)
+                assert lane is not None, \
+                    f"call {k} row {r} is no lane's next changed pass"
+                pending[lane].pop(0)
+        assert not any(pending), "a changed pass never ran"
+
+    def test_sir_ladder(self, monkeypatch, sir_model, sir_x0):
+        self._assert_reuses(monkeypatch, sir_model, sir_x0,
+                            TestSweepMatchesPhasedOracle.SIR_LADDER)
+
+    def test_gps_map_lanes(self, monkeypatch, gps_map):
+        from repro.models import gps_initial_state_map
+
+        specs = [(c, is_max, horizon, n_steps)
+                 for horizon, n_steps in ((0.5, 30), (1.0, 60))
+                 for c in box_directions(4)[:4] for is_max in (False, True)]
+        self._assert_reuses(monkeypatch, gps_map, gps_initial_state_map(),
+                            specs)
+
+    def test_warm_start_runs_one_pass(self, sir_model, sir_x0):
+        # From a converged lane the first pass is a fixed point; its
+        # final and projection passes run under the same controls, so
+        # neither is integrated again.
+        cold = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
+                                   n_steps=100)
+        telemetry.enable()
+        telemetry.clear()
+        try:
+            warm = extremal_trajectory(sir_model, sir_x0, 2.0, [0.0, 1.0],
+                                       n_steps=100,
+                                       initial_controls=cold.controls)
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.clear()
+        assert counters["ode.rk4.rhs_evals"] == 4 * 100
+        assert warm.value == cold.value
+        np.testing.assert_array_equal(warm.states, cold.states)
+        np.testing.assert_array_equal(warm.controls, cold.controls)
 
 
 class TestSwitchingExtraction:

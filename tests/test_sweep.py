@@ -27,6 +27,20 @@ class TestUncertainEnvelope:
         assert env.lower["I"][0] == pytest.approx(0.3)
         assert env.upper["I"][0] == pytest.approx(0.3)
 
+    def test_adaptive_repeated_time(self, sir_model):
+        # A repeated time reads its time's sample, as on the rk4 grid
+        # (the adaptive lanes used to reject it as not strictly monotone).
+        env = uncertain_envelope(sir_model, [0.7, 0.3], [0.0, 1.0, 1.0, 2.0],
+                                 resolution=5)
+        want = uncertain_envelope(sir_model, [0.7, 0.3], [0.0, 1.0, 2.0],
+                                  resolution=5)
+        pick = [0, 1, 1, 2]
+        np.testing.assert_array_equal(env.times, [0.0, 1.0, 1.0, 2.0])
+        for name in want.observable_names:
+            for side in ("lower", "upper", "argmin_theta", "argmax_theta"):
+                np.testing.assert_array_equal(getattr(env, side)[name],
+                                              getattr(want, side)[name][pick])
+
     def test_envelope_contains_interior_theta_solution(self, sir_model):
         # scipy's solve_ivp, not the Dormand–Prince lanes under test.
         t = np.linspace(0, 3, 16)
