@@ -161,7 +161,8 @@ def _uncertain_envelope_impl(
     x0:
         Initial state of the mean-field ODEs.
     t_eval:
-        Time grid for the envelope.
+        Time grid for the envelope: finite and monotone, in either
+        direction; a time may repeat.
     resolution:
         Grid points per parameter axis; the sweep also always includes
         the corners of ``Theta``.  Cost grows as ``resolution ** dim``.
@@ -193,6 +194,15 @@ def _uncertain_envelope_impl(
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or t_eval.shape[0] < 1:
         raise ValueError("t_eval must be a non-empty 1-D array")
+    steps = np.diff(t_eval)
+    if not np.isfinite(t_eval).all() or ((steps < 0).any()
+                                         and (steps > 0).any()):
+        # x0 sits at t_eval[0]; a grid that turns back has no one
+        # direction to integrate in.
+        raise ValueError(
+            f"t_eval must be finite and monotone (either direction, "
+            f"repeats allowed), got {t_eval}"
+        )
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     weights = _resolve_weights(model, observables)

@@ -1,4 +1,10 @@
-"""Multiprocessing sharding for ensemble parameter sweeps.
+"""The library's one fan-out primitive, and sharded ensemble sweeps.
+
+:func:`map_shards` maps a function over picklable payloads, in-process
+or over a process pool, results in input order, under one execution
+policy, ``on_error`` (see :mod:`repro.resilience.execution`).  The
+ensemble sweep below and the scenario runner's questions shard through
+it.
 
 The vectorized engine removes the per-event Python overhead *within*
 one ensemble; parameter sweeps (one ensemble per ``theta`` grid point,
@@ -31,15 +37,10 @@ import numpy as np
 from repro import telemetry
 from repro.engine.vectorized import simulate_ensemble
 from repro.resilience.execution import run_shards
-from repro.resilience.policy import RetryPolicy, ShardFailure
 from repro.simulation.batch import BatchResult, as_count
 from repro.simulation.policies import ControlPolicy
 
-__all__ = ["FAIL_FAST", "map_shards", "sweep_constant_ensembles"]
-
-#: :func:`map_shards`' default policy: one attempt per shard, and the
-#: first shard error propagates to the caller.
-FAIL_FAST = RetryPolicy(max_attempts=1, on_error="raise")
+__all__ = ["map_shards", "sweep_constant_ensembles"]
 
 
 def _meter_payloads(payloads: Sequence, initializer: Optional[Callable],
@@ -72,7 +73,7 @@ def map_shards(fn: Callable, payloads: Sequence,
                processes: Optional[int] = None,
                initializer: Optional[Callable] = None,
                initargs: tuple = (),
-               policy: Optional[RetryPolicy] = None) -> List:
+               on_error: str = "raise") -> List:
     """Map ``fn`` over picklable payloads, optionally across a process pool.
 
     The one fan-out primitive of the library: results come back in
@@ -92,25 +93,28 @@ def map_shards(fn: Callable, payloads: Sequence,
     sweeps.  The serial path calls the initializer once in-process, so
     ``fn`` sees the same worker-context protocol either way.
 
-    ``policy`` (a :class:`repro.resilience.RetryPolicy`, default
-    :data:`FAIL_FAST`) governs execution: bounded retries with
-    deterministic backoff, per-shard timeouts, worker-death recovery,
-    and — under ``on_error="partial"`` — typed
-    :class:`~repro.resilience.ShardFailure` records in the failed slots
-    instead of an aborted fan-out (see :mod:`repro.resilience.execution`).
+    Each shard runs once.  ``on_error="raise"`` (the default) propagates
+    the error of the lowest-index failing shard, on either path;
+    ``on_error="partial"`` leaves a typed
+    :class:`~repro.resilience.ShardFailure` in each failed slot instead
+    of aborting the fan-out (see :mod:`repro.resilience.execution`).
 
     With telemetry enabled, per-shard wall time and pickled payload
     size land on the registry as the ``engine.shard.seconds`` /
     ``engine.shard.payload_bytes`` histograms, and the one-time worker
     context size on the ``engine.shard.shared_bytes`` histogram.
     """
+    if on_error not in ("raise", "partial"):
+        raise ValueError(
+            f"on_error must be 'raise' or 'partial', got {on_error!r}"
+        )
     payloads = list(payloads)
     serial = processes is None or processes <= 1 or len(payloads) <= 1
     with telemetry.span("engine.map_shards", shards=len(payloads),
                         processes=1 if serial else processes):
         _meter_payloads(payloads, initializer, initargs)
         return run_shards(fn, payloads, None if serial else processes,
-                          policy or FAIL_FAST, initializer, initargs)
+                          on_error, initializer, initargs)
 
 
 #: Per-worker sweep context installed by :func:`_init_sweep_worker`:
@@ -178,14 +182,6 @@ def _run_chunk(span) -> List[BatchResult]:
             for k in range(stop - start)]
 
 
-def _fails_fast(policy: Optional[RetryPolicy]) -> bool:
-    """One attempt, no timeout, and the first error aborts the fan-out:
-    a failing grid point sinks the sweep whatever task it shares."""
-    return policy is None or (policy.max_attempts == 1
-                              and policy.on_error == "raise"
-                              and policy.timeout_seconds is None)
-
-
 def sweep_constant_ensembles(
     model_factory: Callable,
     x0,
@@ -199,7 +195,6 @@ def sweep_constant_ensembles(
     max_events: int = 50_000_000,
     processes: Optional[int] = None,
     model_kwargs: Optional[dict] = None,
-    policy: Optional[RetryPolicy] = None,
 ) -> List[BatchResult]:
     """Run one vectorized ensemble per ``theta`` grid point.
 
@@ -207,10 +202,9 @@ def sweep_constant_ensembles(
     consecutive points, one :func:`map_shards` task each; a task runs
     its chunk as the row blocks of one
     :func:`~repro.engine.simulate_ensemble` call, each point's block on
-    that point's own stream.  Under a ``policy`` other than the
-    default fail-fast one (retries, a timeout or ``on_error="partial"``)
-    every point is a task of its own, so retries, timeouts and
-    failure slots stay per grid point.
+    that point's own stream.  A failing grid point raises, whatever
+    ``processes`` is; a scenario isolates it per question
+    (``run_scenario(..., on_error="partial")``).
 
     Parameters
     ----------
@@ -239,11 +233,6 @@ def sweep_constant_ensembles(
         ``None`` or ``1`` runs the whole grid in-process as one chunk
         (no pool overhead — the right choice on single-core boxes and
         inside tests); larger values fan the chunks out over a pool.
-    policy:
-        Optional :class:`repro.resilience.RetryPolicy` handed to
-        :func:`map_shards` (default :data:`FAIL_FAST`); with
-        ``on_error="partial"`` failed grid points come back as
-        :class:`~repro.resilience.ShardFailure` records in their slots.
 
     Returns
     -------
@@ -274,16 +263,9 @@ def sweep_constant_ensembles(
               np.asarray(x0, dtype=float), counts[0], float(t_final),
               counts[1], counts[2], float(t_start), counts[3], theta_grid,
               tuple(root.spawn(n_points)))
-    n_chunks = (min(max(processes or 1, 1), n_points) if _fails_fast(policy)
-                else n_points)
+    n_chunks = min(max(processes or 1, 1), n_points)
     cuts = [n_points * k // n_chunks for k in range(n_chunks + 1)]
     spans = list(zip(cuts, cuts[1:]))
     chunks = map_shards(_run_chunk, spans, processes,
-                        initializer=_init_sweep_worker, initargs=(shared,),
-                        policy=policy)
-    results: List = []
-    for (start, stop), chunk in zip(spans, chunks):
-        # A failed task (under on_error="partial") fills its points' slots.
-        results.extend([chunk] * (stop - start)
-                       if isinstance(chunk, ShardFailure) else chunk)
-    return results
+                        initializer=_init_sweep_worker, initargs=(shared,))
+    return [result for chunk in chunks for result in chunk]

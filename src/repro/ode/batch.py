@@ -46,7 +46,6 @@ from repro.ode.integrators import (
     Trajectory,
     _check_settle_time,
 )
-from repro.resilience import faults
 
 __all__ = [
     "TrajectoryBatch",
@@ -667,15 +666,6 @@ def _dopri_batch_impl(
                 "rejected": int(n_rejected[lane]),
             })
 
-    # Chaos seam (off by default at one global load): poison one lane's
-    # state with NaN after it has accepted a set number of steps, which
-    # must drive the non-finite retirement path below.
-    plan = faults.active_plan()
-    poison = plan.poison_nan if plan is not None else None
-    if poison is not None and not 0 <= poison[0] < L:
-        poison = None
-    poison_counted = False
-
     # The loop runs on small stacks, where numpy's per-call overhead is
     # the cost, so it keeps its calls few: the tableau rows are
     # pre-shaped, the lane arguments are cut once per active set, and
@@ -695,11 +685,6 @@ def _dopri_batch_impl(
                 "size may have collapsed on a discontinuity (use the "
                 "fixed-grid rk4 kernels for sliding-boundary models)"
             )
-        if poison is not None and n_accepted[poison[0]] >= poison[1]:
-            y[poison[0], 0] = np.nan
-            if not poison_counted:
-                poison_counted = True
-                faults.count_injection("poison-nan")
         if field_of[0] is not act:
             field_of = (act, _lane_field(f, lane_args, act))
         fa = field_of[1]

@@ -39,7 +39,7 @@ Typical usage::
     run = run_scenario(spec)
 """
 
-from repro.resilience import QuestionFailure, RetryPolicy
+from repro.resilience import QuestionFailure
 from repro.scenarios.cache import (
     CACHE_SCHEMA_VERSION,
     cache_dir,
@@ -71,7 +71,6 @@ __all__ = [
     "list_scenarios",
     "AnalysisPlan",
     "QuestionFailure",
-    "RetryPolicy",
     "RunReport",
     "ScenarioRun",
     "run_scenario",

@@ -27,7 +27,6 @@ from typing import Optional, Tuple, Union
 import repro
 from repro import telemetry
 from repro.reporting import ExperimentResult
-from repro.resilience import faults
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["cache_dir", "cache_path", "load_cached", "load_cached_detail",
@@ -99,13 +98,6 @@ def _classify_entry(spec: ScenarioSpec, path: pathlib.Path,
     # hash-scheme drift across library versions.
     if wrapper.get("spec_payload") != spec.payload():
         return None, MISS_PAYLOAD
-    if faults._armed:
-        # Chaos seam: a corrupt-cache fault makes every entry classify
-        # as corrupt, proving the miss-and-recompute path end to end.
-        plan = faults.active_plan()
-        if plan is not None and plan.corrupt_cache:
-            faults.count_injection("corrupt-cache")
-            return None, MISS_CORRUPT
     try:
         return ExperimentResult.from_json(wrapper["result"]), CACHE_HIT
     except (KeyError, TypeError, ValueError):
@@ -167,7 +159,6 @@ def store_result(spec: ScenarioSpec, result: ExperimentResult,
     }
     payload = json.dumps(wrapper, indent=1)
     retries_c = telemetry.live_counter("resilience.cache.store_retries")
-    plan = faults.active_plan()
     last_error: Optional[OSError] = None
     for attempt in range(2):
         # The temp file is recreated per attempt: the previous one may
@@ -180,9 +171,6 @@ def store_result(spec: ScenarioSpec, result: ExperimentResult,
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(payload)
-            if plan is not None and attempt < plan.cache_store_errors:
-                faults.count_injection("cache-store-error")
-                raise OSError("injected transient cache store failure")
             tmp.replace(path)
             return path
         except OSError as exc:

@@ -21,11 +21,13 @@ dtmc_reward :class:`repro.ctmc.IntervalDTMC` (uniformized finite chain,
 
 Questions are independent shards of one :func:`repro.engine.map_shards`
 call — in-process by default, over a pool with ``processes > 1`` — so
-retries and failure isolation follow the plan's
-:class:`~repro.resilience.RetryPolicy` on either path.  Payloads carry
-the :class:`ScenarioSpec` itself — specs hold a *module-level* factory
-plus plain data, so they pickle under any start method and ad-hoc
-(unregistered) specs shard just as well as catalog entries.
+the plan's ``on_error`` isolates failures the same way on either path:
+each question runs once, and under ``"partial"`` a raising question
+becomes a :class:`~repro.resilience.QuestionFailure` while the others
+are answered.  Payloads carry the :class:`ScenarioSpec` itself — specs
+hold a *module-level* factory plus plain data, so they pickle under any
+start method and ad-hoc (unregistered) specs shard just as well as
+catalog entries.
 
 Results are memoized in a content-hash disk cache
 (:mod:`repro.scenarios.cache`): the spec hash keys a serialized
@@ -57,7 +59,7 @@ from repro.bounds.sweep import _resolve_weights
 from repro.ctmc import ImpreciseCTMC, IntervalDTMC, imprecise_reward_bounds
 from repro.engine import map_shards, sweep_constant_ensembles
 from repro.reporting import ExperimentResult
-from repro.resilience import QuestionFailure, RetryPolicy, ShardFailure
+from repro.resilience import QuestionFailure, ShardFailure
 from repro.scenarios import cache as _cache
 from repro.scenarios.spec import Question, ScenarioSpec
 from repro.steadystate import (
@@ -503,10 +505,9 @@ class AnalysisPlan:
     ``on_error="partial"`` isolates question failures: a raising
     backend becomes a :class:`~repro.resilience.QuestionFailure` on the
     :class:`ScenarioRun` while the surviving questions' outcomes are
-    merged as usual (and the partial result is never cached).  ``retry``
-    adds per-question bounded retries with the policy's deterministic
-    backoff; the default (``on_error="raise"``, no retry) fails fast on
-    the first raising question.
+    merged as usual (and the partial result is never cached); the
+    default, ``on_error="raise"``, propagates the error of the first
+    raising question.
     """
 
     use_cache: bool = True
@@ -514,19 +515,12 @@ class AnalysisPlan:
     processes: Optional[int] = None
     kinds: Optional[Tuple[str, ...]] = None  # run only these question kinds
     on_error: str = "raise"
-    retry: Optional[RetryPolicy] = None
 
     def __post_init__(self):
         if self.on_error not in ("raise", "partial"):
             raise ValueError(
                 f"on_error must be 'raise' or 'partial', "
                 f"got {self.on_error!r}"
-            )
-        if self.retry is not None and not isinstance(self.retry,
-                                                     RetryPolicy):
-            raise TypeError(
-                f"retry must be a RetryPolicy or None, got "
-                f"{type(self.retry).__name__}"
             )
 
     def select(self, spec: ScenarioSpec) -> ScenarioSpec:
@@ -591,7 +585,7 @@ class RunReport:
 
     @property
     def questions_failed(self) -> int:
-        """Questions that exhausted their attempts (``on_error="partial"``)."""
+        """Questions that failed (``on_error="partial"``)."""
         return int(self.metrics.get("scenarios.questions.failed", 0))
 
     def render(self) -> str:
@@ -616,9 +610,8 @@ class ScenarioRun:
     """A completed scenario: the result plus its run report.
 
     Under ``on_error="partial"``, ``failures`` lists the questions that
-    exhausted their attempts (empty on a fully successful run); the
-    ``result`` then holds only the surviving questions' findings and is
-    never cached.
+    failed (empty on a fully successful run); the ``result`` then holds
+    only the surviving questions' findings and is never cached.
     """
 
     spec: ScenarioSpec
@@ -635,7 +628,6 @@ def run_scenario(
     cache_dir: Optional[str] = None,
     processes: Optional[int] = None,
     on_error: Optional[str] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> ScenarioRun:
     """Run (or recall) every question of a scenario.
 
@@ -660,9 +652,6 @@ def run_scenario(
         :class:`~repro.resilience.QuestionFailure` records on the
         returned run instead of aborting (``"raise"``, the default,
         keeps fail-fast semantics).
-    retry:
-        Optional :class:`~repro.resilience.RetryPolicy` giving each
-        question bounded retries with deterministic backoff.
 
     Returns
     -------
@@ -675,8 +664,7 @@ def run_scenario(
     overrides = {
         key: value
         for key, value in (("use_cache", use_cache), ("cache_dir", cache_dir),
-                           ("processes", processes), ("on_error", on_error),
-                           ("retry", retry))
+                           ("processes", processes), ("on_error", on_error))
         if value is not None
     }
     if overrides:
@@ -698,16 +686,14 @@ def run_scenario(
 def _answer_questions(spec: ScenarioSpec, plan: AnalysisPlan):
     """Every question of ``spec`` as one :func:`map_shards` fan-out.
 
-    Each question gets the plan's retry policy (one attempt by default)
-    on either path; under ``on_error="partial"`` an exhausted question
-    becomes a :class:`~repro.resilience.QuestionFailure` instead of
-    aborting the scenario.  Returns ``(outcomes, failures)``.
+    Each question runs once, on either path; under
+    ``on_error="partial"`` a raising question becomes a
+    :class:`~repro.resilience.QuestionFailure` instead of aborting the
+    scenario.  Returns ``(outcomes, failures)``.
     """
-    policy = dataclasses.replace(plan.retry or RetryPolicy(max_attempts=1),
-                                 on_error=plan.on_error)
     payloads = [(spec, i) for i in range(len(spec.questions))]
     slots = map_shards(_run_question_payload, payloads, plan.processes,
-                       policy=policy)
+                       on_error=plan.on_error)
     outcomes: List[QuestionOutcome] = []
     failures: List[QuestionFailure] = []
     for question, slot in zip(spec.questions, slots):
@@ -715,7 +701,7 @@ def _answer_questions(spec: ScenarioSpec, plan: AnalysisPlan):
             failures.append(QuestionFailure(
                 scenario=spec.name, kind=question.kind, label=question.label,
                 error_type=slot.error_type, message=slot.message,
-                attempts=slot.attempts, elapsed_seconds=slot.elapsed_seconds,
+                elapsed_seconds=slot.elapsed_seconds,
             ))
         else:
             outcomes.append(slot)

@@ -461,11 +461,14 @@ class TestShardedSweep:
         (None, "SSA row 0 of block 1 exceeded max_events=1200"),
         (2, r"SSA row 0 of block 0 exceeded max_events=1200 .*\(block b "
             r"is grid point 1 \+ b\)"),
+        (3, r"SSA row 0 of block 0 exceeded max_events=1200 .*\(block b "
+            r"is grid point 1 \+ b\)"),
     ])
     def test_max_events_error_locates_the_grid_point(self, processes,
                                                      message):
-        """Theta = 1 stays under the cap and theta = 10 does not; an
-        error from a later chunk says which grid point its block 0 is."""
+        """Theta = 1 stays under the cap and theta = 10 does not: the
+        sweep raises whatever ``processes`` is, and an error from a later
+        chunk says which grid point its block 0 is."""
         from repro.engine import sweep_constant_ensembles
 
         with pytest.raises(RuntimeError, match=message):

@@ -2,10 +2,9 @@
 
 Every fan-out in the library — the ensemble parameter sweep and the
 scenario runner's question loop, serial or pooled — goes through
-:func:`repro.engine.map_shards` under a
-:class:`~repro.resilience.RetryPolicy` (default
-:data:`~repro.engine.sharding.FAIL_FAST`).  This suite pins the
-contract that single path owes its callers:
+:func:`repro.engine.map_shards` under ``on_error="raise"|"partial"``
+(default ``"raise"``).  This suite pins the contract that single path
+owes its callers:
 
 - ``map_shards``: input-order results on every worker count, which
   ``processes`` values stay in-process (no pool is even built), the
@@ -15,8 +14,8 @@ contract that single path owes its callers:
   and no pickling at all while telemetry is off);
 - the runner loop: every registered scenario can cross a process pool,
   every question kind answers identically serial and pooled, each
-  question builds its own model, and the plan's ``on_error`` wins over
-  the retry policy's;
+  question builds its own model, and the plan's ``on_error`` reaches
+  the executor;
 - :class:`~repro.scenarios.AnalysisPlan` validation and question
   selection;
 - the retired compiled-array backend seam stays retired on the CLI.
@@ -35,7 +34,7 @@ from repro.__main__ import main as cli_main
 from repro.engine import map_shards
 from repro.engine import sharding
 from repro.models import make_sir_model
-from repro.resilience import RetryPolicy, ShardFailure, execution
+from repro.resilience import ShardFailure, execution
 from repro.scenarios import (
     AnalysisPlan,
     Question,
@@ -175,19 +174,17 @@ class TestMapShards:
         # The parent never ran the initializer: only the workers did.
         assert _CONTEXT is None
 
-    def test_default_policy_is_fail_fast(self, monkeypatch):
-        assert sharding.FAIL_FAST.max_attempts == 1
-        assert sharding.FAIL_FAST.on_error == "raise"
+    def test_default_on_error_is_raise(self, monkeypatch):
         seen = []
 
-        def recording(fn, payloads, processes, policy, initializer,
+        def recording(fn, payloads, processes, on_error, initializer,
                       initargs):
-            seen.append(policy)
+            seen.append(on_error)
             return [fn(p) for p in payloads]
 
         monkeypatch.setattr(sharding, "run_shards", recording)
         assert map_shards(_square, [2, 3]) == [4, 9]
-        assert seen == [sharding.FAIL_FAST]
+        assert seen == ["raise"]
 
 
 # ----------------------------------------------------------------------
@@ -201,18 +198,17 @@ class TestMapShardsErrors:
             map_shards(_tenfold_or_raise_on_odd, [0, 1, 2], processes)
 
     @pytest.mark.parametrize("processes", [None, 2])
-    def test_fail_fast_spends_one_attempt(self, processes, telemetry_on):
+    def test_fail_fast_runs_each_shard_once(self, processes, telemetry_on):
         with pytest.raises(ValueError):
             map_shards(_tenfold_or_raise_on_odd, [0, 1, 2], processes)
         counters = telemetry.snapshot()["counters"]
         assert counters["resilience.shard.errors"] == 1
-        assert counters.get("resilience.shard.retries", 0) == 0
+        assert "resilience.shard.failures" not in counters
 
     @pytest.mark.parametrize("processes", [None, 2])
-    def test_partial_policy_fills_failed_slots(self, processes):
-        policy = RetryPolicy(max_attempts=1, on_error="partial")
+    def test_partial_fills_failed_slots(self, processes):
         out = map_shards(_tenfold_or_raise_on_odd, [0, 1, 2, 3], processes,
-                         policy=policy)
+                         on_error="partial")
         assert out[0] == 0 and out[2] == 20
         for idx in (1, 3):
             failure = out[idx]
@@ -221,7 +217,6 @@ class TestMapShardsErrors:
             assert failure.kind == "error"
             assert failure.error_type == "ValueError"
             assert failure.message == f"odd payload {idx}"
-            assert failure.attempts == 1
 
 
 # ----------------------------------------------------------------------
@@ -392,24 +387,15 @@ class TestQuestionLoop:
             run_scenario(spec, cache_dir=str(tmp_path), processes=2)
         assert list(tmp_path.iterdir()) == []
 
-    def test_plan_on_error_partial_overrides_a_raising_retry(self):
-        run = run_scenario(
-            _doomed_spec("loop-plan-partial"), use_cache=False,
-            on_error="partial",
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0,
-                              on_error="raise"),
-        )
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_plan_on_error_partial_reaches_the_executor(self, processes):
+        plan = AnalysisPlan(use_cache=False, on_error="partial",
+                            processes=processes)
+        run = run_scenario(_doomed_spec("loop-plan-partial"), plan)
         (failure,) = run.failures
         assert failure.question == "template[bad]"
-        assert failure.attempts == 2
+        assert failure.error_type == "ValueError"
         assert "I_uncertain_max_final" in run.result.findings
-
-    def test_plan_on_error_raise_overrides_a_partial_retry(self):
-        with pytest.raises(ValueError, match="bogus"):
-            run_scenario(
-                _doomed_spec("loop-plan-raise"), use_cache=False,
-                retry=RetryPolicy(max_attempts=1, on_error="partial"),
-            )
 
 
 # ----------------------------------------------------------------------
@@ -420,10 +406,6 @@ class TestAnalysisPlan:
     def test_rejects_unknown_on_error(self):
         with pytest.raises(ValueError, match="on_error"):
             AnalysisPlan(on_error="ignore")
-
-    def test_rejects_a_retry_that_is_not_a_policy(self):
-        with pytest.raises(TypeError, match="RetryPolicy"):
-            AnalysisPlan(retry=3)
 
     def test_no_kinds_selects_the_spec_itself(self):
         spec = get_scenario("autoscaler")

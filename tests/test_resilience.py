@@ -1,47 +1,46 @@
-"""Chaos suite for the resilience layer (repro.resilience).
+"""Failure isolation (repro.resilience).
 
-Every recovery path the tentpole added is *proved* here by injecting
-deterministic faults (:mod:`repro.resilience.faults`) and asserting the
-exact degraded behaviour:
+Every fan-out runs each shard once under ``on_error="raise"|"partial"``.
+This suite pins what each path does with a failure that really happens
+(a raising payload, a worker that dies, a drift that turns NaN, a
+corrupt or unwritable cache entry):
 
-- shard execution (:func:`repro.engine.map_shards`): retries with the
-  pinned backoff schedule, per-shard timeouts reclaiming hung workers,
-  pool-death recovery with quarantine blame, typed :class:`ShardFailure`
-  slots under ``on_error="partial"``, serial fallback when pools are
-  unavailable;
+- shard execution (:func:`repro.engine.map_shards`): the pool path
+  submits every shard up front and the parent sleeps while the workers
+  run; ``"raise"`` propagates the lowest-index error on every worker
+  count; a dead worker leaves typed ``pool-crash`` slots and no worker
+  outlives the call; a pool that cannot be built degrades to serial;
 - per-question isolation in :func:`repro.scenarios.run_scenario`:
   survivors merge, failures carry a taxonomy, partial results are never
   cached, the CLI maps completeness to exit codes;
 - numerical degradation: per-lane retirement in ``dopri_batch`` and
   deadline-bounded Pontryagin sweeps returning best-so-far bounds;
-- the cache's transient-store retry and corrupt-entry tolerance;
-- the no-fault guarantees: retry policies leave healthy results
-  bit-identical, and disarmed fault seams cost provably nothing.
+- the cache's transient-store retry and corrupt-entry tolerance.
 
 Numerical caveat pinned here once: after a lane retires mid-run, the
 *surviving* lanes may differ from an all-healthy run by ~1 ULP because
 BLAS reduction order depends on the active-stack shape.  Surviving-lane
-comparisons under faults therefore use ``allclose(rtol=1e-14)``; exact
-``array_equal`` is reserved for no-fault flag-on/flag-off comparisons.
+comparisons therefore use ``allclose(rtol=1e-14)``.
 """
 
+import multiprocessing
+import os
+import pathlib
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.engine import map_shards, sweep_constant_ensembles
+from repro.engine import map_shards
 from repro.models import make_sir_model
+from repro.params import Interval
+from repro.population import PopulationModel, Transition
 from repro.ode.batch import dopri_batch
 from repro.bounds.pontryagin import pontryagin_transient_bounds
-from repro.resilience import (
-    FAILURE_KINDS,
-    QuestionFailure,
-    RetryPolicy,
-    ShardFailure,
-    faults,
-)
+from repro.resilience import FAILURE_KINDS, QuestionFailure, ShardFailure
 from repro.resilience import execution
 from repro.scenarios import (
     Question,
@@ -59,6 +58,34 @@ def _double(x):
     return 2 * x
 
 
+def _raise_on_odd(x):
+    if x % 2:
+        raise ValueError(f"odd payload {x}")
+    return 2 * x
+
+
+def _nap_then_square(x):
+    time.sleep(0.1)
+    return x * x
+
+
+def _payloads_1_and_3_raise(x):
+    # Payload 1 naps first, so on a pool payload 3 fails first.
+    if x == 1:
+        time.sleep(0.3)
+        raise ValueError("payload 1")
+    if x == 3:
+        raise KeyError("payload 3")
+    return x
+
+
+def _worker_dies_on_2(x):
+    if x == 2:
+        os._exit(1)
+    time.sleep(0.05)
+    return 2 * x
+
+
 @pytest.fixture
 def telemetry_on():
     telemetry.enable()
@@ -68,237 +95,106 @@ def telemetry_on():
     telemetry.disable()
 
 
-@pytest.fixture
-def fresh_faults():
-    faults.reset_stats()
-    yield
-    faults.reset_stats()
-
-
 def _counters():
     return telemetry.snapshot()["counters"]
 
 
+def _assert_no_worker_outlives_the_call(timeout=10.0):
+    """The pool's workers were killed; give the OS a moment to reap."""
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children():
+        assert time.monotonic() < deadline, multiprocessing.active_children()
+        time.sleep(0.005)
+
+
 # ----------------------------------------------------------------------
-# RetryPolicy: validation and the deterministic backoff schedule
+# Typed failure records
 # ----------------------------------------------------------------------
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_seconds=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(on_error="explode")
-        with pytest.raises(ValueError):
-            RetryPolicy(max_pool_rebuilds=0)
-
-    def test_backoff_schedule_is_pure_and_capped(self):
-        policy = RetryPolicy(max_attempts=5, backoff_base=0.05,
-                             backoff_factor=2.0, backoff_max=0.15)
-        assert policy.backoff_schedule() == (0.05, 0.1, 0.15, 0.15)
-        assert policy.backoff_delay(1) == 0.05
-        with pytest.raises(ValueError):
-            policy.backoff_delay(0)
-
+class TestFailureRecords:
     def test_failure_records(self):
         with pytest.raises(ValueError):
             ShardFailure(index=0, error_type="X", message="m",
-                         kind="meteor", attempts=1, elapsed_seconds=0.0)
-        f = ShardFailure(index=3, error_type="ValueError", message="bad",
-                         kind="timeout", attempts=2, elapsed_seconds=1.25)
-        assert "shard 3" in f.describe() and "timeout" in f.describe()
+                         kind="meteor", elapsed_seconds=0.0)
+        f = ShardFailure(index=3, error_type="BrokenProcessPool",
+                         message="bad", kind="pool-crash",
+                         elapsed_seconds=1.25)
+        assert "shard 3" in f.describe() and "pool-crash" in f.describe()
         q = QuestionFailure(scenario="s", kind="envelope", label="a",
                             error_type="ValueError", message="bad",
-                            attempts=1, elapsed_seconds=0.1)
+                            elapsed_seconds=0.1)
         assert q.question == "envelope[a]"
         assert "envelope[a]" in q.describe()
-        assert set(FAILURE_KINDS) == {"error", "timeout", "pool-crash"}
+        assert FAILURE_KINDS == ("error", "pool-crash")
 
-
-# ----------------------------------------------------------------------
-# Fault plans: determinism, arming, zero disarmed cost
-# ----------------------------------------------------------------------
-
-class TestFaultPlans:
-    def test_spec_normalisation_and_precedence(self):
-        with faults.inject(crash_shard={2: 1, 7: -1}, hang_shard=(2, 3),
-                           kill_shard=2) as plan:
-            # kill > hang > crash for a shard named in several lists.
-            assert plan.shard_fault(2, 1) == "kill"
-            assert plan.shard_fault(7, 99) == "crash"
-            assert plan.shard_fault(5, 1) is None
-            # Attempt-bounded entries stop faulting past their count.
-            assert plan.shard_fault(7, 1) == "crash"
-        with faults.inject(crash_shard={3: 1}) as plan:
-            assert plan.shard_fault(3, 1) == "crash"
-            assert plan.shard_fault(3, 2) is None
-        with pytest.raises(TypeError):
-            faults.inject(crash_shard="nope").__enter__()
-
-    def test_disarmed_is_one_global_load(self, fresh_faults):
-        assert not faults.armed()
-        assert faults.active_plan() is None
-        # Disarmed seam checks are not even tallied: the accounting
-        # itself lives behind the armed branch.
-        assert faults.stats()["seam_checks"] == 0
-        assert faults.stats()["injected"] == 0
-
-    def test_armed_seam_tally(self, fresh_faults):
-        with faults.inject(corrupt_cache=True):
-            assert faults.armed()
-            faults.active_plan()
-            faults.active_plan()
-        assert not faults.armed()
-        assert faults.stats()["seam_checks"] == 2
-
-    def test_kill_degrades_to_crash_without_parent(self, fresh_faults):
-        # In the test process itself (no multiprocessing parent) a kill
-        # fault must not os._exit the interpreter.
-        plan = faults.FaultPlan(kill_shards=((0, -1),))
-        with pytest.raises(faults.InjectedFault):
-            faults.apply_shard_fault(plan, 0, 1)
-        assert faults.stats()["injected.kill"] == 1
-
-
-# ----------------------------------------------------------------------
-# Robust shard execution: serial path
-# ----------------------------------------------------------------------
-
-class TestSerialRobust:
-    def test_no_fault_retry_policy_is_bit_identical(self):
-        payloads = list(range(8))
-        fail_fast = map_shards(_double, payloads)
-        retrying = map_shards(_double, payloads, policy=RetryPolicy())
-        assert fail_fast == retrying == [2 * p for p in payloads]
-
-    def test_default_policy_fails_fast(self, fresh_faults):
-        # One attempt, and the shard's own exception reaches the caller.
-        with faults.inject(crash_shard={1: 1}):
-            with pytest.raises(faults.InjectedFault):
-                map_shards(_double, [0, 1, 2])
-        assert faults.stats()["injected.crash"] == 1
-
-    def test_crash_once_is_retried_to_success(self, fresh_faults):
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0)
-        with faults.inject(crash_shard={1: 1}):
-            out = map_shards(_double, [0, 1, 2], policy=policy)
-        assert out == [0, 2, 4]
-        assert faults.stats()["injected.crash"] == 1
-
-    def test_exhausted_shard_becomes_typed_failure(self, fresh_faults):
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0,
-                             on_error="partial")
-        with faults.inject(crash_shard=1):
-            out = map_shards(_double, [0, 1, 2], policy=policy)
+    def test_partial_counters_stamped(self, telemetry_on):
+        out = map_shards(_raise_on_odd, [0, 1, 2], on_error="partial")
         assert out[0] == 0 and out[2] == 4
-        failure = out[1]
-        assert isinstance(failure, ShardFailure)
-        assert failure.index == 1
-        assert failure.kind == "error"
-        assert failure.attempts == 2
-        assert failure.error_type == "InjectedFault"
-
-    def test_on_error_raise_propagates_final_error(self, fresh_faults):
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0,
-                             on_error="raise")
-        with faults.inject(crash_shard=1):
-            with pytest.raises(faults.InjectedFault):
-                map_shards(_double, [0, 1, 2], policy=policy)
-
-    def test_backoff_schedule_hits_the_sleep_seam(self, fresh_faults,
-                                                  monkeypatch):
-        slept = []
-        monkeypatch.setattr(execution, "_sleep", slept.append)
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.05,
-                             backoff_factor=2.0, backoff_max=2.0,
-                             on_error="partial")
-        with faults.inject(crash_shard=0):
-            map_shards(_double, [0], policy=policy)
-        # One delay per retry, following the pinned schedule exactly.
-        assert slept == [0.05, 0.1]
-
-    def test_resilience_counters_stamped(self, fresh_faults, telemetry_on):
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0,
-                             on_error="partial")
-        with faults.inject(crash_shard=1):
-            map_shards(_double, [0, 1, 2], policy=policy)
         counters = _counters()
-        assert counters["resilience.shard.errors"] == 2
-        assert counters["resilience.shard.retries"] == 1
+        assert counters["resilience.shard.errors"] == 1
         assert counters["resilience.shard.failures"] == 1
 
+    def test_unknown_on_error_is_rejected(self):
+        with pytest.raises(ValueError, match="on_error"):
+            map_shards(_double, [0, 1], on_error="retry")
+
 
 # ----------------------------------------------------------------------
-# Robust shard execution: pool path
+# The pool path
 # ----------------------------------------------------------------------
 
-class TestPoolRobust:
-    def test_acceptance_one_crashed_one_hung_of_sixteen(self, fresh_faults):
-        # The ISSUE's acceptance scenario: a 16-shard sweep with one
-        # shard crashing once (recovers on retry) and one hanging on
-        # every attempt (exhausts its timeout budget) yields 15 real
-        # results and exactly one typed failure, in input order.
-        payloads = list(range(16))
-        policy = RetryPolicy(max_attempts=2, timeout_seconds=0.4,
-                             backoff_base=0.0, on_error="partial")
-        with faults.inject(crash_shard={11: 1}, hang_shard=5,
-                           hang_seconds=30.0):
-            out = map_shards(_double, payloads, processes=4, policy=policy)
-        assert len(out) == 16
-        for i in range(16):
-            if i == 5:
-                continue
-            assert out[i] == 2 * i
-        failure = out[5]
-        assert isinstance(failure, ShardFailure)
-        assert failure.kind == "timeout"
-        assert failure.attempts == 2
+class TestPoolPath:
+    def test_parent_sleeps_while_the_workers_run(self):
+        # Eight 0.1 s shards on two workers: a parent that waits for a
+        # free worker by polling burns about 0.4 s of CPU here; one that
+        # submits everything and blocks on the futures, about 0.01 s.
+        cpu = time.process_time()
+        out = map_shards(_nap_then_square, list(range(8)), processes=2)
+        cpu = time.process_time() - cpu
+        assert out == [x * x for x in range(8)]
+        assert cpu < 0.1
 
-    def test_killed_worker_recovers_via_rebuild(self, fresh_faults,
-                                                telemetry_on):
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0,
-                             on_error="partial")
-        with faults.inject(kill_shard={2: 1}):
-            out = map_shards(_double, list(range(6)), processes=2,
-                             policy=policy)
-        assert out == [2 * p for p in range(6)]
-        counters = _counters()
-        assert counters["resilience.shard.pool_crashes"] >= 1
-        assert counters["resilience.shard.pool_rebuilds"] >= 1
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_raise_propagates_the_lowest_index_error(self, processes):
+        # Payload 3 fails first on a pool, but the error raised is the
+        # one the serial path raises: payload 1's.
+        with pytest.raises(ValueError, match="payload 1"):
+            map_shards(_payloads_1_and_3_raise, list(range(5)), processes)
+        _assert_no_worker_outlives_the_call()
 
-    def test_perma_killed_shard_blamed_in_quarantine(self, fresh_faults):
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0,
-                             on_error="partial")
-        with faults.inject(kill_shard=3):
-            out = map_shards(_double, list(range(6)), processes=2,
-                             policy=policy)
-        failure = out[3]
-        assert isinstance(failure, ShardFailure)
-        assert failure.kind == "pool-crash"
-        for i in (0, 1, 2, 4, 5):
-            assert out[i] == 2 * i
+    def test_worker_death_fills_every_open_slot(self, telemetry_on):
+        out = map_shards(_worker_dies_on_2, list(range(6)), processes=2,
+                         on_error="partial")
+        assert len(out) == 6
+        assert isinstance(out[2], ShardFailure)
+        assert out[2].kind == "pool-crash"
+        assert out[2].index == 2
+        for i, slot in enumerate(out):
+            if isinstance(slot, ShardFailure):
+                assert slot.kind == "pool-crash" and slot.index == i
+            else:
+                assert slot == 2 * i
+        failed = sum(isinstance(slot, ShardFailure) for slot in out)
+        assert _counters()["resilience.shard.failures"] == failed
+        _assert_no_worker_outlives_the_call()
 
-    def test_worker_count_invariance_under_faults(self, fresh_faults):
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0,
-                             on_error="partial")
-        outs = []
-        for processes in (None, 3):
-            with faults.inject(crash_shard={0: 1, 4: -1}):
-                outs.append(map_shards(_double, list(range(6)),
-                                       processes=processes, policy=policy))
-        serial, pooled = outs
+    def test_worker_death_raises_under_raise(self):
+        with pytest.raises(BrokenProcessPool):
+            map_shards(_worker_dies_on_2, list(range(6)), processes=2)
+        _assert_no_worker_outlives_the_call()
+
+    def test_partial_slots_match_across_worker_counts(self):
+        serial, pooled = (map_shards(_raise_on_odd, list(range(6)),
+                                     processes, on_error="partial")
+                          for processes in (None, 3))
         for i in range(6):
-            if i == 4:
-                continue
-            assert serial[i] == pooled[i] == 2 * i
-        # The failure records agree on everything deterministic.
-        assert serial[4].kind == pooled[4].kind == "error"
-        assert serial[4].attempts == pooled[4].attempts == 2
-        assert serial[4].error_type == pooled[4].error_type
+            if i % 2:
+                assert (serial[i].kind, serial[i].error_type,
+                        serial[i].message, serial[i].index) == (
+                    pooled[i].kind, pooled[i].error_type,
+                    pooled[i].message, pooled[i].index)
+            else:
+                assert serial[i] == pooled[i] == 2 * i
 
     def test_pool_unavailable_degrades_to_serial(self, monkeypatch):
         def broken_executor(*args, **kwargs):
@@ -312,27 +208,8 @@ class TestPoolRobust:
         assert out == [0, 2, 4, 6]
         # The warning fires once per process; later sweeps stay quiet.
         out = map_shards(_double, list(range(4)), processes=4,
-                         policy=RetryPolicy())
+                         on_error="partial")
         assert out == [0, 2, 4, 6]
-
-
-# ----------------------------------------------------------------------
-# Sweep integration: the engine front door forwards the policy
-# ----------------------------------------------------------------------
-
-class TestSweepPolicy:
-    def test_sweep_partial_marks_failed_grid_point(self, fresh_faults):
-        policy = RetryPolicy(max_attempts=1, on_error="partial")
-        with faults.inject(crash_shard=1):
-            results = sweep_constant_ensembles(
-                make_sir_model, [0.7, 0.3], 60, [2.0, 4.0, 6.0],
-                t_final=0.5, n_runs=2, seed=7, n_samples=5,
-                policy=policy,
-            )
-        assert isinstance(results[1], ShardFailure)
-        for i in (0, 2):
-            assert not isinstance(results[i], ShardFailure)
-            assert results[i].states.shape[0] == 2
 
 
 # ----------------------------------------------------------------------
@@ -351,12 +228,58 @@ def _partial_spec(name):
     )
 
 
+def _sir_nan_mid_contact(a=0.1, b=5.0, c=1.0, theta_min=1.0,
+                         theta_max=10.0):
+    """The SIR chain (Eq. 11) with an infection rate that reads NaN for a
+    contact rate strictly between 4 and 6: an ensemble over the corners
+    runs, one over a 3-point grid fails at its middle point."""
+    def infection(x, th):
+        bad = (th[0] > 4.0) & (th[0] < 6.0)
+        return a * x[0] + np.where(bad, np.nan, th[0]) * x[0] * x[1]
+
+    return PopulationModel(
+        name="sir_nan_mid_contact",
+        state_names=("S", "I"),
+        transitions=[
+            Transition("infection", change=[-1.0, 1.0], rate=infection),
+            Transition("recovery", change=[0.0, -1.0],
+                       rate=lambda x, th: b * x[1]),
+            Transition("immunity_loss", change=[1.0, 0.0],
+                       rate=lambda x, th: c * (1.0 - x[0] - x[1])),
+        ],
+        theta_set=Interval(theta_min, theta_max, name="contact_rate"),
+        observables={"S": [1.0, 0.0], "I": [0.0, 1.0]},
+    )
+
+
 class TestQuestionIsolation:
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_failing_grid_point_is_one_question_failure(self, processes):
+        # A sweep has no partial mode: its failing grid point raises, and
+        # the runner isolates that question, whatever processes is.
+        small = {"population_size": 40, "n_runs": 2, "n_samples": 5,
+                 "horizon": 0.5}
+        spec = get_scenario("sir-transient").with_overrides(
+            name="resilience-bad-grid-point",
+            model_factory=_sir_nan_mid_contact,
+            questions=[
+                Question("ensemble", options=dict(small, resolution=3),
+                         label="grid"),
+                Question("ensemble", options=small, label="corners"),
+            ],
+        )
+        run = run_scenario(spec, use_cache=False, processes=processes,
+                           on_error="partial")
+        assert [f.question for f in run.failures] == ["ensemble[grid]"]
+        assert run.failures[0].error_type == "ValueError"
+        assert "rate is NaN" in run.failures[0].message
+        assert run.result.findings["corners_ensemble_theta_points"] == 2.0
+        _assert_no_worker_outlives_the_call()
+
     def test_acceptance_partial_run_isolates_and_never_caches(
             self, tmp_path, telemetry_on):
-        # The ISSUE's second acceptance scenario: 3 questions, one
-        # raising backend -> two merged outcomes, a failure taxonomy,
-        # and nothing written to the cache.
+        # 3 questions, one raising backend -> two merged outcomes, a
+        # failure taxonomy, and nothing written to the cache.
         spec = _partial_spec("resilience-partial")
         run = run_scenario(spec, cache_dir=tmp_path, on_error="partial")
 
@@ -431,20 +354,6 @@ class TestQuestionIsolation:
             run_scenario(spec, cache_dir=tmp_path)
         assert not cache_path(spec, tmp_path).exists()
 
-    def test_question_retry_policy(self, tmp_path, monkeypatch):
-        # The serial shard loop replays a question exactly
-        # retry.max_attempts times with the policy's backoff.
-        slept = []
-        monkeypatch.setattr(execution, "_sleep", slept.append)
-        spec = _partial_spec("resilience-retried")
-        retry = RetryPolicy(max_attempts=3, backoff_base=0.01,
-                            backoff_factor=2.0)
-        run = run_scenario(spec, cache_dir=tmp_path, use_cache=False,
-                           on_error="partial", retry=retry)
-        assert len(run.failures) == 1
-        assert run.failures[0].attempts == 3
-        assert slept == [0.01, 0.02]
-
     def test_parallel_partial_run(self, tmp_path):
         spec = _partial_spec("resilience-parallel")
         run = run_scenario(spec, cache_dir=tmp_path, use_cache=False,
@@ -452,20 +361,20 @@ class TestQuestionIsolation:
         assert len(run.failures) == 1
         assert run.failures[0].question == "template[bad]"
         assert "I_uncertain_max_final" in run.result.findings
+        _assert_no_worker_outlives_the_call()
 
-    def test_retrying_healthy_run_matches_default(self, tmp_path):
+    def test_partial_healthy_run_matches_default(self):
         base = get_scenario("sir-transient")
         spec = base.with_overrides(
             name="resilience-healthy",
             questions=[Question("envelope", options={"n_times": 4})],
         )
         default = run_scenario(spec, use_cache=False)
-        retrying = run_scenario(spec, use_cache=False, on_error="partial",
-                                retry=RetryPolicy(max_attempts=2))
-        assert retrying.failures == []
-        assert default.result.findings == retrying.result.findings
+        partial = run_scenario(spec, use_cache=False, on_error="partial")
+        assert partial.failures == []
+        assert default.result.findings == partial.result.findings
         for name, series in default.result.series.items():
-            twin = retrying.result.series[name]
+            twin = partial.result.series[name]
             assert np.array_equal(series.times, twin.times)
             assert np.array_equal(series.values, twin.values)
 
@@ -509,13 +418,25 @@ class TestCliOnError:
 # ODE core: per-lane retirement
 # ----------------------------------------------------------------------
 
+def _nan_past(t_bad):
+    """``dX = -X``, except that lanes flagged 1 read NaN past ``t_bad``."""
+    def field(t, X, flag):
+        doomed = (flag[:, None] > 0) & (t[:, None] > t_bad)
+        return np.where(doomed, np.nan, -X)
+    return field
+
+
 class TestLaneRetirement:
-    def _solve(self, retire, telemetry_expected=False):
-        f = lambda t, X: -X
+    def _solve(self, retire, f=None):
         x0 = np.ones((3, 2))
         t_eval = np.linspace(0.0, 2.0, 9)
+        if f is None:
+            return dopri_batch(lambda t, X: -X, x0, (0.0, 2.0),
+                               t_eval=t_eval, rtol=1e-10, atol=1e-12,
+                               retire_failed_lanes=retire)
         return dopri_batch(f, x0, (0.0, 2.0), t_eval=t_eval,
                            rtol=1e-10, atol=1e-12,
+                           lane_args=np.array([0.0, 1.0, 0.0]),
                            retire_failed_lanes=retire)
 
     def test_no_fault_flag_is_bit_identical(self):
@@ -525,36 +446,31 @@ class TestLaneRetirement:
         assert np.array_equal(off.times, on.times)
         assert on.stats["lane_failures"] == []
 
-    def test_poisoned_lane_retires_survivors_continue(self, fresh_faults,
-                                                      telemetry_on):
+    def test_nan_lane_retires_survivors_continue(self, telemetry_on):
         healthy = self._solve(retire=True)
-        with faults.inject(poison_nan=(1, 3)):
-            sol = self._solve(retire=True)
+        sol = self._solve(retire=True, f=_nan_past(0.7))
         records = sol.stats["lane_failures"]
         assert len(records) == 1
         assert records[0]["lane"] == 1
         assert records[0]["reason"] == "non-finite-state"
-        assert records[0]["accepted"] >= 3
+        assert 0.0 < records[0]["t"] <= 0.7
         # Survivors match the all-healthy run up to BLAS reduction-order
         # noise (~1 ULP; see module docstring).
         for lane in (0, 2):
             assert np.allclose(sol.states[lane], healthy.states[lane],
                                rtol=1e-14, atol=0)
-        # Survivors stay finite end to end.  (The poisoned lane's tail
-        # holds its frozen state, which the injection itself made NaN —
-        # a genuine non-finite *step* would freeze the last accepted
-        # finite state instead.)
-        assert np.isfinite(sol.states[[0, 2]]).all()
+        # The retired lane holds its last accepted (finite) state, so
+        # the whole batch stays finite end to end.
+        assert np.isfinite(sol.states).all()
         assert _counters()["resilience.ode.lane_failures"] == 1
 
-    def test_without_flag_poison_still_raises(self, fresh_faults):
-        # A NaN state surfaces either as the non-finite guard or as a
+    def test_without_flag_a_nan_lane_raises(self):
+        # A NaN field surfaces either as the non-finite guard or as a
         # step-size collapse, depending on where the controller trips
         # first — both abort loudly without the opt-in flag.
-        with faults.inject(poison_nan=(1, 3)):
-            with pytest.raises(RuntimeError,
-                               match="non-finite|step size collapsed"):
-                self._solve(retire=False)
+        with pytest.raises(RuntimeError,
+                           match="non-finite|step size collapsed"):
+            self._solve(retire=False, f=_nan_past(0.7))
 
 
 # ----------------------------------------------------------------------
@@ -592,6 +508,19 @@ class TestPontryaginDeadline:
 # Cache: transient store retry, corruption tolerance, thread hammering
 # ----------------------------------------------------------------------
 
+def _failing_replace(failures):
+    """A ``Path.replace`` whose first ``failures`` calls raise."""
+    real = pathlib.Path.replace
+    calls = []
+
+    def replace(self, target):
+        calls.append(self)
+        if len(calls) <= failures:
+            raise OSError("transient rename failure")
+        return real(self, target)
+    return replace
+
+
 class TestCacheResilience:
     def _spec(self):
         return get_scenario("sir-transient").with_overrides(
@@ -599,38 +528,41 @@ class TestCacheResilience:
             questions=[Question("envelope", options={"n_times": 4})],
         )
 
-    def test_transient_store_error_is_retried(self, tmp_path, fresh_faults,
+    def test_transient_store_error_is_retried(self, tmp_path, monkeypatch,
                                               telemetry_on):
         spec = self._spec()
         run = run_scenario(spec, use_cache=False)
-        with faults.inject(cache_store_errors=1):
-            path = store_result(spec, run.result, tmp_path)
+        monkeypatch.setattr(pathlib.Path, "replace", _failing_replace(1))
+        path = store_result(spec, run.result, tmp_path)
+        monkeypatch.undo()
         assert path.exists()
         assert _counters()["resilience.cache.store_retries"] == 1
-        assert faults.stats()["injected.cache-store-error"] == 1
         result, reason = load_cached_detail(spec, tmp_path)
         assert reason == "hit"
-
-    def test_persistent_store_error_raises(self, tmp_path, fresh_faults):
-        spec = self._spec()
-        run = run_scenario(spec, use_cache=False)
-        with faults.inject(cache_store_errors=2):
-            with pytest.raises(OSError, match="injected"):
-                store_result(spec, run.result, tmp_path)
-        # No debris: every temp file was cleaned up on failure.
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_corrupt_cache_injection_forces_miss(self, tmp_path,
-                                                 fresh_faults):
+    def test_persistent_store_error_raises(self, tmp_path, monkeypatch):
         spec = self._spec()
         run = run_scenario(spec, use_cache=False)
-        store_result(spec, run.result, tmp_path)
+        monkeypatch.setattr(pathlib.Path, "replace", _failing_replace(2))
+        with pytest.raises(OSError, match="transient rename failure"):
+            store_result(spec, run.result, tmp_path)
+        # No debris: every temp file was cleaned up on failure.
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert not cache_path(spec, tmp_path).exists()
+
+    def test_corrupt_entry_forces_miss(self, tmp_path):
+        spec = self._spec()
+        run = run_scenario(spec, use_cache=False)
+        path = store_result(spec, run.result, tmp_path)
         _, reason = load_cached_detail(spec, tmp_path)
         assert reason == "hit"
-        with faults.inject(corrupt_cache=True):
-            result, reason = load_cached_detail(spec, tmp_path)
+        path.write_text(path.read_text()[:100])
+        result, reason = load_cached_detail(spec, tmp_path)
         assert result is None and reason == "corrupt"
-        # Disarmed again, the same entry is served.
+        # The runner recomputes and overwrites the corrupt entry.
+        rerun = run_scenario(spec, cache_dir=tmp_path)
+        assert rerun.report.cache_miss_reason == "corrupt"
         _, reason = load_cached_detail(spec, tmp_path)
         assert reason == "hit"
 

@@ -41,6 +41,32 @@ class TestUncertainEnvelope:
                 np.testing.assert_array_equal(getattr(env, side)[name],
                                               getattr(want, side)[name][pick])
 
+    @pytest.mark.parametrize("integrator", ["adaptive", "rk4"])
+    @pytest.mark.parametrize("t_eval", [[1.0, 0.0, 2.0], [0.0, 2.0, 1.0],
+                                        [0.0, np.nan, 2.0],
+                                        [0.0, 1.0, np.inf]],
+                             ids=["back-then-on", "on-then-back", "nan",
+                                  "inf"])
+    def test_non_monotone_or_non_finite_grid_rejected(self, sir_model,
+                                                      integrator, t_eval):
+        # The rk4 grid used to re-sort [1, 0, 2], start x0 at t = 0 and
+        # return I lower [-4539.7, 0.3, nan] without a word.
+        with pytest.raises(ValueError, match="t_eval"):
+            uncertain_envelope(sir_model, [0.7, 0.3], t_eval, resolution=5,
+                               integrator=integrator)
+
+    @pytest.mark.parametrize("integrator", ["adaptive", "rk4"])
+    @pytest.mark.parametrize("t_eval", [[0.0, 1.0, 1.0, 2.0],
+                                        [2.0, 1.0, 1.0, 0.0]],
+                             ids=["repeat", "descending-repeat"])
+    def test_monotone_grid_with_repeats_accepted(self, sir_model,
+                                                 integrator, t_eval):
+        env = uncertain_envelope(sir_model, [0.7, 0.3], t_eval,
+                                 resolution=5, integrator=integrator)
+        assert np.isfinite(env.lower["I"]).all()
+        assert env.lower["I"][0] == pytest.approx(0.3)
+        assert env.lower["I"][1] == env.lower["I"][2]
+
     def test_envelope_contains_interior_theta_solution(self, sir_model):
         # scipy's solve_ivp, not the Dormand–Prince lanes under test.
         t = np.linspace(0, 3, 16)

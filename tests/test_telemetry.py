@@ -184,30 +184,21 @@ def test_sweep_payloads_exclude_shard_invariant_context():
     assert payload["max"] < 1024
 
 
-@pytest.mark.parametrize("policy, processes, tasks", [
-    (None, None, 1),
-    (None, 2, 2),
-    ("retry", None, 3),
-    ("timeout", None, 3),
-    ("partial", None, 3),
-], ids=["serial", "two-processes", "retries", "timeout", "partial"])
-def test_sweep_chunks_only_under_fail_fast(policy, processes, tasks):
-    """A fail-fast sweep runs one chunk of grid points per process; a
-    policy with retries, a timeout or failure slots keeps one task per
-    point."""
+@pytest.mark.parametrize("processes, tasks", [
+    (None, 1),
+    (2, 2),
+    (5, 3),
+], ids=["serial", "two-processes", "more-processes-than-points"])
+def test_sweep_runs_one_chunk_per_process(processes, tasks):
+    """A sweep runs one chunk of consecutive grid points per process (at
+    most one per point)."""
     from repro.engine import sweep_constant_ensembles
     from repro.models import make_sir_model
-    from repro.resilience import RetryPolicy
 
-    policies = {"retry": RetryPolicy(max_attempts=2, on_error="raise"),
-                "timeout": RetryPolicy(max_attempts=1, on_error="raise",
-                                       timeout_seconds=60.0),
-                "partial": RetryPolicy(max_attempts=1, on_error="partial")}
     telemetry.enable()
     results = sweep_constant_ensembles(
         make_sir_model, [0.7, 0.3], 30, [1.0, 2.0, 3.0], t_final=0.2,
         n_runs=2, n_samples=5, processes=processes,
-        policy=policies.get(policy),
     )
     assert [r.n_runs for r in results] == [2, 2, 2]
     payload = telemetry.snapshot()["histograms"]["engine.shard.payload_bytes"]
